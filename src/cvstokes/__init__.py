@@ -56,6 +56,8 @@ from .schemes import (
 )
 from .solver import (
     BlockPreconditioner,
+    BubbleStructureError,
+    GMRESBreakdownError,
     SolveReport,
     assemble_pressure_mass,
     direct_solve,

@@ -189,7 +189,6 @@ class RunConfig:
     seed: int = 7
     out_dir: str = "."
     write_vtk: bool = False
-    deterministic_assembly: bool = True
     mesh_files: tuple = ()
 
 
@@ -198,8 +197,8 @@ def run(config: RunConfig) -> ConvergenceReport:
 
     The `custom-msh` case runs the Donea-Huerta fields on user-supplied
     unit-square MSH meshes whose boundary markers must be named left,
-    right, bottom, top.  Assembly is always deterministic; the
-    `deterministic_assembly` flag is recorded for provenance only.
+    right, bottom, top; like the built-in cases, left and bottom get
+    Dirichlet data and right and top get traction data.
     """
     if config.case == "custom-msh":
         if not config.mesh_files:
@@ -260,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory for CSV/VTU files")
     parser.add_argument("--vtk", action="store_true", help="write a VTU file per level")
     parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="record that assembly is deterministic (it always is)",
-    )
-    parser.add_argument(
         "--mesh",
         action="append",
         default=[],
@@ -289,7 +283,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         out_dir=args.out,
         write_vtk=args.vtk,
-        deterministic_assembly=True,
         mesh_files=tuple(args.mesh),
     )
     try:

@@ -149,6 +149,8 @@ class SaddleSystem:
     rows of A are identity rows; `dirichlet_dofs` lists the scalar velocity
     dofs so constrained.  If a pressure unknown is pinned its mass row is
     replaced by an identity row stored in the otherwise empty block.
+    `bubble_dofs` is the contiguous range of bubble velocity dofs, which
+    the solvers eliminate element by element.
     """
 
     A: sp.csr_matrix
@@ -158,6 +160,7 @@ class SaddleSystem:
     rhs_mass: np.ndarray
     dirichlet_dofs: np.ndarray
     pinned_pressure: int | None = None
+    bubble_dofs: range = range(0)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -490,4 +493,5 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         rhs_mass=rhs_p,
         dirichlet_dofs=ddofs,
         pinned_pressure=pin_pressure,
+        bubble_dofs=range(2 * mesh.n_vertices, 2 * n_u),
     )

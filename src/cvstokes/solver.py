@@ -1,4 +1,17 @@
-"""Preconditioned iterative solution of the saddle-point systems.
+"""Preconditioned iterative and direct solution of the saddle-point systems.
+
+Both solvers first eliminate the bubble unknowns of the MINI velocity
+(Arnold, Brezzi & Fortin 1984).  Every bubble row touches only its own
+element, so the bubble-bubble block of any operator built from A is
+block diagonal with one 2x2 block per element.  Ordering an operator M as
+kept (k) and bubble (b) unknowns,
+
+    [[M_kk, M_kb], [M_bk, M_bb]],
+
+the bubbles drop out through the condensed operator
+M_kk - M_kb M_bb^{-1} M_bk, whose solve is followed by the local recovery
+y_b = M_bb^{-1} (r_b - M_bk y_k).  This is an exact solve of M, so only
+the size of the sparse factorizations changes.
 
 The preconditioner is block triangular: exact application of the inverse
 of the velocity block A, and the inverse of a Schur-complement surrogate
@@ -8,10 +21,17 @@ for the pressure block, here the pressure mass matrix scaled by
     z_u = A^{-1} r_u
     z_p = S^{-1} (r_p - C z_u)
 
-with both inverses realized by sparse LU factorizations.  The Krylov
-solver is a non-restarted left-preconditioned GMRes that terminates when
-the Euclidean norm of the preconditioned residual has dropped by a given
-factor relative to its initial value.
+with A^{-1} applied through the condensed vertex block and S^{-1} by a
+sparse LU factorization.  The Krylov solver is a non-restarted
+left-preconditioned GMRes that terminates when the Euclidean norm of the
+preconditioned residual has dropped by a given factor relative to its
+initial value.
+
+The direct solver factors the condensed saddle-point system, whose size
+is three unknowns per vertex instead of two per vertex and element plus
+one per vertex.  Its iterative refinement evaluates the residual with the
+full, uncondensed system, so the flux balances of the recovered solution
+hold to the round-off of that evaluation.
 """
 
 from __future__ import annotations
@@ -58,25 +78,106 @@ def random_initial_guess(disc: GridDiscretization, seed: int) -> np.ndarray:
     return x
 
 
+class BubbleStructureError(ValueError):
+    """The bubble-bubble block is not made of invertible per-element 2x2 blocks."""
+
+
+class GMRESBreakdownError(ArithmeticError):
+    """The Krylov space became invariant while the Hessenberg matrix is singular."""
+
+
+@dataclass
+class BubbleElimination:
+    """Local elimination of the bubble unknowns from a square operator M.
+
+    `bubbles` is the contiguous range of bubble unknowns, two per element
+    (x and y); all other unknowns are kept.  `condensed` is the Schur
+    complement M_kk - M_kb M_bb^{-1} M_bk on the kept unknowns.
+    """
+
+    bubbles: range
+    condensed: sp.csc_matrix
+    M_kb: sp.csr_matrix
+    M_bk: sp.csr_matrix
+    M_bb_inv: sp.csr_matrix
+
+    @classmethod
+    def build(cls, M: sp.spmatrix, bubbles: range) -> "BubbleElimination":
+        M = sp.csr_matrix(M)
+        lo, hi = bubbles.start, bubbles.stop
+        keep = np.r_[0:lo, hi : M.shape[0]]
+        rows_k, rows_b = M[keep], M[lo:hi]
+        M_bb_inv = _invert_bubble_blocks(rows_b[:, lo:hi])
+        M_kb, M_bk = rows_k[:, lo:hi], rows_b[:, keep]
+        condensed = rows_k[:, keep] - M_kb @ (M_bb_inv @ M_bk)
+        return cls(bubbles, condensed.tocsc(), M_kb, M_bk, M_bb_inv)
+
+    def solve(self, solve_condensed, r: np.ndarray) -> np.ndarray:
+        """Solve M y = r, given a solver of the condensed operator."""
+        lo, hi = self.bubbles.start, self.bubbles.stop
+        r_b = r[lo:hi]
+        r_k = np.concatenate((r[:lo], r[hi:]))
+        y_k = solve_condensed(r_k - self.M_kb @ (self.M_bb_inv @ r_b))
+        y_b = self.M_bb_inv @ (r_b - self.M_bk @ y_k)
+        return np.concatenate((y_k[:lo], y_b, y_k[lo:]))
+
+
+def _invert_bubble_blocks(M_bb: sp.csr_matrix) -> sp.csr_matrix:
+    """Inverse of a block-diagonal matrix of 2x2 blocks, as a sparse matrix.
+
+    Raises BubbleStructureError if a nonzero entry couples two different
+    blocks or if a block is numerically singular.
+    """
+    n = M_bb.shape[0]
+    if n % 2:
+        raise BubbleStructureError(f"odd number of bubble unknowns ({n})")
+    M_bb.sum_duplicates()
+    diag = M_bb.diagonal()
+    a, d = diag[0::2], diag[1::2]
+    b, c = M_bb.diagonal(1)[0::2], M_bb.diagonal(-1)[0::2]
+    outside = np.count_nonzero(M_bb.data) - sum(np.count_nonzero(v) for v in (diag, b, c))
+    if outside:
+        raise BubbleStructureError(
+            f"bubble block has {outside} nonzero entries outside its per-element 2x2 blocks"
+        )
+    det = a * d - b * c
+    scale = np.max(np.abs((a, b, c, d)), axis=0, initial=0.0)
+    singular = ~(np.abs(det) > np.finfo(float).eps * scale**2)
+    if np.any(singular):
+        raise BubbleStructureError(
+            f"{int(singular.sum())} singular 2x2 bubble blocks, "
+            f"first at element {int(np.flatnonzero(singular)[0])}"
+        )
+    inv = np.stack((d, -b, -c, a), axis=-1) / det[:, None]
+    cols = (np.arange(0, n, 2)[:, None] + np.array([0, 1, 0, 1])).ravel()
+    return sp.csr_matrix((inv.ravel(), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+
+
 @dataclass
 class BlockPreconditioner:
-    """Block-triangular preconditioner with exact LU sub-solves."""
+    """Block-triangular preconditioner with exact sub-solves.
+
+    `lu_A` factors the velocity block with its bubbles eliminated;
+    `bubbles` turns that factor into an exact solve with A.
+    """
 
     lu_A: object
     lu_S: object
     C: sp.csr_matrix
     n_velocity: int
+    bubbles: BubbleElimination
 
     @classmethod
     def build(cls, system: SaddleSystem, schur_approx: sp.spmatrix) -> "BlockPreconditioner":
-        lu_A = splu(system.A.tocsc())
+        bubbles = BubbleElimination.build(system.A, system.bubble_dofs)
+        lu_A = splu(bubbles.condensed)
         lu_S = splu(sp.csc_matrix(schur_approx))
-        return cls(lu_A=lu_A, lu_S=lu_S, C=system.C, n_velocity=system.n_velocity)
+        return cls(lu_A=lu_A, lu_S=lu_S, C=system.C, n_velocity=system.n_velocity, bubbles=bubbles)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r_u = r[: self.n_velocity]
         r_p = r[self.n_velocity :]
-        z_u = self.lu_A.solve(r_u)
+        z_u = self.bubbles.solve(self.lu_A.solve, r_u)
         z_p = self.lu_S.solve(r_p - self.C @ z_u)
         return np.concatenate((z_u, z_p))
 
@@ -145,6 +246,11 @@ def gmres_solve(
             H[i, j] = cs[i] * hi + sn[i] * hj
             H[i + 1, j] = -sn[i] * hi + cs[i] * hj
         denom = np.hypot(H[j, j], H[j + 1, j])
+        if denom == 0.0:
+            raise GMRESBreakdownError(
+                f"GMRes breakdown at iteration {j + 1}: the Krylov space is "
+                "invariant but the operator is singular on it"
+            )
         cs[j] = H[j, j] / denom
         sn[j] = H[j + 1, j] / denom
         H[j, j] = denom
@@ -168,16 +274,18 @@ def gmres_solve(
 
 
 def direct_solve(system: SaddleSystem, refine: int = 1) -> np.ndarray:
-    """Sparse LU solve of the full saddle-point system.
+    """Sparse LU solve of the saddle-point system with its bubbles eliminated.
 
-    `refine` steps of iterative refinement push the per-row backward error
-    to the round-off of the residual evaluation itself, which matters when
-    flux balances of the solution are inspected directly.
+    `refine` steps of iterative refinement, with residuals of the full
+    system, push the per-row backward error to the round-off of the
+    residual evaluation itself, which matters when flux balances of the
+    solution are inspected directly.
     """
-    J = system.matrix().tocsc()
+    J = system.matrix()
     b = system.rhs()
-    lu = splu(J)
-    x = lu.solve(b)
+    bubbles = BubbleElimination.build(J, system.bubble_dofs)
+    lu = splu(bubbles.condensed)
+    x = bubbles.solve(lu.solve, b)
     for _ in range(refine):
-        x += lu.solve(b - J @ x)
+        x += bubbles.solve(lu.solve, b - J @ x)
     return x

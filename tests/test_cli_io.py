@@ -190,6 +190,33 @@ def test_run_custom_msh(tmp_path):
     assert (tmp_path / "custom-msh_hybrid.csv").exists()
 
 
+def test_run_custom_msh_uses_mixed_boundary_layout(tmp_path):
+    # Markers read from MSH default to Dirichlet; the run replaces them with
+    # Dirichlet left/bottom and traction right/top, as for the built-in cases.
+    mesh = distort(generate_structured(6, 6), 0.15, seed=52)
+    path = tmp_path / "m.msh"
+    write_msh22(path, mesh)
+    config = RunConfig(
+        case="custom-msh",
+        scheme="overlapping",
+        out_dir=str(tmp_path),
+        write_vtk=True,
+        mesh_files=(str(path),),
+    )
+    run(config)
+    root = ET.parse(tmp_path / "custom-msh_overlapping_level0.vtu").getroot()
+    pts = _vtu_array(root, "points").reshape(-1, 3)[:, :2]
+    vel = _vtu_array(root, "velocity").reshape(-1, 3)[:, :2]
+    on_dirichlet = (pts[:, 0] == 0.0) | (pts[:, 1] == 0.0)
+    on_traction = ((pts[:, 0] == 1.0) | (pts[:, 1] == 1.0)) & ~on_dirichlet
+    assert on_traction.sum() == 11
+    # The Donea-Huerta velocity vanishes on the whole boundary.  Dirichlet
+    # vertices hold it up to the GMRES tolerance; traction vertices are free
+    # and carry the discretization error.
+    assert np.abs(vel[on_dirichlet]).max() <= 1e-12
+    assert np.abs(vel[on_traction]).max(axis=1).min() > 1e-6
+
+
 def test_run_custom_msh_requires_files(tmp_path):
     with pytest.raises(ValueError, match="custom-msh"):
         run(RunConfig(case="custom-msh", out_dir=str(tmp_path)))
@@ -213,6 +240,8 @@ def test_parser_defaults_and_choices():
     args = parser.parse_args(["--mesh", "a.msh", "--mesh", "b.msh", "--vtk"])
     assert args.mesh == ["a.msh", "b.msh"]
     assert args.vtk is True
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--deterministic"])
 
 
 def test_main_end_to_end(tmp_path, capsys):

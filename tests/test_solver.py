@@ -1,5 +1,7 @@
 """Pressure-mass Schur surrogate, preconditioner, GMRes, direct solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,18 +9,22 @@ import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
 from cvstokes.geometry import build
-from cvstokes.mesh import BCKind, generate_structured
-from cvstokes.schemes import StokesProblem, assemble
+from cvstokes.mesh import BCKind, distort, generate_structured
+from cvstokes.schemes import SaddleSystem, StokesProblem, assemble
 from cvstokes.solver import (
     BlockPreconditioner,
+    BubbleElimination,
+    BubbleStructureError,
+    GMRESBreakdownError,
     assemble_pressure_mass,
     direct_solve,
     gmres_solve,
     random_initial_guess,
 )
-from cvstokes.verification import donea_huerta_case
+from cvstokes.verification import conservation_audit, donea_huerta_case
 
 MIXED = {"right": BCKind.NEUMANN, "top": BCKind.NEUMANN}
+SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
 
 class _StubSystem:
@@ -49,6 +55,28 @@ def _small_system(scheme="overlapping", n=6, seed=21):
     disc = build(mesh, scheme)
     system = assemble(disc, case.problem())
     return disc, system
+
+
+def _pinned_system(scheme, n=5, seed=22):
+    """All-Dirichlet mesh (the default markers) with pressure 0 pinned."""
+    case = donea_huerta_case()
+    disc = build(random_distorted_mesh(seed, n=n), scheme)
+    return disc, assemble(disc, case.problem(), pin_pressure=0)
+
+
+class _FullLUPreconditioner:
+    """The block preconditioner with the velocity block factored whole."""
+
+    def __init__(self, system, schur_approx):
+        self.lu_A = spla.splu(system.A.tocsc())
+        self.lu_S = spla.splu(sp.csc_matrix(schur_approx))
+        self.C = system.C
+        self.n_velocity = system.n_velocity
+
+    def apply(self, r):
+        z_u = self.lu_A.solve(r[: self.n_velocity])
+        z_p = self.lu_S.solve(r[self.n_velocity :] - self.C @ z_u)
+        return np.concatenate((z_u, z_p))
 
 
 def test_pressure_mass_reference_triangle():
@@ -184,12 +212,14 @@ def test_gmres_solution_solves_saddle_system():
 
 
 def test_direct_solve_matches_spsolve():
-    _, system = _small_system(n=5)
-    x = direct_solve(system)
-    want = spla.spsolve(system.matrix().tocsc(), system.rhs())
-    assert np.allclose(x, want, atol=1e-9 * max(1.0, np.max(np.abs(want))))
-    x0 = direct_solve(system, refine=0)
-    assert np.allclose(x0, want, atol=1e-9 * max(1.0, np.max(np.abs(want))))
+    for scheme in SCHEMES:
+        for make in (_small_system, _pinned_system):
+            _, system = make(scheme, n=5)
+            x = direct_solve(system)
+            want = spla.spsolve(system.matrix().tocsc(), system.rhs())
+            assert np.allclose(x, want, atol=1e-9 * max(1.0, np.max(np.abs(want)))), scheme
+            x0 = direct_solve(system, refine=0)
+            assert np.allclose(x0, want, atol=1e-9 * max(1.0, np.max(np.abs(want)))), scheme
 
 
 def test_direct_solve_refinement_tightens_residual():
@@ -198,3 +228,96 @@ def test_direct_solve_refinement_tightens_residual():
     scale = np.linalg.norm(b)
     refined = system.residual(direct_solve(system, refine=1))
     assert np.linalg.norm(refined) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bubble_block_is_per_element_2x2(scheme, pinned):
+    disc, system = (_pinned_system if pinned else _small_system)(scheme)
+    b = system.bubble_dofs
+    assert len(b) == 2 * disc.mesh.n_elements
+    assert b.stop == system.n_velocity
+    A_bb = system.A.tocsr()[b.start : b.stop, b.start : b.stop].tocoo()
+    off = A_bb.row // 2 != A_bb.col // 2
+    assert not np.any(A_bb.data[off])
+    blocks = A_bb.toarray().reshape(len(b) // 2, 2, len(b) // 2, 2)
+    blocks = blocks[np.arange(len(b) // 2), :, np.arange(len(b) // 2), :]
+    dets = np.linalg.det(blocks)
+    scale = np.abs(blocks).max(axis=(1, 2))
+    assert np.all(np.abs(dets) > 1e-8 * scale**2)
+    # The elimination accepts the block and solves with A exactly.
+    elim = BubbleElimination.build(system.A, b)
+    assert elim.condensed.shape == (system.n_velocity - len(b),) * 2
+    rhs = np.random.default_rng(4).standard_normal(system.n_velocity)
+    y = elim.solve(spla.splu(elim.condensed).solve, rhs)
+    assert np.allclose(system.A @ y, rhs, atol=1e-10)
+
+
+def test_bubble_elimination_rejects_bad_blocks():
+    disc, system = _small_system(n=4)
+    lo = system.bubble_dofs.start
+    A = system.A.tolil()
+    A[lo, lo + 2] = 1e-3                 # couple the bubbles of elements 0 and 1
+    coupled = dataclasses.replace(system, A=A.tocsr(), _matrix=None)
+    with pytest.raises(BubbleStructureError, match="outside"):
+        direct_solve(coupled)
+    with pytest.raises(BubbleStructureError, match="outside"):
+        BlockPreconditioner.build(coupled, assemble_pressure_mass(disc, 1.0))
+
+    A = system.A.tolil()
+    A[lo + 1, lo] = A[lo, lo]            # second row of the first block = first row
+    A[lo + 1, lo + 1] = A[lo, lo + 1]
+    singular = dataclasses.replace(system, A=A.tocsr(), _matrix=None)
+    with pytest.raises(BubbleStructureError, match="singular"):
+        direct_solve(singular)
+    assert issubclass(BubbleStructureError, ValueError)
+
+
+def test_direct_solve_without_bubbles():
+    rng = np.random.default_rng(8)
+    A = sp.csr_matrix(rng.standard_normal((4, 4)) + 4.0 * np.eye(4))
+    B = sp.csr_matrix(rng.standard_normal((4, 2)))
+    system = SaddleSystem(
+        A=A,
+        B=B,
+        C=sp.csr_matrix(B.T),
+        rhs_momentum=rng.standard_normal(4),
+        rhs_mass=rng.standard_normal(2),
+        dirichlet_dofs=np.empty(0, dtype=np.int64),
+    )
+    want = np.linalg.solve(system.matrix().toarray(), system.rhs())
+    assert np.allclose(direct_solve(system), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_condensed_preconditioner_keeps_iteration_counts(scheme):
+    case = donea_huerta_case()
+    mesh = case.apply_bc(distort(generate_structured(20, 20), 0.2, seed=31))
+    disc = build(mesh, scheme)
+    system = assemble(disc, case.problem())
+    S = assemble_pressure_mass(disc, 1.0)
+    x0 = random_initial_guess(disc, seed=9)
+    condensed = gmres_solve(system, BlockPreconditioner.build(system, S), x0)
+    full = gmres_solve(system, _FullLUPreconditioner(system, S), x0)
+    assert condensed.converged and full.converged
+    assert condensed.iterations == full.iterations
+    assert np.allclose(condensed.residual_history, full.residual_history, rtol=1e-6)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_direct_solve_box_balances_all_schemes(scheme):
+    # At 40x40 an unrefined solve misses the bound (about 2e-12), so this
+    # also pins the refinement step with the full-system residual.
+    case = donea_huerta_case()
+    mesh = case.apply_bc(distort(generate_structured(40, 40), 0.2, seed=101))
+    disc = build(mesh, scheme)
+    problem = case.problem()
+    x = direct_solve(assemble(disc, problem))
+    audit = conservation_audit(disc, x, problem)
+    assert np.max(np.abs(audit.mass_residuals)) <= 1e-12 * audit.max_mass_flux
+
+
+def test_gmres_breakdown_raises():
+    system = _StubSystem([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
+    with pytest.raises(GMRESBreakdownError):
+        gmres_solve(system)
