@@ -8,7 +8,7 @@ flow field for the same grid.  Open the files in ParaView and color by
 "cv" to see the tilings:
 
   * pressure boxes: one polygon fan around every vertex, all schemes
-  * non-overlapping velocity volumes: corner quads around vertices and
+  * non-overlapping velocity volumes: corner triangles around vertices and
     a medial triangle per element, tiling the domain
   * overlapping velocity volumes: the boxes again, with the medial
     triangles drawn on top of them

@@ -20,15 +20,11 @@ from .basis import (
     triangle_rule,
 )
 from .geometry import (
-    BoundarySegment,
     ControlVolumeSet,
     GridDiscretization,
     SchemeKind,
-    SubControlVolume,
-    SubControlVolumeFace,
     build,
     build_boxes,
-    build_bubble_cv,
     build_nonoverlapping,
     build_overlapping,
 )
@@ -50,8 +46,6 @@ from .schemes import (
     StokesProblem,
     assemble,
     face_fluxes,
-    mass_flux,
-    momentum_flux,
     split_solution,
 )
 from .solver import (

@@ -75,14 +75,61 @@ def format_report(report: ConvergenceReport) -> str:
 
 
 def _vtu_array(lines, name, data, ncomp):
+    data = np.asarray(data).reshape(-1, ncomp)
+    kind = "Int64" if data.dtype.kind in "iu" else "Float64"
     lines.append(
-        f'        <DataArray type="Float64" Name="{name}" '
+        f'        <DataArray type="{kind}" Name="{name}" '
         f'NumberOfComponents="{ncomp}" format="ascii">'
     )
-    data = np.asarray(data, dtype=float).reshape(-1, ncomp)
     for row in data:
         lines.append("          " + " ".join(f"{v:.17g}" for v in row))
     lines.append("        </DataArray>")
+
+
+def _write_grid(path, points, cells, cell_type, point_data=(), cell_data=()):
+    """Write an ASCII XML unstructured grid of 2D points and polygon cells.
+
+    `cells` lists each cell's point ids as Python ints; `point_data` and `cell_data` are
+    (name, values, components) triples, and each 3-component array becomes
+    the section's active vector, each 1-component one its active scalar.
+    """
+    offsets = np.cumsum([len(c) for c in cells]).tolist()
+    lines = [
+        '<?xml version="1.0"?>',
+        '<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">',
+        "  <UnstructuredGrid>",
+        f'    <Piece NumberOfPoints="{points.shape[0]}" NumberOfCells="{len(cells)}">',
+        "      <Points>",
+    ]
+    _vtu_array(lines, "points", np.column_stack((points, np.zeros(points.shape[0]))), 3)
+    lines.append("      </Points>")
+    lines.append("      <Cells>")
+    lines.append('        <DataArray type="Int64" Name="connectivity" format="ascii">')
+    for cell in cells:
+        lines.append("          " + " ".join(map(str, cell)))
+    lines.append("        </DataArray>")
+    lines.append('        <DataArray type="Int64" Name="offsets" format="ascii">')
+    lines.append("          " + " ".join(str(o) for o in offsets))
+    lines.append("        </DataArray>")
+    lines.append('        <DataArray type="UInt8" Name="types" format="ascii">')
+    lines.append("          " + " ".join(str(cell_type) for _ in cells))
+    lines.append("        </DataArray>")
+    lines.append("      </Cells>")
+    for tag, arrays in (("PointData", point_data), ("CellData", cell_data)):
+        if not arrays:
+            continue
+        active = "".join(
+            f' {"Vectors" if ncomp == 3 else "Scalars"}="{name}"' for name, _, ncomp in arrays
+        )
+        lines.append(f"      <{tag}{active}>")
+        for name, data, ncomp in arrays:
+            _vtu_array(lines, name, data, ncomp)
+        lines.append(f"      </{tag}>")
+    lines.append("    </Piece>")
+    lines.append("  </UnstructuredGrid>")
+    lines.append("</VTKFile>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_vtu(disc: GridDiscretization, solution: np.ndarray, path: str) -> None:
@@ -90,92 +137,26 @@ def write_vtu(disc: GridDiscretization, solution: np.ndarray, path: str) -> None
     mesh = disc.mesh
     vel, pres = split_solution(disc, solution)
     nv = mesh.n_vertices
-    ne = mesh.n_elements
-    vel3 = np.column_stack((vel[:nv], np.zeros(nv)))
-    bub3 = np.column_stack((vel[nv:], np.zeros(ne)))
-    pts3 = np.column_stack((mesh.vertices, np.zeros(nv)))
-
-    lines = [
-        '<?xml version="1.0"?>',
-        '<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">',
-        "  <UnstructuredGrid>",
-        f'    <Piece NumberOfPoints="{nv}" NumberOfCells="{ne}">',
-        "      <Points>",
-    ]
-    _vtu_array(lines, "points", pts3, 3)
-    lines.append("      </Points>")
-    lines.append("      <Cells>")
-    lines.append('        <DataArray type="Int64" Name="connectivity" format="ascii">')
-    for tri in mesh.triangles:
-        lines.append(f"          {tri[0]} {tri[1]} {tri[2]}")
-    lines.append("        </DataArray>")
-    lines.append('        <DataArray type="Int64" Name="offsets" format="ascii">')
-    lines.append("          " + " ".join(str(3 * (k + 1)) for k in range(ne)))
-    lines.append("        </DataArray>")
-    lines.append('        <DataArray type="UInt8" Name="types" format="ascii">')
-    lines.append("          " + " ".join("5" for _ in range(ne)))
-    lines.append("        </DataArray>")
-    lines.append("      </Cells>")
-    lines.append('      <PointData Vectors="velocity" Scalars="pressure">')
-    _vtu_array(lines, "velocity", vel3, 3)
-    _vtu_array(lines, "pressure", pres, 1)
-    lines.append("      </PointData>")
-    lines.append('      <CellData Vectors="bubble_velocity">')
-    _vtu_array(lines, "bubble_velocity", bub3, 3)
-    lines.append("      </CellData>")
-    lines.append("    </Piece>")
-    lines.append("  </UnstructuredGrid>")
-    lines.append("</VTKFile>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_grid(
+        path,
+        mesh.vertices,
+        mesh.triangles.tolist(),
+        5,
+        point_data=(
+            ("velocity", np.column_stack((vel[:nv], np.zeros(nv))), 3),
+            ("pressure", pres, 1),
+        ),
+        cell_data=(("bubble_velocity", np.column_stack((vel[nv:], np.zeros(mesh.n_elements))), 3),),
+    )
 
 
 def write_cv_debug_vtu(disc: GridDiscretization, which: str, path: str) -> None:
     """Dump the sub-control-volume polygons of one CV family for inspection."""
     cvset = {"pressure": disc.pressure, "velocity": disc.velocity}[which]
-    points = []
-    conn = []
-    offsets = []
-    total = 0
-    for i in range(cvset.scv_cv.shape[0]):
-        k = int(cvset.scv_nverts[i])
-        poly = cvset.scv_polys[i, :k]
-        conn.extend(range(total, total + k))
-        total += k
-        offsets.append(total)
-        points.append(poly)
-    pts = np.vstack(points) if points else np.zeros((0, 2))
-    n_cells = len(offsets)
-    lines = [
-        '<?xml version="1.0"?>',
-        '<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">',
-        "  <UnstructuredGrid>",
-        f'    <Piece NumberOfPoints="{pts.shape[0]}" NumberOfCells="{n_cells}">',
-        "      <Points>",
-    ]
-    _vtu_array(lines, "points", np.column_stack((pts, np.zeros(pts.shape[0]))), 3)
-    lines.append("      </Points>")
-    lines.append("      <Cells>")
-    lines.append('        <DataArray type="Int64" Name="connectivity" format="ascii">')
-    lines.append("          " + " ".join(str(c) for c in conn))
-    lines.append("        </DataArray>")
-    lines.append('        <DataArray type="Int64" Name="offsets" format="ascii">')
-    lines.append("          " + " ".join(str(o) for o in offsets))
-    lines.append("        </DataArray>")
-    lines.append('        <DataArray type="UInt8" Name="types" format="ascii">')
-    lines.append("          " + " ".join("7" for _ in range(n_cells)))
-    lines.append("        </DataArray>")
-    lines.append("      </Cells>")
-    lines.append("      <CellData>")
-    lines.append('        <DataArray type="Int64" Name="cv" format="ascii">')
-    lines.append("          " + " ".join(str(int(c)) for c in cvset.scv_cv))
-    lines.append("        </DataArray>")
-    lines.append("      </CellData>")
-    lines.append("    </Piece>")
-    lines.append("  </UnstructuredGrid>")
-    lines.append("</VTKFile>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    nverts = cvset.scv_nverts
+    points = cvset.scv_polys[np.arange(4) < nverts[:, None]]
+    cells = [c.tolist() for c in np.split(np.arange(points.shape[0]), np.cumsum(nverts)[:-1])]
+    _write_grid(path, points, cells, 7, cell_data=(("cv", cvset.scv_cv, 1),))
 
 
 @dataclass

@@ -14,6 +14,9 @@ centroid.  Velocity control volumes differ per scheme:
 - hybrid and fem: boxes only (bubble unknowns take Galerkin equations, so
   they need no control volume).
 
+`SCHEME_SPECS` holds these differences as data, one row per scheme, for
+`build`, the assembly and the conservation audit to read.
+
 All interior faces are straight segments strictly inside one triangle
 (they meet element edges only at midpoints), each stored once with a unit
 normal pointing from the `inside` control volume to the `outside` one.
@@ -54,6 +57,35 @@ class SchemeKind(enum.Enum):
         if key not in aliases:
             raise ValueError(f"unknown scheme {name!r}; choose from {sorted(aliases)}")
         return aliases[key]
+
+    @property
+    def spec(self) -> "SchemeSpec":
+        return SCHEME_SPECS[self]
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """What sets one scheme apart; everything else is shared.
+
+    `velocity_cvs` names the velocity control-volume family ("boxes" are
+    the pressure boxes themselves).  `flux_momentum` says whether the
+    velocity control volumes carry momentum flux balances, which are then
+    assembled and audited.  `galerkin_tests` lists the local test
+    functions (0-2 vertex hats, 3 the bubble) whose momentum rows are
+    Galerkin equations; the vertex hats come all together or not at all.
+    """
+
+    velocity_cvs: str
+    flux_momentum: bool
+    galerkin_tests: tuple
+
+
+SCHEME_SPECS = {
+    SchemeKind.NONOVERLAPPING: SchemeSpec("non-overlapping", True, ()),
+    SchemeKind.OVERLAPPING: SchemeSpec("overlapping", True, ()),
+    SchemeKind.HYBRID: SchemeSpec("boxes", True, (3,)),
+    SchemeKind.FEM: SchemeSpec("boxes", False, (0, 1, 2, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -97,51 +129,6 @@ def to_reference(eldata: ElementData, elements: np.ndarray, points: np.ndarray) 
     return np.einsum("...ik,...k->...i", inv, d)
 
 
-@dataclass(frozen=True)
-class SubControlVolume:
-    """One per-element polygonal piece of a control volume."""
-
-    cv: int
-    element: int
-    polygon: np.ndarray   # (k, 2), counterclockwise
-    volume: float
-    dof_location: np.ndarray
-
-
-@dataclass(frozen=True)
-class SubControlVolumeFace:
-    """Interior face between control volumes, stored once.
-
-    The unit normal points from `inside` to `outside`; `outside` is None
-    for overlapping-scheme bubble faces, whose flux only enters the bubble
-    balance.  `quad_points`/`quad_weights` give a two-point Gauss rule
-    along the segment with weights summing to the face length.
-    """
-
-    element: int
-    inside: int
-    outside: int | None
-    a: np.ndarray
-    b: np.ndarray
-    normal: np.ndarray
-    length: float
-    quad_points: np.ndarray   # (2, 2)
-    quad_weights: np.ndarray  # (2,)
-
-
-@dataclass(frozen=True)
-class BoundarySegment:
-    """Piece of a control-volume boundary on the domain boundary."""
-
-    cv: int
-    element: int
-    a: np.ndarray
-    b: np.ndarray
-    normal: np.ndarray
-    length: float
-    marker: str
-
-
 def _rot_minus90(d: np.ndarray) -> np.ndarray:
     return np.stack((d[..., 1], -d[..., 0]), axis=-1)
 
@@ -163,13 +150,15 @@ def _polygon_areas(polys: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(x * yn - xn * y, axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlVolumeSet:
     """Structure-of-arrays description of one family of control volumes.
 
     Control-volume ids double as unknown ids: vertex control volumes use
     the vertex index, bubble control volumes use n_vertices + element.
-    `partition` marks the ids whose volumes tile the domain.
+    `partition` marks the ids whose volumes tile the domain.  Faces and
+    boundary segments both carry a two-point Gauss rule whose weights sum
+    to their length.
     """
 
     dof_locations: np.ndarray   # (n_cvs, 2)
@@ -194,6 +183,8 @@ class ControlVolumeSet:
     seg_b: np.ndarray
     seg_normal: np.ndarray
     seg_length: np.ndarray
+    seg_qpoints: np.ndarray     # (S, 2, 2)
+    seg_qweights: np.ndarray    # (S, 2)
     seg_marker: np.ndarray      # index into marker_names
     marker_names: tuple
 
@@ -208,41 +199,6 @@ class ControlVolumeSet:
     @property
     def n_segments(self) -> int:
         return self.seg_cv.shape[0]
-
-    def subcontrol_volume(self, i: int) -> SubControlVolume:
-        k = int(self.scv_nverts[i])
-        return SubControlVolume(
-            cv=int(self.scv_cv[i]),
-            element=int(self.scv_element[i]),
-            polygon=self.scv_polys[i, :k].copy(),
-            volume=float(self.scv_volumes[i]),
-            dof_location=self.dof_locations[self.scv_cv[i]].copy(),
-        )
-
-    def face(self, i: int) -> SubControlVolumeFace:
-        out = int(self.face_outside[i])
-        return SubControlVolumeFace(
-            element=int(self.face_element[i]),
-            inside=int(self.face_inside[i]),
-            outside=None if out < 0 else out,
-            a=self.face_a[i].copy(),
-            b=self.face_b[i].copy(),
-            normal=self.face_normal[i].copy(),
-            length=float(self.face_length[i]),
-            quad_points=self.face_qpoints[i].copy(),
-            quad_weights=self.face_qweights[i].copy(),
-        )
-
-    def boundary_segment(self, i: int) -> BoundarySegment:
-        return BoundarySegment(
-            cv=int(self.seg_cv[i]),
-            element=int(self.seg_element[i]),
-            a=self.seg_a[i].copy(),
-            b=self.seg_b[i].copy(),
-            normal=self.seg_normal[i].copy(),
-            length=float(self.seg_length[i]),
-            marker=self.marker_names[self.seg_marker[i]],
-        )
 
     def cv_volumes(self) -> np.ndarray:
         """Total volume per control-volume id."""
@@ -277,15 +233,17 @@ def _boundary_segments(mesh: Mesh):
     pb = np.array(pb).reshape(-1, 2)
     d = pb - pa
     lengths = np.linalg.norm(d, axis=1)
-    normals = _rot_minus90(d) / lengths[:, None]
-    return (
-        np.array(cv, dtype=np.int64),
-        np.array(elem, dtype=np.int64),
-        pa,
-        pb,
-        normals,
-        lengths,
-        np.array(marker, dtype=np.int64),
+    qpoints, qweights = _segment_quad(pa, pb)
+    return dict(
+        seg_cv=np.array(cv, dtype=np.int64),
+        seg_element=np.array(elem, dtype=np.int64),
+        seg_a=pa,
+        seg_b=pb,
+        seg_normal=_rot_minus90(d) / lengths[:, None],
+        seg_length=lengths,
+        seg_qpoints=qpoints,
+        seg_qweights=qweights,
+        seg_marker=np.array(marker, dtype=np.int64),
     )
 
 
@@ -363,29 +321,14 @@ def _corner_pieces(mesh: Mesh, eldata: ElementData):
 
 
 def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> ControlVolumeSet:
-    polys = np.concatenate([s[0] for s in scvs])
-    scv_cv = np.concatenate([s[1] for s in scvs])
-    scv_elem = np.concatenate([s[2] for s in scvs])
-    volumes = np.concatenate([s[3] for s in scvs])
+    polys, scv_cv, scv_elem, volumes = (np.concatenate(col) for col in zip(*scvs))
     nverts = np.concatenate(
         [np.full(s[0].shape[0], 3 if np.array_equal(s[0][:, 2], s[0][:, 3]) else 4, dtype=np.int64) for s in scvs]
-    ) if scvs else np.empty(0, dtype=np.int64)
-
-    if faces:
-        face_a = np.concatenate([f[0] for f in faces])
-        face_b = np.concatenate([f[1] for f in faces])
-        face_n = np.concatenate([f[2] for f in faces])
-        face_l = np.concatenate([f[3] for f in faces])
-        face_in = np.concatenate([f[4] for f in faces])
-        face_out = np.concatenate([f[5] for f in faces])
-        face_e = np.concatenate([f[6] for f in faces])
-    else:
-        face_a = face_b = face_n = np.empty((0, 2))
-        face_l = np.empty(0)
-        face_in = face_out = face_e = np.empty(0, dtype=np.int64)
+    )
+    face_a, face_b, face_n, face_l, face_in, face_out, face_e = (
+        np.concatenate(col) for col in zip(*faces)
+    )
     qpts, qwts = _segment_quad(face_a, face_b)
-
-    seg_cv, seg_elem, seg_a, seg_b, seg_n, seg_l, seg_m = segments
     return ControlVolumeSet(
         dof_locations=dof_locations,
         partition=partition,
@@ -403,36 +346,35 @@ def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> Cont
         face_length=face_l,
         face_qpoints=qpts,
         face_qweights=qwts,
-        seg_cv=seg_cv,
-        seg_element=seg_elem,
-        seg_a=seg_a,
-        seg_b=seg_b,
-        seg_normal=seg_n,
-        seg_length=seg_l,
-        seg_marker=seg_m,
         marker_names=mesh.marker_names,
+        **segments,
     )
 
 
-def _empty_segments():
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty((0, 2)),
-        np.empty((0, 2)),
-        np.empty((0, 2)),
-        np.empty(0),
-        np.empty(0, dtype=np.int64),
-    )
+def _build_family(family: str, mesh: Mesh, eldata=None, segments=None) -> ControlVolumeSet:
+    """One control-volume family: "boxes", "non-overlapping" or "overlapping"."""
+    eldata = eldata or element_data(mesh)
+    segments = segments or _boundary_segments(mesh)
+    nv = mesh.n_vertices
+    if family == "boxes":
+        box_scv, box_faces = _box_pieces(mesh, eldata)
+        return _assemble_set(mesh, mesh.vertices, np.ones(nv, dtype=bool), [box_scv], [box_faces], segments)
+    dofs = np.vstack((mesh.vertices, eldata.centroids))
+    partition = np.ones(nv + mesh.n_elements, dtype=bool)
+    if family == "non-overlapping":
+        medial_scv, medial_faces = _medial_pieces(mesh, eldata, "vertex")
+        scvs, faces = [_corner_pieces(mesh, eldata), medial_scv], [medial_faces]
+    else:
+        box_scv, box_faces = _box_pieces(mesh, eldata)
+        medial_scv, medial_faces = _medial_pieces(mesh, eldata, "none")
+        scvs, faces = [box_scv, medial_scv], [box_faces, medial_faces]
+        partition[nv:] = False
+    return _assemble_set(mesh, dofs, partition, scvs, faces, segments)
 
 
 def build_boxes(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
     """Vertex boxes: the pressure control volumes of every scheme."""
-    eldata = eldata or element_data(mesh)
-    box_scv, box_faces = _box_pieces(mesh, eldata)
-    segments = _boundary_segments(mesh)
-    partition = np.ones(mesh.n_vertices, dtype=bool)
-    return _assemble_set(mesh, mesh.vertices, partition, [box_scv], [box_faces], segments)
+    return _build_family("boxes", mesh, eldata)
 
 
 def build_nonoverlapping(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
@@ -441,60 +383,12 @@ def build_nonoverlapping(mesh: Mesh, eldata: ElementData | None = None) -> Contr
     The only interior faces are the medial edges; corner pieces of the same
     vertex volume meet along element edges and need no face there.
     """
-    eldata = eldata or element_data(mesh)
-    corner = _corner_pieces(mesh, eldata)
-    medial_scv, medial_faces = _medial_pieces(mesh, eldata, "vertex")
-    segments = _boundary_segments(mesh)
-    dofs = np.vstack((mesh.vertices, eldata.centroids))
-    partition = np.ones(mesh.n_vertices + mesh.n_elements, dtype=bool)
-    return _assemble_set(mesh, dofs, partition, [corner, medial_scv], [medial_faces], segments)
+    return _build_family("non-overlapping", mesh, eldata)
 
 
 def build_overlapping(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
     """Boxes for vertex unknowns plus overlapping medial bubble volumes."""
-    eldata = eldata or element_data(mesh)
-    box_scv, box_faces = _box_pieces(mesh, eldata)
-    medial_scv, medial_faces = _medial_pieces(mesh, eldata, "none")
-    segments = _boundary_segments(mesh)
-    dofs = np.vstack((mesh.vertices, eldata.centroids))
-    partition = np.zeros(mesh.n_vertices + mesh.n_elements, dtype=bool)
-    partition[: mesh.n_vertices] = True
-    return _assemble_set(
-        mesh, dofs, partition, [box_scv, medial_scv], [box_faces, medial_faces], segments
-    )
-
-
-def build_bubble_cv(coords: np.ndarray):
-    """Medial-triangle control volume of a single triangle.
-
-    Returns the SubControlVolume and its three faces (outside None), with
-    normals pointing out of the medial triangle toward the cut-off corner.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (3, 2):
-        raise ValueError("coords must have shape (3, 2)")
-    M = 0.5 * (coords + np.roll(coords, -1, axis=0))
-    area = _polygon_areas(M[None, :, :])[0]
-    if area <= 0.0:
-        raise ValueError("triangle must be counterclockwise")
-    centroid = coords.mean(axis=0)
-    scv = SubControlVolume(
-        cv=0, element=0, polygon=M.copy(), volume=float(area), dof_location=centroid
-    )
-    faces = []
-    for k in range(3):
-        a, b = M[k], M[(k + 1) % 3]
-        d = b - a
-        length = float(np.linalg.norm(d))
-        normal = np.array([d[1], -d[0]]) / length
-        qp, qw = _segment_quad(a[None, :], b[None, :])
-        faces.append(
-            SubControlVolumeFace(
-                element=0, inside=0, outside=None, a=a.copy(), b=b.copy(),
-                normal=normal, length=length, quad_points=qp[0], quad_weights=qw[0],
-            )
-        )
-    return scv, faces
+    return _build_family("overlapping", mesh, eldata)
 
 
 @dataclass(frozen=True)
@@ -531,14 +425,15 @@ class GridDiscretization:
 
 
 def build(mesh: Mesh, scheme) -> GridDiscretization:
-    """Build the control-volume discretization for a scheme."""
+    """Build the control-volume discretization for a scheme.
+
+    Element data and boundary segments are computed once and shared; when
+    the scheme's velocity volumes are the boxes, `velocity` is `pressure`.
+    """
     scheme = SchemeKind.parse(scheme)
     eldata = element_data(mesh)
-    pressure = build_boxes(mesh, eldata)
-    if scheme is SchemeKind.NONOVERLAPPING:
-        velocity = build_nonoverlapping(mesh, eldata)
-    elif scheme is SchemeKind.OVERLAPPING:
-        velocity = build_overlapping(mesh, eldata)
-    else:
-        velocity = build_boxes(mesh, eldata)
+    segments = _boundary_segments(mesh)
+    pressure = _build_family("boxes", mesh, eldata, segments)
+    family = scheme.spec.velocity_cvs
+    velocity = pressure if family == "boxes" else _build_family(family, mesh, eldata, segments)
     return GridDiscretization(mesh, scheme, eldata, pressure, velocity)

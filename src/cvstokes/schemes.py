@@ -31,8 +31,6 @@ from .geometry import (
     ControlVolumeSet,
     ElementData,
     GridDiscretization,
-    SchemeKind,
-    _segment_quad,
     to_reference,
 )
 from .mesh import BCKind
@@ -93,28 +91,25 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
-def momentum_flux(disc, face, viscosity, velocity, pressure) -> np.ndarray:
-    """Integral of (-2 mu D(v_h) + p_h I) . n over one face, shape (2,)."""
-    e = face.element
-    dofs = disc.element_velocity_dofs()[e]
-    elems = np.full(face.quad_points.shape[0], e, dtype=np.int64)
-    _, grads, hats = basis_at(disc.elements, elems, face.quad_points)
-    coeff = velocity[dofs]                                # (4, 2)
-    gradv = np.einsum("qba,bk->qka", grads, coeff)        # dv_k/dx_a
-    sym = 0.5 * (gradv + np.swapaxes(gradv, 1, 2))
-    p = hats @ pressure[disc.mesh.triangles[e]]
-    stress = -2.0 * viscosity * sym + p[:, None, None] * np.eye(2)
-    return np.einsum("q,qka,a->k", face.quad_weights, stress, face.normal)
+def _fluxes(disc, elements, qpoints, qweights, normals, viscosity, velocity, pressure):
+    """Mass and momentum flux of v_h and (-2 mu D(v_h) + p_h I) through pieces.
 
+    Each piece lies in one element and carries a quadrature rule along it
+    and a unit normal; returns (mass (F,), momentum (F, 2)).
+    """
+    dofs = disc.element_velocity_dofs()[elements]           # (F, 4)
+    vals, grads, hats = basis_at(disc.elements, elements[:, None], qpoints)
+    coeff = velocity[dofs]                                # (F, 4, 2)
 
-def mass_flux(disc, face, velocity) -> float:
-    """Integral of v_h . n over one face."""
-    e = face.element
-    dofs = disc.element_velocity_dofs()[e]
-    elems = np.full(face.quad_points.shape[0], e, dtype=np.int64)
-    vals, _, _ = basis_at(disc.elements, elems, face.quad_points)
-    v = np.einsum("qb,bk->qk", vals, velocity[dofs])
-    return float(np.einsum("q,qk,k->", face.quad_weights, v, face.normal))
+    v = np.einsum("fqb,fbk->fqk", vals, coeff)
+    mass = np.einsum("fq,fqk,fk->f", qweights, v, normals)
+
+    gradv = np.einsum("fqba,fbk->fqka", grads, coeff)
+    sym = 0.5 * (gradv + np.swapaxes(gradv, 2, 3))
+    p = np.einsum("fqj,fj->fq", hats, pressure[disc.mesh.triangles[elements]])
+    mom = np.einsum("fq,fqka,fa->fk", qweights, -2.0 * viscosity * sym, normals)
+    mom += np.einsum("fq,fq,fk->fk", qweights, p, normals)
+    return mass, mom
 
 
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
@@ -122,22 +117,18 @@ def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, ve
 
     Returns (mass (F,), momentum (F, 2)), oriented from inside to outside.
     """
-    e = cvset.face_element
-    dofs = disc.element_velocity_dofs()[e]                # (F, 4)
-    vals, grads, hats = basis_at(disc.elements, e[:, None], cvset.face_qpoints)
-    coeff = velocity[dofs]                                # (F, 4, 2)
-    n = cvset.face_normal
-    w = cvset.face_qweights
+    return _fluxes(
+        disc, cvset.face_element, cvset.face_qpoints, cvset.face_qweights, cvset.face_normal,
+        viscosity, velocity, pressure,
+    )
 
-    v = np.einsum("fqb,fbk->fqk", vals, coeff)
-    mass = np.einsum("fq,fqk,fk->f", w, v, n)
 
-    gradv = np.einsum("fqba,fbk->fqka", grads, coeff)
-    sym = 0.5 * (gradv + np.swapaxes(gradv, 2, 3))
-    p = np.einsum("fqj,fj->fq", hats, pressure[disc.mesh.triangles[e]])
-    mom = np.einsum("fq,fqka,fa->fk", w, -2.0 * viscosity * sym, n)
-    mom += np.einsum("fq,fq,fk->fk", w, p, n)
-    return mass, mom
+def segment_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
+    """Like `face_fluxes`, for the boundary segments (outward normals)."""
+    return _fluxes(
+        disc, cvset.seg_element, cvset.seg_qpoints, cvset.seg_qweights, cvset.seg_normal,
+        viscosity, velocity, pressure,
+    )
 
 
 @dataclass
@@ -214,8 +205,6 @@ def _scatter_B(pair, row_cv, tris, sign, out):
 
 def _flux_momentum_entries(disc, cvset, mu, outA, outB):
     """Momentum flux-balance entries from the interior faces of a CV set."""
-    if cvset.n_faces == 0:
-        return
     e = cvset.face_element
     dofcols = disc.element_velocity_dofs()[e]
     _, grads, hats = basis_at(disc.elements, e[:, None], cvset.face_qpoints)
@@ -260,11 +249,10 @@ def _mass_entries(disc, cvset, outC):
         scatter(pair[has_out], cvset.face_outside[has_out], dofcols[has_out], -1.0)
 
     if cvset.n_segments:
-        qp, qw = _segment_quad(cvset.seg_a, cvset.seg_b)
         es = cvset.seg_element
         dofcols_s = disc.element_velocity_dofs()[es]
-        vals_s, _, _ = basis_at(disc.elements, es[:, None], qp)
-        pair_s = np.einsum("sq,sqb,sk->sbk", qw, vals_s, cvset.seg_normal)
+        vals_s, _, _ = basis_at(disc.elements, es[:, None], cvset.seg_qpoints)
+        pair_s = np.einsum("sq,sqb,sk->sbk", cvset.seg_qweights, vals_s, cvset.seg_normal)
         scatter(pair_s, cvset.seg_cv, dofcols_s, 1.0)
 
 
@@ -309,30 +297,27 @@ def _integrate_over_cvs(cvset, func, n_components):
     return total
 
 
-def _neumann_cv_rhs(disc, cvset, problem, rhs_u):
-    """Traction data on Neumann boundary pieces of control volumes."""
-    if cvset.n_segments == 0:
-        return
+def segment_tractions(disc, cvset, problem) -> np.ndarray:
+    """Integral of the traction data over each boundary segment, (S, 2).
+
+    Segments on Dirichlet boundaries get zero.
+    """
+    out = np.zeros((cvset.n_segments, 2))
     kinds = np.array(
         [disc.mesh.markers[name] is BCKind.NEUMANN for name in cvset.marker_names]
     )
     neu = kinds[cvset.seg_marker]
     if not np.any(neu):
-        return
+        return out
     a = cvset.seg_a[neu]
     b = cvset.seg_b[neu]
-    n = cvset.seg_normal[neu]
-    length = cvset.seg_length[neu]
-    cv = cvset.seg_cv[neu]
     rule = segment_rule(NEUMANN_QUAD_DEGREE)
     pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    w = rule.weights[None, :] * length[:, None]
-    nn = np.broadcast_to(n[:, None, :], pts.shape)
+    w = rule.weights[None, :] * cvset.seg_length[neu][:, None]
+    nn = np.broadcast_to(cvset.seg_normal[neu][:, None, :], pts.shape)
     tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)), dtype=float)
-    tn = tn.reshape(pts.shape)
-    contrib = np.einsum("sq,sqk->sk", w, tn)
-    np.add.at(rhs_u, 2 * cv, -contrib[:, 0])
-    np.add.at(rhs_u, 2 * cv + 1, -contrib[:, 1])
+    out[neu] = np.einsum("sq,sqk->sk", w, tn.reshape(pts.shape))
+    return out
 
 
 def _neumann_galerkin_rhs(disc, problem, rhs_u):
@@ -362,8 +347,12 @@ def _neumann_galerkin_rhs(disc, problem, rhs_u):
         np.add.at(rhs_u, 2 * verts + 1, -contrib[:, 1])
 
 
-def _galerkin_momentum(disc, mu, body_force, tests, outA, outB, rhs_u):
-    """Galerkin momentum rows for the given local test functions (0..3)."""
+def _galerkin_momentum(disc, problem, tests, outA, outB, rhs_u):
+    """Galerkin momentum rows for the given local test functions (0..3).
+
+    The vertex hats also take the traction load; the bubble has zero trace.
+    """
+    mu = float(problem.viscosity)
     el = disc.elements
     ne = disc.mesh.n_elements
     eldofs = disc.element_velocity_dofs()
@@ -398,11 +387,13 @@ def _galerkin_momentum(disc, mu, body_force, tests, outA, outB, rhs_u):
     outB[2].append(Bpair.reshape(-1))
 
     pts = el.coords[:, 0][:, None, :] + np.einsum("eai,qi->eqa", el.jacobians, rule.points)
-    fv = np.asarray(body_force(pts.reshape(-1, 2)), dtype=float).reshape(ne, -1, 2)
+    fv = np.asarray(problem.body_force(pts.reshape(-1, 2)), dtype=float).reshape(ne, -1, 2)
     rhs_el = np.einsum("eq,qt,eqk->etk", wdet, V[:, tests], fv)
     for ti, t in enumerate(tests):
         np.add.at(rhs_u, 2 * eldofs[:, t], rhs_el[:, ti, 0])
         np.add.at(rhs_u, 2 * eldofs[:, t] + 1, rhs_el[:, ti, 1])
+    if min(tests) < 3:
+        _neumann_galerkin_rhs(disc, problem, rhs_u)
 
 
 def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int | None = None) -> SaddleSystem:
@@ -431,19 +422,15 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     rhs_u = np.zeros(2 * n_u)
     rhs_p = np.zeros(n_p)
 
-    scheme = disc.scheme
-    if scheme in (SchemeKind.NONOVERLAPPING, SchemeKind.OVERLAPPING, SchemeKind.HYBRID):
-        _flux_momentum_entries(disc, disc.velocity, mu, outA, outB)
-        source = _integrate_over_cvs(disc.velocity, problem.body_force, 2)
-        np.add.at(rhs_u, 2 * np.arange(disc.velocity.n_cvs), source[:, 0])
-        np.add.at(rhs_u, 2 * np.arange(disc.velocity.n_cvs) + 1, source[:, 1])
-        _neumann_cv_rhs(disc, disc.velocity, problem, rhs_u)
-
-    if scheme is SchemeKind.HYBRID:
-        _galerkin_momentum(disc, mu, problem.body_force, [3], outA, outB, rhs_u)
-    elif scheme is SchemeKind.FEM:
-        _galerkin_momentum(disc, mu, problem.body_force, [0, 1, 2, 3], outA, outB, rhs_u)
-        _neumann_galerkin_rhs(disc, problem, rhs_u)
+    spec = disc.scheme.spec
+    if spec.flux_momentum:
+        vset = disc.velocity
+        _flux_momentum_entries(disc, vset, mu, outA, outB)
+        load = _integrate_over_cvs(vset, problem.body_force, 2)
+        np.add.at(load, vset.seg_cv, -segment_tractions(disc, vset, problem))
+        rhs_u[: 2 * vset.n_cvs] = load.ravel()
+    if spec.galerkin_tests:
+        _galerkin_momentum(disc, problem, spec.galerkin_tests, outA, outB, rhs_u)
 
     _mass_entries(disc, disc.pressure, outC)
     rhs_p[:] = _integrate_over_cvs(disc.pressure, problem.mass_source, 1)
@@ -455,14 +442,8 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     dmask[ddofs] = True
 
     def finalize(out, shape, drop_dirichlet_rows):
-        if out[0]:
-            rows = np.concatenate(out[0])
-            cols = np.concatenate(out[1])
-            vals = np.concatenate(out[2])
-        else:
-            rows = cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0)
-        if drop_dirichlet_rows and rows.size:
+        rows, cols, vals = (np.concatenate(col) for col in out)
+        if drop_dirichlet_rows:
             keep = ~dmask[rows]
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
         return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _eval_unchecked, barycentric, triangle_rule
-from .geometry import GridDiscretization, SchemeKind, _segment_quad, build
+from .geometry import GridDiscretization, SchemeKind, build
 from .mesh import (
     BCKind,
     DistortionError,
@@ -37,8 +37,9 @@ from .schemes import (
     StokesProblem,
     _integrate_over_cvs,
     assemble,
-    basis_at,
     face_fluxes,
+    segment_fluxes,
+    segment_tractions,
     split_solution,
 )
 from .solver import (
@@ -390,43 +391,6 @@ def run_convergence(
     return ConvergenceReport(case.name, scheme, levels)
 
 
-def _segment_fluxes(disc, cvset, velocity):
-    """Mass flux of v_h through each boundary segment of a CV set."""
-    if cvset.n_segments == 0:
-        return np.zeros(0)
-    qp, qw = _segment_quad(cvset.seg_a, cvset.seg_b)
-    es = cvset.seg_element
-    dofs = disc.element_velocity_dofs()[es]
-    vals, _, _ = basis_at(disc.elements, es[:, None], qp)
-    v = np.einsum("sqb,sbk->sqk", vals, velocity[dofs])
-    return np.einsum("sq,sqk,sk->s", qw, v, cvset.seg_normal)
-
-
-def _segment_traction_integrals(disc, cvset, problem):
-    """Integral of the Neumann traction data over each boundary segment."""
-    from .basis import segment_rule
-    from .schemes import NEUMANN_QUAD_DEGREE
-
-    out = np.zeros((cvset.n_segments, 2))
-    if cvset.n_segments == 0:
-        return out
-    kinds = np.array(
-        [disc.mesh.markers[name] is BCKind.NEUMANN for name in cvset.marker_names]
-    )
-    neu = kinds[cvset.seg_marker]
-    if not np.any(neu):
-        return out
-    a = cvset.seg_a[neu]
-    b = cvset.seg_b[neu]
-    rule = segment_rule(NEUMANN_QUAD_DEGREE)
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    w = rule.weights[None, :] * cvset.seg_length[neu][:, None]
-    nn = np.broadcast_to(cvset.seg_normal[neu][:, None, :], pts.shape)
-    tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)))
-    out[neu] = np.einsum("sq,sqk->sk", w, tn.reshape(pts.shape))
-    return out
-
-
 @dataclass
 class ConservationAudit:
     """Recomputed flux balances of a solution.
@@ -457,30 +421,27 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
     massf, _ = face_fluxes(disc, pset, mu, vel, pres)
+    segf, _ = segment_fluxes(disc, pset, mu, vel, pres)
     res_m = np.zeros(pset.n_cvs)
     np.add.at(res_m, pset.face_inside, massf)
     np.add.at(res_m, pset.face_outside, -massf)
-    segf = _segment_fluxes(disc, pset, vel)
     np.add.at(res_m, pset.seg_cv, segf)
     res_m -= _integrate_over_cvs(pset, problem.mass_source, 1)
     max_mass = float(max(np.abs(massf).max(initial=0.0), np.abs(segf).max(initial=0.0)))
 
-    # Momentum balances over the velocity control volumes.
+    # Momentum balances over the velocity control volumes that carry them.
     vset = disc.velocity
-    scheme = disc.scheme
-    nv = disc.mesh.n_vertices
-    n_cv = vset.n_cvs
-    res_u = np.zeros((n_cv, 2))
-    audited = np.zeros(n_cv, dtype=bool)
+    flux_momentum = disc.scheme.spec.flux_momentum
+    res_u = np.zeros((vset.n_cvs, 2))
+    audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
-    if scheme in (SchemeKind.NONOVERLAPPING, SchemeKind.OVERLAPPING, SchemeKind.HYBRID):
+    if flux_momentum:
         _, momf = face_fluxes(disc, vset, mu, vel, pres)
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
-        np.add.at(res_u, vset.seg_cv, _segment_traction_integrals(disc, vset, problem))
+        np.add.at(res_u, vset.seg_cv, segment_tractions(disc, vset, problem))
         res_u -= _integrate_over_cvs(vset, problem.body_force, 2)
-        audited[:] = True
         audited[disc.mesh.dirichlet_vertices()] = False
         max_mom = float(np.abs(momf).max(initial=0.0))
 
@@ -504,14 +465,17 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     """
     vel, pres = split_solution(disc, solution)
     pset = disc.pressure
+    ids = np.asarray(box_ids, dtype=np.int64)
+    if np.any((ids < 0) | (ids >= pset.n_cvs)):
+        raise ValueError(f"box ids must lie in [0, {pset.n_cvs})")
     sel = np.zeros(pset.n_cvs, dtype=bool)
-    sel[np.asarray(box_ids, dtype=np.int64)] = True
+    sel[ids] = True
 
     massf, _ = face_fluxes(disc, pset, problem.viscosity, vel, pres)
     fin = sel[pset.face_inside]
     fout = sel[pset.face_outside]
     balance = float(np.sum(massf[fin & ~fout]) - np.sum(massf[fout & ~fin]))
-    segf = _segment_fluxes(disc, pset, vel)
+    segf, _ = segment_fluxes(disc, pset, problem.viscosity, vel, pres)
     balance += float(np.sum(segf[sel[pset.seg_cv]]))
     balance -= float(np.sum(_integrate_over_cvs(pset, problem.mass_source, 1)[sel]))
     return balance

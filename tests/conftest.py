@@ -28,9 +28,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num}: {status}  {detail}")
 
 
-def single_triangle_mesh():
-    """The reference triangle as a one-element mesh, all-Dirichlet."""
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+def single_triangle_mesh(scale=1.0):
+    """The reference triangle, scaled, as a one-element mesh, all-Dirichlet."""
+    vertices = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     triangles = np.array([[0, 1, 2]], dtype=np.int64)
     facets = np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
     markers = np.zeros(3, dtype=np.int64)

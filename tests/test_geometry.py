@@ -1,5 +1,7 @@
 """Control-volume geometry: boxes, corner/medial volumes, faces, closure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from conftest import random_distorted_mesh, single_triangle_mesh
 from cvstokes.geometry import (
     SchemeKind,
     build,
+    SCHEME_SPECS,
     build_boxes,
-    build_bubble_cv,
     build_nonoverlapping,
     build_overlapping,
     element_data,
@@ -63,15 +65,16 @@ def test_boxes_single_triangle():
     assert vset.n_faces == 3
     assert vset.n_segments == 6
     # Face 0 runs from the midpoint of edge (0, 1) to the centroid.
-    f = vset.face(0)
-    assert np.allclose(f.a, [0.5, 0.0], atol=1e-15)
-    assert np.allclose(f.b, [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-    assert (f.inside, f.outside) == (0, 1)
-    d = f.b - f.a
-    assert f.length == pytest.approx(np.hypot(*d), rel=1e-14)
-    assert np.allclose(f.normal, np.array([d[1], -d[0]]) / f.length, atol=1e-15)
-    assert np.linalg.norm(f.normal) == pytest.approx(1.0, rel=1e-15)
-    assert np.sum(f.quad_weights) == pytest.approx(f.length, rel=1e-14)
+    assert np.allclose(vset.face_a[0], [0.5, 0.0], atol=1e-15)
+    assert np.allclose(vset.face_b[0], [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    assert (vset.face_inside[0], vset.face_outside[0]) == (0, 1)
+    d = vset.face_b[0] - vset.face_a[0]
+    length = vset.face_length[0]
+    normal = vset.face_normal[0]
+    assert length == pytest.approx(np.hypot(*d), rel=1e-14)
+    assert np.allclose(normal, np.array([d[1], -d[0]]) / length, atol=1e-15)
+    assert np.linalg.norm(normal) == pytest.approx(1.0, rel=1e-15)
+    assert np.sum(vset.face_qweights[0]) == pytest.approx(length, rel=1e-14)
 
 
 def test_box_face_quadrature_points_on_face():
@@ -84,17 +87,22 @@ def test_box_face_quadrature_points_on_face():
 
 
 def test_bubble_cv_is_medial_triangle():
-    coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    scv, faces = build_bubble_cv(coords)
+    mesh = single_triangle_mesh(scale=2.0)
+    coords = mesh.vertices
+    vset = build_overlapping(mesh)
+    (scv,) = np.flatnonzero(vset.scv_cv == 3)
     mids = 0.5 * (coords + np.roll(coords, -1, axis=0))
-    assert np.allclose(scv.polygon, mids, atol=1e-15)
-    assert scv.volume == pytest.approx(0.5, rel=1e-14)  # a quarter of area 2
-    assert len(faces) == 3
+    assert vset.scv_nverts[scv] == 3
+    assert np.allclose(vset.scv_polys[scv, :3], mids, atol=1e-15)
+    assert vset.scv_volumes[scv] == pytest.approx(0.5, rel=1e-14)  # a quarter of area 2
+    faces = np.flatnonzero(vset.face_inside == 3)
+    assert faces.size == 3
+    assert np.all(vset.face_outside[faces] == -1)
     center = mids.mean(axis=0)
     for f in faces:
-        mid = 0.5 * (f.a + f.b)
-        assert np.dot(f.normal, mid - center) > 0.0
-        assert np.linalg.norm(f.normal) == pytest.approx(1.0, rel=1e-14)
+        mid = 0.5 * (vset.face_a[f] + vset.face_b[f])
+        assert np.dot(vset.face_normal[f], mid - center) > 0.0
+        assert np.linalg.norm(vset.face_normal[f]) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_nonoverlapping_single_triangle():
@@ -184,15 +192,14 @@ def test_boundary_segments_cover_perimeter():
     assert np.all(outward > 0.0)
     # Segment markers agree with the geometric side.
     for i in range(vset.n_segments):
-        seg = vset.boundary_segment(i)
-        mid = 0.5 * (seg.a + seg.b)
+        mid = 0.5 * (vset.seg_a[i] + vset.seg_b[i])
         side = {
             "left": mid[0] == 0.0,
             "right": mid[0] == 1.0,
             "bottom": mid[1] == 0.0,
             "top": mid[1] == 1.0,
         }
-        assert side[seg.marker]
+        assert side[vset.marker_names[vset.seg_marker[i]]]
 
 
 def test_boundary_segment_splitting():
@@ -203,23 +210,21 @@ def test_boundary_segment_splitting():
     assert np.allclose(vset.seg_length, 0.25, rtol=1e-14)
     # Each piece belongs to the vertex at its unsplit end.
     for i in range(vset.n_segments):
-        seg = vset.boundary_segment(i)
-        v = mesh.vertices[seg.cv]
-        assert min(np.linalg.norm(seg.a - v), np.linalg.norm(seg.b - v)) < 1e-14
+        v = mesh.vertices[vset.seg_cv[i]]
+        assert min(np.linalg.norm(vset.seg_a[i] - v), np.linalg.norm(vset.seg_b[i] - v)) < 1e-14
 
 
-def test_subcontrol_volume_accessor():
+def test_subcontrol_volume_polygons():
     mesh = random_distorted_mesh(1, n=3)
     vset = build_overlapping(mesh)
     total = 0.0
     for i in range(vset.scv_cv.shape[0]):
-        scv = vset.subcontrol_volume(i)
-        poly = scv.polygon
+        poly = vset.scv_polys[i, : vset.scv_nverts[i]]
         x, y = poly[:, 0], poly[:, 1]
         area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
         assert area > 0.0
-        assert scv.volume == pytest.approx(area, rel=1e-12)
-        total += scv.volume
+        assert vset.scv_volumes[i] == pytest.approx(area, rel=1e-12)
+        total += vset.scv_volumes[i]
     area = np.sum(triangle_areas(mesh.vertices, mesh.triangles))
     assert total == pytest.approx(1.25 * area, rel=1e-12)
 
@@ -252,3 +257,34 @@ def test_grid_discretization_layout():
     assert hybrid.velocity.n_cvs == mesh.n_vertices
     over = build(mesh, "overlapping")
     assert over.velocity.n_cvs == mesh.n_vertices + mesh.n_elements
+
+
+def test_every_scheme_has_a_spec_row():
+    assert set(SCHEME_SPECS) == set(SchemeKind)
+    for scheme in SchemeKind:
+        spec = scheme.spec
+        assert spec.velocity_cvs in ("boxes", "non-overlapping", "overlapping")
+        assert spec.galerkin_tests in ((), (3,), (0, 1, 2, 3))
+        # Each velocity unknown gets exactly one momentum equation: a flux
+        # balance of its control volume or a Galerkin row.
+        vertex_flux = spec.flux_momentum
+        bubble_flux = spec.flux_momentum and spec.velocity_cvs != "boxes"
+        assert vertex_flux != (0 in spec.galerkin_tests), scheme
+        assert bubble_flux != (3 in spec.galerkin_tests), scheme
+
+
+def test_hybrid_and_fem_velocity_set_is_the_pressure_set():
+    mesh = random_distorted_mesh(4, n=3)
+    for scheme in ("hybrid", "fem"):
+        disc = build(mesh, scheme)
+        assert disc.velocity is disc.pressure
+    for scheme in ("overlapping", "non-overlapping"):
+        disc = build(mesh, scheme)
+        assert disc.velocity is not disc.pressure
+        assert disc.velocity.n_cvs == mesh.n_vertices + mesh.n_elements
+
+
+def test_control_volume_set_is_frozen():
+    vset = build_boxes(generate_structured(2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vset.face_normal = None

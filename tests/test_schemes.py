@@ -14,8 +14,6 @@ from cvstokes.schemes import (
     assemble,
     basis_at,
     face_fluxes,
-    mass_flux,
-    momentum_flux,
     split_solution,
 )
 from cvstokes.verification import shear_flow_case
@@ -65,11 +63,10 @@ def test_momentum_flux_uniaxial_strain():
     vel = interpolate(disc, lambda p: np.stack((p[..., 0], np.zeros(p.shape[:-1])), axis=-1))
     pres = np.zeros(disc.n_pressure_dofs)
     vset = disc.velocity
-    for i in range(0, vset.n_faces, 7):
-        f = vset.face(i)
-        got = momentum_flux(disc, f, mu, vel, pres)
-        want = -2.0 * mu * f.length * np.array([f.normal[0], 0.0])
-        assert np.allclose(got, want, atol=1e-13)
+    _, got = face_fluxes(disc, vset, mu, vel, pres)
+    n = vset.face_normal
+    want = -2.0 * mu * vset.face_length[:, None] * np.column_stack((n[:, 0], np.zeros(vset.n_faces)))
+    assert np.allclose(got, want, atol=1e-13)
 
 
 def test_momentum_flux_shear():
@@ -79,11 +76,9 @@ def test_momentum_flux_shear():
     vel = interpolate(disc, lambda p: np.stack((p[..., 1], np.zeros(p.shape[:-1])), axis=-1))
     pres = np.zeros(disc.n_pressure_dofs)
     vset = disc.velocity
-    for i in range(0, vset.n_faces, 5):
-        f = vset.face(i)
-        got = momentum_flux(disc, f, mu, vel, pres)
-        want = -mu * f.length * np.array([f.normal[1], f.normal[0]])
-        assert np.allclose(got, want, atol=1e-13)
+    _, got = face_fluxes(disc, vset, mu, vel, pres)
+    want = -mu * vset.face_length[:, None] * vset.face_normal[:, ::-1]
+    assert np.allclose(got, want, atol=1e-13)
 
 
 def test_momentum_flux_linear_pressure():
@@ -92,12 +87,10 @@ def test_momentum_flux_linear_pressure():
     vel = np.zeros((disc.n_velocity_locations, 2))
     pres = 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
     vset = disc.velocity
-    for i in range(0, vset.n_faces, 6):
-        f = vset.face(i)
-        got = momentum_flux(disc, f, 1.0, vel, pres)
-        mid = 0.5 * (f.a + f.b)
-        want = (2.0 * mid[0] - mid[1]) * f.length * f.normal
-        assert np.allclose(got, want, atol=1e-13)
+    _, got = face_fluxes(disc, vset, 1.0, vel, pres)
+    mid = 0.5 * (vset.face_a + vset.face_b)
+    want = ((2.0 * mid[:, 0] - mid[:, 1]) * vset.face_length)[:, None] * vset.face_normal
+    assert np.allclose(got, want, atol=1e-13)
 
 
 def test_mass_flux_linear_field():
@@ -105,48 +98,44 @@ def test_mass_flux_linear_field():
     disc = build(mesh, "overlapping")
     vel = interpolate(disc, lambda p: np.stack((p[..., 0], 3.0 * np.ones(p.shape[:-1])), axis=-1))
     vset = disc.velocity
-    for i in range(0, vset.n_faces, 6):
-        f = vset.face(i)
-        got = mass_flux(disc, f, vel)
-        mid = 0.5 * (f.a + f.b)
-        want = f.length * (mid[0] * f.normal[0] + 3.0 * f.normal[1])
-        assert got == pytest.approx(want, abs=1e-13)
+    got, _ = face_fluxes(disc, vset, 1.0, vel, np.zeros(disc.n_pressure_dofs))
+    mid = 0.5 * (vset.face_a + vset.face_b)
+    n = vset.face_normal
+    want = vset.face_length * (mid[:, 0] * n[:, 0] + 3.0 * n[:, 1])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_mass_flux_bubble_mode_dense_oracle():
     # On the one-element reference mesh the bubble is 27 x y (1 - x - y);
-    # its flux through the medial faces has a closed dense-quadrature value.
+    # its mass and momentum fluxes through the medial faces have closed
+    # dense-quadrature values.  With v = (phi, 0) and zero pressure the
+    # momentum flux density is -mu (2 phi_x n_x + phi_y n_y, phi_y n_x).
     mesh = single_triangle_mesh()
     disc = build(mesh, "overlapping")
+    mu = 0.9
     vel = np.zeros((disc.n_velocity_locations, 2))
     vel[3] = (1.0, 0.0)  # bubble coefficient, x component
     vset = disc.velocity
+    massf, momf = face_fluxes(disc, vset, mu, vel, np.zeros(disc.n_pressure_dofs))
     t, w = np.polynomial.legendre.leggauss(24)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
     bubble_faces = np.flatnonzero(vset.face_inside == 3)
     assert bubble_faces.size == 3
-    for i in bubble_faces:
-        f = vset.face(i)
-        pts = f.a[None, :] + t[:, None] * (f.b - f.a)[None, :]
-        phi = 27.0 * pts[:, 0] * pts[:, 1] * (1.0 - pts[:, 0] - pts[:, 1])
-        want = f.length * np.sum(w * phi) * f.normal[0]
-        got = mass_flux(disc, f, vel)
-        assert got == pytest.approx(want, abs=1e-14)
-
-
-def test_face_fluxes_matches_per_face_evaluation():
-    mesh = random_distorted_mesh(9, n=3)
-    disc = build(mesh, "overlapping")
-    rng = np.random.default_rng(1)
-    vel = rng.standard_normal((disc.n_velocity_locations, 2))
-    pres = rng.standard_normal(disc.n_pressure_dofs)
-    for cvset in (disc.velocity, disc.pressure):
-        massf, momf = face_fluxes(disc, cvset, 0.9, vel, pres)
-        for i in range(0, cvset.n_faces, 11):
-            f = cvset.face(i)
-            assert massf[i] == pytest.approx(mass_flux(disc, f, vel), abs=1e-12)
-            assert np.allclose(momf[i], momentum_flux(disc, f, 0.9, vel, pres), atol=1e-12)
+    for i in range(vset.n_faces):
+        a, b = vset.face_a[i], vset.face_b[i]
+        n, length = vset.face_normal[i], vset.face_length[i]
+        pts = a[None, :] + t[:, None] * (b - a)[None, :]
+        x, y = pts[:, 0], pts[:, 1]
+        phi = 27.0 * x * y * (1.0 - x - y)
+        phi_x = 27.0 * y * (1.0 - 2.0 * x - y)
+        phi_y = 27.0 * x * (1.0 - x - 2.0 * y)
+        want_mass = length * np.sum(w * phi) * n[0]
+        want_mom = -mu * length * np.array(
+            [np.sum(w * (2.0 * phi_x * n[0] + phi_y * n[1])), np.sum(w * phi_y) * n[0]]
+        )
+        assert massf[i] == pytest.approx(want_mass, abs=1e-14)
+        assert np.allclose(momf[i], want_mom, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -225,11 +214,11 @@ def test_mass_rows_telescope_to_boundary_flux():
     w = 0.5 * w
     boundary = 0.0
     for i in range(pset.n_segments):
-        seg = pset.boundary_segment(i)
-        pts = seg.a[None, :] + t[:, None] * (seg.b - seg.a)[None, :]
-        vals, _, _ = basis_at(disc.elements, np.full(t.size, seg.element), pts)
-        vh = vals @ vel[disc.element_velocity_dofs()[seg.element]]
-        boundary += seg.length * np.sum(w * (vh @ seg.normal))
+        a, b, e = pset.seg_a[i], pset.seg_b[i], pset.seg_element[i]
+        pts = a[None, :] + t[:, None] * (b - a)[None, :]
+        vals, _, _ = basis_at(disc.elements, np.full(t.size, e), pts)
+        vh = vals @ vel[disc.element_velocity_dofs()[e]]
+        boundary += pset.seg_length[i] * np.sum(w * (vh @ pset.seg_normal[i]))
     assert total == pytest.approx(boundary, abs=1e-11)
 
 

@@ -356,3 +356,31 @@ def test_region_balance_of_two_boxes_telescopes():
         disc, x, problem, [j]
     )
     assert union == pytest.approx(single, abs=1e-13 * max(1.0, conservation_audit(disc, x, problem).max_mass_flux))
+
+
+def test_region_mass_balance_rejects_ids_outside_the_boxes():
+    # Negative ids must not wrap around to the last boxes.
+    disc, x, problem = _solved("overlapping", n=4)
+    n_p = disc.n_pressure_dofs
+    for ids in ([-1], [0, -3], [n_p], [2, n_p + 5]):
+        with pytest.raises(ValueError):
+            region_mass_balance(disc, x, problem, ids)
+    region_mass_balance(disc, x, problem, [0, n_p - 1])
+
+
+def test_momentum_audited_mask_per_scheme():
+    # Flux balances are audited on every velocity control volume that is
+    # not a Dirichlet row; fem has no flux balances, so nothing is audited.
+    for scheme in ("overlapping", "non-overlapping", "hybrid", "fem"):
+        disc, x, problem = _solved(scheme, n=4)
+        audit = conservation_audit(disc, x, problem)
+        mesh = disc.mesh
+        n_cv = mesh.n_vertices + (mesh.n_elements if scheme.endswith("overlapping") else 0)
+        assert audit.momentum_audited.shape == (n_cv,)
+        want = np.full(n_cv, scheme != "fem")
+        want[mesh.dirichlet_vertices()] = False
+        assert np.array_equal(audit.momentum_audited, want), scheme
+        assert not np.any(audit.momentum_interior & ~audit.momentum_audited)
+        if scheme == "fem":
+            assert not np.any(audit.momentum_residuals)
+            assert audit.max_momentum_flux == 0.0
