@@ -81,8 +81,8 @@ def _vtu_array(lines, name, data, ncomp):
         f'        <DataArray type="{kind}" Name="{name}" '
         f'NumberOfComponents="{ncomp}" format="ascii">'
     )
-    for row in data:
-        lines.append("          " + " ".join(f"{v:.17g}" for v in row))
+    row = "          " + " ".join(["%.17g"] * ncomp)
+    lines.extend(row % tuple(values) for values in data.tolist())
     lines.append("        </DataArray>")
 
 
@@ -105,14 +105,14 @@ def _write_grid(path, points, cells, cell_type, point_data=(), cell_data=()):
     lines.append("      </Points>")
     lines.append("      <Cells>")
     lines.append('        <DataArray type="Int64" Name="connectivity" format="ascii">')
-    for cell in cells:
-        lines.append("          " + " ".join(map(str, cell)))
+    rows = {n: "          " + " ".join(["%d"] * n) for n in {len(c) for c in cells}}
+    lines.extend(rows[len(cell)] % tuple(cell) for cell in cells)
     lines.append("        </DataArray>")
     lines.append('        <DataArray type="Int64" Name="offsets" format="ascii">')
-    lines.append("          " + " ".join(str(o) for o in offsets))
+    lines.append("          " + " ".join(map(str, offsets)))
     lines.append("        </DataArray>")
     lines.append('        <DataArray type="UInt8" Name="types" format="ascii">')
-    lines.append("          " + " ".join(str(cell_type) for _ in cells))
+    lines.append("          " + " ".join([str(cell_type)] * len(cells)))
     lines.append("        </DataArray>")
     lines.append("      </Cells>")
     for tag, arrays in (("PointData", point_data), ("CellData", cell_data)):

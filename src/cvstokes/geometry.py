@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import _TRIANGLE_EDGES, Mesh, _edge_keys
 
 _GAUSS2 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
@@ -213,37 +213,30 @@ def _pad_tris(polys3: np.ndarray) -> np.ndarray:
 
 def _boundary_segments(mesh: Mesh):
     """Split every boundary facet at its midpoint into two CV pieces."""
-    owner = {}
-    for e, tri in enumerate(mesh.triangles):
-        for k in range(3):
-            owner[(int(tri[k]), int(tri[(k + 1) % 3]))] = e
-    cv, elem, pa, pb, marker = [], [], [], [], []
-    for f, (a, b) in enumerate(mesh.boundary_facets):
-        a, b = int(a), int(b)
-        e = owner[(a, b)]
-        va = mesh.vertices[a]
-        vb = mesh.vertices[b]
-        mid = 0.5 * (va + vb)
-        cv += [a, b]
-        elem += [e, e]
-        pa += [va, mid]
-        pb += [mid, vb]
-        marker += [int(mesh.facet_markers[f])] * 2
-    pa = np.array(pa).reshape(-1, 2)
-    pb = np.array(pb).reshape(-1, 2)
+    facets = mesh.boundary_facets
+    # Owner of facet (a, b): the triangle whose edge runs from a to b.
+    _, directed = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], mesh.n_vertices)
+    _, facet_directed = _edge_keys(facets, mesh.n_vertices)
+    order = np.argsort(directed, axis=None)
+    owner = order[np.searchsorted(directed.ravel(), facet_directed, sorter=order)] // 3
+    va = mesh.vertices[facets[:, 0]]
+    vb = mesh.vertices[facets[:, 1]]
+    mid = 0.5 * (va + vb)
+    pa = np.stack((va, mid), axis=1).reshape(-1, 2)
+    pb = np.stack((mid, vb), axis=1).reshape(-1, 2)
     d = pb - pa
     lengths = np.linalg.norm(d, axis=1)
     qpoints, qweights = _segment_quad(pa, pb)
     return dict(
-        seg_cv=np.array(cv, dtype=np.int64),
-        seg_element=np.array(elem, dtype=np.int64),
+        seg_cv=facets.reshape(-1),
+        seg_element=np.repeat(owner, 2),
         seg_a=pa,
         seg_b=pb,
         seg_normal=_rot_minus90(d) / lengths[:, None],
         seg_length=lengths,
         seg_qpoints=qpoints,
         seg_qweights=qweights,
-        seg_marker=np.array(marker, dtype=np.int64),
+        seg_marker=np.repeat(mesh.facet_markers, 2),
     )
 
 

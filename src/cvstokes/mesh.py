@@ -105,14 +105,22 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _edge_counts(triangles: np.ndarray):
-    """Map from undirected edge to occurrence count over all triangles."""
-    edges = {}
-    for tri in triangles:
-        for k in range(3):
-            key = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-            edges[key] = edges.get(key, 0) + 1
-    return edges
+#: Vertex pairs of the three edges of a triangle, each run counterclockwise.
+_TRIANGLE_EDGES = np.array([[0, 1], [1, 2], [2, 0]])
+
+
+def _edge_keys(edges: np.ndarray, n_vertices: int):
+    """Integer keys of edges given as vertex pairs of shape (..., 2).
+
+    Returns the undirected key min * n_vertices + max and the directed key
+    2 * undirected + (tail > head), which tells (a, b) from (b, a).  Keys
+    are 64-bit, so narrower vertex ids cannot wrap around.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    a = edges[..., 0]
+    b = edges[..., 1]
+    key = np.minimum(a, b) * n_vertices + np.maximum(a, b)
+    return key, 2 * key + (a > b)
 
 
 def validate(mesh: Mesh) -> None:
@@ -123,9 +131,8 @@ def validate(mesh: Mesh) -> None:
         raise MeshValidationError("non-finite vertex coordinates")
     if mesh.triangles.ndim != 2 or mesh.triangles.shape[1] != 3:
         raise MeshValidationError("triangles must have shape (n, 3)")
-    if mesh.triangles.size and (
-        mesh.triangles.min() < 0 or mesh.triangles.max() >= mesh.n_vertices
-    ):
+    n = mesh.n_vertices
+    if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
         raise MeshValidationError("triangle vertex index out of range")
 
     areas = triangle_areas(mesh.vertices, mesh.triangles)
@@ -135,22 +142,27 @@ def validate(mesh: Mesh) -> None:
             f"triangle {bad} has non-positive area {areas[bad]:.3e}"
         )
 
-    edge_counts = _edge_counts(mesh.triangles)
-    if any(c > 2 for c in edge_counts.values()):
+    edge_keys, directed = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], n)
+    keys, counts = np.unique(edge_keys, return_counts=True)
+    if np.any(counts > 2):
         raise MeshValidationError("non-conforming mesh: edge shared by >2 triangles")
-    boundary_edges = {e for e, c in edge_counts.items() if c == 1}
+    boundary_edges = keys[counts == 1]
 
-    facet_keys = set()
-    for a, b in mesh.boundary_facets:
-        key = (min(a, b), max(a, b))
-        if key not in boundary_edges:
-            raise MeshValidationError(f"facet ({a}, {b}) is not a boundary edge")
-        if key in facet_keys:
-            raise MeshValidationError(f"facet ({a}, {b}) listed twice")
-        facet_keys.add(key)
-    missing = boundary_edges - facet_keys
+    facets = mesh.boundary_facets
+    facet_keys, facet_directed = _edge_keys(facets, n)
+    # A facet naming a vertex outside the mesh is no edge at all.
+    not_boundary = ~np.isin(facet_keys, boundary_edges) | np.any((facets < 0) | (facets >= n), axis=1)
+    repeated = np.ones(facet_keys.size, dtype=bool)
+    repeated[np.unique(facet_keys, return_index=True)[1]] = False
+    failed = not_boundary | repeated
+    if failed.any():
+        bad = int(np.argmax(failed))
+        a, b = facets[bad]
+        reason = "is not a boundary edge" if not_boundary[bad] else "listed twice"
+        raise MeshValidationError(f"facet ({a}, {b}) {reason}")
+    missing = np.count_nonzero(~np.isin(boundary_edges, facet_keys))
     if missing:
-        raise MeshValidationError(f"{len(missing)} boundary edges lack a marked facet")
+        raise MeshValidationError(f"{missing} boundary edges lack a marked facet")
 
     if mesh.facet_markers.shape[0] != mesh.boundary_facets.shape[0]:
         raise MeshValidationError("facet_markers length mismatch")
@@ -161,15 +173,12 @@ def validate(mesh: Mesh) -> None:
             raise MeshValidationError(f"marker {name!r} has no boundary-condition kind")
 
     # Facet orientation must be counterclockwise in the owning triangle.
-    directed = set()
-    for tri in mesh.triangles:
-        for k in range(3):
-            directed.add((int(tri[k]), int(tri[(k + 1) % 3])))
-    for a, b in mesh.boundary_facets:
-        if (int(a), int(b)) not in directed:
-            raise MeshValidationError(
-                f"facet ({a}, {b}) is oriented against its owning triangle"
-            )
+    against = ~np.isin(facet_directed, directed)
+    if against.any():
+        a, b = facets[int(np.argmax(against))]
+        raise MeshValidationError(
+            f"facet ({a}, {b}) is oriented against its owning triangle"
+        )
 
 
 def _finalize(vertices, triangles, facets, facet_markers, marker_names, markers) -> Mesh:
@@ -204,30 +213,22 @@ def generate_structured(
     xx, yy = np.meshgrid(x, y, indexing="xy")
     vertices = np.column_stack((xx.ravel(), yy.ravel()))
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+    # Cell (i, j) has lower-left vertex j * (nx + 1) + i; cells run row by row.
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v00 = j * (nx + 1) + i
+    v10 = v00 + 1
+    v01 = v00 + nx + 1
+    v11 = v01 + 1
+    tris = np.stack((v00, v10, v11, v00, v11, v01), axis=1).reshape(-1, 3)
 
     marker_names = ("left", "right", "bottom", "top")
-    facets = []
-    fmark = []
-    for j in range(ny):
-        facets.append((vid(0, j + 1), vid(0, j)))
-        fmark.append(0)
-        facets.append((vid(nx, j), vid(nx, j + 1)))
-        fmark.append(1)
-    for i in range(nx):
-        facets.append((vid(i, 0), vid(i + 1, 0)))
-        fmark.append(2)
-        facets.append((vid(i + 1, ny), vid(i, ny)))
-        fmark.append(3)
+    rows = np.arange(ny) * (nx + 1)
+    cols = np.arange(nx)
+    # Per row: left facet then right facet; per column: bottom then top.
+    sides = np.stack((rows + nx + 1, rows, rows + nx, rows + 2 * nx + 1), axis=1)
+    caps = np.stack((cols, cols + 1, cols + 1 + ny * (nx + 1), cols + ny * (nx + 1)), axis=1)
+    facets = np.concatenate((sides.reshape(-1, 2), caps.reshape(-1, 2)))
+    fmark = np.concatenate((np.tile([0, 1], ny), np.tile([2, 3], nx)))
 
     bc = {name: BCKind.DIRICHLET for name in marker_names}
     if markers:
@@ -288,17 +289,11 @@ def _orient(vertices, triangles, facets):
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    directed = set()
-    for tri in triangles:
-        for k in range(3):
-            directed.add((int(tri[k]), int(tri[(k + 1) % 3])))
-    oriented = []
-    for a, b in facets:
-        if (int(a), int(b)) in directed:
-            oriented.append((int(a), int(b)))
-        else:
-            oriented.append((int(b), int(a)))
-    return triangles, np.array(oriented, dtype=np.int64).reshape(-1, 2)
+    n = vertices.shape[0]
+    _, directed = _edge_keys(triangles[:, _TRIANGLE_EDGES], n)
+    _, facet_directed = _edge_keys(facets, n)
+    keep = np.isin(facet_directed, directed)
+    return triangles, np.where(keep[:, None], facets, facets[:, ::-1])
 
 
 def read_msh(path: str) -> Mesh:

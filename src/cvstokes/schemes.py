@@ -91,25 +91,40 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
-def _fluxes(disc, elements, qpoints, qweights, normals, viscosity, velocity, pressure):
-    """Mass and momentum flux of v_h and (-2 mu D(v_h) + p_h I) through pieces.
+def _faces(cvset: ControlVolumeSet):
+    """Element, quadrature points and weights, unit normal of every face."""
+    return cvset.face_element, cvset.face_qpoints, cvset.face_qweights, cvset.face_normal
+
+
+def _segments(cvset: ControlVolumeSet):
+    """Like `_faces`, for the boundary segments (outward normals)."""
+    return cvset.seg_element, cvset.seg_qpoints, cvset.seg_qweights, cvset.seg_normal
+
+
+def _mass_fluxes(disc, pieces, velocity):
+    """Volume flux of v_h through pieces, (F,).
 
     Each piece lies in one element and carries a quadrature rule along it
-    and a unit normal; returns (mass (F,), momentum (F, 2)).
+    and a unit normal, as returned by `_faces` or `_segments`.
     """
-    dofs = disc.element_velocity_dofs()[elements]           # (F, 4)
-    vals, grads, hats = basis_at(disc.elements, elements[:, None], qpoints)
-    coeff = velocity[dofs]                                # (F, 4, 2)
-
+    elements, qpoints, qweights, normals = pieces
+    coeff = velocity[disc.element_velocity_dofs()[elements]]         # (F, 4, 2)
+    vals = _eval_unchecked(to_reference(disc.elements, elements[:, None], qpoints)).values
     v = np.einsum("fqb,fbk->fqk", vals, coeff)
-    mass = np.einsum("fq,fqk,fk->f", qweights, v, normals)
+    return np.einsum("fq,fqk,fk->f", qweights, v, normals)
 
+
+def _momentum_fluxes(disc, pieces, viscosity, velocity, pressure):
+    """Momentum flux of (-2 mu D(v_h) + p_h I) through pieces, (F, 2)."""
+    elements, qpoints, qweights, normals = pieces
+    coeff = velocity[disc.element_velocity_dofs()[elements]]         # (F, 4, 2)
+    _, grads, hats = basis_at(disc.elements, elements[:, None], qpoints)
     gradv = np.einsum("fqba,fbk->fqka", grads, coeff)
     sym = 0.5 * (gradv + np.swapaxes(gradv, 2, 3))
     p = np.einsum("fqj,fj->fq", hats, pressure[disc.mesh.triangles[elements]])
     mom = np.einsum("fq,fqka,fa->fk", qweights, -2.0 * viscosity * sym, normals)
     mom += np.einsum("fq,fq,fk->fk", qweights, p, normals)
-    return mass, mom
+    return mom
 
 
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
@@ -117,17 +132,19 @@ def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, ve
 
     Returns (mass (F,), momentum (F, 2)), oriented from inside to outside.
     """
-    return _fluxes(
-        disc, cvset.face_element, cvset.face_qpoints, cvset.face_qweights, cvset.face_normal,
-        viscosity, velocity, pressure,
+    faces = _faces(cvset)
+    return (
+        _mass_fluxes(disc, faces, velocity),
+        _momentum_fluxes(disc, faces, viscosity, velocity, pressure),
     )
 
 
 def segment_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
     """Like `face_fluxes`, for the boundary segments (outward normals)."""
-    return _fluxes(
-        disc, cvset.seg_element, cvset.seg_qpoints, cvset.seg_qweights, cvset.seg_normal,
-        viscosity, velocity, pressure,
+    segments = _segments(cvset)
+    return (
+        _mass_fluxes(disc, segments, velocity),
+        _momentum_fluxes(disc, segments, viscosity, velocity, pressure),
     )
 
 
@@ -287,14 +304,13 @@ def _integrate_over_cvs(cvset, func, n_components):
     if n_components == 1:
         vals = vals.reshape(pts.shape[:2])
         contrib = np.einsum("tq,tq->t", w, vals)
-        total = np.zeros(cvset.n_cvs)
-        np.add.at(total, owners, contrib)
-        return total
+        return np.bincount(owners, contrib, minlength=cvset.n_cvs)
     vals = vals.reshape(pts.shape[:2] + (n_components,))
     contrib = np.einsum("tq,tqk->tk", w, vals)
-    total = np.zeros((cvset.n_cvs, n_components))
-    np.add.at(total, owners, contrib)
-    return total
+    return np.stack(
+        [np.bincount(owners, contrib[:, k], minlength=cvset.n_cvs) for k in range(n_components)],
+        axis=1,
+    )
 
 
 def segment_tractions(disc, cvset, problem) -> np.ndarray:
@@ -350,6 +366,13 @@ def _neumann_galerkin_rhs(disc, problem, rhs_u):
 def _galerkin_momentum(disc, problem, tests, outA, outB, rhs_u):
     """Galerkin momentum rows for the given local test functions (0..3).
 
+    The element matrices come from reference-element tensors, integrated
+    once with the degree-6 rule and mapped by each element's inverse
+    Jacobian and 2 * area:
+
+        K[t, b, i, j] = sum_q w_q d_i phi_b d_j phi_t
+        L[t, j, i]    = sum_q w_q lambda_j d_i phi_t
+
     The vertex hats also take the traction load; the bubble has zero trace.
     """
     mu = float(problem.viscosity)
@@ -358,18 +381,33 @@ def _galerkin_momentum(disc, problem, tests, outA, outB, rhs_u):
     eldofs = disc.element_velocity_dofs()
     rule = triangle_rule(SOURCE_QUAD_DEGREE)
     ev = _eval_unchecked(rule.points)
-    V = ev.values                       # (nq, 4)
     lam = barycentric(rule.points)      # (nq, 3)
-    G = np.einsum("qbi,eia->eqba", ev.gradients, el.inv_jacobians)
-    wdet = rule.weights[None, :] * (2.0 * el.areas)[:, None]
+    w = rule.weights
 
     tests = np.asarray(tests, dtype=np.int64)
-    Gt = G[:, :, tests, :]              # (ne, nq, T, 2)
-    dot = np.einsum("eq,eqbi,eqti->etb", wdet, G, Gt)
-    term2 = np.einsum("eq,eqba,eqtk->etabk", wdet, G, Gt)
-    Apair = mu * (dot[:, :, None, :, None] * np.eye(2)[None, None, :, None, :] + term2)
-    # Apair[e, t, a, b, k] multiplies trial (b, k) in the row of test (t, a)
-    Bpair = -np.einsum("eq,qj,eqta->etaj", wdet, lam, Gt)
+    T = tests.size
+    gt = ev.gradients[:, tests]         # (nq, T, 2)
+    K = np.einsum("q,qbi,qtj->tbij", w, ev.gradients, gt)
+    # The trial functions sum to one, so the rows of K sum to zero.  The
+    # quadrature leaves the same rounding residue in every element, which
+    # adds up coherently over a mesh; taking trial 0 from the other three
+    # keeps the identity.
+    K[:, 0] = -K[:, 1:].sum(axis=1)
+    L = np.einsum("q,qj,qti->tji", w, lam, gt)
+
+    # Apair[e, t, a, b, k] multiplies trial (b, k) in the row of test (t, a):
+    #   mu 2|e| sum_ij K[t, b, i, j] (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
+    inv = el.inv_jacobians
+    Q = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # [e, i, j, a, k]
+    metric = Q[..., 0, 0] + Q[..., 1, 1]                              # [e, i, j]
+    Q[..., 0, 0] += metric
+    Q[..., 1, 1] += metric
+    Q *= (mu * 2.0 * el.areas)[:, None, None, None, None]
+    Apair = (Q.reshape(ne, 4, 4).swapaxes(1, 2) @ K.reshape(4 * T, 4).T)  # [e, ak, tb]
+    Apair = Apair.reshape(ne, 2, 2, T, 4).transpose(0, 3, 1, 4, 2)
+    # Bpair[e, t, a, j] = -2|e| sum_i L[t, j, i] inv[i, a]
+    Bpair = np.swapaxes(inv, 1, 2)[:, None] @ np.swapaxes(L, 1, 2)[None]     # [e, t, a, j]
+    Bpair *= (-2.0 * el.areas)[:, None, None, None]
 
     rows_t = eldofs[:, tests]           # (ne, T)
     rows = (2 * rows_t)[:, :, None, None, None] + np.arange(2)[None, None, :, None, None]
@@ -386,9 +424,10 @@ def _galerkin_momentum(disc, problem, tests, outA, outB, rhs_u):
     outB[1].append(colsB.ravel())
     outB[2].append(Bpair.reshape(-1))
 
-    pts = el.coords[:, 0][:, None, :] + np.einsum("eai,qi->eqa", el.jacobians, rule.points)
+    wdet = w[None, :] * (2.0 * el.areas)[:, None]
+    pts = el.coords[:, :1] + rule.points @ np.swapaxes(el.jacobians, 1, 2)
     fv = np.asarray(problem.body_force(pts.reshape(-1, 2)), dtype=float).reshape(ne, -1, 2)
-    rhs_el = np.einsum("eq,qt,eqk->etk", wdet, V[:, tests], fv)
+    rhs_el = ev.values[:, tests].T @ (wdet[:, :, None] * fv)        # (ne, T, 2)
     for ti, t in enumerate(tests):
         np.add.at(rhs_u, 2 * eldofs[:, t], rhs_el[:, ti, 0])
         np.add.at(rhs_u, 2 * eldofs[:, t] + 1, rhs_el[:, ti, 1])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,10 +36,12 @@ from .mesh import (
 )
 from .schemes import (
     StokesProblem,
+    _faces,
     _integrate_over_cvs,
+    _mass_fluxes,
+    _momentum_fluxes,
+    _segments,
     assemble,
-    face_fluxes,
-    segment_fluxes,
     segment_tractions,
     split_solution,
 )
@@ -80,8 +83,9 @@ class ManufacturedCase:
         grad = self.velocity_gradient(points)
         sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
         stress = 2.0 * self.viscosity * sym
-        stress[..., 0, 0] -= self.pressure(points)
-        stress[..., 1, 1] -= self.pressure(points)
+        p = self.pressure(points)
+        stress[..., 0, 0] -= p
+        stress[..., 1, 1] -= p
         return -np.einsum("...ka,...a->...k", stress, normals)
 
     def problem(self) -> StokesProblem:
@@ -96,92 +100,155 @@ class ManufacturedCase:
         return mesh.with_bc(self.bc_layout)
 
 
-def donea_huerta(points: np.ndarray, viscosity: float = 1.0):
-    """Quartic vortex benchmark: velocity, pressure, body force, gradient."""
-    pts = np.asarray(points, dtype=float)
-    x = pts[..., 0]
-    y = pts[..., 1]
-
-    def h(u):
-        return u * u * (1.0 - u) ** 2
-
-    def h1(u):
-        return 2.0 * u - 6.0 * u * u + 4.0 * u ** 3
-
-    def h2(u):
-        return 2.0 - 12.0 * u + 12.0 * u * u
-
-    def h3(u):
-        return -12.0 + 24.0 * u
-
-    v = np.stack((h(x) * h1(y), -h(y) * h1(x)), axis=-1)
-    p = x * (1.0 - x)
-    f = np.stack(
-        (
-            -viscosity * (h2(x) * h1(y) + h(x) * h3(y)) + (1.0 - 2.0 * x),
-            viscosity * (h(y) * h3(x) + h2(y) * h1(x)),
-        ),
-        axis=-1,
+def _fields(case: ManufacturedCase, points: np.ndarray):
+    """Velocity, pressure, body force and velocity gradient of a case at points."""
+    return (
+        case.velocity(points),
+        case.pressure(points),
+        case.body_force(points),
+        case.velocity_gradient(points),
     )
-    grad = np.empty(pts.shape[:-1] + (2, 2))
-    grad[..., 0, 0] = h1(x) * h1(y)
-    grad[..., 0, 1] = h(x) * h2(y)
-    grad[..., 1, 0] = -h(y) * h2(x)
-    grad[..., 1, 1] = -h1(y) * h1(x)
-    return v, p, f, grad
+
+
+def _xy(points):
+    pts = np.asarray(points, dtype=float)
+    return pts[..., 0], pts[..., 1]
+
+
+def _pair(first, second):
+    return np.stack((first, second), axis=-1)
+
+
+def _gradient(g00, g01, g10, g11):
+    grad = np.empty(np.shape(g00) + (2, 2))
+    grad[..., 0, 0] = g00
+    grad[..., 0, 1] = g01
+    grad[..., 1, 0] = g10
+    grad[..., 1, 1] = g11
+    return grad
+
+
+def _quartic(u):
+    """u^2 (1 - u)^2 in Horner form."""
+    return u * u * (1.0 + u * (-2.0 + u))
+
+
+# Donea-Huerta: v = (h(x) h'(y), -h(y) h'(x)) with h = _quartic, p = x (1 - x).
+# Each field evaluates only the factors it needs.
+
+def _dh_h1(u):
+    return u * (2.0 + u * (-6.0 + 4.0 * u))
+
+
+def _dh_h2(u):
+    return 2.0 + u * (-12.0 + 12.0 * u)
+
+
+def _dh_h3(u):
+    return -12.0 + 24.0 * u
+
+
+def _dh_velocity(points):
+    x, y = _xy(points)
+    return _pair(_quartic(x) * _dh_h1(y), -_quartic(y) * _dh_h1(x))
+
+
+def _dh_pressure(points):
+    x, _ = _xy(points)
+    return x * (1.0 - x)
+
+
+def _dh_gradient(points):
+    x, y = _xy(points)
+    h1x = _dh_h1(x)
+    h1y = _dh_h1(y)
+    return _gradient(h1x * h1y, _quartic(x) * _dh_h2(y), -_quartic(y) * _dh_h2(x), -h1y * h1x)
+
+
+def _dh_body_force(points, viscosity):
+    x, y = _xy(points)
+    return _pair(
+        -viscosity * (_dh_h2(x) * _dh_h1(y) + _quartic(x) * _dh_h3(y)) + (1.0 - 2.0 * x),
+        viscosity * (_quartic(y) * _dh_h3(x) + _dh_h2(y) * _dh_h1(x)),
+    )
 
 
 def donea_huerta_case(viscosity: float = 1.0) -> ManufacturedCase:
+    """Quartic vortex benchmark on the unit square."""
     return ManufacturedCase(
         name="donea-huerta",
         viscosity=viscosity,
-        velocity=lambda pts: donea_huerta(pts, viscosity)[0],
-        velocity_gradient=lambda pts: donea_huerta(pts, viscosity)[3],
-        pressure=lambda pts: donea_huerta(pts, viscosity)[1],
-        body_force=lambda pts: donea_huerta(pts, viscosity)[2],
+        velocity=_dh_velocity,
+        velocity_gradient=_dh_gradient,
+        pressure=_dh_pressure,
+        body_force=partial(_dh_body_force, viscosity=viscosity),
+        bc_layout=dict(MIXED_BC_LAYOUT),
+    )
+
+
+def donea_huerta(points: np.ndarray, viscosity: float = 1.0):
+    """Quartic vortex benchmark: velocity, pressure, body force, gradient."""
+    return _fields(donea_huerta_case(viscosity), points)
+
+
+# Bercovier-Engelman: v = 256 (-a(x) b(y), a(y) b(x)) with a = _quartic and
+# b = a' / 2, p = (x - 1/2) (y - 1/2), unit viscosity.
+
+def _be_b(u):
+    return u * (1.0 + u * (-3.0 + 2.0 * u))
+
+
+def _be_b1(u):
+    return 1.0 + u * (-6.0 + 6.0 * u)
+
+
+def _be_g(s, t):
+    return 256.0 * (_quartic(s) * (12.0 * t - 6.0) + _be_b(t) * (2.0 + s * (-12.0 + 12.0 * s)))
+
+
+def _be_velocity(points):
+    x, y = _xy(points)
+    return _pair(-256.0 * _quartic(x) * _be_b(y), 256.0 * _quartic(y) * _be_b(x))
+
+
+def _be_pressure(points):
+    x, y = _xy(points)
+    return (x - 0.5) * (y - 0.5)
+
+
+def _be_gradient(points):
+    x, y = _xy(points)
+    bx = _be_b(x)
+    by = _be_b(y)
+    return _gradient(                                  # a'(u) = 2 b(u)
+        -512.0 * bx * by,
+        -256.0 * _quartic(x) * _be_b1(y),
+        256.0 * _quartic(y) * _be_b1(x),
+        512.0 * by * bx,
+    )
+
+
+def _be_body_force(points):
+    x, y = _xy(points)
+    return _pair(_be_g(x, y) + (y - 0.5), -_be_g(y, x) + (x - 0.5))
+
+
+def bercovier_engelman_case() -> ManufacturedCase:
+    """Quartic cavity benchmark with bilinear pressure, unit viscosity."""
+    return ManufacturedCase(
+        name="bercovier-engelman",
+        viscosity=1.0,
+        velocity=_be_velocity,
+        velocity_gradient=_be_gradient,
+        pressure=_be_pressure,
+        body_force=_be_body_force,
         bc_layout=dict(MIXED_BC_LAYOUT),
     )
 
 
 def bercovier_engelman(points: np.ndarray):
-    """Quartic cavity benchmark with bilinear pressure, unit viscosity."""
-    pts = np.asarray(points, dtype=float)
-    x = pts[..., 0]
-    y = pts[..., 1]
-
-    def a(u):
-        return u * u * (u - 1.0) ** 2
-
-    def b(u):
-        return u * (u - 1.0) * (2.0 * u - 1.0)
-
-    def b1(u):
-        return 6.0 * u * u - 6.0 * u + 1.0
-
-    def g(s, t):
-        return 256.0 * (a(s) * (12.0 * t - 6.0) + b(t) * (12.0 * s * s - 12.0 * s + 2.0))
-
-    v = np.stack((-256.0 * a(x) * b(y), 256.0 * a(y) * b(x)), axis=-1)
-    p = (x - 0.5) * (y - 0.5)
-    f = np.stack((g(x, y) + (y - 0.5), -g(y, x) + (x - 0.5)), axis=-1)
-    grad = np.empty(pts.shape[:-1] + (2, 2))
-    grad[..., 0, 0] = -512.0 * b(x) * b(y)      # a'(u) = 2 b(u)
-    grad[..., 0, 1] = -256.0 * a(x) * b1(y)
-    grad[..., 1, 0] = 256.0 * a(y) * b1(x)
-    grad[..., 1, 1] = 512.0 * b(y) * b(x)
-    return v, p, f, grad
-
-
-def bercovier_engelman_case() -> ManufacturedCase:
-    return ManufacturedCase(
-        name="bercovier-engelman",
-        viscosity=1.0,
-        velocity=lambda pts: bercovier_engelman(pts)[0],
-        velocity_gradient=lambda pts: bercovier_engelman(pts)[3],
-        pressure=lambda pts: bercovier_engelman(pts)[1],
-        body_force=lambda pts: bercovier_engelman(pts)[2],
-        bc_layout=dict(MIXED_BC_LAYOUT),
-    )
+    """Quartic cavity benchmark: velocity, pressure, body force, gradient."""
+    return _fields(bercovier_engelman_case(), points)
 
 
 def shear_flow_case(viscosity: float = 1.0) -> ManufacturedCase:
@@ -234,24 +301,24 @@ def error_norms(disc: GridDiscretization, solution: np.ndarray, case: Manufactur
     ev = _eval_unchecked(rule.points)
     lam = barycentric(rule.points)
     el = disc.elements
-    G = np.einsum("qbi,eia->eqba", ev.gradients, el.inv_jacobians)
     wdet = rule.weights[None, :] * (2.0 * el.areas)[:, None]
-    pts = el.coords[:, 0][:, None, :] + np.einsum("eai,qi->eqa", el.jacobians, rule.points)
+    pts = el.coords[:, :1] + rule.points @ np.swapaxes(el.jacobians, 1, 2)   # (ne, nq, 2)
     flat = pts.reshape(-1, 2)
 
     vel, pres = split_solution(disc, solution)
-    coeff = vel[disc.element_velocity_dofs()]
-    vh = np.einsum("qb,ebk->eqk", ev.values, coeff)
-    gh = np.einsum("eqba,ebk->eqka", G, coeff)
-    ph = np.einsum("qj,ej->eq", lam, pres[disc.mesh.triangles])
+    coeff = vel[disc.element_velocity_dofs()]                    # (ne, 4, 2)
+    vh = ev.values @ coeff                                       # (ne, nq, 2)
+    # reference gradient [e, q, k, i] first, then the inverse Jacobian
+    gh = (np.swapaxes(coeff, 1, 2)[:, None] @ ev.gradients) @ el.inv_jacobians[:, None]
+    ph = pres[disc.mesh.triangles] @ lam.T                        # (ne, nq)
 
     ve = np.asarray(case.velocity(flat)).reshape(vh.shape)
     ge = np.asarray(case.velocity_gradient(flat)).reshape(gh.shape)
     pe = np.asarray(case.pressure(flat)).reshape(ph.shape)
 
-    l2v2 = float(np.einsum("eq,eqk->", wdet, (vh - ve) ** 2))
-    semi2 = float(np.einsum("eq,eqka->", wdet, (gh - ge) ** 2))
-    l2p2 = float(np.einsum("eq,eq->", wdet, (ph - pe) ** 2))
+    l2v2 = float(np.sum(wdet * np.sum((vh - ve) ** 2, axis=-1)))
+    semi2 = float(np.sum(wdet * np.sum((gh - ge) ** 2, axis=(-2, -1))))
+    l2p2 = float(np.sum(wdet * (ph - pe) ** 2))
     return ErrorNorms(np.sqrt(l2p2), np.sqrt(l2v2), np.sqrt(l2v2 + semi2))
 
 
@@ -420,8 +487,8 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
-    massf, _ = face_fluxes(disc, pset, mu, vel, pres)
-    segf, _ = segment_fluxes(disc, pset, mu, vel, pres)
+    massf = _mass_fluxes(disc, _faces(pset), vel)
+    segf = _mass_fluxes(disc, _segments(pset), vel)
     res_m = np.zeros(pset.n_cvs)
     np.add.at(res_m, pset.face_inside, massf)
     np.add.at(res_m, pset.face_outside, -massf)
@@ -436,7 +503,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
     if flux_momentum:
-        _, momf = face_fluxes(disc, vset, mu, vel, pres)
+        momf = _momentum_fluxes(disc, _faces(vset), mu, vel, pres)
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
@@ -471,11 +538,11 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     sel = np.zeros(pset.n_cvs, dtype=bool)
     sel[ids] = True
 
-    massf, _ = face_fluxes(disc, pset, problem.viscosity, vel, pres)
+    massf = _mass_fluxes(disc, _faces(pset), vel)
     fin = sel[pset.face_inside]
     fout = sel[pset.face_outside]
     balance = float(np.sum(massf[fin & ~fout]) - np.sum(massf[fout & ~fin]))
-    segf, _ = segment_fluxes(disc, pset, problem.viscosity, vel, pres)
+    segf = _mass_fluxes(disc, _segments(pset), vel)
     balance += float(np.sum(segf[sel[pset.seg_cv]]))
     balance -= float(np.sum(_integrate_over_cvs(pset, problem.mass_source, 1)[sel]))
     return balance

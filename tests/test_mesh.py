@@ -1,5 +1,7 @@
 """Structured mesh generation, validation, distortion, MSH parsing, stats."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cvstokes.mesh import (
     Mesh,
     MeshValidationError,
     MshParseError,
+    _edge_keys,
     distort,
     generate_structured,
     read_msh,
@@ -120,6 +123,99 @@ def test_validate_rejects_flipped_facet():
     )
     with pytest.raises(MeshValidationError):
         validate(bad)
+
+
+def _with_facets(mesh, facets):
+    """The mesh with other boundary facets, all carrying marker 0."""
+    facets = np.asarray(facets, dtype=np.int64)
+    markers = np.zeros(len(facets), dtype=np.int64)
+    return Mesh(mesh.vertices, mesh.triangles, facets, markers, mesh.marker_names, mesh.markers)
+
+
+def test_validate_messages_name_the_failure():
+    grid = generate_structured(2, 2)          # 3 x 3 vertices, vertex 4 in the middle
+    facets = grid.boundary_facets.tolist()
+    assert facets[:2] == [[3, 0], [2, 5]] and [1, 2] in facets
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    three = Mesh(
+        vertices, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), np.zeros((0, 2), dtype=np.int64),
+        np.zeros(0, dtype=np.int64), ("wall",), {"wall": BCKind.DIRICHLET},
+    )
+    cases = [
+        (three, "non-conforming mesh: edge shared by >2 triangles"),
+        (_with_facets(grid, [[0, 4]] + facets[1:]), "facet (0, 4) is not a boundary edge"),
+        (_with_facets(grid, facets[:3] + [facets[1]] + facets[4:]), "facet (2, 5) listed twice"),
+        (_with_facets(grid, facets[1:]), "1 boundary edges lack a marked facet"),
+        (_with_facets(grid, [[0, 3]] + facets[1:]), "facet (0, 3) is oriented against its owning triangle"),
+        # (0, 11) has the integer key 0 * 9 + 11 of the boundary edge (1, 2), but 11 is no vertex.
+        (_with_facets(grid, [facets[0], [0, 11]] + facets[2:]), "facet (0, 11) is not a boundary edge"),
+        (_with_facets(grid, [facets[0], [-1, 2]] + facets[2:]), "facet (-1, 2) is not a boundary edge"),
+    ]
+    for mesh, message in cases:
+        with pytest.raises(MeshValidationError) as info:
+            validate(mesh)
+        assert str(info.value) == message
+
+
+def test_edge_keys_do_not_wrap_for_int32_ids():
+    # With 70001 vertices the keys pass 2^32; int32 vertex ids must not wrap them.
+    edges = np.array([[69999, 70000], [70000, 3], [5, 69998]])
+    for got, want in zip(_edge_keys(edges.astype(np.int32), 70001), (
+        np.array([69999 * 70001 + 70000, 3 * 70001 + 70000, 5 * 70001 + 69998]),
+        np.array([2 * (69999 * 70001 + 70000), 2 * (3 * 70001 + 70000) + 1, 2 * (5 * 70001 + 69998)]),
+    )):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def _nested_loop_structured(nx, ny):
+    """Triangles and facets of generate_structured, built cell by cell."""
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    facets, marks = [], []
+    for j in range(ny):
+        facets += [(vid(0, j + 1), vid(0, j)), (vid(nx, j), vid(nx, j + 1))]
+        marks += [0, 1]
+    for i in range(nx):
+        facets += [(vid(i, 0), vid(i + 1, 0)), (vid(i + 1, ny), vid(i, ny))]
+        marks += [2, 3]
+    return np.array(tris), np.array(facets), np.array(marks)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 2), (3, 7)])
+def test_structured_matches_nested_loop_reference(nx, ny):
+    mesh = generate_structured(nx, ny)
+    tris, facets, marks = _nested_loop_structured(nx, ny)
+    for got, want in ((mesh.triangles, tris), (mesh.boundary_facets, facets), (mesh.facet_markers, marks)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_msh_reader_reorients_triangles_and_facets(tmp_path):
+    mesh = distort(generate_structured(3, 2), 0.2, seed=8)
+    triangles = mesh.triangles.copy()
+    triangles[4] = triangles[4, [0, 2, 1]]            # clockwise
+    facets = mesh.boundary_facets.copy()
+    facets[3] = facets[3, ::-1]                       # against its triangle
+    flipped = SimpleNamespace(
+        vertices=mesh.vertices, triangles=triangles, boundary_facets=facets,
+        facet_markers=mesh.facet_markers, marker_names=mesh.marker_names,
+        n_vertices=mesh.n_vertices, n_elements=mesh.n_elements,
+    )
+    path = tmp_path / "flipped.msh"
+    write_msh22(path, flipped)
+    back = read_msh(str(path))
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(back.boundary_facets, mesh.boundary_facets)
 
 
 def test_validate_rejects_unnamed_marker():

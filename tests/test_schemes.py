@@ -5,12 +5,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
-from cvstokes.basis import eval_physical
+from cvstokes.basis import barycentric, eval_physical, eval_reference, triangle_rule
 from cvstokes.geometry import build, build_overlapping
-from cvstokes.mesh import BCKind, generate_structured
+from cvstokes.mesh import BCKind, distort, generate_structured
 from cvstokes.schemes import (
+    SOURCE_QUAD_DEGREE,
     ConfigurationError,
     StokesProblem,
+    _galerkin_momentum,
     assemble,
     basis_at,
     face_fluxes,
@@ -239,6 +241,37 @@ def test_hybrid_bubble_rows_match_fem():
     assert np.max(np.abs(dA)) < 1e-14
     assert np.max(np.abs(dB)) < 1e-14
     assert np.allclose(hybrid.rhs_momentum[rows], fem.rhs_momentum[rows], atol=1e-14)
+
+
+def _galerkin_oracle(disc, mu, tests):
+    """Galerkin element matrices contracted at every quadrature point."""
+    el = disc.elements
+    rule = triangle_rule(SOURCE_QUAD_DEGREE)
+    ev = eval_reference(rule.points)
+    lam = barycentric(rule.points)
+    G = np.einsum("qbi,eia->eqba", ev.gradients, el.inv_jacobians)
+    wdet = rule.weights[None, :] * (2.0 * el.areas)[:, None]
+    Gt = G[:, :, list(tests), :]
+    dot = np.einsum("eq,eqbi,eqti->etb", wdet, G, Gt)
+    term2 = np.einsum("eq,eqba,eqtk->etabk", wdet, G, Gt)
+    Apair = mu * (dot[:, :, None, :, None] * np.eye(2)[None, None, :, None, :] + term2)
+    Bpair = -np.einsum("eq,qj,eqta->etaj", wdet, lam, Gt)
+    return Apair, Bpair
+
+
+@pytest.mark.parametrize("tests", [(3,), (0, 1, 2, 3)], ids=["bubble", "all"])
+def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
+    mesh = distort(generate_structured(6, 5), 0.2, seed=12).with_bc(MIXED)
+    disc = build(mesh, "fem")
+    mu = 1.7
+    outA, outB = ([], [], []), ([], [], [])
+    problem = StokesProblem(viscosity=mu)
+    _galerkin_momentum(disc, problem, tests, outA, outB, np.zeros(2 * disc.n_velocity_locations))
+    Apair, Bpair = _galerkin_oracle(disc, mu, tests)
+    # One entry per (element, test, component, trial, component), in that order.
+    for got, want in ((outA[2][0], Apair), (outB[2][0], Bpair)):
+        assert got.shape == (want.size,)
+        assert np.max(np.abs(got - want.ravel())) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fem_velocity_block_spd_on_free_dofs():

@@ -1,5 +1,7 @@
 """Manufactured solutions, error norms, convergence driver, conservation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,61 @@ def test_bercovier_engelman_consistency():
         assert np.max(np.abs(case.velocity(pts))) < 1e-12
 
 
+def _expanded_donea_huerta(x, y, mu):
+    """Donea-Huerta fields written out with powers, as an independent oracle."""
+    h = x**2 * (1 - x) ** 2, y**2 * (1 - y) ** 2
+    h1 = 2 * x - 6 * x**2 + 4 * x**3, 2 * y - 6 * y**2 + 4 * y**3
+    h2 = 2 - 12 * x + 12 * x**2, 2 - 12 * y + 12 * y**2
+    h3 = -12 + 24 * x, -12 + 24 * y
+    v = np.stack((h[0] * h1[1], -h[1] * h1[0]), axis=-1)
+    p = x * (1 - x)
+    f = np.stack(
+        (
+            -mu * (h2[0] * h1[1] + h[0] * h3[1]) + 1 - 2 * x,
+            mu * (h[1] * h3[0] + h2[1] * h1[0]),
+        ),
+        axis=-1,
+    )
+    grad = np.array([[h1[0] * h1[1], h[0] * h2[1]], [-h[1] * h2[0], -h1[1] * h1[0]]])
+    return v, p, f, np.moveaxis(grad, (0, 1), (-2, -1))
+
+
+def _expanded_bercovier_engelman(x, y):
+    a = x**2 * (x - 1) ** 2, y**2 * (y - 1) ** 2
+    b = x * (x - 1) * (2 * x - 1), y * (y - 1) * (2 * y - 1)
+    b1 = 6 * x**2 - 6 * x + 1, 6 * y**2 - 6 * y + 1
+    g_xy = 256 * (a[0] * (12 * y - 6) + b[1] * (12 * x**2 - 12 * x + 2))
+    g_yx = 256 * (a[1] * (12 * x - 6) + b[0] * (12 * y**2 - 12 * y + 2))
+    v = np.stack((-256 * a[0] * b[1], 256 * a[1] * b[0]), axis=-1)
+    p = (x - 0.5) * (y - 0.5)
+    f = np.stack((g_xy + y - 0.5, -g_yx + x - 0.5), axis=-1)
+    grad = np.array([[-512 * b[0] * b[1], -256 * a[0] * b1[1]], [256 * a[1] * b1[0], 512 * b[1] * b[0]]])
+    return v, p, f, np.moveaxis(grad, (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize(
+    "case, fields, oracle",
+    [
+        (donea_huerta_case(2.5), lambda pts: donea_huerta(pts, 2.5),
+         lambda x, y: _expanded_donea_huerta(x, y, 2.5)),
+        (bercovier_engelman_case(), bercovier_engelman, _expanded_bercovier_engelman),
+    ],
+    ids=["donea-huerta", "bercovier-engelman"],
+)
+def test_case_fields_match_tuple_function(case, fields, oracle):
+    # Each field function evaluates only its own field; the tuple function
+    # is built from them, and both agree with the expanded closed forms.
+    pts = np.random.default_rng(17).uniform(-0.2, 1.2, size=(6, 5, 2))
+    per_field = (
+        case.velocity(pts), case.pressure(pts), case.body_force(pts), case.velocity_gradient(pts)
+    )
+    for got, tuple_entry, want in zip(per_field, fields(pts), oracle(pts[..., 0], pts[..., 1])):
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - tuple_entry)) <= 1e-14 * scale
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def test_shear_case_consistency():
     case = shear_flow_case(viscosity=2.0)
     _check_gradient(case)
@@ -187,6 +244,27 @@ def test_error_norms_of_zero_solution():
     assert norms.l2_pressure == pytest.approx(np.sqrt(1.0 / 30.0), rel=1e-10)
     assert norms.l2_velocity == pytest.approx(np.sqrt(2.0 / 33075.0), rel=1e-6)
     assert norms.h1_velocity > norms.l2_velocity
+
+
+def test_error_norms_evaluate_each_case_field_once():
+    case = donea_huerta_case()
+    calls = {}
+
+    def counted(name):
+        field = getattr(case, name)
+
+        def wrapper(pts):
+            calls[name] = calls.get(name, 0) + 1
+            return field(pts)
+
+        return wrapper
+
+    names = ("velocity", "velocity_gradient", "pressure")
+    counting = replace(case, **{name: counted(name) for name in names})
+    disc = build(case.apply_bc(random_distorted_mesh(5, n=4)), "hybrid")
+    x = np.random.default_rng(2).standard_normal(disc.n_dofs)
+    assert error_norms(disc, x, counting) == error_norms(disc, x, case)
+    assert calls == {name: 1 for name in names}
 
 
 def test_window_rate_and_rates():
