@@ -22,6 +22,10 @@ All interior faces are straight segments strictly inside one triangle
 normal pointing from the `inside` control volume to the `outside` one.
 Boundary pieces of control volumes are kept separately with their marker
 and the outward domain normal.
+
+Every face and boundary segment is the image of one of the twelve fixed
+segments of the reference triangle listed in `REFERENCE_PIECES`, and
+records which one in `face_slot` / `seg_slot`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,22 @@ import numpy as np
 from .mesh import _TRIANGLE_EDGES, Mesh, _edge_keys
 
 _GAUSS2 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+
+# The twelve reference pieces, as (a, b) endpoints on the reference
+# triangle V0=(0,0), V1=(1,0), V2=(0,1), with M_k the midpoint of edge
+# (V_k, V_k+1) and C the centroid:
+#   slots 0-2   box faces        M_k -> C
+#   slots 3-5   medial faces     M_k -> M_k+1
+#   slots 6-11  boundary halves  V_j -> M_j (6 + 2j) and M_j -> V_j+1 (7 + 2j)
+_V = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+_M = ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5))
+_C = (1.0 / 3.0, 1.0 / 3.0)
+REFERENCE_PIECES = np.array(
+    [(_M[k], _C) for k in range(3)]
+    + [(_M[k], _M[(k + 1) % 3]) for k in range(3)]
+    + [piece for j in range(3) for piece in ((_V[j], _M[j]), (_M[j], _V[(j + 1) % 3]))]
+)
+_BOX_SLOT, _MEDIAL_SLOT, _BOUNDARY_SLOT = 0, 3, 6
 
 
 class SchemeKind(enum.Enum):
@@ -169,6 +189,7 @@ class ControlVolumeSet:
     scv_polys: np.ndarray       # (m, 4, 2), padded by repeating the last vertex
     scv_volumes: np.ndarray
     face_element: np.ndarray
+    face_slot: np.ndarray       # index into REFERENCE_PIECES
     face_inside: np.ndarray
     face_outside: np.ndarray    # -1 when the flux has no receiving balance
     face_a: np.ndarray
@@ -179,6 +200,7 @@ class ControlVolumeSet:
     face_qweights: np.ndarray   # (F, 2)
     seg_cv: np.ndarray
     seg_element: np.ndarray
+    seg_slot: np.ndarray        # index into REFERENCE_PIECES
     seg_a: np.ndarray
     seg_b: np.ndarray
     seg_normal: np.ndarray
@@ -218,7 +240,7 @@ def _boundary_segments(mesh: Mesh):
     _, directed = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], mesh.n_vertices)
     _, facet_directed = _edge_keys(facets, mesh.n_vertices)
     order = np.argsort(directed, axis=None)
-    owner = order[np.searchsorted(directed.ravel(), facet_directed, sorter=order)] // 3
+    owner, edge = np.divmod(order[np.searchsorted(directed.ravel(), facet_directed, sorter=order)], 3)
     va = mesh.vertices[facets[:, 0]]
     vb = mesh.vertices[facets[:, 1]]
     mid = 0.5 * (va + vb)
@@ -230,6 +252,7 @@ def _boundary_segments(mesh: Mesh):
     return dict(
         seg_cv=facets.reshape(-1),
         seg_element=np.repeat(owner, 2),
+        seg_slot=(_BOUNDARY_SLOT + 2 * edge[:, None] + np.arange(2)).ravel(),
         seg_a=pa,
         seg_b=pb,
         seg_normal=_rot_minus90(d) / lengths[:, None],
@@ -263,7 +286,8 @@ def _box_pieces(mesh: Mesh, eldata: ElementData):
     inside = T.reshape(-1).astype(np.int64)
     outside = np.roll(T, -1, axis=1).reshape(-1).astype(np.int64)
     elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
-    return (polys, scv_cv, scv_elem, volumes), (face_a, face_b, normals, lengths, inside, outside, elem)
+    slot = np.tile(_BOX_SLOT + np.arange(3), ne)
+    return (polys, scv_cv, scv_elem, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
 
 
 def _medial_pieces(mesh: Mesh, eldata: ElementData, outside_kind: str):
@@ -297,7 +321,8 @@ def _medial_pieces(mesh: Mesh, eldata: ElementData, outside_kind: str):
     else:
         outside = np.full(3 * ne, -1, dtype=np.int64)
     elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
-    return (polys, scv_cv, scv_elem, volumes), (face_a, face_b, normals, lengths, inside, outside, elem)
+    slot = np.tile(_MEDIAL_SLOT + np.arange(3), ne)
+    return (polys, scv_cv, scv_elem, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
 
 
 def _corner_pieces(mesh: Mesh, eldata: ElementData):
@@ -318,7 +343,7 @@ def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> Cont
     nverts = np.concatenate(
         [np.full(s[0].shape[0], 3 if np.array_equal(s[0][:, 2], s[0][:, 3]) else 4, dtype=np.int64) for s in scvs]
     )
-    face_a, face_b, face_n, face_l, face_in, face_out, face_e = (
+    face_a, face_b, face_n, face_l, face_in, face_out, face_e, face_s = (
         np.concatenate(col) for col in zip(*faces)
     )
     qpts, qwts = _segment_quad(face_a, face_b)
@@ -331,6 +356,7 @@ def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> Cont
         scv_polys=polys,
         scv_volumes=volumes,
         face_element=face_e,
+        face_slot=face_s,
         face_inside=face_in,
         face_outside=face_out,
         face_a=face_a,

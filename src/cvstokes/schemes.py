@@ -13,10 +13,19 @@ vertex pressure.  Momentum equations, one pair per velocity location:
 
 Mass equations are identical for all schemes: the flux balance of the
 pressure boxes, integral of v . n over the box boundary equals the mass
-source integral.  Dirichlet conditions replace the momentum rows of
-boundary vertices with identity rows (columns are kept, which preserves
-the exact mass balance of boundary boxes); traction data enters the
-right-hand side of Neumann boundary pieces.
+source integral (zero when the problem has no mass source).  Dirichlet
+conditions replace the momentum rows of boundary vertices with identity
+rows (columns are kept, which preserves the exact mass balance of
+boundary boxes); traction data enters the right-hand side of Neumann
+boundary pieces.
+
+Every face and boundary segment is the affine image of one of the twelve
+reference pieces (`geometry.REFERENCE_PIECES`), so the averages of the
+basis values, reference gradients and pressure hats over it are
+constants, computed once with the two-point Gauss rule, which is exact
+for the cubic basis.  A flux-balance entry is such an average (gradients
+mapped by the element's inverse Jacobian) times the face's normal times
+its length.
 """
 
 from __future__ import annotations
@@ -28,9 +37,11 @@ import scipy.sparse as sp
 
 from .basis import _eval_unchecked, barycentric, segment_rule, triangle_rule
 from .geometry import (
+    REFERENCE_PIECES,
     ControlVolumeSet,
     ElementData,
     GridDiscretization,
+    _segment_quad,
     to_reference,
 )
 from .mesh import BCKind
@@ -51,10 +62,6 @@ def _zero_traction(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(points, dtype=float))
 
 
-def _zero_scalar_field(points: np.ndarray) -> np.ndarray:
-    return np.zeros(np.asarray(points).shape[:-1])
-
-
 @dataclass
 class StokesProblem:
     """Problem data: viscosity, sources, and boundary data.
@@ -62,13 +69,24 @@ class StokesProblem:
     All callables are vectorized over points of shape (..., 2).
     `neumann` receives the outward unit normals alongside the points and
     returns the boundary traction (the negative normal stress).
+    `mass_source` is None when there is no mass source.
     """
 
     viscosity: float
     body_force: callable = _zero_vector_field
     dirichlet: callable = _zero_vector_field
     neumann: callable = _zero_traction
-    mass_source: callable = _zero_scalar_field
+    mass_source: callable | None = None
+
+
+def _piece_averages():
+    """Basis values, reference gradients and hats averaged over each reference piece."""
+    pts, _ = _segment_quad(REFERENCE_PIECES[:, 0], REFERENCE_PIECES[:, 1])   # (12, 2, 2)
+    ev = _eval_unchecked(pts)
+    return ev.values.mean(axis=1), ev.gradients.mean(axis=1), barycentric(pts).mean(axis=1)
+
+
+_PIECE_VALUES, _PIECE_GRADIENTS, _PIECE_HATS = _piece_averages()
 
 
 def basis_at(eldata: ElementData, elements: np.ndarray, points: np.ndarray):
@@ -224,15 +242,11 @@ def _flux_momentum_entries(disc, cvset, mu, outA, outB):
     """Momentum flux-balance entries from the interior faces of a CV set."""
     e = cvset.face_element
     dofcols = disc.element_velocity_dofs()[e]
-    _, grads, hats = basis_at(disc.elements, e[:, None], cvset.face_qpoints)
-    n = cvset.face_normal
-    w = cvset.face_qweights
-
-    gn = np.einsum("fqba,fa->fqb", grads, n)
-    term1 = np.einsum("fq,fqb->fb", w, gn)
-    term2 = np.einsum("fq,fqba,fk->fbak", w, grads, n)
-    Apair = -mu * (term1[:, :, None, None] * np.eye(2)[None, None] + term2)
-    Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
+    nl = cvset.face_normal * cvset.face_length[:, None]
+    grads = _PIECE_GRADIENTS[cvset.face_slot] @ disc.elements.inv_jacobians[e]   # (F, 4, 2)
+    gn = grads[:, :, 0] * nl[:, None, 0] + grads[:, :, 1] * nl[:, None, 1]
+    Apair = -mu * (gn[:, :, None, None] * np.eye(2) + grads[:, :, :, None] * nl[:, None, None, :])
+    Bpair = _PIECE_HATS[cvset.face_slot][:, :, None] * nl[:, None, :]
 
     tris = disc.mesh.triangles[e]
     inside = cvset.face_inside
@@ -246,31 +260,30 @@ def _flux_momentum_entries(disc, cvset, mu, outA, outB):
         _scatter_B(Bpair[has_out], outside, tris[has_out], -1.0, outB)
 
 
+def _mass_pairs(slots, normals, lengths):
+    """Volume-flux entries [piece, trial, component] of pieces in reference slots."""
+    nl = normals * lengths[:, None]
+    return _PIECE_VALUES[slots][:, :, None] * nl[:, None, :]
+
+
 def _mass_entries(disc, cvset, outC):
     """Mass flux-balance entries: interior faces plus boundary segments."""
-    e = cvset.face_element
-    dofcols = disc.element_velocity_dofs()[e]
-    vals, _, _ = basis_at(disc.elements, e[:, None], cvset.face_qpoints)
-    pair = np.einsum("fq,fqb,fk->fbk", cvset.face_qweights, vals, cvset.face_normal)
+    eldofs = disc.element_velocity_dofs()
 
-    def scatter(p, row_cv, dc, sign):
-        rows = np.broadcast_to(row_cv[:, None, None], p.shape)
-        cols = (2 * dc)[:, :, None] + np.arange(2)[None, None, :]
-        outC[0].append(rows.ravel())
-        outC[1].append(np.broadcast_to(cols, p.shape).ravel())
-        outC[2].append(sign * p.reshape(-1))
+    def scatter(pair, elements, row_cv, sign):
+        cols = (2 * eldofs[elements])[:, :, None] + np.arange(2)
+        outC[0].append(np.broadcast_to(row_cv[:, None, None], pair.shape).ravel())
+        outC[1].append(np.broadcast_to(cols, pair.shape).ravel())
+        outC[2].append(sign * pair.reshape(-1))
 
-    scatter(pair, cvset.face_inside, dofcols, 1.0)
+    pair = _mass_pairs(cvset.face_slot, cvset.face_normal, cvset.face_length)
+    scatter(pair, cvset.face_element, cvset.face_inside, 1.0)
     has_out = cvset.face_outside >= 0
     if np.any(has_out):
-        scatter(pair[has_out], cvset.face_outside[has_out], dofcols[has_out], -1.0)
-
+        scatter(pair[has_out], cvset.face_element[has_out], cvset.face_outside[has_out], -1.0)
     if cvset.n_segments:
-        es = cvset.seg_element
-        dofcols_s = disc.element_velocity_dofs()[es]
-        vals_s, _, _ = basis_at(disc.elements, es[:, None], cvset.seg_qpoints)
-        pair_s = np.einsum("sq,sqb,sk->sbk", cvset.seg_qweights, vals_s, cvset.seg_normal)
-        scatter(pair_s, cvset.seg_cv, dofcols_s, 1.0)
+        pair_s = _mass_pairs(cvset.seg_slot, cvset.seg_normal, cvset.seg_length)
+        scatter(pair_s, cvset.seg_element, cvset.seg_cv, 1.0)
 
 
 def _fan_triangles(cvset):
@@ -311,6 +324,13 @@ def _integrate_over_cvs(cvset, func, n_components):
         [np.bincount(owners, contrib[:, k], minlength=cvset.n_cvs) for k in range(n_components)],
         axis=1,
     )
+
+
+def _mass_source_integrals(cvset, problem) -> np.ndarray:
+    """Integral of the mass source over each control volume; zeros without a source."""
+    if problem.mass_source is None:
+        return np.zeros(cvset.n_cvs)
+    return _integrate_over_cvs(cvset, problem.mass_source, 1)
 
 
 def segment_tractions(disc, cvset, problem) -> np.ndarray:
@@ -472,7 +492,7 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         _galerkin_momentum(disc, problem, spec.galerkin_tests, outA, outB, rhs_u)
 
     _mass_entries(disc, disc.pressure, outC)
-    rhs_p[:] = _integrate_over_cvs(disc.pressure, problem.mass_source, 1)
+    rhs_p[:] = _mass_source_integrals(disc.pressure, problem)
 
     # Dirichlet rows: identity on both components of marked vertices.
     dverts = mesh.dirichlet_vertices()
@@ -485,7 +505,9 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         if drop_dirichlet_rows:
             keep = ~dmask[rows]
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        M = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        M.eliminate_zeros()    # entries that cancel exactly
+        return M
 
     A = finalize(outA, (2 * n_u, 2 * n_u), True)
     B = finalize(outB, (2 * n_u, n_p), True)

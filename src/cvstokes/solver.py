@@ -206,7 +206,13 @@ def gmres_solve(
     `reduction` relative to its value at `x0` (zero if omitted).  The
     residual norm comes for free from the Givens recurrence, so each
     iteration costs one operator and one preconditioner application.
+    Raises ValueError unless `max_iterations` >= 1 and `reduction` is a
+    finite number above 1.
     """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    if not (np.isfinite(reduction) and reduction > 1.0):
+        raise ValueError(f"reduction must be a finite number above 1, got {reduction}")
     J = system.matrix()
     b = system.rhs()
     n = b.shape[0]

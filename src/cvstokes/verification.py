@@ -39,6 +39,7 @@ from .schemes import (
     _faces,
     _integrate_over_cvs,
     _mass_fluxes,
+    _mass_source_integrals,
     _momentum_fluxes,
     _segments,
     assemble,
@@ -416,6 +417,8 @@ def run_convergence(
     scheme = SchemeKind.parse(scheme)
     if mesh_files is not None:
         n_levels = len(mesh_files)
+    if n_levels < 1:
+        raise ValueError(f"a convergence study needs at least one level, got {n_levels}")
     problem = case.problem()
     levels = []
     for k in range(n_levels):
@@ -493,7 +496,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     np.add.at(res_m, pset.face_inside, massf)
     np.add.at(res_m, pset.face_outside, -massf)
     np.add.at(res_m, pset.seg_cv, segf)
-    res_m -= _integrate_over_cvs(pset, problem.mass_source, 1)
+    res_m -= _mass_source_integrals(pset, problem)
     max_mass = float(max(np.abs(massf).max(initial=0.0), np.abs(segf).max(initial=0.0)))
 
     # Momentum balances over the velocity control volumes that carry them.
@@ -544,5 +547,5 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     balance = float(np.sum(massf[fin & ~fout]) - np.sum(massf[fout & ~fin]))
     segf = _mass_fluxes(disc, _segments(pset), vel)
     balance += float(np.sum(segf[sel[pset.seg_cv]]))
-    balance -= float(np.sum(_integrate_over_cvs(pset, problem.mass_source, 1)[sel]))
+    balance -= float(np.sum(_mass_source_integrals(pset, problem)[sel]))
     return balance

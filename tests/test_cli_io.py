@@ -265,3 +265,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["--case", "custom-msh", "--out", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_main_rejects_fewer_than_one_level(tmp_path, capsys, levels):
+    code = main(["--levels", levels, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_distorted_mesh, single_triangle_mesh
 from cvstokes.geometry import (
+    REFERENCE_PIECES,
     SchemeKind,
     build,
     SCHEME_SPECS,
@@ -84,6 +85,21 @@ def test_box_face_quadrature_points_on_face():
     )[:, None, :]
     assert np.allclose(t[..., 0], t[..., 1], atol=1e-13)
     assert np.all((t > 0.0) & (t < 1.0))
+
+
+@pytest.mark.parametrize("builder", [build_boxes, build_nonoverlapping, build_overlapping])
+def test_pieces_are_images_of_their_reference_slots(builder):
+    mesh = random_distorted_mesh(21, n=6)
+    el = element_data(mesh)
+    vset = builder(mesh, el)
+    t = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+    for elements, slots, qpoints in (
+        (vset.face_element, vset.face_slot, vset.face_qpoints),
+        (vset.seg_element, vset.seg_slot, vset.seg_qpoints),
+    ):
+        a, b = REFERENCE_PIECES[slots, 0], REFERENCE_PIECES[slots, 1]
+        gauss = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        assert np.max(np.abs(to_reference(el, elements[:, None], qpoints) - gauss)) <= 1e-12
 
 
 def test_bubble_cv_is_medial_triangle():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
+from cvstokes import schemes
 from cvstokes.basis import barycentric, eval_physical, eval_reference, triangle_rule
 from cvstokes.geometry import build, build_overlapping
 from cvstokes.mesh import BCKind, distort, generate_structured
@@ -272,6 +273,76 @@ def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
     for got, want in ((outA[2][0], Apair), (outB[2][0], Bpair)):
         assert got.shape == (want.size,)
         assert np.max(np.abs(got - want.ravel())) <= 1e-13 * np.max(np.abs(want))
+
+
+def _flux_momentum_entries_oracle(disc, cvset, mu, outA, outB):
+    """Momentum flux-balance entries contracted at every face quadrature point."""
+    e = cvset.face_element
+    dofcols = disc.element_velocity_dofs()[e]
+    _, grads, hats = basis_at(disc.elements, e[:, None], cvset.face_qpoints)
+    n = cvset.face_normal
+    w = cvset.face_qweights
+    gn = np.einsum("fqba,fa->fqb", grads, n)
+    term1 = np.einsum("fq,fqb->fb", w, gn)
+    term2 = np.einsum("fq,fqba,fk->fbak", w, grads, n)
+    Apair = -mu * (term1[:, :, None, None] * np.eye(2)[None, None] + term2)
+    Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
+    tris = disc.mesh.triangles[e]
+    schemes._scatter_A(Apair, cvset.face_inside, dofcols, 1.0, outA)
+    schemes._scatter_B(Bpair, cvset.face_inside, tris, 1.0, outB)
+    out = cvset.face_outside >= 0
+    schemes._scatter_A(Apair[out], cvset.face_outside[out], dofcols[out], -1.0, outA)
+    schemes._scatter_B(Bpair[out], cvset.face_outside[out], tris[out], -1.0, outB)
+
+
+def _mass_entries_oracle(disc, cvset, outC):
+    """Mass flux-balance entries contracted at every face and segment quadrature point."""
+    eldofs = disc.element_velocity_dofs()
+    pieces = [
+        (cvset.face_element, cvset.face_qpoints, cvset.face_qweights, cvset.face_normal, cvset.face_inside, 1.0)
+    ]
+    out = cvset.face_outside >= 0
+    pieces.append(
+        (cvset.face_element[out], cvset.face_qpoints[out], cvset.face_qweights[out],
+         cvset.face_normal[out], cvset.face_outside[out], -1.0)
+    )
+    pieces.append((cvset.seg_element, cvset.seg_qpoints, cvset.seg_qweights, cvset.seg_normal, cvset.seg_cv, 1.0))
+    for e, qpoints, w, n, row_cv, sign in pieces:
+        vals, _, _ = basis_at(disc.elements, e[:, None], qpoints)
+        pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
+        cols = (2 * eldofs[e])[:, :, None] + np.arange(2)[None, None, :]
+        outC[0].append(np.broadcast_to(row_cv[:, None, None], pair.shape).ravel())
+        outC[1].append(np.broadcast_to(cols, pair.shape).ravel())
+        outC[2].append(sign * pair.reshape(-1))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_flux_entries_match_quadrature_point_oracle(scheme, monkeypatch):
+    # The reference-piece averages agree with mapping every face quadrature
+    # point back to its element, up to the rounding of that mapping.
+    mesh = distort(generate_structured(20, 20), 0.2, seed=19).with_bc(MIXED)
+    disc = build(mesh, scheme)
+    problem = StokesProblem(viscosity=1.7)
+    got = assemble(disc, problem)
+    monkeypatch.setattr(schemes, "_flux_momentum_entries", _flux_momentum_entries_oracle)
+    monkeypatch.setattr(schemes, "_mass_entries", _mass_entries_oracle)
+    want = assemble(disc, problem)
+    for name in "ABC":
+        G, W = getattr(got, name), getattr(want, name)
+        assert abs(G - W).max() <= 1e-13 * abs(W).max(), name
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_assembled_blocks_store_no_zeros(scheme, pinned):
+    mesh = distort(generate_structured(12, 12), 0.2, seed=20)   # all Dirichlet
+    if not pinned:
+        mesh = mesh.with_bc(MIXED)
+    problem = StokesProblem(viscosity=1.0)
+    system = assemble(build(mesh, scheme), problem, pin_pressure=0 if pinned else None)
+    for name in "ABC":
+        M = getattr(system, name)
+        assert np.count_nonzero(M.data) == M.nnz, name
 
 
 def test_fem_velocity_block_spd_on_free_dofs():

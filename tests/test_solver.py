@@ -200,6 +200,20 @@ def test_gmres_respects_iteration_cap():
     assert report.iterations == 3
 
 
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_gmres_rejects_iteration_cap_below_one(max_iterations):
+    with pytest.raises(ValueError, match="max_iterations"):
+        gmres_solve(_StubSystem(np.eye(3), np.ones(3)), max_iterations=max_iterations)
+
+
+@pytest.mark.parametrize("reduction", [0.0, 0.5, 1.0, -1e10, np.inf, np.nan])
+def test_gmres_rejects_reduction_not_above_one(reduction):
+    # 0 used to divide by zero, and 0.5 reported convergence after one
+    # step whose residual had grown to 0.8 of the start.
+    with pytest.raises(ValueError, match="reduction"):
+        gmres_solve(_StubSystem(np.eye(3), np.ones(3)), reduction=reduction)
+
+
 def test_gmres_solution_solves_saddle_system():
     disc, system = _small_system(n=8)
     S = assemble_pressure_mass(disc, viscosity=1.0)

@@ -374,6 +374,13 @@ def test_run_convergence_mesh_files(tmp_path):
     assert report.levels[1].l2_velocity < report.levels[0].l2_velocity
 
 
+def test_run_convergence_rejects_no_levels():
+    with pytest.raises(ValueError, match="at least one level"):
+        run_convergence(donea_huerta_case(), "overlapping", mesh_files=[])
+    with pytest.raises(ValueError, match="at least one level"):
+        run_convergence(donea_huerta_case(), "overlapping", n_levels=0)
+
+
 def _solved(scheme, case_factory=donea_huerta_case, n=8, seed=31):
     case = case_factory()
     mesh = case.apply_bc(distort(generate_structured(n, n), 0.2, seed=seed))
@@ -409,6 +416,29 @@ def test_hybrid_momentum_audit_skips_bubbles():
     assert audit.momentum_audited.shape[0] == nv
     res = np.linalg.norm(audit.momentum_residuals, axis=1)
     assert np.max(res[audit.momentum_interior]) <= 1e-12 * audit.max_momentum_flux
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "hybrid", "non-overlapping", "fem"])
+def test_absent_mass_source_equals_zero_source(scheme):
+    case = donea_huerta_case()
+    mesh = case.apply_bc(distort(generate_structured(8, 8), 0.2, seed=32))
+    disc = build(mesh, scheme)
+    absent = case.problem()
+    assert absent.mass_source is None
+    zero = replace(absent, mass_source=lambda p: np.zeros(np.asarray(p).shape[:-1]))
+    systems = [assemble(disc, problem) for problem in (absent, zero)]
+    for name in "ABC":
+        M0, M1 = (getattr(s, name) for s in systems)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(M0, attr).tobytes() == getattr(M1, attr).tobytes()
+    assert systems[0].rhs().tobytes() == systems[1].rhs().tobytes()
+    x = direct_solve(systems[0])
+    audits = [conservation_audit(disc, x, problem) for problem in (absent, zero)]
+    assert audits[0].mass_residuals.tobytes() == audits[1].mass_residuals.tobytes()
+    assert audits[0].momentum_residuals.tobytes() == audits[1].momentum_residuals.tobytes()
+    boxes = np.arange(0, disc.n_pressure_dofs, 3)
+    balances = [region_mass_balance(disc, x, problem, boxes) for problem in (absent, zero)]
+    assert np.float64(balances[0]).tobytes() == np.float64(balances[1]).tobytes()
 
 
 def test_region_mass_balance_unions():
