@@ -184,7 +184,6 @@ class ControlVolumeSet:
     dof_locations: np.ndarray   # (n_cvs, 2)
     partition: np.ndarray       # (n_cvs,) bool
     scv_cv: np.ndarray
-    scv_element: np.ndarray
     scv_nverts: np.ndarray
     scv_polys: np.ndarray       # (m, 4, 2), padded by repeating the last vertex
     scv_volumes: np.ndarray
@@ -275,7 +274,6 @@ def _box_pieces(mesh: Mesh, eldata: ElementData):
     Cb = np.broadcast_to(C[:, None, :], X.shape)
     polys = np.stack((X, M, Cb, Mprev), axis=2).reshape(-1, 4, 2)
     scv_cv = T.reshape(-1).astype(np.int64)
-    scv_elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
     volumes = _polygon_areas(polys)
 
     face_a = M.reshape(-1, 2)
@@ -287,7 +285,7 @@ def _box_pieces(mesh: Mesh, eldata: ElementData):
     outside = np.roll(T, -1, axis=1).reshape(-1).astype(np.int64)
     elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
     slot = np.tile(_BOX_SLOT + np.arange(3), ne)
-    return (polys, scv_cv, scv_elem, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
+    return (polys, scv_cv, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
 
 
 def _medial_pieces(mesh: Mesh, eldata: ElementData, outside_kind: str):
@@ -305,7 +303,6 @@ def _medial_pieces(mesh: Mesh, eldata: ElementData, outside_kind: str):
 
     polys = _pad_tris(M)
     scv_cv = nv + np.arange(ne, dtype=np.int64)
-    scv_elem = np.arange(ne, dtype=np.int64)
     volumes = _polygon_areas(polys)
 
     Mnext = np.roll(M, -1, axis=1)
@@ -322,24 +319,22 @@ def _medial_pieces(mesh: Mesh, eldata: ElementData, outside_kind: str):
         outside = np.full(3 * ne, -1, dtype=np.int64)
     elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
     slot = np.tile(_MEDIAL_SLOT + np.arange(3), ne)
-    return (polys, scv_cv, scv_elem, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
+    return (polys, scv_cv, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
 
 
 def _corner_pieces(mesh: Mesh, eldata: ElementData):
     """Corner-triangle sub-volumes of the non-overlapping vertex volumes."""
-    ne = mesh.n_elements
     X = eldata.coords
     M = 0.5 * (X + np.roll(X, -1, axis=1))
     Mprev = np.roll(M, 1, axis=1)
     polys = _pad_tris(np.stack((X, M, Mprev), axis=2).reshape(-1, 3, 2))
     scv_cv = mesh.triangles.reshape(-1).astype(np.int64)
-    scv_elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
     volumes = _polygon_areas(polys)
-    return polys, scv_cv, scv_elem, volumes
+    return polys, scv_cv, volumes
 
 
 def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> ControlVolumeSet:
-    polys, scv_cv, scv_elem, volumes = (np.concatenate(col) for col in zip(*scvs))
+    polys, scv_cv, volumes = (np.concatenate(col) for col in zip(*scvs))
     nverts = np.concatenate(
         [np.full(s[0].shape[0], 3 if np.array_equal(s[0][:, 2], s[0][:, 3]) else 4, dtype=np.int64) for s in scvs]
     )
@@ -351,7 +346,6 @@ def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> Cont
         dof_locations=dof_locations,
         partition=partition,
         scv_cv=scv_cv,
-        scv_element=scv_elem,
         scv_nverts=nverts,
         scv_polys=polys,
         scv_volumes=volumes,
@@ -431,10 +425,6 @@ class GridDiscretization:
     @property
     def n_dofs(self) -> int:
         return 2 * self.n_velocity_locations + self.n_pressure_dofs
-
-    @property
-    def velocity_dof_locations(self) -> np.ndarray:
-        return np.vstack((self.mesh.vertices, self.elements.centroids))
 
     def element_velocity_dofs(self) -> np.ndarray:
         """Velocity unknown ids per element: three vertices plus the bubble."""

@@ -134,6 +134,9 @@ def validate(mesh: Mesh) -> None:
     n = mesh.n_vertices
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
         raise MeshValidationError("triangle vertex index out of range")
+    unused = np.bincount(mesh.triangles.ravel(), minlength=n) == 0
+    if unused.any():
+        raise MeshValidationError(f"vertex {int(np.argmax(unused))} belongs to no triangle")
 
     areas = triangle_areas(mesh.vertices, mesh.triangles)
     if np.any(areas <= 0.0):
@@ -301,28 +304,50 @@ def read_msh(path: str) -> Mesh:
 
     Line elements carry boundary markers through their first (physical)
     tag; names from $PhysicalNames are used when present, otherwise the
-    marker is called "tag<N>".  All markers default to Dirichlet.  Binary
-    files, nonzero z coordinates, and malformed sections raise
+    marker is called "tag<N>".  All markers default to Dirichlet.  Nodes
+    that no triangle uses (such as point-element nodes) are dropped.  Binary
+    files, nonzero z coordinates, and malformed or truncated sections raise
     MshParseError with the offending line number.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = handle.read().splitlines()
 
     def err(lineno, message):
-        return MshParseError(f"{path}:{lineno + 1}: {message}")
+        # Past the end of the file, point at its last line.
+        return MshParseError(f"{path}:{min(lineno, max(len(lines) - 1, 0)) + 1}: {message}")
 
     idx = 0
+
+    def line():
+        if idx >= len(lines):
+            raise err(idx, "unexpected end of file")
+        return lines[idx]
 
     def expect(token):
         nonlocal idx
         while idx < len(lines) and not lines[idx].strip():
             idx += 1
         if idx >= len(lines) or lines[idx].strip() != token:
-            raise err(min(idx, len(lines) - 1), f"expected {token}")
+            raise err(idx, f"expected {token}")
         idx += 1
 
+    def ints(what):
+        tokens = line().split()
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            raise err(idx, f"malformed {what}") from None
+
+    def count(what):
+        nonlocal idx
+        n = ints(f"{what} count")
+        if len(n) != 1 or n[0] < 0:
+            raise err(idx, f"malformed {what} count")
+        idx += 1
+        return n[0]
+
     expect("$MeshFormat")
-    fields = lines[idx].split()
+    fields = line().split()
     if len(fields) != 3:
         raise err(idx, "malformed $MeshFormat line")
     if fields[0] != "2.2":
@@ -339,30 +364,26 @@ def read_msh(path: str) -> Mesh:
     except MshParseError:
         idx = save
     else:
-        count = int(lines[idx])
-        idx += 1
-        for _ in range(count):
-            parts = lines[idx].split(maxsplit=2)
-            if len(parts) != 3:
-                raise err(idx, "malformed physical name")
-            phys_names[int(parts[1])] = parts[2].strip().strip('"')
+        for _ in range(count("physical name")):
+            parts = line().split(maxsplit=2)
+            try:
+                phys_names[int(parts[1])] = parts[2].strip().strip('"')
+            except (IndexError, ValueError):
+                raise err(idx, "malformed physical name") from None
             idx += 1
         expect("$EndPhysicalNames")
 
     expect("$Nodes")
-    try:
-        n_nodes = int(lines[idx])
-    except ValueError:
-        raise err(idx, "malformed node count") from None
-    idx += 1
+    n_nodes = count("node")
     coords = np.empty((n_nodes, 2))
     node_ids = {}
     for k in range(n_nodes):
-        parts = lines[idx].split()
-        if len(parts) != 4:
-            raise err(idx, "malformed node line")
-        node_ids[int(parts[0])] = k
-        x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+        parts = line().split()
+        try:
+            node_ids[int(parts[0])] = k
+            x, y, z = map(float, parts[1:])
+        except (IndexError, ValueError):
+            raise err(idx, "malformed node line") from None
         if z != 0.0:
             raise err(idx, f"node has nonzero z coordinate {z:g}; only planar meshes are supported")
         coords[k] = (x, y)
@@ -370,24 +391,18 @@ def read_msh(path: str) -> Mesh:
     expect("$EndNodes")
 
     expect("$Elements")
-    try:
-        n_elems = int(lines[idx])
-    except ValueError:
-        raise err(idx, "malformed element count") from None
-    idx += 1
+    n_elems = count("element")
     triangles = []
     facets = []
     facet_tags = []
     for _ in range(n_elems):
-        parts = lines[idx].split()
+        parts = ints("element line")
         if len(parts) < 3:
             raise err(idx, "malformed element line")
-        etype = int(parts[1])
-        ntags = int(parts[2])
-        tags = [int(t) for t in parts[3 : 3 + ntags]]
-        conn = parts[3 + ntags :]
+        etype, ntags = parts[1], parts[2]
+        tags = parts[3 : 3 + ntags]
         try:
-            nodes = [node_ids[int(c)] for c in conn]
+            nodes = [node_ids[c] for c in parts[3 + ntags :]]
         except KeyError as exc:
             raise err(idx, f"element references unknown node {exc.args[0]}") from None
         if etype == 1:
@@ -408,9 +423,12 @@ def read_msh(path: str) -> Mesh:
 
     if not triangles:
         raise MshParseError(f"{path}: file contains no triangles")
-    triangles = np.array(triangles, dtype=np.int64)
-    facets = np.array(facets, dtype=np.int64).reshape(-1, 2)
-    triangles, facets = _orient(coords, triangles, facets)
+    used, triangles = np.unique(np.array(triangles, dtype=np.int64), return_inverse=True)
+    renumber = np.full(n_nodes, -1, dtype=np.int64)
+    renumber[used] = np.arange(used.size)
+    coords = coords[used]
+    facets = renumber[np.array(facets, dtype=np.int64).reshape(-1, 2)]
+    triangles, facets = _orient(coords, triangles.reshape(-1, 3), facets)
 
     tag_list = sorted(set(facet_tags))
     marker_names = tuple(phys_names.get(t, f"tag{t}") for t in tag_list)

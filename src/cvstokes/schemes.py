@@ -17,7 +17,8 @@ source integral (zero when the problem has no mass source).  Dirichlet
 conditions replace the momentum rows of boundary vertices with identity
 rows (columns are kept, which preserves the exact mass balance of
 boundary boxes); traction data enters the right-hand side of Neumann
-boundary pieces.
+boundary pieces, integrated once over the boundary half-segments: plainly
+for the flux balances, against the element's vertex hats for Galerkin rows.
 
 Every face and boundary segment is the affine image of one of the twelve
 reference pieces (`geometry.REFERENCE_PIECES`), so the averages of the
@@ -157,15 +158,6 @@ def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, ve
     )
 
 
-def segment_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
-    """Like `face_fluxes`, for the boundary segments (outward normals)."""
-    segments = _segments(cvset)
-    return (
-        _mass_fluxes(disc, segments, velocity),
-        _momentum_fluxes(disc, segments, viscosity, velocity, pressure),
-    )
-
-
 @dataclass
 class SaddleSystem:
     """Assembled saddle-point system [[A, B], [C, 0]] with right-hand side.
@@ -219,45 +211,38 @@ class SaddleSystem:
         return self.rhs() - self.matrix() @ x
 
 
-def _scatter_A(pair, row_cv, dofcols, sign, out):
-    """Scatter (F, 4, 2, 2) momentum entries indexed [face, trial, row comp, col comp]."""
-    rows = (2 * row_cv)[:, None, None, None] + np.arange(2)[None, None, :, None]
-    cols = (2 * dofcols)[:, :, None, None] + np.arange(2)[None, None, None, :]
-    shape = pair.shape
-    out[0].append(np.broadcast_to(rows, shape).ravel())
-    out[1].append(np.broadcast_to(cols, shape).ravel())
-    out[2].append(sign * pair.reshape(-1))
+def _append(out, rows, cols, vals):
+    """Append COO triplets; the row and column ids broadcast to the entries."""
+    out[0].append(np.broadcast_to(rows, vals.shape).ravel())
+    out[1].append(np.broadcast_to(cols, vals.shape).ravel())
+    out[2].append(vals.ravel())
 
 
-def _scatter_B(pair, row_cv, tris, sign, out):
-    """Scatter (F, 3, 2) pressure-coupling entries indexed [face, hat, row comp]."""
-    rows = (2 * row_cv)[:, None, None] + np.arange(2)[None, None, :]
-    cols = np.broadcast_to(tris[:, :, None], pair.shape)
-    out[0].append(np.broadcast_to(rows, pair.shape).ravel())
-    out[1].append(cols.ravel())
-    out[2].append(sign * pair.reshape(-1))
+def _xy(ids):
+    """Scalar unknown ids (..., 2) of both velocity components at locations `ids`."""
+    return 2 * ids[..., None] + np.arange(2)
 
 
 def _flux_momentum_entries(disc, cvset, mu, outA, outB):
-    """Momentum flux-balance entries from the interior faces of a CV set."""
+    """Momentum flux-balance entries from the interior faces of a CV set.
+
+    A entries are indexed [face, trial, row comp, col comp], B entries
+    [face, hat, row comp]; the outside volume takes them negated.
+    """
     e = cvset.face_element
-    dofcols = disc.element_velocity_dofs()[e]
     nl = cvset.face_normal * cvset.face_length[:, None]
     grads = _PIECE_GRADIENTS[cvset.face_slot] @ disc.elements.inv_jacobians[e]   # (F, 4, 2)
     gn = grads[:, :, 0] * nl[:, None, 0] + grads[:, :, 1] * nl[:, None, 1]
     Apair = -mu * (gn[:, :, None, None] * np.eye(2) + grads[:, :, :, None] * nl[:, None, None, :])
     Bpair = _PIECE_HATS[cvset.face_slot][:, :, None] * nl[:, None, :]
 
+    dofs = _xy(disc.element_velocity_dofs()[e])
     tris = disc.mesh.triangles[e]
-    inside = cvset.face_inside
-    _scatter_A(Apair, inside, dofcols, 1.0, outA)
-    _scatter_B(Bpair, inside, tris, 1.0, outB)
-
     has_out = cvset.face_outside >= 0
-    if np.any(has_out):
-        outside = cvset.face_outside[has_out]
-        _scatter_A(Apair[has_out], outside, dofcols[has_out], -1.0, outA)
-        _scatter_B(Bpair[has_out], outside, tris[has_out], -1.0, outB)
+    for sel, row_cv, sign in ((slice(None), cvset.face_inside, 1.0), (has_out, cvset.face_outside[has_out], -1.0)):
+        rows = _xy(row_cv)[:, None]
+        _append(outA, rows[..., None], dofs[sel][:, :, None], sign * Apair[sel])
+        _append(outB, rows, tris[sel][:, :, None], sign * Bpair[sel])
 
 
 def _mass_pairs(slots, normals, lengths):
@@ -269,21 +254,14 @@ def _mass_pairs(slots, normals, lengths):
 def _mass_entries(disc, cvset, outC):
     """Mass flux-balance entries: interior faces plus boundary segments."""
     eldofs = disc.element_velocity_dofs()
-
-    def scatter(pair, elements, row_cv, sign):
-        cols = (2 * eldofs[elements])[:, :, None] + np.arange(2)
-        outC[0].append(np.broadcast_to(row_cv[:, None, None], pair.shape).ravel())
-        outC[1].append(np.broadcast_to(cols, pair.shape).ravel())
-        outC[2].append(sign * pair.reshape(-1))
-
-    pair = _mass_pairs(cvset.face_slot, cvset.face_normal, cvset.face_length)
-    scatter(pair, cvset.face_element, cvset.face_inside, 1.0)
+    face = _mass_pairs(cvset.face_slot, cvset.face_normal, cvset.face_length)
     has_out = cvset.face_outside >= 0
-    if np.any(has_out):
-        scatter(pair[has_out], cvset.face_element[has_out], cvset.face_outside[has_out], -1.0)
-    if cvset.n_segments:
-        pair_s = _mass_pairs(cvset.seg_slot, cvset.seg_normal, cvset.seg_length)
-        scatter(pair_s, cvset.seg_element, cvset.seg_cv, 1.0)
+    for pair, elements, row_cv in (
+        (face, cvset.face_element, cvset.face_inside),
+        (-face[has_out], cvset.face_element[has_out], cvset.face_outside[has_out]),
+        (_mass_pairs(cvset.seg_slot, cvset.seg_normal, cvset.seg_length), cvset.seg_element, cvset.seg_cv),
+    ):
+        _append(outC, row_cv[:, None, None], _xy(eldofs[elements]), pair)
 
 
 def _fan_triangles(cvset):
@@ -299,8 +277,8 @@ def _fan_triangles(cvset):
     return np.concatenate(tris), np.concatenate(owners)
 
 
-def _integrate_over_cvs(cvset, func, n_components):
-    """Integral of a (vector) field over each control volume id."""
+def _integrate_over_cvs(cvset, func):
+    """Integral of a scalar or vector field over each control volume id."""
     tris, owners = _fan_triangles(cvset)
     rule = triangle_rule(SOURCE_QUAD_DEGREE)
     p0 = tris[:, 0]
@@ -314,77 +292,59 @@ def _integrate_over_cvs(cvset, func, n_components):
     )
     w = rule.weights[None, :] * det[:, None]
     vals = np.asarray(func(pts.reshape(-1, 2)), dtype=float)
-    if n_components == 1:
-        vals = vals.reshape(pts.shape[:2])
-        contrib = np.einsum("tq,tq->t", w, vals)
-        return np.bincount(owners, contrib, minlength=cvset.n_cvs)
-    vals = vals.reshape(pts.shape[:2] + (n_components,))
-    contrib = np.einsum("tq,tqk->tk", w, vals)
-    return np.stack(
-        [np.bincount(owners, contrib[:, k], minlength=cvset.n_cvs) for k in range(n_components)],
-        axis=1,
-    )
+    vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
+    out = np.zeros((cvset.n_cvs,) + vals.shape[2:])
+    np.add.at(out, owners, np.einsum("tq,tq...->t...", w, vals))
+    return out
 
 
 def _mass_source_integrals(cvset, problem) -> np.ndarray:
     """Integral of the mass source over each control volume; zeros without a source."""
     if problem.mass_source is None:
         return np.zeros(cvset.n_cvs)
-    return _integrate_over_cvs(cvset, problem.mass_source, 1)
+    return _integrate_over_cvs(cvset, problem.mass_source)
 
 
-def segment_tractions(disc, cvset, problem) -> np.ndarray:
-    """Integral of the traction data over each boundary segment, (S, 2).
+def _traction_hats():
+    """Vertex hats at the traction rule's points on each reference piece, (12, nq, 3)."""
+    t = segment_rule(NEUMANN_QUAD_DEGREE).points[:, None]
+    a, b = REFERENCE_PIECES[:, None, 0], REFERENCE_PIECES[:, None, 1]
+    return barycentric(a + t * (b - a))
 
-    Segments on Dirichlet boundaries get zero.
+
+_TRACTION_HATS = _traction_hats()
+
+
+def segment_tractions(disc, problem):
+    """Traction integrals over the boundary half-segments, zero on Dirichlet ones.
+
+    Every control-volume family shares the segments of `disc.pressure`.
+    Returns the plain integrals (S, 2) and the integrals against the three
+    vertex hats of each segment's element (S, 3, 2).
     """
-    out = np.zeros((cvset.n_segments, 2))
-    kinds = np.array(
-        [disc.mesh.markers[name] is BCKind.NEUMANN for name in cvset.marker_names]
-    )
-    neu = kinds[cvset.seg_marker]
-    if not np.any(neu):
-        return out
-    a = cvset.seg_a[neu]
-    b = cvset.seg_b[neu]
-    rule = segment_rule(NEUMANN_QUAD_DEGREE)
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    w = rule.weights[None, :] * cvset.seg_length[neu][:, None]
-    nn = np.broadcast_to(cvset.seg_normal[neu][:, None, :], pts.shape)
-    tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)), dtype=float)
-    out[neu] = np.einsum("sq,sqk->sk", w, tn.reshape(pts.shape))
-    return out
+    segs = disc.pressure
+    plain = np.zeros((segs.n_segments, 2))
+    hats = np.zeros((segs.n_segments, 3, 2))
+    kinds = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in segs.marker_names])
+    neu = kinds[segs.seg_marker]
+    if np.any(neu):
+        a = segs.seg_a[neu]
+        b = segs.seg_b[neu]
+        rule = segment_rule(NEUMANN_QUAD_DEGREE)
+        pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+        w = rule.weights[None, :] * segs.seg_length[neu][:, None]
+        nn = np.broadcast_to(segs.seg_normal[neu][:, None, :], pts.shape)
+        tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)), dtype=float)
+        tn = tn.reshape(pts.shape)
+        plain[neu] = np.einsum("sq,sqk->sk", w, tn)
+        hats[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[segs.seg_slot[neu]], tn)
+    return plain, hats
 
 
-def _neumann_galerkin_rhs(disc, problem, rhs_u):
-    """Traction data tested with the vertex hat traces (fem scheme)."""
-    mesh = disc.mesh
-    kinds = mesh.facet_kinds()
-    neu = np.array([k is BCKind.NEUMANN for k in kinds])
-    if not np.any(neu):
-        return
-    facets = mesh.boundary_facets[neu]
-    va = mesh.vertices[facets[:, 0]]
-    vb = mesh.vertices[facets[:, 1]]
-    d = vb - va
-    length = np.linalg.norm(d, axis=1)
-    normal = np.stack((d[:, 1], -d[:, 0]), axis=-1) / length[:, None]
-    rule = segment_rule(NEUMANN_QUAD_DEGREE)
-    pts = va[:, None, :] + rule.points[None, :, None] * d[:, None, :]
-    w = rule.weights[None, :] * length[:, None]
-    nn = np.broadcast_to(normal[:, None, :], pts.shape)
-    tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)), dtype=float)
-    tn = tn.reshape(pts.shape)
-    hat_a = 1.0 - rule.points
-    contrib_a = np.einsum("sq,q,sqk->sk", w, hat_a, tn)
-    contrib_b = np.einsum("sq,q,sqk->sk", w, rule.points, tn)
-    for verts, contrib in ((facets[:, 0], contrib_a), (facets[:, 1], contrib_b)):
-        np.add.at(rhs_u, 2 * verts, -contrib[:, 0])
-        np.add.at(rhs_u, 2 * verts + 1, -contrib[:, 1])
-
-
-def _galerkin_momentum(disc, problem, tests, outA, outB, rhs_u):
+def _galerkin_momentum(disc, problem, tests, outA, outB, load):
     """Galerkin momentum rows for the given local test functions (0..3).
+
+    Loads accumulate into `load`, one (x, y) pair per velocity location.
 
     The element matrices come from reference-element tensors, integrated
     once with the degree-6 rule and mapped by each element's inverse
@@ -429,30 +389,18 @@ def _galerkin_momentum(disc, problem, tests, outA, outB, rhs_u):
     Bpair = np.swapaxes(inv, 1, 2)[:, None] @ np.swapaxes(L, 1, 2)[None]     # [e, t, a, j]
     Bpair *= (-2.0 * el.areas)[:, None, None, None]
 
-    rows_t = eldofs[:, tests]           # (ne, T)
-    rows = (2 * rows_t)[:, :, None, None, None] + np.arange(2)[None, None, :, None, None]
-    cols = (2 * eldofs)[:, None, None, :, None] + np.arange(2)[None, None, None, None, :]
-    outA[0].append(np.broadcast_to(rows, Apair.shape).ravel())
-    outA[1].append(np.broadcast_to(cols, Apair.shape).ravel())
-    outA[2].append(Apair.reshape(-1))
-
-    rowsB = (2 * rows_t)[:, :, None, None] + np.arange(2)[None, None, :, None]
-    colsB = np.broadcast_to(
-        disc.mesh.triangles[:, None, None, :], Bpair.shape
-    )
-    outB[0].append(np.broadcast_to(rowsB, Bpair.shape).ravel())
-    outB[1].append(colsB.ravel())
-    outB[2].append(Bpair.reshape(-1))
+    rows = _xy(eldofs[:, tests])        # (ne, T, 2)
+    _append(outA, rows[..., None, None], _xy(eldofs)[:, None, None], Apair)
+    _append(outB, rows[..., None], disc.mesh.triangles[:, None, None], Bpair)
 
     wdet = w[None, :] * (2.0 * el.areas)[:, None]
     pts = el.coords[:, :1] + rule.points @ np.swapaxes(el.jacobians, 1, 2)
     fv = np.asarray(problem.body_force(pts.reshape(-1, 2)), dtype=float).reshape(ne, -1, 2)
     rhs_el = ev.values[:, tests].T @ (wdet[:, :, None] * fv)        # (ne, T, 2)
-    for ti, t in enumerate(tests):
-        np.add.at(rhs_u, 2 * eldofs[:, t], rhs_el[:, ti, 0])
-        np.add.at(rhs_u, 2 * eldofs[:, t] + 1, rhs_el[:, ti, 1])
+    np.add.at(load, eldofs[:, tests].T, rhs_el.swapaxes(0, 1))
     if min(tests) < 3:
-        _neumann_galerkin_rhs(disc, problem, rhs_u)
+        tris = disc.mesh.triangles[disc.pressure.seg_element]
+        np.subtract.at(load, tris, segment_tractions(disc, problem)[1])
 
 
 def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int | None = None) -> SaddleSystem:
@@ -468,64 +416,59 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     n_u = disc.n_velocity_locations
     n_p = disc.n_pressure_dofs
 
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigurationError(f"viscosity must be finite and positive, got {mu}")
     has_neumann = any(kind is BCKind.NEUMANN for kind in mesh.markers.values())
     if not has_neumann and pin_pressure is None:
         raise ConfigurationError(
             "all boundary markers are Dirichlet; the pressure is defined only up "
             "to a constant, pass pin_pressure to fix one pressure unknown"
         )
+    if pin_pressure is not None and not 0 <= pin_pressure < n_p:
+        raise ConfigurationError(f"pin_pressure index {pin_pressure} out of range")
 
     outA = ([], [], [])
     outB = ([], [], [])
     outC = ([], [], [])
     rhs_u = np.zeros(2 * n_u)
-    rhs_p = np.zeros(n_p)
+    load = rhs_u.reshape(n_u, 2)
 
     spec = disc.scheme.spec
     if spec.flux_momentum:
         vset = disc.velocity
         _flux_momentum_entries(disc, vset, mu, outA, outB)
-        load = _integrate_over_cvs(vset, problem.body_force, 2)
-        np.add.at(load, vset.seg_cv, -segment_tractions(disc, vset, problem))
-        rhs_u[: 2 * vset.n_cvs] = load.ravel()
+        load[: vset.n_cvs] += _integrate_over_cvs(vset, problem.body_force)
+        np.subtract.at(load, vset.seg_cv, segment_tractions(disc, problem)[0])
     if spec.galerkin_tests:
-        _galerkin_momentum(disc, problem, spec.galerkin_tests, outA, outB, rhs_u)
+        _galerkin_momentum(disc, problem, spec.galerkin_tests, outA, outB, load)
 
     _mass_entries(disc, disc.pressure, outC)
-    rhs_p[:] = _mass_source_integrals(disc.pressure, problem)
+    rhs_p = _mass_source_integrals(disc.pressure, problem)
 
-    # Dirichlet rows: identity on both components of marked vertices.
+    # Dirichlet rows become identity rows on both components of marked
+    # vertices; a pinned pressure's mass row becomes p_k = 0.
     dverts = mesh.dirichlet_vertices()
-    ddofs = np.stack((2 * dverts, 2 * dverts + 1), axis=1).ravel()
-    dmask = np.zeros(2 * n_u, dtype=bool)
-    dmask[ddofs] = True
+    ddofs = _xy(dverts).ravel()
+    drop_u = np.zeros(2 * n_u, dtype=bool)
+    drop_u[ddofs] = True
+    drop_p = np.zeros(n_p, dtype=bool)
+    if pin_pressure is not None:
+        drop_p[pin_pressure] = True
+        rhs_p[pin_pressure] = 0.0
+    if dverts.size:
+        load[dverts] = np.asarray(problem.dirichlet(mesh.vertices[dverts]), dtype=float)
 
-    def finalize(out, shape, drop_dirichlet_rows):
+    def finalize(out, shape, drop):
         rows, cols, vals = (np.concatenate(col) for col in out)
-        if drop_dirichlet_rows:
-            keep = ~dmask[rows]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        vals[drop[rows]] = 0.0
         M = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-        M.eliminate_zeros()    # entries that cancel exactly
+        M.eliminate_zeros()    # the dropped rows and entries that cancel exactly
         return M
 
-    A = finalize(outA, (2 * n_u, 2 * n_u), True)
-    B = finalize(outB, (2 * n_u, n_p), True)
+    A = finalize(outA, (2 * n_u, 2 * n_u), drop_u)
+    B = finalize(outB, (2 * n_u, n_p), drop_u)
     A = (A + sp.coo_matrix((np.ones(ddofs.size), (ddofs, ddofs)), shape=A.shape)).tocsr()
-    if dverts.size:
-        dvals = np.asarray(problem.dirichlet(mesh.vertices[dverts]), dtype=float)
-        rhs_u[ddofs] = dvals.reshape(-1)
-
-    if pin_pressure is not None:
-        if not 0 <= pin_pressure < n_p:
-            raise ConfigurationError(f"pin_pressure index {pin_pressure} out of range")
-        C = finalize(outC, (n_p, 2 * n_u), False).tolil()
-        C[pin_pressure, :] = 0.0
-        C = C.tocsr()
-        C.eliminate_zeros()
-        rhs_p[pin_pressure] = 0.0
-    else:
-        C = finalize(outC, (n_p, 2 * n_u), False)
+    C = finalize(outC, (n_p, 2 * n_u), drop_p)
 
     return SaddleSystem(
         A=A,

@@ -279,11 +279,11 @@ def gmres_solve(
     return SolveReport(x, m, float(rel), converged, np.asarray(history))
 
 
-def direct_solve(system: SaddleSystem, refine: int = 1) -> np.ndarray:
+def direct_solve(system: SaddleSystem) -> np.ndarray:
     """Sparse LU solve of the saddle-point system with its bubbles eliminated.
 
-    `refine` steps of iterative refinement, with residuals of the full
-    system, push the per-row backward error to the round-off of the
+    One step of iterative refinement, with the residual of the full
+    system, pushes the per-row backward error to the round-off of the
     residual evaluation itself, which matters when flux balances of the
     solution are inspected directly.
     """
@@ -292,6 +292,4 @@ def direct_solve(system: SaddleSystem, refine: int = 1) -> np.ndarray:
     bubbles = BubbleElimination.build(J, system.bubble_dofs)
     lu = splu(bubbles.condensed)
     x = bubbles.solve(lu.solve, b)
-    for _ in range(refine):
-        x += bubbles.solve(lu.solve, b - J @ x)
-    return x
+    return x + bubbles.solve(lu.solve, b - J @ x)

@@ -510,8 +510,8 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
-        np.add.at(res_u, vset.seg_cv, segment_tractions(disc, vset, problem))
-        res_u -= _integrate_over_cvs(vset, problem.body_force, 2)
+        np.add.at(res_u, vset.seg_cv, segment_tractions(disc, problem)[0])
+        res_u -= _integrate_over_cvs(vset, problem.body_force)
         audited[disc.mesh.dirichlet_vertices()] = False
         max_mom = float(np.abs(momf).max(initial=0.0))
 

@@ -267,6 +267,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_reports_truncated_mesh_file(tmp_path, capsys):
+    path = tmp_path / "cut.msh"
+    write_msh22(path, generate_structured(4, 4))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: lines.index("$Elements") + 4]) + "\n")
+    out = tmp_path / "out"
+    code = main(["--case", "custom-msh", "--mesh", str(path), "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("levels", ["0", "-2"])
 def test_main_rejects_fewer_than_one_level(tmp_path, capsys, levels):
     code = main(["--levels", levels, "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 """Structured mesh generation, validation, distortion, MSH parsing, stats."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -415,5 +416,74 @@ def test_msh_error_reports_line_number(tmp_path):
 def test_msh_empty_file(tmp_path):
     path = tmp_path / "empty.msh"
     path.write_text("")
-    with pytest.raises(MshParseError):
+    with pytest.raises(MshParseError, match=r"empty\.msh:1: expected \$MeshFormat"):
         read_msh(str(path))
+
+
+def _msh_lines(tmp_path):
+    path = tmp_path / "ok.msh"
+    write_msh22(path, generate_structured(2, 2))
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("section", ["$Nodes", "$Elements"])
+def test_msh_truncated_section_reports_end_of_file(tmp_path, section):
+    lines = _msh_lines(tmp_path)
+    kept = lines[: lines.index(section) + 4]     # header, count and two entries
+    path = tmp_path / "cut.msh"
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(MshParseError, match=rf"cut\.msh:{len(kept)}: unexpected end of file"):
+        read_msh(str(path))
+
+
+@pytest.mark.parametrize(
+    "section, offset, text, message",
+    [
+        ("$PhysicalNames", 1, "five", "malformed physical name count"),
+        ("$PhysicalNames", 2, '1 one "left"', "malformed physical name"),
+        ("$Nodes", 1, "nine", "malformed node count"),
+        ("$Nodes", 1, "-1", "malformed node count"),
+        ("$Nodes", 2, "1 zero 0 0", "malformed node line"),
+        ("$Nodes", 2, "1 0 0", "malformed node line"),
+        ("$Elements", 1, "many", "malformed element count"),
+        ("$Elements", 2, "1 line 2 1 1 1 2", "malformed element line"),
+    ],
+)
+def test_msh_non_numeric_fields_report_their_line(tmp_path, section, offset, text, message):
+    lines = _msh_lines(tmp_path)
+    k = lines.index(section) + offset
+    lines[k] = text
+    path = tmp_path / "bad.msh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MshParseError, match=rf"bad\.msh:{k + 1}: {message}"):
+        read_msh(str(path))
+
+
+def test_msh_drops_nodes_no_triangle_uses(tmp_path):
+    text = "\n".join(
+        [
+            "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+            "$Nodes", "4",
+            "9 5 5 0",          # a point node, listed first
+            "1 0 0 0", "2 1 0 0", "3 0 1 0",
+            "$EndNodes",
+            "$Elements", "5",
+            "1 15 2 3 3 9",
+            "2 1 2 7 1 1 2", "3 1 2 7 1 2 3", "4 1 2 7 1 3 1",
+            "5 2 2 1 1 1 2 3",
+            "$EndElements", "",
+        ]
+    )
+    path = tmp_path / "point.msh"
+    path.write_text(text)
+    mesh = read_msh(str(path))
+    assert np.array_equal(mesh.vertices, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(mesh.triangles, [[0, 1, 2]])
+    assert np.array_equal(np.sort(mesh.boundary_facets, axis=None), [0, 0, 1, 1, 2, 2])
+
+
+def test_validate_rejects_vertex_in_no_triangle():
+    mesh = single_triangle_mesh()
+    lonely = dataclasses.replace(mesh, vertices=np.vstack((mesh.vertices, [[2.0, 2.0]])))
+    with pytest.raises(MeshValidationError, match="vertex 3 belongs to no triangle"):
+        validate(lonely)

@@ -1,12 +1,14 @@
 """Flux evaluation and saddle-point assembly for the four schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
 from cvstokes import schemes
-from cvstokes.basis import barycentric, eval_physical, eval_reference, triangle_rule
+from cvstokes.basis import barycentric, eval_physical, eval_reference, segment_rule, triangle_rule
 from cvstokes.geometry import build, build_overlapping
 from cvstokes.mesh import BCKind, distort, generate_structured
 from cvstokes.schemes import (
@@ -19,7 +21,7 @@ from cvstokes.schemes import (
     face_fluxes,
     split_solution,
 )
-from cvstokes.verification import shear_flow_case
+from cvstokes.verification import donea_huerta_case, shear_flow_case
 
 SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
@@ -267,7 +269,7 @@ def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
     mu = 1.7
     outA, outB = ([], [], []), ([], [], [])
     problem = StokesProblem(viscosity=mu)
-    _galerkin_momentum(disc, problem, tests, outA, outB, np.zeros(2 * disc.n_velocity_locations))
+    _galerkin_momentum(disc, problem, tests, outA, outB, np.zeros((disc.n_velocity_locations, 2)))
     Apair, Bpair = _galerkin_oracle(disc, mu, tests)
     # One entry per (element, test, component, trial, component), in that order.
     for got, want in ((outA[2][0], Apair), (outB[2][0], Bpair)):
@@ -288,11 +290,12 @@ def _flux_momentum_entries_oracle(disc, cvset, mu, outA, outB):
     Apair = -mu * (term1[:, :, None, None] * np.eye(2)[None, None] + term2)
     Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
     tris = disc.mesh.triangles[e]
-    schemes._scatter_A(Apair, cvset.face_inside, dofcols, 1.0, outA)
-    schemes._scatter_B(Bpair, cvset.face_inside, tris, 1.0, outB)
     out = cvset.face_outside >= 0
-    schemes._scatter_A(Apair[out], cvset.face_outside[out], dofcols[out], -1.0, outA)
-    schemes._scatter_B(Bpair[out], cvset.face_outside[out], tris[out], -1.0, outB)
+    for sel, row_cv, sign in ((slice(None), cvset.face_inside, 1.0), (out, cvset.face_outside[out], -1.0)):
+        rows = (2 * row_cv)[:, None, None] + np.arange(2)
+        cols = (2 * dofcols[sel])[:, :, None] + np.arange(2)
+        schemes._append(outA, rows[..., None], cols[:, :, None], sign * Apair[sel])
+        schemes._append(outB, rows, tris[sel][:, :, None], sign * Bpair[sel])
 
 
 def _mass_entries_oracle(disc, cvset, outC):
@@ -311,9 +314,7 @@ def _mass_entries_oracle(disc, cvset, outC):
         vals, _, _ = basis_at(disc.elements, e[:, None], qpoints)
         pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
         cols = (2 * eldofs[e])[:, :, None] + np.arange(2)[None, None, :]
-        outC[0].append(np.broadcast_to(row_cv[:, None, None], pair.shape).ravel())
-        outC[1].append(np.broadcast_to(cols, pair.shape).ravel())
-        outC[2].append(sign * pair.reshape(-1))
+        schemes._append(outC, row_cv[:, None, None], cols, sign * pair)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -343,6 +344,87 @@ def test_assembled_blocks_store_no_zeros(scheme, pinned):
     for name in "ABC":
         M = getattr(system, name)
         assert np.count_nonzero(M.data) == M.nnz, name
+
+
+def _neumann_galerkin_rhs_oracle(disc, problem, rhs_u):
+    """Traction tested with the vertex hat traces, integrated over whole facets."""
+    mesh = disc.mesh
+    neu = np.array([k is BCKind.NEUMANN for k in mesh.facet_kinds()])
+    facets = mesh.boundary_facets[neu]
+    va = mesh.vertices[facets[:, 0]]
+    vb = mesh.vertices[facets[:, 1]]
+    d = vb - va
+    length = np.linalg.norm(d, axis=1)
+    normal = np.stack((d[:, 1], -d[:, 0]), axis=-1) / length[:, None]
+    rule = segment_rule(schemes.NEUMANN_QUAD_DEGREE)
+    pts = va[:, None, :] + rule.points[None, :, None] * d[:, None, :]
+    w = rule.weights[None, :] * length[:, None]
+    nn = np.broadcast_to(normal[:, None, :], pts.shape)
+    tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)), dtype=float)
+    tn = tn.reshape(pts.shape)
+    contrib_a = np.einsum("sq,q,sqk->sk", w, 1.0 - rule.points, tn)
+    contrib_b = np.einsum("sq,q,sqk->sk", w, rule.points, tn)
+    for verts, contrib in ((facets[:, 0], contrib_a), (facets[:, 1], contrib_b)):
+        np.add.at(rhs_u, 2 * verts, -contrib[:, 0])
+        np.add.at(rhs_u, 2 * verts + 1, -contrib[:, 1])
+
+
+def test_fem_traction_load_matches_whole_facet_oracle():
+    # Half-segment hat integrals against the whole-facet rule: both are
+    # exact to quadrature error for the smooth Donea-Huerta traction.
+    case = donea_huerta_case()
+    mesh = case.apply_bc(distort(generate_structured(20, 20), 0.2, seed=23))
+    disc = build(mesh, "fem")
+    problem = case.problem()
+    got = assemble(disc, problem).rhs_momentum
+    bare = assemble(disc, dataclasses.replace(problem, neumann=schemes._zero_traction))
+    want = bare.rhs_momentum.copy()
+    _neumann_galerkin_rhs_oracle(disc, problem, want)
+    want[bare.dirichlet_dofs] = bare.rhs_momentum[bare.dirichlet_dofs]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_fem_traction_load_is_exact_for_linear_traction():
+    # For a traction linear along a facet of length L from v to w, the
+    # hat of v takes L (2 t_v + t_w) / 6.
+    mesh = distort(generate_structured(8, 8), 0.2, seed=24).with_bc(MIXED)
+
+    def traction(p, n):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack((1.0 + 2.0 * x - y + 0.5 * n[..., 0], -0.5 + x + 3.0 * y), axis=-1)
+
+    system = assemble(build(mesh, "fem"), StokesProblem(viscosity=1.0, neumann=traction))
+    want = np.zeros((mesh.n_vertices + mesh.n_elements, 2))
+    for a, b in mesh.boundary_facets[mesh.facet_kinds() == BCKind.NEUMANN]:
+        d = mesh.vertices[b] - mesh.vertices[a]
+        length = np.linalg.norm(d)
+        n = np.array([d[1], -d[0]]) / length
+        ta, tb = traction(mesh.vertices[a], n), traction(mesh.vertices[b], n)
+        want[a] -= length * (2.0 * ta + tb) / 6.0
+        want[b] -= length * (2.0 * tb + ta) / 6.0
+    want[mesh.dirichlet_vertices()] = 0.0      # rows of the zero Dirichlet data
+    assert np.max(np.abs(system.rhs_momentum - want.ravel())) <= 1e-14
+
+
+def test_traction_hat_integrals_split_plain_integrals():
+    case = donea_huerta_case()
+    mesh = case.apply_bc(distort(generate_structured(10, 10), 0.2, seed=25))
+    disc = build(mesh, "overlapping")
+    plain, hats = schemes.segment_tractions(disc, case.problem())
+    scale = np.max(np.abs(plain))
+    assert scale > 0.0
+    assert np.max(np.abs(hats.sum(axis=1) - plain)) <= 1e-14 * scale
+    # The element vertex off the segment's edge has a zero hat there.
+    edge = (disc.pressure.seg_slot - 6) // 2
+    off = hats[np.arange(edge.size), (edge + 2) % 3]
+    assert np.max(np.abs(off)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("viscosity", [0.0, np.nan, np.inf, -1.0])
+def test_assemble_rejects_viscosity_not_finite_and_positive(viscosity):
+    mesh = generate_structured(3, 3).with_bc(MIXED)
+    with pytest.raises(ConfigurationError, match="viscosity"):
+        assemble(build(mesh, "fem"), StokesProblem(viscosity=viscosity))
 
 
 def test_fem_velocity_block_spd_on_free_dofs():
@@ -397,6 +479,10 @@ def test_all_dirichlet_needs_pressure_pin():
     assert np.isfinite(x).all()
     _, pres = split_solution(disc, x)
     assert abs(pres[0]) < 1e-12
+    assert system.C[0].nnz == 0
+    row = system.matrix()[system.n_velocity]
+    assert row.nnz == 1
+    assert row[0, system.n_velocity] == 1.0
     with pytest.raises(ConfigurationError):
         assemble(disc, problem, pin_pressure=disc.n_pressure_dofs + 3)
 

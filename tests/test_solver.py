@@ -232,15 +232,13 @@ def test_direct_solve_matches_spsolve():
             x = direct_solve(system)
             want = spla.spsolve(system.matrix().tocsc(), system.rhs())
             assert np.allclose(x, want, atol=1e-9 * max(1.0, np.max(np.abs(want)))), scheme
-            x0 = direct_solve(system, refine=0)
-            assert np.allclose(x0, want, atol=1e-9 * max(1.0, np.max(np.abs(want)))), scheme
 
 
 def test_direct_solve_refinement_tightens_residual():
     _, system = _small_system(n=10)
     b = system.rhs()
     scale = np.linalg.norm(b)
-    refined = system.residual(direct_solve(system, refine=1))
+    refined = system.residual(direct_solve(system))
     assert np.linalg.norm(refined) <= 1e-13 * scale
 
 
