@@ -1,0 +1,5 @@
+"""`python -m cvstokes`: the command-line driver of `cli_io`."""
+from .cli_io import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -274,6 +274,3 @@ def main(argv=None) -> int:
     print(format_report(report))
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -306,8 +306,9 @@ def read_msh(path: str) -> Mesh:
     tag; names from $PhysicalNames are used when present, otherwise the
     marker is called "tag<N>".  All markers default to Dirichlet.  Nodes
     that no triangle uses (such as point-element nodes) are dropped.  Binary
-    files, nonzero z coordinates, and malformed or truncated sections raise
-    MshParseError with the offending line number.
+    files, nonzero z coordinates, malformed or truncated sections and line
+    elements on a dropped node raise MshParseError with the offending line
+    number.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = handle.read().splitlines()
@@ -395,6 +396,7 @@ def read_msh(path: str) -> Mesh:
     triangles = []
     facets = []
     facet_tags = []
+    facet_lines = []
     for _ in range(n_elems):
         parts = ints("element line")
         if len(parts) < 3:
@@ -410,6 +412,7 @@ def read_msh(path: str) -> Mesh:
                 raise err(idx, "line element needs 2 nodes")
             facets.append(nodes)
             facet_tags.append(tags[0] if tags else 0)
+            facet_lines.append(idx)
         elif etype == 2:
             if len(nodes) != 3:
                 raise err(idx, "triangle element needs 3 nodes")
@@ -427,7 +430,13 @@ def read_msh(path: str) -> Mesh:
     renumber = np.full(n_nodes, -1, dtype=np.int64)
     renumber[used] = np.arange(used.size)
     coords = coords[used]
-    facets = renumber[np.array(facets, dtype=np.int64).reshape(-1, 2)]
+    facets = np.array(facets, dtype=np.int64).reshape(-1, 2)
+    orphans = np.flatnonzero(renumber[facets] < 0)
+    if orphans.size:
+        i, j = divmod(int(orphans[0]), 2)
+        node = next(nid for nid, k in node_ids.items() if k == facets[i, j])
+        raise err(facet_lines[i], f"line element references node {node}, which no triangle uses")
+    facets = renumber[facets]
     triangles, facets = _orient(coords, triangles.reshape(-1, 3), facets)
 
     tag_list = sorted(set(facet_tags))

@@ -1,9 +1,16 @@
 """Shared test fixtures: tiny meshes, an MSH exporter, acceptance reporting."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cvstokes.mesh import BCKind, Mesh, distort, generate_structured, validate
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Results of the acceptance-criteria tests, filled in by the `criterion`
 # fixture and printed as one line per criterion after the run.
@@ -71,3 +78,32 @@ def write_msh22(path, mesh, physical_names=True):
     lines.append("$EndElements")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+# A three-node triangle file with an extra line element `1 9` to a node that
+# no triangle uses; that element is on line ORPHAN_LINE_NO.
+ORPHAN_LINE_MSH = [
+    "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+    "$Nodes", "4",
+    "1 0 0 0", "2 1 0 0", "3 0 1 0", "9 5 5 0",
+    "$EndNodes",
+    "$Elements", "5",
+    "1 1 2 7 1 1 2", "2 1 2 7 1 2 3", "3 1 2 7 1 3 1",
+    "4 1 2 7 1 1 9",
+    "5 2 2 1 1 1 2 3",
+    "$EndElements",
+]
+ORPHAN_LINE_NO = ORPHAN_LINE_MSH.index("4 1 2 7 1 1 9") + 1
+
+
+def run_python(args, cwd):
+    """Run this interpreter with `src/` on PYTHONPATH, as an uninstalled user would."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )

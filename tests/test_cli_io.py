@@ -6,7 +6,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import random_distorted_mesh, write_msh22
+from conftest import (
+    ORPHAN_LINE_MSH,
+    ORPHAN_LINE_NO,
+    random_distorted_mesh,
+    run_python,
+    write_msh22,
+)
 from cvstokes.cli_io import (
     CSV_COLUMNS,
     RunConfig,
@@ -277,6 +283,25 @@ def test_main_reports_truncated_mesh_file(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_main_reports_line_element_on_unused_node(tmp_path, capsys):
+    path = tmp_path / "orphan.msh"
+    path.write_text("\n".join(ORPHAN_LINE_MSH) + "\n")
+    out = tmp_path / "out"
+    code = main(["--case", "custom-msh", "--mesh", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{ORPHAN_LINE_NO}: ")
+    assert "node 9" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    args = ["-W", "error", "-m", "cvstokes", "--levels", "1", "--out", str(tmp_path)]
+    proc = run_python(args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert [p.suffix for p in tmp_path.iterdir()] == [".csv"]
 
 
 @pytest.mark.parametrize("levels", ["0", "-2"])

@@ -1,13 +1,9 @@
 """The demo scripts run to completion from a clean directory and write their files."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from conftest import ROOT, run_python
+
 SCHEMES = ("non-overlapping", "overlapping", "hybrid", "fem")
 
 # Files each demo writes under demo_output/ in its working directory.
@@ -29,15 +25,7 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("demo", sorted(DEMO_FILES))
 def test_demo_runs_and_writes_its_files(demo, tmp_path):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_python([str(ROOT / "demos" / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     written = sorted(p.name for p in (tmp_path / "demo_output").glob("*"))
     assert written == sorted(DEMO_FILES[demo])

@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_distorted_mesh, single_triangle_mesh, write_msh22
+from conftest import (
+    ORPHAN_LINE_MSH,
+    ORPHAN_LINE_NO,
+    random_distorted_mesh,
+    single_triangle_mesh,
+    write_msh22,
+)
 from cvstokes.mesh import (
     BCKind,
     DistortionError,
@@ -480,6 +486,27 @@ def test_msh_drops_nodes_no_triangle_uses(tmp_path):
     assert np.array_equal(mesh.vertices, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(mesh.triangles, [[0, 1, 2]])
     assert np.array_equal(np.sort(mesh.boundary_facets, axis=None), [0, 0, 1, 1, 2, 2])
+
+
+def test_msh_rejects_line_element_on_node_no_triangle_uses(tmp_path):
+    path = tmp_path / "orphan.msh"
+    path.write_text("\n".join(ORPHAN_LINE_MSH) + "\n")
+    message = rf"orphan\.msh:{ORPHAN_LINE_NO}: line element references node 9, which no triangle"
+    with pytest.raises(MshParseError, match=message):
+        read_msh(str(path))
+
+
+def test_msh_orphan_line_element_reports_first_offender(tmp_path):
+    # The node id is the file's, not the reader's internal numbering, and
+    # the first offending line element is the one named.
+    lines = list(ORPHAN_LINE_MSH)
+    lines[lines.index("$Elements") + 1] = "6"
+    lines.insert(ORPHAN_LINE_NO - 1, "6 1 2 7 1 9 3")
+    path = tmp_path / "two.msh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MshParseError, match=rf"two\.msh:{ORPHAN_LINE_NO}: .* node 9,") as info:
+        read_msh(str(path))
+    assert "-1" not in str(info.value)
 
 
 def test_validate_rejects_vertex_in_no_triangle():

@@ -7,9 +7,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import random_distorted_mesh, single_triangle_mesh
+import cvstokes.solver as solver
+from conftest import random_distorted_mesh, single_triangle_mesh, write_msh22
 from cvstokes.geometry import build
-from cvstokes.mesh import BCKind, distort, generate_structured
+from cvstokes.mesh import BCKind, distort, generate_structured, read_msh
 from cvstokes.schemes import SaddleSystem, StokesProblem, assemble
 from cvstokes.solver import (
     BlockPreconditioner,
@@ -62,6 +63,26 @@ def _pinned_system(scheme, n=5, seed=22):
     case = donea_huerta_case()
     disc = build(random_distorted_mesh(seed, n=n), scheme)
     return disc, assemble(disc, case.problem(), pin_pressure=0)
+
+
+def _dh_system(scheme, n, viscosity=1.0, seed=31):
+    """Donea-Huerta on a 20 % distorted n x n mesh with the mixed boundary."""
+    case = donea_huerta_case(viscosity)
+    disc = build(case.apply_bc(distort(generate_structured(n, n), 0.2, seed=seed)), scheme)
+    return disc, assemble(disc, case.problem())
+
+
+def _capture_factors(monkeypatch):
+    """List that collects every factor made through `solver.splu`."""
+    factors = []
+    splu = solver.splu
+
+    def capture(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver, "splu", capture)
+    return factors
 
 
 class _FullLUPreconditioner:
@@ -303,30 +324,99 @@ def test_direct_solve_without_bubbles():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_condensed_preconditioner_keeps_iteration_counts(scheme):
-    case = donea_huerta_case()
-    mesh = case.apply_bc(distort(generate_structured(20, 20), 0.2, seed=31))
-    disc = build(mesh, scheme)
-    system = assemble(disc, case.problem())
-    S = assemble_pressure_mass(disc, 1.0)
-    x0 = random_initial_guess(disc, seed=9)
-    condensed = gmres_solve(system, BlockPreconditioner.build(system, S), x0)
-    full = gmres_solve(system, _FullLUPreconditioner(system, S), x0)
-    assert condensed.converged and full.converged
-    assert condensed.iterations == full.iterations
-    assert np.allclose(condensed.residual_history, full.residual_history, rtol=1e-6)
+    # The reference factors the whole velocity block with scipy's default
+    # ordering and partial pivoting.  At mu = 1e4 the two residual histories
+    # part by up to 1.1e-5 relative, with the default ordering on both
+    # sides as with the minimum-degree one; elsewhere they agree to 4e-11.
+    for viscosity in (1e-4, 1.0, 1e4):
+        disc, system = _dh_system(scheme, 20, viscosity)
+        S = assemble_pressure_mass(disc, viscosity)
+        x0 = random_initial_guess(disc, seed=9)
+        condensed = gmres_solve(system, BlockPreconditioner.build(system, S), x0)
+        full = gmres_solve(system, _FullLUPreconditioner(system, S), x0)
+        assert condensed.converged and full.converged
+        assert condensed.iterations == full.iterations, viscosity
+        rtol = 1e-6 if viscosity <= 1.0 else 1e-4
+        assert np.allclose(condensed.residual_history, full.residual_history, rtol=rtol)
 
 
+@pytest.mark.parametrize("viscosity", [1e-4, 1.0, 1e4])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_direct_solve_box_balances_all_schemes(scheme):
-    # At 40x40 an unrefined solve misses the bound (about 2e-12), so this
-    # also pins the refinement step with the full-system residual.
-    case = donea_huerta_case()
-    mesh = case.apply_bc(distort(generate_structured(40, 40), 0.2, seed=101))
-    disc = build(mesh, scheme)
-    problem = case.problem()
-    x = direct_solve(assemble(disc, problem))
+def test_every_factor_pivots_on_the_diagonal(scheme, viscosity, monkeypatch):
+    # A zero pivot threshold keeps every pivot on the diagonal chosen by the
+    # minimum-degree ordering, even where the condensed pressure diagonal is
+    # as small as h^2 / mu.
+    disc, system = _dh_system(scheme, 20, viscosity)
+    factors = _capture_factors(monkeypatch)
+    direct_solve(system)
+    precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, viscosity))
+    assert len(factors) == 3
+    assert factors[1] is precond.lu_A and factors[2] is precond.lu_S
+    for lu in factors:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "fem"])
+def test_direct_factor_fill_below_default_ordering(scheme, monkeypatch):
+    # About 0.6 at 40x40 and 0.42 at 128x128; scipy's default (COLAMD
+    # column ordering, partial pivoting) gives 1.
+    _, system = _dh_system(scheme, 40)
+    factors = _capture_factors(monkeypatch)
+    direct_solve(system)
+    default = spla.splu(BubbleElimination.build(system.matrix(), system.bubble_dofs).condensed)
+    assert factors[0].nnz <= 0.75 * default.nnz
+
+
+def _assert_balanced(disc, problem, system):
+    """Direct solve, then the 1e-12 box-mass and interior-momentum audit."""
+    x = direct_solve(system)
+    assert np.linalg.norm(system.residual(x)) <= 1e-12 * np.linalg.norm(system.rhs())
     audit = conservation_audit(disc, x, problem)
     assert np.max(np.abs(audit.mass_residuals)) <= 1e-12 * audit.max_mass_flux
+    momentum = np.linalg.norm(audit.momentum_residuals[audit.momentum_interior], axis=1)
+    assert (momentum.size > 0) == disc.scheme.spec.flux_momentum
+    assert np.max(momentum, initial=0.0) <= 1e-12 * audit.max_momentum_flux
+
+
+# mu = 1 on the mixed boundary keeps the bare scheme id it had before the
+# viscosity and boundary were parametrized.
+_BALANCE_CASES = [
+    pytest.param(
+        scheme, mu, pinned,
+        id=scheme if (mu, pinned) == (1.0, False)
+        else f"{scheme}-mu{mu:g}-{'pinned' if pinned else 'mixed'}",
+    )
+    for scheme in SCHEMES
+    for mu in (1e-4, 1.0, 1e4)
+    for pinned in (False, True)
+]
+
+
+@pytest.mark.parametrize("scheme, viscosity, pinned", _BALANCE_CASES)
+def test_direct_solve_box_balances_all_schemes(scheme, viscosity, pinned):
+    # At 40x40 an unrefined solve misses the bound (about 2e-12), so this
+    # also pins the refinement step with the full-system residual.  The
+    # diagonal pivots meet the bound at mu = 1e-4 and 1e4 too; the pinned
+    # case keeps the default all-Dirichlet markers and fixes pressure 0.
+    case = donea_huerta_case(viscosity)
+    mesh = distort(generate_structured(40, 40), 0.2, seed=101)
+    disc = build(mesh if pinned else case.apply_bc(mesh), scheme)
+    problem = case.problem()
+    _assert_balanced(disc, problem, assemble(disc, problem, pin_pressure=0 if pinned else None))
+
+
+@pytest.mark.parametrize("viscosity", [1e-4, 1e4])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_direct_solve_balances_on_distorted_msh_file(scheme, viscosity, tmp_path):
+    # A user mesh through read_msh, distorted by 38 % of the shortest edge
+    # (40 % degenerates triangles at this size): the smallest triangle has
+    # about 1 % of the largest one's area.
+    path = tmp_path / "distorted.msh"
+    write_msh22(path, distort(generate_structured(24, 24), 0.38, seed=4))
+    case = donea_huerta_case(viscosity)
+    disc = build(case.apply_bc(read_msh(str(path))), scheme)
+    problem = case.problem()
+    _assert_balanced(disc, problem, assemble(disc, problem))
 
 
 def test_gmres_breakdown_raises():
