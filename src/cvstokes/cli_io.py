@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GridDiscretization, SchemeKind
+from .mesh import DistortionError
 from .schemes import split_solution
 from .verification import CASES, ConvergenceReport, donea_huerta_case, run_convergence
 
@@ -152,7 +153,10 @@ def write_vtu(disc: GridDiscretization, solution: np.ndarray, path: str) -> None
 
 def write_cv_debug_vtu(disc: GridDiscretization, which: str, path: str) -> None:
     """Dump the sub-control-volume polygons of one CV family for inspection."""
-    cvset = {"pressure": disc.pressure, "velocity": disc.velocity}[which]
+    families = {"pressure": disc.pressure, "velocity": disc.velocity}
+    if which not in families:
+        raise ValueError(f"unknown control-volume family {which!r}; choose from {sorted(families)}")
+    cvset = families[which]
     nverts = cvset.scv_nverts
     points = cvset.scv_polys[np.arange(4) < nverts[:, None]]
     cells = [c.tolist() for c in np.split(np.arange(points.shape[0]), np.cumsum(nverts)[:-1])]
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
     )
     try:
         report = run(config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DistortionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_report(report))

@@ -23,9 +23,14 @@ normal pointing from the `inside` control volume to the `outside` one.
 Boundary pieces of control volumes are kept separately with their marker
 and the outward domain normal.
 
-Every face and boundary segment is the image of one of the twelve fixed
-segments of the reference triangle listed in `REFERENCE_PIECES`, and
-records which one in `face_slot` / `seg_slot`.
+Every piece is a tuple of ids into the seven local points of its
+triangle: ids 0-2 are the vertices X_k, ids 3-5 the edge midpoints
+M_k = (X_k + X_k+1) / 2 and id 6 the centroid C.  Faces and boundary
+segments are pairs of ids, the twelve slots of `_SLOTS`; evaluated at the
+reference triangle's local points they give `REFERENCE_PIECES`, and every
+face and segment records its slot in `face_slot` / `seg_slot`.  Each
+control-volume family is a few rows of `_FAMILIES` over these ids, and one
+builder gathers them element by element.
 """
 
 from __future__ import annotations
@@ -39,21 +44,42 @@ from .mesh import _TRIANGLE_EDGES, Mesh, _edge_keys
 
 _GAUSS2 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
-# The twelve reference pieces, as (a, b) endpoints on the reference
-# triangle V0=(0,0), V1=(1,0), V2=(0,1), with M_k the midpoint of edge
-# (V_k, V_k+1) and C the centroid:
-#   slots 0-2   box faces        M_k -> C
-#   slots 3-5   medial faces     M_k -> M_k+1
-#   slots 6-11  boundary halves  V_j -> M_j (6 + 2j) and M_j -> V_j+1 (7 + 2j)
-_V = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-_M = ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5))
-_C = (1.0 / 3.0, 1.0 / 3.0)
-REFERENCE_PIECES = np.array(
-    [(_M[k], _C) for k in range(3)]
-    + [(_M[k], _M[(k + 1) % 3]) for k in range(3)]
-    + [piece for j in range(3) for piece in ((_V[j], _M[j]), (_M[j], _V[(j + 1) % 3]))]
+# The twelve slots, as (a, b) pairs of local point ids.
+_SLOTS = np.array([
+    (3, 6), (4, 6), (5, 6),                          # 0-2   box faces        M_k -> C
+    (3, 4), (4, 5), (5, 3),                          # 3-5   medial faces     M_k -> M_k+1
+    (0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0),  # 6-11  boundary halves  X_j -> M_j -> X_j+1
+])
+
+
+def _local_points(coords: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The seven local points of each triangle, (ne, 7, 2): X_0-2, M_0-2, C."""
+    mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
+    return np.concatenate((coords, mids, centroids[:, None, :]), axis=1)
+
+
+_REFERENCE_TRIANGLE = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+REFERENCE_PIECES = _local_points(_REFERENCE_TRIANGLE, _REFERENCE_TRIANGLE.mean(axis=1))[0, _SLOTS]
+
+# A family is a list of groups, each laid out element-major.  A group holds
+# sub-volume rows (polygon, owner) and face rows (slot, inside, outside);
+# an owner is local vertex 0-2, the element's bubble or none, and a face's
+# normal points from inside to outside.  The flag says whether the bubble
+# volumes belong to the partition of the domain.
+_BUBBLE, _NONE = 3, 4
+_BOXES = (
+    (((0, 3, 6, 5), 0), ((1, 4, 6, 3), 1), ((2, 5, 6, 4), 2)),
+    ((0, 0, 1), (1, 1, 2), (2, 2, 0)),
 )
-_BOX_SLOT, _MEDIAL_SLOT, _BOUNDARY_SLOT = 0, 3, 6
+_CORNERS = ((((0, 3, 5), 0), ((1, 4, 3), 1), ((2, 5, 4), 2)), ())
+# Medial face k cuts off corner k + 1, which receives its flux or not.
+_MEDIAL_TO_CORNERS = ((((3, 4, 5), _BUBBLE),), ((3, _BUBBLE, 1), (4, _BUBBLE, 2), (5, _BUBBLE, 0)))
+_MEDIAL_OPEN = ((((3, 4, 5), _BUBBLE),), ((3, _BUBBLE, _NONE), (4, _BUBBLE, _NONE), (5, _BUBBLE, _NONE)))
+_FAMILIES = {
+    "boxes": ((_BOXES,), True),
+    "non-overlapping": ((_CORNERS, _MEDIAL_TO_CORNERS), True),
+    "overlapping": ((_BOXES, _MEDIAL_OPEN), False),
+}
 
 
 class SchemeKind(enum.Enum):
@@ -228,161 +254,90 @@ class ControlVolumeSet:
         return vol
 
 
-def _pad_tris(polys3: np.ndarray) -> np.ndarray:
-    return np.concatenate((polys3, polys3[:, -1:, :]), axis=1)
+def _pieces(kind: str, points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> dict:
+    """`ControlVolumeSet` fields of the slot pieces `slots` of `elements`.
+
+    `kind` is the field prefix, "face" or "seg"; normals are the unit
+    vectors to the right of a -> b.
+    """
+    a = _take(points, elements, _SLOTS[slots, 0])
+    b = _take(points, elements, _SLOTS[slots, 1])
+    d = b - a
+    lengths = np.linalg.norm(d, axis=1)
+    qpoints, qweights = _segment_quad(a, b)
+    fields = dict(element=elements, slot=slots, a=a, b=b, normal=_rot_minus90(d) / lengths[:, None],
+                  length=lengths, qpoints=qpoints, qweights=qweights)
+    return {f"{kind}_{name}": value for name, value in fields.items()}
 
 
-def _boundary_segments(mesh: Mesh):
+def _boundary_segments(mesh: Mesh, points: np.ndarray) -> dict:
     """Split every boundary facet at its midpoint into two CV pieces."""
     facets = mesh.boundary_facets
-    # Owner of facet (a, b): the triangle whose edge runs from a to b.
+    # Owner of facet (a, b): the triangle whose edge j runs from a to b.
     _, directed = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], mesh.n_vertices)
     _, facet_directed = _edge_keys(facets, mesh.n_vertices)
     order = np.argsort(directed, axis=None)
     owner, edge = np.divmod(order[np.searchsorted(directed.ravel(), facet_directed, sorter=order)], 3)
-    va = mesh.vertices[facets[:, 0]]
-    vb = mesh.vertices[facets[:, 1]]
-    mid = 0.5 * (va + vb)
-    pa = np.stack((va, mid), axis=1).reshape(-1, 2)
-    pb = np.stack((mid, vb), axis=1).reshape(-1, 2)
-    d = pb - pa
-    lengths = np.linalg.norm(d, axis=1)
-    qpoints, qweights = _segment_quad(pa, pb)
+    slots = (6 + 2 * edge[:, None] + np.arange(2)).ravel()
     return dict(
         seg_cv=facets.reshape(-1),
-        seg_element=np.repeat(owner, 2),
-        seg_slot=(_BOUNDARY_SLOT + 2 * edge[:, None] + np.arange(2)).ravel(),
-        seg_a=pa,
-        seg_b=pb,
-        seg_normal=_rot_minus90(d) / lengths[:, None],
-        seg_length=lengths,
-        seg_qpoints=qpoints,
-        seg_qweights=qweights,
         seg_marker=np.repeat(mesh.facet_markers, 2),
+        **_pieces("seg", points, np.repeat(owner, 2), slots),
     )
 
 
-def _box_pieces(mesh: Mesh, eldata: ElementData):
-    """Sub-volumes and interior faces of the vertex boxes."""
-    ne = mesh.n_elements
-    X = eldata.coords
-    C = eldata.centroids
-    M = 0.5 * (X + np.roll(X, -1, axis=1))   # M[:, k] = midpoint of edge (k, k+1)
-    Mprev = np.roll(M, 1, axis=1)
-    T = mesh.triangles
-
-    Cb = np.broadcast_to(C[:, None, :], X.shape)
-    polys = np.stack((X, M, Cb, Mprev), axis=2).reshape(-1, 4, 2)
-    scv_cv = T.reshape(-1).astype(np.int64)
-    volumes = _polygon_areas(polys)
-
-    face_a = M.reshape(-1, 2)
-    face_b = np.repeat(C, 3, axis=0)
-    d = face_b - face_a
-    lengths = np.linalg.norm(d, axis=1)
-    normals = _rot_minus90(d) / lengths[:, None]
-    inside = T.reshape(-1).astype(np.int64)
-    outside = np.roll(T, -1, axis=1).reshape(-1).astype(np.int64)
-    elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
-    slot = np.tile(_BOX_SLOT + np.arange(3), ne)
-    return (polys, scv_cv, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
+def _take(table: np.ndarray, elements: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """`table[elements, local]` for a per-element table, as one flat take."""
+    return table.reshape(-1, *table.shape[2:]).take(table.shape[1] * elements + local, axis=0)
 
 
-def _medial_pieces(mesh: Mesh, eldata: ElementData, outside_kind: str):
-    """Medial-triangle bubble volumes and their three faces per element.
+def _layout(groups, part: int, ne: int):
+    """The rows of one kind (0 sub-volumes, 1 faces) of a family's groups.
 
-    outside_kind "vertex" routes each face flux into the opposite corner's
-    vertex balance (non-overlapping); "none" leaves the outside empty
-    (overlapping).
+    Also returns the element and the row of every entry; entries run group
+    by group, element-major within a group.
     """
-    ne = mesh.n_elements
-    nv = mesh.n_vertices
-    X = eldata.coords
-    M = 0.5 * (X + np.roll(X, -1, axis=1))
-    T = mesh.triangles
-
-    polys = _pad_tris(M)
-    scv_cv = nv + np.arange(ne, dtype=np.int64)
-    volumes = _polygon_areas(polys)
-
-    Mnext = np.roll(M, -1, axis=1)
-    face_a = M.reshape(-1, 2)
-    face_b = Mnext.reshape(-1, 2)
-    d = face_b - face_a
-    lengths = np.linalg.norm(d, axis=1)
-    normals = _rot_minus90(d) / lengths[:, None]
-    inside = np.repeat(scv_cv, 3)
-    if outside_kind == "vertex":
-        # face k runs from midpoint k to midpoint k+1 and cuts off vertex k+1
-        outside = np.roll(T, -1, axis=1).reshape(-1).astype(np.int64)
-    else:
-        outside = np.full(3 * ne, -1, dtype=np.int64)
-    elem = np.repeat(np.arange(ne, dtype=np.int64), 3)
-    slot = np.tile(_MEDIAL_SLOT + np.arange(3), ne)
-    return (polys, scv_cv, volumes), (face_a, face_b, normals, lengths, inside, outside, elem, slot)
+    rows, elements, index = [], [], []
+    for group in groups:
+        n = len(group[part])
+        elements.append(np.repeat(np.arange(ne), n))
+        index.append(np.tile(np.arange(len(rows), len(rows) + n), ne))
+        rows += group[part]
+    return rows, np.concatenate(elements), np.concatenate(index)
 
 
-def _corner_pieces(mesh: Mesh, eldata: ElementData):
-    """Corner-triangle sub-volumes of the non-overlapping vertex volumes."""
-    X = eldata.coords
-    M = 0.5 * (X + np.roll(X, -1, axis=1))
-    Mprev = np.roll(M, 1, axis=1)
-    polys = _pad_tris(np.stack((X, M, Mprev), axis=2).reshape(-1, 3, 2))
-    scv_cv = mesh.triangles.reshape(-1).astype(np.int64)
-    volumes = _polygon_areas(polys)
-    return polys, scv_cv, volumes
+def _build_family(family: str, mesh: Mesh, eldata=None, points=None, segments=None) -> ControlVolumeSet:
+    """One control-volume family of `_FAMILIES`: "boxes", "non-overlapping" or "overlapping"."""
+    eldata = eldata or element_data(mesh)
+    points = _local_points(eldata.coords, eldata.centroids) if points is None else points
+    segments = segments or _boundary_segments(mesh, points)
+    groups, bubbles_tile = _FAMILIES[family]
+    ne, nv = mesh.n_elements, mesh.n_vertices
+    # Owner ids per element, by local owner: the vertices, the bubble, none.
+    owners = np.column_stack((mesh.triangles, nv + np.arange(ne), np.full(ne, -1))).astype(np.int64)
 
+    cells, cell_element, cell_row = _layout(groups, 0, ne)
+    polygons, cell_owner = zip(*cells)
+    padded = np.array([p + p[-1:] * (4 - len(p)) for p in polygons])
+    scv_polys = _take(points, cell_element[:, None], padded[cell_row])
+    scv_cv = _take(owners, cell_element, np.array(cell_owner)[cell_row])
+    bubbles = ne if np.any(scv_cv >= nv) else 0
 
-def _assemble_set(mesh, dof_locations, partition, scvs, faces, segments) -> ControlVolumeSet:
-    polys, scv_cv, volumes = (np.concatenate(col) for col in zip(*scvs))
-    nverts = np.concatenate(
-        [np.full(s[0].shape[0], 3 if np.array_equal(s[0][:, 2], s[0][:, 3]) else 4, dtype=np.int64) for s in scvs]
-    )
-    face_a, face_b, face_n, face_l, face_in, face_out, face_e, face_s = (
-        np.concatenate(col) for col in zip(*faces)
-    )
-    qpts, qwts = _segment_quad(face_a, face_b)
+    walls, face_element, face_row = _layout(groups, 1, ne)
+    slot, inside, outside = (np.array(column)[face_row] for column in zip(*walls))
     return ControlVolumeSet(
-        dof_locations=dof_locations,
-        partition=partition,
+        dof_locations=np.vstack((mesh.vertices, eldata.centroids[:bubbles])),
+        partition=np.repeat((True, bubbles_tile), (nv, bubbles)),
         scv_cv=scv_cv,
-        scv_nverts=nverts,
-        scv_polys=polys,
-        scv_volumes=volumes,
-        face_element=face_e,
-        face_slot=face_s,
-        face_inside=face_in,
-        face_outside=face_out,
-        face_a=face_a,
-        face_b=face_b,
-        face_normal=face_n,
-        face_length=face_l,
-        face_qpoints=qpts,
-        face_qweights=qwts,
+        scv_nverts=np.array([len(p) for p in polygons])[cell_row],
+        scv_polys=scv_polys,
+        scv_volumes=_polygon_areas(scv_polys),
+        face_inside=_take(owners, face_element, inside),
+        face_outside=_take(owners, face_element, outside),
         marker_names=mesh.marker_names,
+        **_pieces("face", points, face_element, slot),
         **segments,
     )
-
-
-def _build_family(family: str, mesh: Mesh, eldata=None, segments=None) -> ControlVolumeSet:
-    """One control-volume family: "boxes", "non-overlapping" or "overlapping"."""
-    eldata = eldata or element_data(mesh)
-    segments = segments or _boundary_segments(mesh)
-    nv = mesh.n_vertices
-    if family == "boxes":
-        box_scv, box_faces = _box_pieces(mesh, eldata)
-        return _assemble_set(mesh, mesh.vertices, np.ones(nv, dtype=bool), [box_scv], [box_faces], segments)
-    dofs = np.vstack((mesh.vertices, eldata.centroids))
-    partition = np.ones(nv + mesh.n_elements, dtype=bool)
-    if family == "non-overlapping":
-        medial_scv, medial_faces = _medial_pieces(mesh, eldata, "vertex")
-        scvs, faces = [_corner_pieces(mesh, eldata), medial_scv], [medial_faces]
-    else:
-        box_scv, box_faces = _box_pieces(mesh, eldata)
-        medial_scv, medial_faces = _medial_pieces(mesh, eldata, "none")
-        scvs, faces = [box_scv, medial_scv], [box_faces, medial_faces]
-        partition[nv:] = False
-    return _assemble_set(mesh, dofs, partition, scvs, faces, segments)
 
 
 def build_boxes(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
@@ -436,13 +391,15 @@ class GridDiscretization:
 def build(mesh: Mesh, scheme) -> GridDiscretization:
     """Build the control-volume discretization for a scheme.
 
-    Element data and boundary segments are computed once and shared; when
-    the scheme's velocity volumes are the boxes, `velocity` is `pressure`.
+    Element data, local points and boundary segments are computed once and
+    shared; when the scheme's velocity volumes are the boxes, `velocity` is
+    `pressure`.
     """
     scheme = SchemeKind.parse(scheme)
     eldata = element_data(mesh)
-    segments = _boundary_segments(mesh)
-    pressure = _build_family("boxes", mesh, eldata, segments)
+    points = _local_points(eldata.coords, eldata.centroids)
+    segments = _boundary_segments(mesh, points)
+    pressure = _build_family("boxes", mesh, eldata, points, segments)
     family = scheme.spec.velocity_cvs
-    velocity = pressure if family == "boxes" else _build_family(family, mesh, eldata, segments)
+    velocity = pressure if family == "boxes" else _build_family(family, mesh, eldata, points, segments)
     return GridDiscretization(mesh, scheme, eldata, pressure, velocity)

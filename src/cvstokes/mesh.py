@@ -78,6 +78,7 @@ class Mesh:
         unknown = set(markers) - set(self.marker_names)
         if unknown:
             raise ValueError(f"unknown marker names: {sorted(unknown)}")
+        _check_bc_kinds(markers)
         merged = dict(self.markers)
         merged.update(markers)
         return replace(self, markers=merged)
@@ -95,6 +96,12 @@ class Mesh:
 
     def boundary_vertices(self) -> np.ndarray:
         return np.unique(self.boundary_facets)
+
+
+def _check_bc_kinds(markers: dict) -> None:
+    for name, kind in markers.items():
+        if not isinstance(kind, BCKind):
+            raise MeshValidationError(f"marker {name!r} has boundary kind {kind!r}, not a BCKind")
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -174,6 +181,7 @@ def validate(mesh: Mesh) -> None:
     for name in mesh.marker_names:
         if name not in mesh.markers:
             raise MeshValidationError(f"marker {name!r} has no boundary-condition kind")
+    _check_bc_kinds(mesh.markers)
 
     # Facet orientation must be counterclockwise in the owning triangle.
     against = ~np.isin(facet_directed, directed)

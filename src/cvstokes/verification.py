@@ -535,7 +535,10 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     """
     vel, pres = split_solution(disc, solution)
     pset = disc.pressure
-    ids = np.asarray(box_ids, dtype=np.int64)
+    ids = np.asarray(box_ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"box ids must be integers, not {ids.dtype}")
+    ids = ids.astype(np.int64)
     if np.any((ids < 0) | (ids >= pset.n_cvs)):
         raise ValueError(f"box ids must lie in [0, {pset.n_cvs})")
     sel = np.zeros(pset.n_cvs, dtype=bool)

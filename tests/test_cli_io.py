@@ -145,6 +145,14 @@ def test_write_cv_debug_vtu(tmp_path, which):
     assert np.array_equal(ids, cvset.scv_cv)
 
 
+def test_write_cv_debug_vtu_rejects_unknown_family(tmp_path):
+    disc = build(generate_structured(2, 2), "overlapping")
+    path = tmp_path / "bubbles.vtu"
+    with pytest.raises(ValueError, match="'pressure', 'velocity'"):
+        write_cv_debug_vtu(disc, "bubbles", str(path))
+    assert not path.exists()
+
+
 def test_run_writes_outputs(tmp_path):
     config = RunConfig(
         case="donea-huerta",
@@ -294,6 +302,15 @@ def test_main_reports_line_element_on_unused_node(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{ORPHAN_LINE_NO}: ")
     assert "node 9" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_main_reports_degenerate_distortion(tmp_path, capsys):
+    # Every distortion seed degenerates a triangle of the 20 x 20 level.
+    code = main(["--levels", "2", "--distortion", "0.45", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: distortion with fraction 0.45")
     assert not list(tmp_path.rglob("*.csv"))
 
 

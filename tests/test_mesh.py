@@ -75,6 +75,10 @@ def test_with_bc_override():
     assert mesh.markers["right"] is BCKind.DIRICHLET
     with pytest.raises(ValueError):
         mesh.with_bc({"nose": BCKind.NEUMANN})
+    # A string kind would leave "right" neither Dirichlet nor Neumann, so
+    # its traction would silently never be applied.
+    with pytest.raises(ValueError, match="marker 'right' has boundary kind 'neumann', not a BCKind"):
+        mesh.with_bc({"left": BCKind.DIRICHLET, "right": "neumann", "top": BCKind.NEUMANN})
 
 
 def test_dirichlet_vertices_mixed_layout():
@@ -157,11 +161,15 @@ def test_validate_messages_name_the_failure():
         # (0, 11) has the integer key 0 * 9 + 11 of the boundary edge (1, 2), but 11 is no vertex.
         (_with_facets(grid, [facets[0], [0, 11]] + facets[2:]), "facet (0, 11) is not a boundary edge"),
         (_with_facets(grid, [facets[0], [-1, 2]] + facets[2:]), "facet (-1, 2) is not a boundary edge"),
+        (dataclasses.replace(grid, markers={**grid.markers, "top": "neumann"}),
+         "marker 'top' has boundary kind 'neumann', not a BCKind"),
     ]
     for mesh, message in cases:
         with pytest.raises(MeshValidationError) as info:
             validate(mesh)
         assert str(info.value) == message
+    with pytest.raises(MeshValidationError, match="marker 'top' has boundary kind None"):
+        generate_structured(2, 2, markers={"top": None})
 
 
 def test_edge_keys_do_not_wrap_for_int32_ids():

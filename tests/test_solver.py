@@ -328,6 +328,9 @@ def test_condensed_preconditioner_keeps_iteration_counts(scheme):
     # ordering and partial pivoting.  At mu = 1e4 the two residual histories
     # part by up to 1.1e-5 relative, with the default ordering on both
     # sides as with the minimum-degree one; elsewhere they agree to 4e-11.
+    # The counts are also viscosity-robust: at most 45 (criterion 3's bound)
+    # and within 5 of each other across the three viscosities.
+    counts = []
     for viscosity in (1e-4, 1.0, 1e4):
         disc, system = _dh_system(scheme, 20, viscosity)
         S = assemble_pressure_mass(disc, viscosity)
@@ -338,6 +341,8 @@ def test_condensed_preconditioner_keeps_iteration_counts(scheme):
         assert condensed.iterations == full.iterations, viscosity
         rtol = 1e-6 if viscosity <= 1.0 else 1e-4
         assert np.allclose(condensed.residual_history, full.residual_history, rtol=rtol)
+        counts.append(condensed.iterations)
+    assert max(counts) <= 45 and max(counts) - min(counts) <= 5, counts
 
 
 @pytest.mark.parametrize("viscosity", [1e-4, 1.0, 1e4])

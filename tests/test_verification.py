@@ -474,6 +474,16 @@ def test_region_mass_balance_rejects_ids_outside_the_boxes():
         with pytest.raises(ValueError):
             region_mass_balance(disc, x, problem, ids)
     region_mass_balance(disc, x, problem, [0, n_p - 1])
+    # Non-integer ids must not be cast: 1.5 would audit box 1, and a
+    # boolean mask boxes 0 and 1.
+    mask = np.zeros(n_p, dtype=bool)
+    mask[[0, 1]] = True
+    for ids in ([1.5], mask, np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="integers"):
+            region_mass_balance(disc, x, problem, ids)
+    assert region_mass_balance(disc, x, problem, np.array([0, 1], dtype=np.uint8)) == region_mass_balance(
+        disc, x, problem, [0, 1]
+    )
 
 
 def test_momentum_audited_mask_per_scheme():
