@@ -30,7 +30,8 @@ segments are pairs of ids, the twelve slots of `_SLOTS`; evaluated at the
 reference triangle's local points they give `REFERENCE_PIECES`, and every
 face and segment records its slot in `face_slot` / `seg_slot`.  Each
 control-volume family is a few rows of `_FAMILIES` over these ids, and one
-builder gathers them element by element.
+builder gathers them element by element, recording each sub-volume's
+element and its polygon in `REFERENCE_CELLS` in `scv_element` / `scv_row`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def _local_points(coords: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 _REFERENCE_TRIANGLE = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-REFERENCE_PIECES = _local_points(_REFERENCE_TRIANGLE, _REFERENCE_TRIANGLE.mean(axis=1))[0, _SLOTS]
+_REFERENCE_POINTS = _local_points(_REFERENCE_TRIANGLE, _REFERENCE_TRIANGLE.mean(axis=1))[0]
+REFERENCE_PIECES = _REFERENCE_POINTS[_SLOTS]
 
 # A family is a list of groups, each laid out element-major.  A group holds
 # sub-volume rows (polygon, owner) and face rows (slot, inside, outside);
@@ -80,6 +82,9 @@ _FAMILIES = {
     "non-overlapping": ((_CORNERS, _MEDIAL_TO_CORNERS), True),
     "overlapping": ((_BOXES, _MEDIAL_OPEN), False),
 }
+# Each family's sub-volume polygons in the reference triangle, indexed by `scv_row`.
+REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(polygon)] for group in groups for polygon, _ in group[0]]
+                   for family, (groups, _) in _FAMILIES.items()}
 
 
 class SchemeKind(enum.Enum):
@@ -169,10 +174,9 @@ def to_reference(eldata: ElementData, elements: np.ndarray, points: np.ndarray) 
     `elements` and `points` broadcast along the leading axes; points has
     shape (..., 2) and elements indexes its leading dimension.
     """
-    origin = eldata.coords[elements, 0]
     inv = eldata.inv_jacobians[elements]
-    d = points - origin
-    return np.einsum("...ik,...k->...i", inv, d)
+    d = points - eldata.coords[elements, 0]
+    return inv[..., 0] * d[..., :1] + inv[..., 1] * d[..., 1:]
 
 
 def _rot_minus90(d: np.ndarray) -> np.ndarray:
@@ -207,9 +211,12 @@ class ControlVolumeSet:
     to their length.
     """
 
+    family: str                 # key of REFERENCE_CELLS
     dof_locations: np.ndarray   # (n_cvs, 2)
     partition: np.ndarray       # (n_cvs,) bool
     scv_cv: np.ndarray
+    scv_element: np.ndarray
+    scv_row: np.ndarray         # index into REFERENCE_CELLS[family]
     scv_nverts: np.ndarray
     scv_polys: np.ndarray       # (m, 4, 2), padded by repeating the last vertex
     scv_volumes: np.ndarray
@@ -326,9 +333,12 @@ def _build_family(family: str, mesh: Mesh, eldata=None, points=None, segments=No
     walls, face_element, face_row = _layout(groups, 1, ne)
     slot, inside, outside = (np.array(column)[face_row] for column in zip(*walls))
     return ControlVolumeSet(
+        family=family,
         dof_locations=np.vstack((mesh.vertices, eldata.centroids[:bubbles])),
         partition=np.repeat((True, bubbles_tile), (nv, bubbles)),
         scv_cv=scv_cv,
+        scv_element=cell_element,
+        scv_row=cell_row,
         scv_nverts=np.array([len(p) for p in polygons])[cell_row],
         scv_polys=scv_polys,
         scv_volumes=_polygon_areas(scv_polys),

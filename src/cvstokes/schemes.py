@@ -26,7 +26,10 @@ basis values, reference gradients and pressure hats over it are
 constants, computed once with the two-point Gauss rule, which is exact
 for the cubic basis.  A flux-balance entry is such an average (gradients
 mapped by the element's inverse Jacobian) times the face's normal times
-its length.
+its length.  Volume integrals (the sources over control volumes, the
+Galerkin load) map a fixed reference rule, the degree-6 rule on the fan
+triangles of `geometry.REFERENCE_CELLS` or on the whole element, by each
+element's X0 + J xi and evaluate it `_BLOCK` elements at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import scipy.sparse as sp
 
 from .basis import _eval_unchecked, barycentric, segment_rule, triangle_rule
 from .geometry import (
+    REFERENCE_CELLS,
     REFERENCE_PIECES,
     ControlVolumeSet,
     ElementData,
@@ -49,6 +53,8 @@ from .mesh import BCKind
 
 SOURCE_QUAD_DEGREE = 6
 NEUMANN_QUAD_DEGREE = 5
+# Elements or faces per block of the volume and face kernels.
+_BLOCK = 512
 
 
 class ConfigurationError(ValueError):
@@ -110,52 +116,52 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
-def _faces(cvset: ControlVolumeSet):
-    """Element, quadrature points and weights, unit normal of every face."""
-    return cvset.face_element, cvset.face_qpoints, cvset.face_qweights, cvset.face_normal
+def _pieces(cvset: ControlVolumeSet, kind: str, which=slice(None)):
+    """Element, quadrature points and weights, unit normal of the faces ("face")
+    or boundary segments ("seg", outward normals) `which`."""
+    return tuple(getattr(cvset, f"{kind}_{name}")[which] for name in ("element", "qpoints", "qweights", "normal"))
 
 
-def _segments(cvset: ControlVolumeSet):
-    """Like `_faces`, for the boundary segments (outward normals)."""
-    return cvset.seg_element, cvset.seg_qpoints, cvset.seg_qweights, cvset.seg_normal
+def _piece_blocks(disc, pieces):
+    """Per block of `_BLOCK` pieces: slice, elements, weights (B, 1, nq), reference points, normals (B, 2, 1)."""
+    elements, qpoints, qweights, normals = pieces
+    for sl in _blocks(elements.shape[0]):
+        e = elements[sl]
+        yield sl, e, qweights[sl, None], to_reference(disc.elements, e[:, None], qpoints[sl]), normals[sl, :, None]
 
 
 def _mass_fluxes(disc, pieces, velocity):
-    """Volume flux of v_h through pieces, (F,).
-
-    Each piece lies in one element and carries a quadrature rule along it
-    and a unit normal, as returned by `_faces` or `_segments`.
-    """
-    elements, qpoints, qweights, normals = pieces
-    coeff = velocity[disc.element_velocity_dofs()[elements]]         # (F, 4, 2)
-    vals = _eval_unchecked(to_reference(disc.elements, elements[:, None], qpoints)).values
-    v = np.einsum("fqb,fbk->fqk", vals, coeff)
-    return np.einsum("fq,fqk,fk->f", qweights, v, normals)
+    """Volume flux of v_h through pieces, (F,): each lies in one element and
+    carries a quadrature rule along it and a unit normal, as from `_pieces`."""
+    eldofs = disc.element_velocity_dofs()
+    out = np.empty(pieces[0].shape[0])
+    for sl, e, w, ref, n in _piece_blocks(disc, pieces):
+        out[sl] = ((w @ _eval_unchecked(ref).values) @ (velocity[eldofs[e]] @ n))[:, 0, 0]
+    return out
 
 
 def _momentum_fluxes(disc, pieces, viscosity, velocity, pressure):
-    """Momentum flux of (-2 mu D(v_h) + p_h I) through pieces, (F, 2)."""
-    elements, qpoints, qweights, normals = pieces
-    coeff = velocity[disc.element_velocity_dofs()[elements]]         # (F, 4, 2)
-    _, grads, hats = basis_at(disc.elements, elements[:, None], qpoints)
-    gradv = np.einsum("fqba,fbk->fqka", grads, coeff)
-    sym = 0.5 * (gradv + np.swapaxes(gradv, 2, 3))
-    p = np.einsum("fqj,fj->fq", hats, pressure[disc.mesh.triangles[elements]])
-    mom = np.einsum("fq,fqka,fa->fk", qweights, -2.0 * viscosity * sym, normals)
-    mom += np.einsum("fq,fq,fk->fk", qweights, p, normals)
-    return mom
+    """Momentum flux of (-2 mu D(v_h) + p_h I) through pieces, (F, 2).
+
+    With g_b = sum_q w_q grad phi_b(x_q) and P = sum_q w_q p_h(x_q) it is
+    -mu sum_b (v_b (g_b . n) + g_b (v_b . n)) + P n.
+    """
+    eldofs = disc.element_velocity_dofs()
+    out = np.empty((pieces[0].shape[0], 2))
+    for sl, e, w, ref, n in _piece_blocks(disc, pieces):
+        coeff = velocity[eldofs[e]]                                       # (B, 4, 2)
+        grads = _eval_unchecked(ref).gradients.reshape(*ref.shape[:2], 8)  # [f, q, (b, i)]
+        g = (w @ grads).reshape(-1, 4, 2) @ disc.elements.inv_jacobians[e]
+        viscous = np.swapaxes(coeff, 1, 2) @ (g @ n) + np.swapaxes(g, 1, 2) @ (coeff @ n)
+        p = (w @ barycentric(ref)) @ pressure[disc.mesh.triangles[e]][:, :, None]
+        out[sl] = (p * n - viscosity * viscous)[:, :, 0]
+    return out
 
 
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
-    """Vectorized mass and momentum flux of every face of a CV set.
-
-    Returns (mass (F,), momentum (F, 2)), oriented from inside to outside.
-    """
-    faces = _faces(cvset)
-    return (
-        _mass_fluxes(disc, faces, velocity),
-        _momentum_fluxes(disc, faces, viscosity, velocity, pressure),
-    )
+    """Mass (F,) and momentum (F, 2) flux of every face of a CV set, from inside to outside."""
+    faces = _pieces(cvset, "face")
+    return _mass_fluxes(disc, faces, velocity), _momentum_fluxes(disc, faces, viscosity, velocity, pressure)
 
 
 @dataclass
@@ -264,45 +270,65 @@ def _mass_entries(disc, cvset, outC):
         _append(outC, row_cv[:, None, None], _xy(eldofs[elements]), pair)
 
 
-def _fan_triangles(cvset):
-    """Decompose sub-volumes into signed fan triangles from their first vertex."""
-    polys = cvset.scv_polys
-    cv = cvset.scv_cv
-    quad = cvset.scv_nverts == 4
-    tris = [polys[:, :3]]
-    owners = [cv]
-    if np.any(quad):
-        tris.append(polys[quad][:, [0, 2, 3]])
-        owners.append(cv[quad])
-    return np.concatenate(tris), np.concatenate(owners)
-
-
-def _integrate_over_cvs(cvset, func):
-    """Integral of a scalar or vector field over each control volume id."""
-    tris, owners = _fan_triangles(cvset)
+def _volume_rule(cells):
+    """The degree-6 rule on the fan triangles (from the first vertex) of a
+    family's reference sub-volumes: points (nq, 2), weights (rows, nq)."""
     rule = triangle_rule(SOURCE_QUAD_DEGREE)
-    p0 = tris[:, 0]
-    d1 = tris[:, 1] - p0
-    d2 = tris[:, 2] - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    pts = (
-        p0[:, None, :]
-        + rule.points[None, :, 0, None] * d1[:, None, :]
-        + rule.points[None, :, 1, None] * d2[:, None, :]
-    )
-    w = rule.weights[None, :] * det[:, None]
-    vals = np.asarray(func(pts.reshape(-1, 2)), dtype=float)
-    vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
-    out = np.zeros((cvset.n_cvs,) + vals.shape[2:])
-    np.add.at(out, owners, np.einsum("tq,tq...->t...", w, vals))
+    fans = [(row, poly[[0, k, k + 1]]) for row, poly in enumerate(cells) for k in range(1, len(poly) - 1)]
+    points, weights = [], np.zeros((len(cells), len(fans), rule.weights.size))
+    for i, (row, (p0, p1, p2)) in enumerate(fans):
+        d = np.column_stack((p1 - p0, p2 - p0))
+        points.append(p0 + rule.points @ d.T)
+        weights[row, i] = rule.weights * np.linalg.det(d)
+    return np.concatenate(points), weights.reshape(len(cells), -1)
+
+
+_VOLUME_RULES = {family: _volume_rule(cells) for family, cells in REFERENCE_CELLS.items()}
+
+
+def _blocks(n):
+    """Slices of at most `_BLOCK` items covering range(n)."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+def _evaluate(func, name, points, shape):
+    """`func` at the points (..., 2), checked to return `shape` per point."""
+    n = points.size // 2
+    vals = np.asarray(func(points.reshape(n, 2)), dtype=float)
+    if vals.shape != (n,) + shape:
+        raise ConfigurationError(f"{name} returned shape {vals.shape} for {n} points, not {(n,) + shape}")
+    return vals.reshape(points.shape[:-1] + shape)
+
+
+def _integrate_elements(eldata: ElementData, points, weights, integrand, shape) -> np.ndarray:
+    """Element integrals det J_e sum_q weights[r, q] f(X0_e + J_e points[q]), (rows, ne, *shape).
+
+    Elements go in blocks of `_BLOCK`, so that every per-point temporary
+    stays in cache: `integrand(elements, x)` takes a block's element slice
+    and its points x (nq, B, 2) and returns f (nq, B, *shape).
+    """
+    nq = points.shape[0]
+    scale = 2.0 * eldata.areas
+    out = np.empty((weights.shape[0],) + scale.shape + shape)
+    for sl in _blocks(scale.shape[0]):
+        x = (points @ eldata.jacobians[sl].transpose(2, 0, 1).reshape(2, -1)).reshape(nq, -1, 2) + eldata.coords[sl, 0]
+        local = (weights @ integrand(sl, x).reshape(nq, -1)).reshape(out[:, sl].shape)
+        out[:, sl] = local * scale[sl].reshape((-1,) + (1,) * len(shape))
     return out
 
 
-def _mass_source_integrals(cvset, problem) -> np.ndarray:
-    """Integral of the mass source over each control volume; zeros without a source."""
-    if problem.mass_source is None:
-        return np.zeros(cvset.n_cvs)
-    return _integrate_over_cvs(cvset, problem.mass_source)
+def _integrate_over_cvs(disc, cvset, problem, source):
+    """Integral of a source of the problem, "body_force" or "mass_source",
+    over each control volume; zeros when the source is None."""
+    shape = (2,) if source == "body_force" else ()
+    func = getattr(problem, source)
+    out = np.zeros((cvset.n_cvs,) + shape)
+    if func is not None:
+        points, weights = _VOLUME_RULES[cvset.family]
+        local = _integrate_elements(disc.elements, points, weights,
+                                    lambda sl, x: _evaluate(func, source, x, shape), shape)
+        np.add.at(out, cvset.scv_cv, local[cvset.scv_row, cvset.scv_element])
+    return out
 
 
 def _traction_hats():
@@ -393,11 +419,11 @@ def _galerkin_momentum(disc, problem, tests, outA, outB, load):
     _append(outA, rows[..., None, None], _xy(eldofs)[:, None, None], Apair)
     _append(outB, rows[..., None], disc.mesh.triangles[:, None, None], Bpair)
 
-    wdet = w[None, :] * (2.0 * el.areas)[:, None]
-    pts = el.coords[:, :1] + rule.points @ np.swapaxes(el.jacobians, 1, 2)
-    fv = np.asarray(problem.body_force(pts.reshape(-1, 2)), dtype=float).reshape(ne, -1, 2)
-    rhs_el = ev.values[:, tests].T @ (wdet[:, :, None] * fv)        # (ne, T, 2)
-    np.add.at(load, eldofs[:, tests].T, rhs_el.swapaxes(0, 1))
+    force = _integrate_elements(                                      # (T, ne, 2)
+        el, rule.points, (ev.values[:, tests] * w[:, None]).T,
+        lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,),
+    )
+    np.add.at(load, eldofs[:, tests].T, force)
     if min(tests) < 3:
         tris = disc.mesh.triangles[disc.pressure.seg_element]
         np.subtract.at(load, tris, segment_tractions(disc, problem)[1])
@@ -437,13 +463,13 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     if spec.flux_momentum:
         vset = disc.velocity
         _flux_momentum_entries(disc, vset, mu, outA, outB)
-        load[: vset.n_cvs] += _integrate_over_cvs(vset, problem.body_force)
+        load[: vset.n_cvs] += _integrate_over_cvs(disc, vset, problem, "body_force")
         np.subtract.at(load, vset.seg_cv, segment_tractions(disc, problem)[0])
     if spec.galerkin_tests:
         _galerkin_momentum(disc, problem, spec.galerkin_tests, outA, outB, load)
 
     _mass_entries(disc, disc.pressure, outC)
-    rhs_p = _mass_source_integrals(disc.pressure, problem)
+    rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 
     # Dirichlet rows become identity rows on both components of marked
     # vertices; a pinned pressure's mass row becomes p_k = 0.

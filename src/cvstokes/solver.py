@@ -245,6 +245,8 @@ def gmres_solve(
     b = system.rhs()
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, but the system has {n} unknowns")
 
     def precondition(r):
         return preconditioner.apply(r) if preconditioner is not None else r

@@ -12,7 +12,9 @@ The conservation audit recomputes every control-volume flux from a given
 solution vector and sums the balances; for a converged solve the box and
 volume residuals sit at the accumulated round-off of the flux sums, far
 below any discretization scale, and unions of boxes telescope to the same
-level because shared faces cancel exactly.
+level because shared faces cancel exactly.  Error norms integrate with
+assembly's block kernel and the degree-8 element rule; the audit maps
+each face point back to its element and contracts in blocks of faces.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from .mesh import (
 )
 from .schemes import (
     StokesProblem,
-    _faces,
+    _evaluate,
+    _integrate_elements,
     _integrate_over_cvs,
     _mass_fluxes,
-    _mass_source_integrals,
     _momentum_fluxes,
-    _segments,
+    _pieces,
     assemble,
     segment_tractions,
     split_solution,
@@ -300,26 +302,25 @@ def error_norms(disc: GridDiscretization, solution: np.ndarray, case: Manufactur
     """L2 pressure, L2 velocity, and full H1 velocity errors (degree-8 rule)."""
     rule = triangle_rule(ERROR_QUAD_DEGREE)
     ev = _eval_unchecked(rule.points)
+    grads = ev.gradients.reshape(-1, 8)                              # [q, (b, i)]
     lam = barycentric(rule.points)
     el = disc.elements
-    wdet = rule.weights[None, :] * (2.0 * el.areas)[:, None]
-    pts = el.coords[:, :1] + rule.points @ np.swapaxes(el.jacobians, 1, 2)   # (ne, nq, 2)
-    flat = pts.reshape(-1, 2)
-
     vel, pres = split_solution(disc, solution)
-    coeff = vel[disc.element_velocity_dofs()]                    # (ne, 4, 2)
-    vh = ev.values @ coeff                                       # (ne, nq, 2)
-    # reference gradient [e, q, k, i] first, then the inverse Jacobian
-    gh = (np.swapaxes(coeff, 1, 2)[:, None] @ ev.gradients) @ el.inv_jacobians[:, None]
-    ph = pres[disc.mesh.triangles] @ lam.T                        # (ne, nq)
+    coeff = vel[disc.element_velocity_dofs()]                        # (ne, 4, 2)
 
-    ve = np.asarray(case.velocity(flat)).reshape(vh.shape)
-    ge = np.asarray(case.velocity_gradient(flat)).reshape(gh.shape)
-    pe = np.asarray(case.pressure(flat)).reshape(ph.shape)
+    def squared_errors(sl, x):
+        c = coeff[sl]
+        # grad v_h = sum over (b, i) of grads[q, (b, i)] c[e, b, k] inv[e, i, a], as [q, e, k, a]
+        M = c[:, :, None, :, None] * el.inv_jacobians[sl, None, :, None, :]
+        vh = (ev.values @ c.swapaxes(0, 1).reshape(4, -1)).reshape(x.shape)
+        gh = (grads @ M.transpose(1, 2, 0, 3, 4).reshape(8, -1)).reshape(x.shape + (2,))
+        ph = lam @ pres[disc.mesh.triangles[sl]].T
+        ve = _evaluate(case.velocity, "velocity", x, (2,))
+        ge = _evaluate(case.velocity_gradient, "velocity_gradient", x, (2, 2))
+        pe = _evaluate(case.pressure, "pressure", x, ())
+        return np.stack((np.sum((vh - ve) ** 2, axis=-1), np.sum((gh - ge) ** 2, axis=(-2, -1)), (ph - pe) ** 2), axis=-1)
 
-    l2v2 = float(np.sum(wdet * np.sum((vh - ve) ** 2, axis=-1)))
-    semi2 = float(np.sum(wdet * np.sum((gh - ge) ** 2, axis=(-2, -1))))
-    l2p2 = float(np.sum(wdet * (ph - pe) ** 2))
+    l2v2, semi2, l2p2 = _integrate_elements(el, rule.points, rule.weights[None], squared_errors, (3,))[0].sum(axis=0)
     return ErrorNorms(np.sqrt(l2p2), np.sqrt(l2v2), np.sqrt(l2v2 + semi2))
 
 
@@ -415,6 +416,8 @@ def run_convergence(
     solver (iterations reported as 0).
     """
     scheme = SchemeKind.parse(scheme)
+    if not (np.isfinite(distortion) and distortion >= 0.0):
+        raise ValueError(f"distortion must be a finite number >= 0, got {distortion}")
     if mesh_files is not None:
         n_levels = len(mesh_files)
     if n_levels < 1:
@@ -490,13 +493,13 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
-    massf = _mass_fluxes(disc, _faces(pset), vel)
-    segf = _mass_fluxes(disc, _segments(pset), vel)
+    massf = _mass_fluxes(disc, _pieces(pset, "face"), vel)
+    segf = _mass_fluxes(disc, _pieces(pset, "seg"), vel)
     res_m = np.zeros(pset.n_cvs)
     np.add.at(res_m, pset.face_inside, massf)
     np.add.at(res_m, pset.face_outside, -massf)
     np.add.at(res_m, pset.seg_cv, segf)
-    res_m -= _mass_source_integrals(pset, problem)
+    res_m -= _integrate_over_cvs(disc, pset, problem, "mass_source")
     max_mass = float(max(np.abs(massf).max(initial=0.0), np.abs(segf).max(initial=0.0)))
 
     # Momentum balances over the velocity control volumes that carry them.
@@ -506,12 +509,12 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
     if flux_momentum:
-        momf = _momentum_fluxes(disc, _faces(vset), mu, vel, pres)
+        momf = _momentum_fluxes(disc, _pieces(vset, "face"), mu, vel, pres)
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
         np.add.at(res_u, vset.seg_cv, segment_tractions(disc, problem)[0])
-        res_u -= _integrate_over_cvs(vset, problem.body_force)
+        res_u -= _integrate_over_cvs(disc, vset, problem, "body_force")
         audited[disc.mesh.dirichlet_vertices()] = False
         max_mom = float(np.abs(momf).max(initial=0.0))
 
@@ -544,11 +547,10 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     sel = np.zeros(pset.n_cvs, dtype=bool)
     sel[ids] = True
 
-    massf = _mass_fluxes(disc, _faces(pset), vel)
     fin = sel[pset.face_inside]
     fout = sel[pset.face_outside]
-    balance = float(np.sum(massf[fin & ~fout]) - np.sum(massf[fout & ~fin]))
-    segf = _mass_fluxes(disc, _segments(pset), vel)
-    balance += float(np.sum(segf[sel[pset.seg_cv]]))
-    balance -= float(np.sum(_mass_source_integrals(pset, problem)[sel]))
+    balance = float(np.sum(_mass_fluxes(disc, _pieces(pset, "face", fin & ~fout), vel))
+                    - np.sum(_mass_fluxes(disc, _pieces(pset, "face", fout & ~fin), vel)))
+    balance += float(np.sum(_mass_fluxes(disc, _pieces(pset, "seg", sel[pset.seg_cv]), vel)))
+    balance -= float(np.sum(_integrate_over_cvs(disc, pset, problem, "mass_source")[sel]))
     return balance

@@ -327,3 +327,11 @@ def test_main_rejects_fewer_than_one_level(tmp_path, capsys, levels):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("distortion", ["-0.3", "nan"])
+def test_main_rejects_negative_or_nonfinite_distortion(tmp_path, capsys, distortion):
+    code = main(["--levels", "1", "--distortion", distortion, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

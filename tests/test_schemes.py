@@ -21,7 +21,7 @@ from cvstokes.schemes import (
     face_fluxes,
     split_solution,
 )
-from cvstokes.verification import donea_huerta_case, shear_flow_case
+from cvstokes.verification import donea_huerta_case, error_norms, shear_flow_case
 
 SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
@@ -497,3 +497,116 @@ def test_system_shapes_and_matrix_cache():
     assert system.n_velocity == 2 * disc.n_velocity_locations
     assert system.n_pressure == disc.n_pressure_dofs
     assert system.rhs().shape == (disc.n_dofs,)
+
+
+FAMILY_SETS = {
+    "boxes": lambda mesh: build(mesh, "fem").pressure,
+    "non-overlapping": lambda mesh: build(mesh, "non-overlapping").velocity,
+    "overlapping": lambda mesh: build(mesh, "overlapping").velocity,
+}
+
+
+def _fan_triangle_integrals(cvset, func):
+    """Integral over each control volume by the degree-6 rule on physical fan triangles."""
+    polys, cv = cvset.scv_polys, cvset.scv_cv
+    quad = cvset.scv_nverts == 4
+    tris = np.concatenate((polys[:, :3], polys[quad][:, [0, 2, 3]]))
+    owners = np.concatenate((cv, cv[quad]))
+    rule = triangle_rule(SOURCE_QUAD_DEGREE)
+    p0, d1, d2 = tris[:, 0], tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    pts = p0[:, None] + rule.points[None, :, :1] * d1[:, None] + rule.points[None, :, 1:] * d2[:, None]
+    vals = func(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (-1,))
+    out = np.zeros((cvset.n_cvs, vals.shape[-1]))
+    np.add.at(out, owners, np.einsum("tq,tqk->tk", rule.weights * det[:, None], vals))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SETS))
+def test_cv_integrals_match_fan_triangle_oracle(family):
+    mesh = random_distorted_mesh(21, n=6)
+    cvset = FAMILY_SETS[family](mesh)
+    problem = donea_huerta_case().problem()
+    want = _fan_triangle_integrals(cvset, problem.body_force)
+    got = schemes._integrate_over_cvs(build(mesh, "fem"), cvset, problem, "body_force")
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# (coefficient, a, b) of c x^a y^b: a polynomial of total degree 6.
+SEXTIC = ((1.0, 0, 0), (-2.0, 1, 0), (0.5, 0, 1), (3.0, 2, 3), (-1.5, 6, 0), (2.0, 0, 6), (4.0, 3, 3), (-3.0, 1, 5))
+
+
+def _sextic(points):
+    x, y = points[..., 0], points[..., 1]
+    return sum(c * x**a * y**b for c, a, b in SEXTIC)
+
+
+def _green_integrals(cvset):
+    """Exact integral of `_sextic` over each control volume, as the boundary
+    integral of x^(a+1) y^b / (a+1) dy along the sub-volume polygons."""
+    t, w = np.polynomial.legendre.leggauss(4)   # exact for the degree-7 edge integrands
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    start = cvset.scv_polys
+    end = np.roll(start, -1, axis=1)            # padded vertices give zero-length edges
+    pts = start[..., None, :] + t[:, None] * (end - start)[..., None, :]
+    x, y = pts[..., 0], pts[..., 1]
+    dy = (end - start)[..., 1]
+    total = sum(c / (a + 1) * np.sum(w * x ** (a + 1) * y**b, axis=-1) * dy for c, a, b in SEXTIC)
+    out = np.zeros(cvset.n_cvs)
+    np.add.at(out, cvset.scv_cv, total.sum(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SETS))
+def test_cv_integrals_are_exact_for_degree_six(family):
+    mesh = random_distorted_mesh(22, n=5)
+    cvset = FAMILY_SETS[family](mesh)
+    problem = StokesProblem(viscosity=1.0, mass_source=_sextic)
+    got = schemes._integrate_over_cvs(build(mesh, "fem"), cvset, problem, "mass_source")
+    want = _green_integrals(cvset)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_block_edges_do_not_change_volume_and_face_kernels(monkeypatch):
+    case = donea_huerta_case()
+    mesh = case.apply_bc(random_distorted_mesh(23, n=5))
+    assert mesh.n_elements % 7 != 0
+    discs = {name: build(mesh, name) for name in ("overlapping", "non-overlapping")}
+    x = np.random.default_rng(4).standard_normal(discs["overlapping"].n_dofs)
+
+    def kernels():
+        out = []
+        for disc in discs.values():
+            vel, pres = split_solution(disc, x)
+            for cvset in (disc.pressure, disc.velocity):
+                out.append(schemes._integrate_over_cvs(disc, cvset, case.problem(), "body_force"))
+                out.append(schemes._mass_fluxes(disc, schemes._pieces(cvset, "face"), vel))
+                out.append(schemes._mass_fluxes(disc, schemes._pieces(cvset, "seg"), vel))
+                out.append(schemes._momentum_fluxes(disc, schemes._pieces(cvset, "face"), 1.3, vel, pres))
+            out.append(np.array(dataclasses.astuple(error_norms(disc, x, case))))
+        return out
+
+    monkeypatch.setattr(schemes, "_BLOCK", 10 * mesh.n_elements)   # one block of every kind
+    single = kernels()
+    monkeypatch.setattr(schemes, "_BLOCK", 7)
+    for got, want in zip(kernels(), single):   # BLAS may round a narrower product differently
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("field", ["body_force", "mass_source"])
+def test_wrong_shape_of_a_source_names_the_field(field):
+    mesh = random_distorted_mesh(24, n=3).with_bc(MIXED)
+    flat = {"body_force": lambda p: np.zeros(len(p)), "mass_source": lambda p: np.zeros((len(p), 2))}
+    problem = StokesProblem(viscosity=1.0, **{field: flat[field]})
+    for scheme in SCHEMES:
+        with pytest.raises(ConfigurationError, match=field):
+            assemble(build(mesh, scheme), problem)
+
+
+@pytest.mark.parametrize("field", ["velocity", "velocity_gradient", "pressure"])
+def test_wrong_shape_of_a_case_field_names_it(field):
+    case = donea_huerta_case()
+    broken = dataclasses.replace(case, **{field: lambda p: np.zeros((len(p), 3))})
+    disc = build(case.apply_bc(random_distorted_mesh(25, n=3)), "hybrid")
+    with pytest.raises(ConfigurationError, match=field):
+        error_norms(disc, np.zeros(disc.n_dofs), broken)

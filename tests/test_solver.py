@@ -235,6 +235,12 @@ def test_gmres_rejects_reduction_not_above_one(reduction):
         gmres_solve(_StubSystem(np.eye(3), np.ones(3)), reduction=reduction)
 
 
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+def test_gmres_rejects_start_vector_of_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"x0 has shape .* 3 unknowns"):
+        gmres_solve(_StubSystem(np.eye(3), np.ones(3)), x0=np.zeros(shape))
+
+
 def test_gmres_solution_solves_saddle_system():
     disc, system = _small_system(n=8)
     S = assemble_pressure_mass(disc, viscosity=1.0)
