@@ -313,11 +313,15 @@ def _layout(groups, part: int, ne: int):
     return rows, np.concatenate(elements), np.concatenate(index)
 
 
-def _build_family(family: str, mesh: Mesh, eldata=None, points=None, segments=None) -> ControlVolumeSet:
+def _mesh_pieces(mesh: Mesh):
+    """Element data, local points and boundary segments, shared by every family of a mesh."""
+    eldata = element_data(mesh)
+    points = _local_points(eldata.coords, eldata.centroids)
+    return eldata, points, _boundary_segments(mesh, points)
+
+
+def _build_family(family: str, mesh: Mesh, eldata, points, segments) -> ControlVolumeSet:
     """One control-volume family of `_FAMILIES`: "boxes", "non-overlapping" or "overlapping"."""
-    eldata = eldata or element_data(mesh)
-    points = _local_points(eldata.coords, eldata.centroids) if points is None else points
-    segments = segments or _boundary_segments(mesh, points)
     groups, bubbles_tile = _FAMILIES[family]
     ne, nv = mesh.n_elements, mesh.n_vertices
     # Owner ids per element, by local owner: the vertices, the bubble, none.
@@ -350,23 +354,23 @@ def _build_family(family: str, mesh: Mesh, eldata=None, points=None, segments=No
     )
 
 
-def build_boxes(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
+def build_boxes(mesh: Mesh) -> ControlVolumeSet:
     """Vertex boxes: the pressure control volumes of every scheme."""
-    return _build_family("boxes", mesh, eldata)
+    return _build_family("boxes", mesh, *_mesh_pieces(mesh))
 
 
-def build_nonoverlapping(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
+def build_nonoverlapping(mesh: Mesh) -> ControlVolumeSet:
     """Corner-triangle vertex volumes plus medial bubble volumes (a tiling).
 
     The only interior faces are the medial edges; corner pieces of the same
     vertex volume meet along element edges and need no face there.
     """
-    return _build_family("non-overlapping", mesh, eldata)
+    return _build_family("non-overlapping", mesh, *_mesh_pieces(mesh))
 
 
-def build_overlapping(mesh: Mesh, eldata: ElementData | None = None) -> ControlVolumeSet:
+def build_overlapping(mesh: Mesh) -> ControlVolumeSet:
     """Boxes for vertex unknowns plus overlapping medial bubble volumes."""
-    return _build_family("overlapping", mesh, eldata)
+    return _build_family("overlapping", mesh, *_mesh_pieces(mesh))
 
 
 @dataclass(frozen=True)
@@ -406,10 +410,8 @@ def build(mesh: Mesh, scheme) -> GridDiscretization:
     `pressure`.
     """
     scheme = SchemeKind.parse(scheme)
-    eldata = element_data(mesh)
-    points = _local_points(eldata.coords, eldata.centroids)
-    segments = _boundary_segments(mesh, points)
-    pressure = _build_family("boxes", mesh, eldata, points, segments)
+    pieces = _mesh_pieces(mesh)
+    pressure = _build_family("boxes", mesh, *pieces)
     family = scheme.spec.velocity_cvs
-    velocity = pressure if family == "boxes" else _build_family(family, mesh, eldata, points, segments)
-    return GridDiscretization(mesh, scheme, eldata, pressure, velocity)
+    velocity = pressure if family == "boxes" else _build_family(family, mesh, *pieces)
+    return GridDiscretization(mesh, scheme, pieces[0], pressure, velocity)

@@ -450,8 +450,12 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
             "all boundary markers are Dirichlet; the pressure is defined only up "
             "to a constant, pass pin_pressure to fix one pressure unknown"
         )
-    if pin_pressure is not None and not 0 <= pin_pressure < n_p:
-        raise ConfigurationError(f"pin_pressure index {pin_pressure} out of range")
+    if pin_pressure is not None:
+        if isinstance(pin_pressure, bool) or not isinstance(pin_pressure, (int, np.integer)):
+            raise ConfigurationError(f"pin_pressure must be an integer index, got {pin_pressure!r}")
+        pin_pressure = int(pin_pressure)
+        if not 0 <= pin_pressure < n_p:
+            raise ConfigurationError(f"pin_pressure index {pin_pressure} out of range")
 
     outA = ([], [], [])
     outB = ([], [], [])

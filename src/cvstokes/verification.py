@@ -1,5 +1,10 @@
 """Manufactured solutions, error norms, convergence studies, audits.
 
+Every manufactured case is a stream-function product: `_product_case`
+takes the 1D factors X, Y of the stream function s X(x) Y(y) (with their
+first three derivatives) and P, R of the pressure P(x) R(y) (with their
+first derivatives), and derives the velocity, its gradient and the body
+force -mu lap v + grad p once for all cases, so adding a case is one call.
 Both benchmark cases live on the unit square with Dirichlet data on the
 left and lower sides and traction (Neumann) data on the right and upper
 sides, so neither the velocity nor the pressure space needs pinning.
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -113,80 +117,88 @@ def _fields(case: ManufacturedCase, points: np.ndarray):
     )
 
 
-def _xy(points):
-    pts = np.asarray(points, dtype=float)
-    return pts[..., 0], pts[..., 1]
+# q(u) = u^2 (1 - u)^2 and its first three derivatives, in Horner form.
+_QUARTIC = (
+    lambda u: u * u * (1.0 + u * (-2.0 + u)),
+    lambda u: u * (2.0 + u * (-6.0 + 4.0 * u)),
+    lambda u: 2.0 + u * (-12.0 + 12.0 * u),
+    lambda u: -12.0 + 24.0 * u,
+)
 
 
-def _pair(first, second):
-    return np.stack((first, second), axis=-1)
+def _term(coeff, f, g, x, y):
+    """coeff f(x) g(y), where each factor is a function of one coordinate or a constant.
+
+    None (zero) when the constants multiply to 0, and then nothing is
+    evaluated; a constant 1 is not multiplied, and constants alone fill the
+    shape of x.
+    """
+    for h in (f, g):
+        if not callable(h):
+            coeff = coeff * h
+    if coeff == 0:
+        return None
+    values = [h(u) for h, u in ((f, x), (g, y)) if callable(h)]
+    if not values:
+        return np.full(x.shape, float(coeff))
+    out = values[0] if coeff == 1 else coeff * values[0]
+    return out * values[1] if len(values) == 2 else out
 
 
-def _gradient(g00, g01, g10, g11):
-    grad = np.empty(np.shape(g00) + (2, 2))
-    grad[..., 0, 0] = g00
-    grad[..., 0, 1] = g01
-    grad[..., 1, 0] = g10
-    grad[..., 1, 1] = g11
-    return grad
+def _sum(coeff, a, b):
+    """coeff (a + b), where None is zero and a coeff of 1 is not multiplied."""
+    total = b if a is None else a if b is None else a + b
+    return None if total is None or coeff == 0 else total if coeff == 1 else coeff * total
 
 
-def _quartic(u):
-    """u^2 (1 - u)^2 in Horner form."""
-    return u * u * (1.0 + u * (-2.0 + u))
+def _field(components, shape=()):
+    """A field on points (..., 2) from its components as functions of x and y (None is zero)."""
+    def evaluate(points):
+        pts = np.asarray(points, dtype=float)
+        x = pts[..., 0]
+        parts = [np.zeros(x.shape) if c is None else c for c in components(x, pts[..., 1])]
+        return np.stack(parts, axis=-1).reshape(x.shape + shape) if shape else parts[0]
+    return evaluate
 
 
-# Donea-Huerta: v = (h(x) h'(y), -h(y) h'(x)) with h = _quartic, p = x (1 - x).
-# Each field evaluates only the factors it needs.
+def _product_case(name, viscosity, scale, X, Y, P, R) -> ManufacturedCase:
+    """Case with stream function scale X(x) Y(y) and pressure P(x) R(y).
 
-def _dh_h1(u):
-    return u * (2.0 + u * (-6.0 + 4.0 * u))
+    X and Y list a factor and its first three derivatives, P and R a factor
+    and its first derivative; each entry is a function of one coordinate
+    array or a constant.  The velocity v = scale (X Y', -X' Y) is divergence
+    free, and the body force -mu lap v + grad p is derived here once:
+    f = (P'R - mu scale (X''Y' + X Y'''), P R' + mu scale (X'''Y + X'Y'')).
+    """
+    mu_scale = viscosity * scale
 
+    def velocity(x, y):
+        return _term(scale, X[0], Y[1], x, y), _term(-scale, X[1], Y[0], x, y)
 
-def _dh_h2(u):
-    return 2.0 + u * (-12.0 + 12.0 * u)
+    def velocity_gradient(x, y):
+        g00 = _term(scale, X[1], Y[1], x, y)
+        g10 = _term(-scale, X[2], Y[0], x, y)
+        return g00, _term(scale, X[0], Y[2], x, y), g10, None if g00 is None else -g00
 
+    def pressure(x, y):
+        return (_term(1.0, P[0], R[0], x, y),)
 
-def _dh_h3(u):
-    return -12.0 + 24.0 * u
+    def body_force(x, y):
+        viscous0 = _sum(-mu_scale, _term(1.0, X[2], Y[1], x, y), _term(1.0, X[0], Y[3], x, y))
+        viscous1 = _sum(mu_scale, _term(1.0, X[3], Y[0], x, y), _term(1.0, X[1], Y[2], x, y))
+        return (_sum(1.0, _term(1.0, P[1], R[0], x, y), viscous0),
+                _sum(1.0, _term(1.0, P[0], R[1], x, y), viscous1))
 
-
-def _dh_velocity(points):
-    x, y = _xy(points)
-    return _pair(_quartic(x) * _dh_h1(y), -_quartic(y) * _dh_h1(x))
-
-
-def _dh_pressure(points):
-    x, _ = _xy(points)
-    return x * (1.0 - x)
-
-
-def _dh_gradient(points):
-    x, y = _xy(points)
-    h1x = _dh_h1(x)
-    h1y = _dh_h1(y)
-    return _gradient(h1x * h1y, _quartic(x) * _dh_h2(y), -_quartic(y) * _dh_h2(x), -h1y * h1x)
-
-
-def _dh_body_force(points, viscosity):
-    x, y = _xy(points)
-    return _pair(
-        -viscosity * (_dh_h2(x) * _dh_h1(y) + _quartic(x) * _dh_h3(y)) + (1.0 - 2.0 * x),
-        viscosity * (_quartic(y) * _dh_h3(x) + _dh_h2(y) * _dh_h1(x)),
+    return ManufacturedCase(
+        name, viscosity, _field(velocity, (2,)), _field(velocity_gradient, (2, 2)),
+        _field(pressure), _field(body_force, (2,)), dict(MIXED_BC_LAYOUT),
     )
 
 
 def donea_huerta_case(viscosity: float = 1.0) -> ManufacturedCase:
-    """Quartic vortex benchmark on the unit square."""
-    return ManufacturedCase(
-        name="donea-huerta",
-        viscosity=viscosity,
-        velocity=_dh_velocity,
-        velocity_gradient=_dh_gradient,
-        pressure=_dh_pressure,
-        body_force=partial(_dh_body_force, viscosity=viscosity),
-        bc_layout=dict(MIXED_BC_LAYOUT),
-    )
+    """Quartic vortex benchmark: stream function q(x) q(y), pressure x (1 - x)."""
+    pressure = (lambda u: u * (1.0 - u), lambda u: 1.0 - 2.0 * u)
+    return _product_case("donea-huerta", viscosity, 1.0, _QUARTIC, _QUARTIC, pressure, (1.0, 0.0))
 
 
 def donea_huerta(points: np.ndarray, viscosity: float = 1.0):
@@ -194,59 +206,13 @@ def donea_huerta(points: np.ndarray, viscosity: float = 1.0):
     return _fields(donea_huerta_case(viscosity), points)
 
 
-# Bercovier-Engelman: v = 256 (-a(x) b(y), a(y) b(x)) with a = _quartic and
-# b = a' / 2, p = (x - 1/2) (y - 1/2), unit viscosity.
-
-def _be_b(u):
-    return u * (1.0 + u * (-3.0 + 2.0 * u))
-
-
-def _be_b1(u):
-    return 1.0 + u * (-6.0 + 6.0 * u)
-
-
-def _be_g(s, t):
-    return 256.0 * (_quartic(s) * (12.0 * t - 6.0) + _be_b(t) * (2.0 + s * (-12.0 + 12.0 * s)))
-
-
-def _be_velocity(points):
-    x, y = _xy(points)
-    return _pair(-256.0 * _quartic(x) * _be_b(y), 256.0 * _quartic(y) * _be_b(x))
-
-
-def _be_pressure(points):
-    x, y = _xy(points)
-    return (x - 0.5) * (y - 0.5)
-
-
-def _be_gradient(points):
-    x, y = _xy(points)
-    bx = _be_b(x)
-    by = _be_b(y)
-    return _gradient(                                  # a'(u) = 2 b(u)
-        -512.0 * bx * by,
-        -256.0 * _quartic(x) * _be_b1(y),
-        256.0 * _quartic(y) * _be_b1(x),
-        512.0 * by * bx,
-    )
-
-
-def _be_body_force(points):
-    x, y = _xy(points)
-    return _pair(_be_g(x, y) + (y - 0.5), -_be_g(y, x) + (x - 0.5))
-
-
 def bercovier_engelman_case() -> ManufacturedCase:
-    """Quartic cavity benchmark with bilinear pressure, unit viscosity."""
-    return ManufacturedCase(
-        name="bercovier-engelman",
-        viscosity=1.0,
-        velocity=_be_velocity,
-        velocity_gradient=_be_gradient,
-        pressure=_be_pressure,
-        body_force=_be_body_force,
-        bc_layout=dict(MIXED_BC_LAYOUT),
-    )
+    """Quartic cavity benchmark, unit viscosity: v = 256 (-q(x) b(y), q(y) b(x)), b = q'/2.
+
+    That is the stream function -128 q(x) q(y); the pressure is (x - 1/2) (y - 1/2).
+    """
+    half = (lambda u: u - 0.5, 1.0)
+    return _product_case("bercovier-engelman", 1.0, -128.0, _QUARTIC, _QUARTIC, half, half)
 
 
 def bercovier_engelman(points: np.ndarray):
@@ -255,34 +221,10 @@ def bercovier_engelman(points: np.ndarray):
 
 
 def shear_flow_case(viscosity: float = 1.0) -> ManufacturedCase:
-    """Linear shear v = (y, 0) with zero pressure; lies in every scheme's space."""
-    def velocity(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros_like(pts)
-        out[..., 0] = pts[..., 1]
-        return out
-
-    def gradient(pts):
-        pts = np.asarray(pts, dtype=float)
-        grad = np.zeros(pts.shape[:-1] + (2, 2))
-        grad[..., 0, 1] = 1.0
-        return grad
-
-    def pressure(pts):
-        return np.zeros(np.asarray(pts).shape[:-1])
-
-    def force(pts):
-        return np.zeros_like(np.asarray(pts, dtype=float))
-
-    return ManufacturedCase(
-        name="shear-flow",
-        viscosity=viscosity,
-        velocity=velocity,
-        velocity_gradient=gradient,
-        pressure=pressure,
-        body_force=force,
-        bc_layout=dict(MIXED_BC_LAYOUT),
-    )
+    """Linear shear v = (y, 0), stream function y^2 / 2, zero pressure; in every scheme's space."""
+    half_square = (lambda u: 0.5 * u * u, lambda u: u, 1.0, 0.0)
+    one = (1.0, 0.0, 0.0, 0.0)
+    return _product_case("shear-flow", viscosity, 1.0, one, half_square, (0.0, 0.0), (1.0, 0.0))
 
 
 CASES = {
@@ -402,8 +344,6 @@ def run_convergence(
     distortion: float = 0.2,
     seed: int = 7,
     mesh_files=None,
-    reduction: float = 1e10,
-    max_iterations: int = 500,
     use_direct: bool = False,
     on_level=None,
 ) -> ConvergenceReport:
@@ -435,9 +375,7 @@ def run_convergence(
             schur = assemble_pressure_mass(disc, problem.viscosity)
             precond = BlockPreconditioner.build(system, schur)
             x0 = random_initial_guess(disc, seed + 901 + k)
-            report = gmres_solve(
-                system, precond, x0, reduction=reduction, max_iterations=max_iterations
-            )
+            report = gmres_solve(system, precond, x0)
             x, iterations, converged = report.solution, report.iterations, report.converged
         norms = error_norms(disc, x, case)
         st = stats(m)

@@ -91,7 +91,7 @@ def test_box_face_quadrature_points_on_face():
 def test_pieces_are_images_of_their_reference_slots(builder):
     mesh = random_distorted_mesh(21, n=6)
     el = element_data(mesh)
-    vset = builder(mesh, el)
+    vset = builder(mesh)
     t = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
     for elements, slots, qpoints in (
         (vset.face_element, vset.face_slot, vset.face_qpoints),

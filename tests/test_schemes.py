@@ -487,6 +487,22 @@ def test_all_dirichlet_needs_pressure_pin():
         assemble(disc, problem, pin_pressure=disc.n_pressure_dofs + 3)
 
 
+@pytest.mark.parametrize("pin", [1.5, np.float64(2.0), "2", True])
+def test_pin_pressure_must_be_an_integer(pin):
+    disc = build(generate_structured(2, 2), "fem")
+    problem = StokesProblem(viscosity=1.0, dirichlet=lambda p: np.zeros_like(p))
+    with pytest.raises(ConfigurationError, match="pin_pressure must be an integer"):
+        assemble(disc, problem, pin_pressure=pin)
+
+
+def test_pin_pressure_accepts_numpy_integer():
+    disc = build(generate_structured(2, 2), "fem")
+    problem = StokesProblem(viscosity=1.0, dirichlet=lambda p: np.zeros_like(p))
+    system = assemble(disc, problem, pin_pressure=np.int64(2))
+    assert type(system.pinned_pressure) is int and system.pinned_pressure == 2
+    assert system.C[2].nnz == 0
+
+
 def test_system_shapes_and_matrix_cache():
     mesh = generate_structured(2, 2).with_bc(MIXED)
     disc = build(mesh, "non-overlapping")

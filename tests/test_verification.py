@@ -15,6 +15,7 @@ from cvstokes.verification import (
     MIXED_BC_LAYOUT,
     ConvergenceReport,
     LevelResult,
+    _product_case,
     bercovier_engelman,
     bercovier_engelman_case,
     conservation_audit,
@@ -187,6 +188,30 @@ def test_case_fields_match_tuple_function(case, fields, oracle):
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - tuple_entry)) <= 1e-14 * scale
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_product_case_derives_gradient_and_body_force():
+    # Factors no shipped case uses, with expanded (not Horner) polynomials and
+    # a constant third derivative that is neither 0 nor 1.
+    cubic = (lambda u: u**3 - u, lambda u: 3 * u**2 - 1, lambda u: 6 * u, 6.0)
+    quartic = (
+        lambda u: u**2 * (1 - u) ** 2,
+        lambda u: 2 * u - 6 * u**2 + 4 * u**3,
+        lambda u: 2 - 12 * u + 12 * u**2,
+        lambda u: -12 + 24 * u,
+    )
+    square = (lambda u: u**2, lambda u: 2 * u)
+    affine = (lambda u: u + 1, 1.0)
+    case = _product_case("product", 1.7, 3.0, cubic, quartic, square, affine)
+    assert case.viscosity == 1.7
+    _check_gradient(case)
+    _check_divergence_free(case)
+    _check_momentum_consistency(case)
+    x, y = 0.3, 0.6
+    assert case.velocity(np.array([[x, y]]))[0] == pytest.approx(
+        [3.0 * (x**3 - x) * quartic[1](y), -3.0 * (3 * x**2 - 1) * quartic[0](y)], rel=1e-13
+    )
+    assert case.pressure(np.array([[x, y]]))[0] == pytest.approx(x**2 * (y + 1), rel=1e-14)
 
 
 def test_shear_case_consistency():
