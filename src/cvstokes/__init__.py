@@ -63,10 +63,8 @@ from .verification import (
     ConvergenceReport,
     ErrorNorms,
     ManufacturedCase,
-    bercovier_engelman,
     bercovier_engelman_case,
     conservation_audit,
-    donea_huerta,
     donea_huerta_case,
     error_norms,
     region_mass_balance,

@@ -32,6 +32,8 @@ face and segment records its slot in `face_slot` / `seg_slot`.  Each
 control-volume family is a few rows of `_FAMILIES` over these ids, and one
 builder gathers them element by element, recording each sub-volume's
 element and its polygon in `REFERENCE_CELLS` in `scv_element` / `scv_row`.
+`REFERENCE_FACES` gives each family's face rows by local owner, from which
+the assembly builds its element blocks.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ _FAMILIES = {
 # Each family's sub-volume polygons in the reference triangle, indexed by `scv_row`.
 REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(polygon)] for group in groups for polygon, _ in group[0]]
                    for family, (groups, _) in _FAMILIES.items()}
+# Each family's face rows (slot, inside owner, outside owner), the same in every element.
+REFERENCE_FACES = {family: [face for group in groups for face in group[1]] for family, (groups, _) in _FAMILIES.items()}
+# The owner of a boundary slot's segment, its vertex end (the only id below 3), indexed by slot.
+SEGMENT_OWNERS = _SLOTS.min(axis=1)
 
 
 class SchemeKind(enum.Enum):

@@ -25,11 +25,14 @@ reference pieces (`geometry.REFERENCE_PIECES`), so the averages of the
 basis values, reference gradients and pressure hats over it are
 constants, computed once with the two-point Gauss rule, which is exact
 for the cubic basis.  A flux-balance entry is such an average (gradients
-mapped by the element's inverse Jacobian) times the face's normal times
-its length.  Volume integrals (the sources over control volumes, the
-Galerkin load) map a fixed reference rule, the degree-6 rule on the fan
-triangles of `geometry.REFERENCE_CELLS` or on the whole element, by each
-element's X0 + J xi and evaluate it `_BLOCK` elements at a time.
+mapped by the element's inverse Jacobian) times n |piece| = rot(J (b - a)).
+Each face separates two owners in one element (`geometry.REFERENCE_FACES`),
+so the flux balances add into owner-major element blocks like the Galerkin
+rows, and each block is one COO -> CSR conversion.  Volume integrals (the
+sources over control volumes, the Galerkin load) map a fixed reference
+rule, the degree-6 rule on the fan triangles of `geometry.REFERENCE_CELLS`
+or on the whole element, by each element's X0 + J xi and evaluate it
+`_BLOCK` elements at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ import scipy.sparse as sp
 from .basis import _eval_unchecked, barycentric, segment_rule, triangle_rule
 from .geometry import (
     REFERENCE_CELLS,
+    REFERENCE_FACES,
     REFERENCE_PIECES,
+    SEGMENT_OWNERS,
     ControlVolumeSet,
     ElementData,
     GridDiscretization,
@@ -55,6 +60,9 @@ SOURCE_QUAD_DEGREE = 6
 NEUMANN_QUAD_DEGREE = 5
 # Elements or faces per block of the volume and face kernels.
 _BLOCK = 512
+# Owner slots of an element block, as in `REFERENCE_FACES`: the local
+# vertices 0-2, the bubble, and "none", whose entries are discarded.
+_OWNERS = 5
 
 
 class ConfigurationError(ValueError):
@@ -217,57 +225,59 @@ class SaddleSystem:
         return self.rhs() - self.matrix() @ x
 
 
-def _append(out, rows, cols, vals):
-    """Append COO triplets; the row and column ids broadcast to the entries."""
-    out[0].append(np.broadcast_to(rows, vals.shape).ravel())
-    out[1].append(np.broadcast_to(cols, vals.shape).ravel())
-    out[2].append(vals.ravel())
-
-
 def _xy(ids):
     """Scalar unknown ids (..., 2) of both velocity components at locations `ids`."""
     return 2 * ids[..., None] + np.arange(2)
 
 
-def _flux_momentum_entries(disc, cvset, mu, outA, outB):
-    """Momentum flux-balance entries from the interior faces of a CV set.
-
-    A entries are indexed [face, trial, row comp, col comp], B entries
-    [face, hat, row comp]; the outside volume takes them negated.
-    """
-    e = cvset.face_element
-    nl = cvset.face_normal * cvset.face_length[:, None]
-    grads = _PIECE_GRADIENTS[cvset.face_slot] @ disc.elements.inv_jacobians[e]   # (F, 4, 2)
-    gn = grads[:, :, 0] * nl[:, None, 0] + grads[:, :, 1] * nl[:, None, 1]
-    Apair = -mu * (gn[:, :, None, None] * np.eye(2) + grads[:, :, :, None] * nl[:, None, None, :])
-    Bpair = _PIECE_HATS[cvset.face_slot][:, :, None] * nl[:, None, :]
-
-    dofs = _xy(disc.element_velocity_dofs()[e])
-    tris = disc.mesh.triangles[e]
-    has_out = cvset.face_outside >= 0
-    for sel, row_cv, sign in ((slice(None), cvset.face_inside, 1.0), (has_out, cvset.face_outside[has_out], -1.0)):
-        rows = _xy(row_cv)[:, None]
-        _append(outA, rows[..., None], dofs[sel][:, :, None], sign * Apair[sel])
-        _append(outB, rows, tris[sel][:, :, None], sign * Bpair[sel])
+def _scaled_normals(eldata, elements, slots):
+    """n |piece| = rot(J_e (b - a)) of the reference pieces `slots` in `elements`, (..., 2)."""
+    jd = eldata.jacobians[elements] @ (REFERENCE_PIECES[slots, 1] - REFERENCE_PIECES[slots, 0])[..., None]
+    return np.concatenate((jd[..., 1, :], -jd[..., 0, :]), axis=-1)
 
 
-def _mass_pairs(slots, normals, lengths):
-    """Volume-flux entries [piece, trial, component] of pieces in reference slots."""
-    nl = normals * lengths[:, None]
-    return _PIECE_VALUES[slots][:, :, None] * nl[:, None, :]
+def _flux_momentum_blocks(disc, mu, A, B):
+    """Add the momentum flux balances of the velocity control volumes to the
+    element blocks A [owner, e, comp, trial, comp] and B [owner, e, comp, hat]:
+    a face's flux (-2 mu D(v) + p I) n |face| enters its inside owner's rows
+    and leaves its outside owner's."""
+    inv = disc.elements.inv_jacobians
+    for slot, inside, outside in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]:
+        nl = _scaled_normals(disc.elements, slice(None), slot)
+        grads = np.swapaxes(_PIECE_GRADIENTS[slot] @ inv, 1, 2)        # [e, comp, trial]
+        gn = nl[:, :1] * grads[:, 0] + nl[:, 1:] * grads[:, 1]          # [e, trial]
+        a = -mu * (grads[..., None] * nl[:, None, None, :] + gn[:, None, :, None] * np.eye(2)[:, None])
+        b = nl[:, :, None] * _PIECE_HATS[slot]
+        for block, pair in ((A, a), (B, b)):
+            block[inside] += pair
+            block[outside] -= pair
 
 
-def _mass_entries(disc, cvset, outC):
-    """Mass flux-balance entries: interior faces plus boundary segments."""
-    eldofs = disc.element_velocity_dofs()
-    face = _mass_pairs(cvset.face_slot, cvset.face_normal, cvset.face_length)
-    has_out = cvset.face_outside >= 0
-    for pair, elements, row_cv in (
-        (face, cvset.face_element, cvset.face_inside),
-        (-face[has_out], cvset.face_element[has_out], cvset.face_outside[has_out]),
-        (_mass_pairs(cvset.seg_slot, cvset.seg_normal, cvset.seg_length), cvset.seg_element, cvset.seg_cv),
-    ):
-        _append(outC, row_cv[:, None, None], _xy(eldofs[elements]), pair)
+def _mass_blocks(disc):
+    """Element block C [owner, e, trial, comp] of the pressure boxes' flux
+    balances, owned by the element's vertices: v . n |piece| enters a face's
+    inside box and leaves its outside box, and leaves the box at a boundary
+    segment's vertex end."""
+    C = np.zeros((3, disc.mesh.n_elements, 4, 2))
+    for slot, inside, outside in REFERENCE_FACES["boxes"]:
+        c = _PIECE_VALUES[slot][:, None] * _scaled_normals(disc.elements, slice(None), slot)[:, None, :]
+        C[inside] += c
+        C[outside] -= c
+    e, slots = disc.pressure.seg_element, disc.pressure.seg_slot
+    c = _PIECE_VALUES[slots][..., None] * _scaled_normals(disc.elements, e, slots)[:, None, :]
+    np.add.at(C, (SEGMENT_OWNERS[slots], e), c)
+    return C
+
+
+def _to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dtype=np.int64)):
+    """One COO -> CSR conversion of element blocks, whose row and column ids
+    broadcast to them.  The `dropped` rows are zeroed, then each `diagonal`
+    id takes a one; entries that cancel exactly are not stored."""
+    np.copyto(blocks, 0.0, where=np.isin(row_ids, dropped))
+    rows, cols = (np.concatenate((np.broadcast_to(ids, blocks.shape), diagonal), axis=None) for ids in (row_ids, col_ids))
+    M = sp.coo_matrix((np.concatenate((blocks, np.ones(diagonal.size)), axis=None), (rows, cols)), shape=shape).tocsr()
+    M.eliminate_zeros()
+    return M
 
 
 def _volume_rule(cells):
@@ -359,18 +369,17 @@ def segment_tractions(disc, problem):
         rule = segment_rule(NEUMANN_QUAD_DEGREE)
         pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
         w = rule.weights[None, :] * segs.seg_length[neu][:, None]
-        nn = np.broadcast_to(segs.seg_normal[neu][:, None, :], pts.shape)
-        tn = np.asarray(problem.neumann(pts.reshape(-1, 2), nn.reshape(-1, 2)), dtype=float)
-        tn = tn.reshape(pts.shape)
+        nn = np.broadcast_to(segs.seg_normal[neu][:, None, :], pts.shape).reshape(-1, 2)
+        tn = _evaluate(lambda x: problem.neumann(x, nn), "neumann", pts, (2,))
         plain[neu] = np.einsum("sq,sqk->sk", w, tn)
         hats[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[segs.seg_slot[neu]], tn)
     return plain, hats
 
 
-def _galerkin_momentum(disc, problem, tests, outA, outB, load):
-    """Galerkin momentum rows for the given local test functions (0..3).
-
-    Loads accumulate into `load`, one (x, y) pair per velocity location.
+def _galerkin_momentum(disc, problem, tests, A, B, load):
+    """Galerkin momentum rows for the local test functions `tests` (0..3),
+    added to the element blocks A and B by test; loads accumulate into
+    `load`, one (x, y) pair per velocity location.
 
     The element matrices come from reference-element tensors, integrated
     once with the degree-6 rule and mapped by each element's inverse
@@ -401,7 +410,7 @@ def _galerkin_momentum(disc, problem, tests, outA, outB, load):
     K[:, 0] = -K[:, 1:].sum(axis=1)
     L = np.einsum("q,qj,qti->tji", w, lam, gt)
 
-    # Apair[e, t, a, b, k] multiplies trial (b, k) in the row of test (t, a):
+    # The entry [t, e, a, b, k] of A multiplies trial (b, k) in the row of test (t, a):
     #   mu 2|e| sum_ij K[t, b, i, j] (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
     inv = el.inv_jacobians
     Q = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # [e, i, j, a, k]
@@ -410,14 +419,11 @@ def _galerkin_momentum(disc, problem, tests, outA, outB, load):
     Q[..., 1, 1] += metric
     Q *= (mu * 2.0 * el.areas)[:, None, None, None, None]
     Apair = (Q.reshape(ne, 4, 4).swapaxes(1, 2) @ K.reshape(4 * T, 4).T)  # [e, ak, tb]
-    Apair = Apair.reshape(ne, 2, 2, T, 4).transpose(0, 3, 1, 4, 2)
-    # Bpair[e, t, a, j] = -2|e| sum_i L[t, j, i] inv[i, a]
-    Bpair = np.swapaxes(inv, 1, 2)[:, None] @ np.swapaxes(L, 1, 2)[None]     # [e, t, a, j]
-    Bpair *= (-2.0 * el.areas)[:, None, None, None]
-
-    rows = _xy(eldofs[:, tests])        # (ne, T, 2)
-    _append(outA, rows[..., None, None], _xy(eldofs)[:, None, None], Apair)
-    _append(outB, rows[..., None], disc.mesh.triangles[:, None, None], Bpair)
+    A[tests] += Apair.reshape(ne, 2, 2, T, 4).transpose(3, 0, 1, 4, 2)
+    # The entry [t, e, a, j] of B is -2|e| sum_i L[t, j, i] inv[i, a].
+    Bpair = np.swapaxes(inv, 1, 2) @ np.swapaxes(L, 1, 2)[:, None]       # [t, e, a, j]
+    Bpair *= (-2.0 * el.areas)[:, None, None]
+    B[tests] += Bpair
 
     force = _integrate_elements(                                      # (T, ne, 2)
         el, rule.points, (ev.values[:, tests] * w[:, None]).T,
@@ -457,48 +463,37 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         if not 0 <= pin_pressure < n_p:
             raise ConfigurationError(f"pin_pressure index {pin_pressure} out of range")
 
-    outA = ([], [], [])
-    outB = ([], [], [])
-    outC = ([], [], [])
     rhs_u = np.zeros(2 * n_u)
     load = rhs_u.reshape(n_u, 2)
+    A = np.zeros((_OWNERS, mesh.n_elements, 2, 4, 2))
+    B = np.zeros((_OWNERS, mesh.n_elements, 2, 3))
 
     spec = disc.scheme.spec
     if spec.flux_momentum:
         vset = disc.velocity
-        _flux_momentum_entries(disc, vset, mu, outA, outB)
+        _flux_momentum_blocks(disc, mu, A, B)
         load[: vset.n_cvs] += _integrate_over_cvs(disc, vset, problem, "body_force")
         np.subtract.at(load, vset.seg_cv, segment_tractions(disc, problem)[0])
     if spec.galerkin_tests:
-        _galerkin_momentum(disc, problem, spec.galerkin_tests, outA, outB, load)
-
-    _mass_entries(disc, disc.pressure, outC)
+        _galerkin_momentum(disc, problem, spec.galerkin_tests, A, B, load)
     rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 
     # Dirichlet rows become identity rows on both components of marked
     # vertices; a pinned pressure's mass row becomes p_k = 0.
     dverts = mesh.dirichlet_vertices()
     ddofs = _xy(dverts).ravel()
-    drop_u = np.zeros(2 * n_u, dtype=bool)
-    drop_u[ddofs] = True
-    drop_p = np.zeros(n_p, dtype=bool)
-    if pin_pressure is not None:
-        drop_p[pin_pressure] = True
-        rhs_p[pin_pressure] = 0.0
+    pinned = [] if pin_pressure is None else [pin_pressure]
+    rhs_p[pinned] = 0.0
     if dverts.size:
-        load[dverts] = np.asarray(problem.dirichlet(mesh.vertices[dverts]), dtype=float)
+        load[dverts] = _evaluate(problem.dirichlet, "dirichlet", mesh.vertices[dverts], (2,))
 
-    def finalize(out, shape, drop):
-        rows, cols, vals = (np.concatenate(col) for col in out)
-        vals[drop[rows]] = 0.0
-        M = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-        M.eliminate_zeros()    # the dropped rows and entries that cancel exactly
-        return M
-
-    A = finalize(outA, (2 * n_u, 2 * n_u), drop_u)
-    B = finalize(outB, (2 * n_u, n_p), drop_u)
-    A = (A + sp.coo_matrix((np.ones(ddofs.size), (ddofs, ddofs)), shape=A.shape)).tocsr()
-    C = finalize(outC, (n_p, 2 * n_u), drop_p)
+    # Velocity ids [e, local, comp]: the momentum rows [owner, e, comp] (less
+    # the owner "none") and the columns of A and C.
+    dofs = _xy(disc.element_velocity_dofs())
+    rows = np.swapaxes(dofs, 0, 1)
+    A = _to_csr(A[:4], rows[..., None, None], dofs[None, :, None], (2 * n_u, 2 * n_u), ddofs, ddofs)
+    B = _to_csr(B[:4], rows[..., None], mesh.triangles[None, :, None], (2 * n_u, n_p), ddofs)
+    C = _to_csr(_mass_blocks(disc), mesh.triangles.T[..., None, None], dofs[None], (n_p, 2 * n_u), pinned)
 
     return SaddleSystem(
         A=A,

@@ -107,16 +107,6 @@ class ManufacturedCase:
         return mesh.with_bc(self.bc_layout)
 
 
-def _fields(case: ManufacturedCase, points: np.ndarray):
-    """Velocity, pressure, body force and velocity gradient of a case at points."""
-    return (
-        case.velocity(points),
-        case.pressure(points),
-        case.body_force(points),
-        case.velocity_gradient(points),
-    )
-
-
 # q(u) = u^2 (1 - u)^2 and its first three derivatives, in Horner form.
 _QUARTIC = (
     lambda u: u * u * (1.0 + u * (-2.0 + u)),
@@ -201,11 +191,6 @@ def donea_huerta_case(viscosity: float = 1.0) -> ManufacturedCase:
     return _product_case("donea-huerta", viscosity, 1.0, _QUARTIC, _QUARTIC, pressure, (1.0, 0.0))
 
 
-def donea_huerta(points: np.ndarray, viscosity: float = 1.0):
-    """Quartic vortex benchmark: velocity, pressure, body force, gradient."""
-    return _fields(donea_huerta_case(viscosity), points)
-
-
 def bercovier_engelman_case() -> ManufacturedCase:
     """Quartic cavity benchmark, unit viscosity: v = 256 (-q(x) b(y), q(y) b(x)), b = q'/2.
 
@@ -213,11 +198,6 @@ def bercovier_engelman_case() -> ManufacturedCase:
     """
     half = (lambda u: u - 0.5, 1.0)
     return _product_case("bercovier-engelman", 1.0, -128.0, _QUARTIC, _QUARTIC, half, half)
-
-
-def bercovier_engelman(points: np.ndarray):
-    """Quartic cavity benchmark: velocity, pressure, body force, gradient."""
-    return _fields(bercovier_engelman_case(), points)
 
 
 def shear_flow_case(viscosity: float = 1.0) -> ManufacturedCase:

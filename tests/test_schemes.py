@@ -1,6 +1,7 @@
 """Flux evaluation and saddle-point assembly for the four schemes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,54 +268,54 @@ def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
     mesh = distort(generate_structured(6, 5), 0.2, seed=12).with_bc(MIXED)
     disc = build(mesh, "fem")
     mu = 1.7
-    outA, outB = ([], [], []), ([], [], [])
+    A = np.zeros((schemes._OWNERS, mesh.n_elements, 2, 4, 2))
+    B = np.zeros((schemes._OWNERS, mesh.n_elements, 2, 3))
     problem = StokesProblem(viscosity=mu)
-    _galerkin_momentum(disc, problem, tests, outA, outB, np.zeros((disc.n_velocity_locations, 2)))
+    _galerkin_momentum(disc, problem, tests, A, B, np.zeros((disc.n_velocity_locations, 2)))
     Apair, Bpair = _galerkin_oracle(disc, mu, tests)
-    # One entry per (element, test, component, trial, component), in that order.
-    for got, want in ((outA[2][0], Apair), (outB[2][0], Bpair)):
-        assert got.shape == (want.size,)
-        assert np.max(np.abs(got - want.ravel())) <= 1e-13 * np.max(np.abs(want))
+    # The blocks are laid out [test, element, ...]; the other owners stay zero.
+    for got, want in ((A, Apair), (B, Bpair)):
+        assert np.max(np.abs(got[list(tests)] - np.swapaxes(want, 0, 1))) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(np.delete(got, tests, axis=0))
 
 
-def _flux_momentum_entries_oracle(disc, cvset, mu, outA, outB):
+def _local_owners(disc, elements, cvs):
+    """Owner slot of the control volumes `cvs` in `elements`: vertex 0-2, bubble 3, none 4 (id -1)."""
+    ne = disc.mesh.n_elements
+    owners = np.column_stack((disc.mesh.triangles, disc.mesh.n_vertices + np.arange(ne), np.full(ne, -1)))
+    local = np.argmax(owners[elements] == cvs[:, None], axis=1)
+    assert np.array_equal(owners[elements, local], cvs)
+    return local
+
+
+def _flux_momentum_blocks_oracle(disc, mu, A, B):
     """Momentum flux-balance entries contracted at every face quadrature point."""
+    cvset = disc.velocity
     e = cvset.face_element
-    dofcols = disc.element_velocity_dofs()[e]
     _, grads, hats = basis_at(disc.elements, e[:, None], cvset.face_qpoints)
     n = cvset.face_normal
     w = cvset.face_qweights
     gn = np.einsum("fqba,fa->fqb", grads, n)
     term1 = np.einsum("fq,fqb->fb", w, gn)
-    term2 = np.einsum("fq,fqba,fk->fbak", w, grads, n)
-    Apair = -mu * (term1[:, :, None, None] * np.eye(2)[None, None] + term2)
-    Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
-    tris = disc.mesh.triangles[e]
-    out = cvset.face_outside >= 0
-    for sel, row_cv, sign in ((slice(None), cvset.face_inside, 1.0), (out, cvset.face_outside[out], -1.0)):
-        rows = (2 * row_cv)[:, None, None] + np.arange(2)
-        cols = (2 * dofcols[sel])[:, :, None] + np.arange(2)
-        schemes._append(outA, rows[..., None], cols[:, :, None], sign * Apair[sel])
-        schemes._append(outB, rows, tris[sel][:, :, None], sign * Bpair[sel])
+    term2 = np.einsum("fq,fqba,fk->fabk", w, grads, n)
+    Apair = -mu * (term1[:, None, :, None] * np.eye(2)[None, :, None, :] + term2)
+    Bpair = np.einsum("fq,fqj,fa->faj", w, hats, n)
+    for cvs, sign in ((cvset.face_inside, 1.0), (cvset.face_outside, -1.0)):
+        local = _local_owners(disc, e, cvs)
+        np.add.at(A, (local, e), sign * Apair)
+        np.add.at(B, (local, e), sign * Bpair)
 
 
-def _mass_entries_oracle(disc, cvset, outC):
+def _mass_blocks_oracle(disc):
     """Mass flux-balance entries contracted at every face and segment quadrature point."""
-    eldofs = disc.element_velocity_dofs()
-    pieces = [
-        (cvset.face_element, cvset.face_qpoints, cvset.face_qweights, cvset.face_normal, cvset.face_inside, 1.0)
-    ]
-    out = cvset.face_outside >= 0
-    pieces.append(
-        (cvset.face_element[out], cvset.face_qpoints[out], cvset.face_qweights[out],
-         cvset.face_normal[out], cvset.face_outside[out], -1.0)
-    )
-    pieces.append((cvset.seg_element, cvset.seg_qpoints, cvset.seg_qweights, cvset.seg_normal, cvset.seg_cv, 1.0))
-    for e, qpoints, w, n, row_cv, sign in pieces:
+    cvset = disc.pressure
+    C = np.zeros((3, disc.mesh.n_elements, 4, 2))
+    for kind, cvs, sign in (("face", "face_inside", 1.0), ("face", "face_outside", -1.0), ("seg", "seg_cv", 1.0)):
+        e, qpoints, w, n = (getattr(cvset, f"{kind}_{name}") for name in ("element", "qpoints", "qweights", "normal"))
         vals, _, _ = basis_at(disc.elements, e[:, None], qpoints)
         pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
-        cols = (2 * eldofs[e])[:, :, None] + np.arange(2)[None, None, :]
-        schemes._append(outC, row_cv[:, None, None], cols, sign * pair)
+        np.add.at(C, (_local_owners(disc, e, getattr(cvset, cvs)), e), sign * pair)
+    return C
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -325,8 +326,8 @@ def test_flux_entries_match_quadrature_point_oracle(scheme, monkeypatch):
     disc = build(mesh, scheme)
     problem = StokesProblem(viscosity=1.7)
     got = assemble(disc, problem)
-    monkeypatch.setattr(schemes, "_flux_momentum_entries", _flux_momentum_entries_oracle)
-    monkeypatch.setattr(schemes, "_mass_entries", _mass_entries_oracle)
+    monkeypatch.setattr(schemes, "_flux_momentum_blocks", _flux_momentum_blocks_oracle)
+    monkeypatch.setattr(schemes, "_mass_blocks", _mass_blocks_oracle)
     want = assemble(disc, problem)
     for name in "ABC":
         G, W = getattr(got, name), getattr(want, name)
@@ -344,6 +345,24 @@ def test_assembled_blocks_store_no_zeros(scheme, pinned):
     for name in "ABC":
         M = getattr(system, name)
         assert np.count_nonzero(M.data) == M.nnz, name
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_assembly_peak_memory_is_bounded_by_its_blocks(scheme):
+    # Element blocks hold each element's entries once, so one assembly
+    # needs only a few times the memory of the CSR blocks it returns.
+    case = donea_huerta_case()
+    disc = build(case.apply_bc(distort(generate_structured(24, 24), 0.2, seed=26)), scheme)
+    problem = case.problem()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = assemble(disc, problem)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes for M in (system.A, system.B, system.C))
+    assert peak <= 7 * size
 
 
 def _neumann_galerkin_rhs_oracle(disc, problem, rhs_u):
@@ -614,6 +633,20 @@ def test_wrong_shape_of_a_source_names_the_field(field):
     mesh = random_distorted_mesh(24, n=3).with_bc(MIXED)
     flat = {"body_force": lambda p: np.zeros(len(p)), "mass_source": lambda p: np.zeros((len(p), 2))}
     problem = StokesProblem(viscosity=1.0, **{field: flat[field]})
+    for scheme in SCHEMES:
+        with pytest.raises(ConfigurationError, match=field):
+            assemble(build(mesh, scheme), problem)
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (2,)], ids=["n", "n-1", "flat-2n"])
+@pytest.mark.parametrize("field", ["dirichlet", "neumann"])
+def test_wrong_shape_of_boundary_data_names_the_field(field, shape):
+    mesh = random_distorted_mesh(24, n=3).with_bc(MIXED)
+
+    def values(points, *normals):
+        return np.zeros((shape[0] * len(points),) + shape[1:])
+
+    problem = StokesProblem(viscosity=1.0, **{field: values})
     for scheme in SCHEMES:
         with pytest.raises(ConfigurationError, match=field):
             assemble(build(mesh, scheme), problem)

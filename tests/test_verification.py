@@ -16,10 +16,8 @@ from cvstokes.verification import (
     ConvergenceReport,
     LevelResult,
     _product_case,
-    bercovier_engelman,
     bercovier_engelman_case,
     conservation_audit,
-    donea_huerta,
     donea_huerta_case,
     error_norms,
     region_mass_balance,
@@ -80,7 +78,9 @@ def _check_gradient(case, tol=1e-6):
 
 
 def test_donea_huerta_values():
-    v, p, f, grad = donea_huerta(np.array([[0.25, 0.25], [0.0, 0.0], [0.5, 0.5]]))
+    case = donea_huerta_case()
+    pts = np.array([[0.25, 0.25], [0.0, 0.0], [0.5, 0.5]])
+    v, p, grad = case.velocity(pts), case.pressure(pts), case.velocity_gradient(pts)
     assert v[0, 0] == pytest.approx(0.006591796875, rel=1e-12)
     assert v[0, 1] == pytest.approx(-0.006591796875, rel=1e-12)
     assert np.allclose(v[1], 0.0, atol=1e-15)
@@ -97,8 +97,7 @@ def test_donea_huerta_vanishes_on_boundary():
         np.column_stack((np.zeros_like(t), t)),
         np.column_stack((np.ones_like(t), t)),
     ):
-        v, _, _, _ = donea_huerta(pts)
-        assert np.max(np.abs(v)) < 1e-15
+        assert np.max(np.abs(donea_huerta_case().velocity(pts))) < 1e-15
 
 
 def test_donea_huerta_consistency():
@@ -115,7 +114,9 @@ def test_donea_huerta_viscosity_enters_force():
 
 
 def test_bercovier_engelman_values():
-    v, p, f, grad = bercovier_engelman(np.array([[0.5, 0.25], [0.0, 0.0]]))
+    case = bercovier_engelman_case()
+    pts = np.array([[0.5, 0.25], [0.0, 0.0]])
+    v, p = case.velocity(pts), case.pressure(pts)
     assert v[0, 0] == pytest.approx(-1.5, rel=1e-13)
     assert p[1] == pytest.approx(0.25, rel=1e-14)
     assert np.allclose(v[1], 0.0, atol=1e-15)
@@ -168,26 +169,23 @@ def _expanded_bercovier_engelman(x, y):
 
 
 @pytest.mark.parametrize(
-    "case, fields, oracle",
+    "case, oracle",
     [
-        (donea_huerta_case(2.5), lambda pts: donea_huerta(pts, 2.5),
-         lambda x, y: _expanded_donea_huerta(x, y, 2.5)),
-        (bercovier_engelman_case(), bercovier_engelman, _expanded_bercovier_engelman),
+        (donea_huerta_case(2.5), lambda x, y: _expanded_donea_huerta(x, y, 2.5)),
+        (bercovier_engelman_case(), _expanded_bercovier_engelman),
     ],
     ids=["donea-huerta", "bercovier-engelman"],
 )
-def test_case_fields_match_tuple_function(case, fields, oracle):
-    # Each field function evaluates only its own field; the tuple function
-    # is built from them, and both agree with the expanded closed forms.
+def test_case_fields_match_expanded_closed_forms(case, oracle):
+    # Each field function evaluates only its own field and agrees with the
+    # expanded closed form.
     pts = np.random.default_rng(17).uniform(-0.2, 1.2, size=(6, 5, 2))
     per_field = (
         case.velocity(pts), case.pressure(pts), case.body_force(pts), case.velocity_gradient(pts)
     )
-    for got, tuple_entry, want in zip(per_field, fields(pts), oracle(pts[..., 0], pts[..., 1])):
+    for got, want in zip(per_field, oracle(pts[..., 0], pts[..., 1])):
         assert got.shape == want.shape
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got - tuple_entry)) <= 1e-14 * scale
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_product_case_derives_gradient_and_body_force():
