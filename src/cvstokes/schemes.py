@@ -182,7 +182,8 @@ class SaddleSystem:
     dofs so constrained.  If a pressure unknown is pinned its mass row is
     replaced by an identity row stored in the otherwise empty block.
     `bubble_dofs` is the contiguous range of bubble velocity dofs, which
-    the solvers eliminate element by element.
+    the solvers eliminate element by element; `_elimination` keeps that
+    elimination of `matrix()` once a solver has built it.
     """
 
     A: sp.csr_matrix
@@ -194,6 +195,7 @@ class SaddleSystem:
     pinned_pressure: int | None = None
     bubble_dofs: range = range(0)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
+    _elimination: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_velocity(self) -> int:
@@ -242,12 +244,17 @@ def _flux_momentum_blocks(disc, mu, A, B):
     a face's flux (-2 mu D(v) + p I) n |face| enters its inside owner's rows
     and leaves its outside owner's."""
     inv = disc.elements.inv_jacobians
+    a = np.empty(A.shape[1:])
+    b = np.empty(B.shape[1:])
     for slot, inside, outside in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]:
         nl = _scaled_normals(disc.elements, slice(None), slot)
         grads = np.swapaxes(_PIECE_GRADIENTS[slot] @ inv, 1, 2)        # [e, comp, trial]
         gn = nl[:, :1] * grads[:, 0] + nl[:, 1:] * grads[:, 1]          # [e, trial]
-        a = -mu * (grads[..., None] * nl[:, None, None, :] + gn[:, None, :, None] * np.eye(2)[:, None])
-        b = nl[:, :, None] * _PIECE_HATS[slot]
+        np.multiply(grads[..., None], nl[:, None, None, :], out=a)
+        a[:, 0, :, 0] += gn
+        a[:, 1, :, 1] += gn
+        a *= -mu
+        np.multiply(nl[:, :, None], _PIECE_HATS[slot], out=b)
         for block, pair in ((A, a), (B, b)):
             block[inside] += pair
             block[outside] -= pair

@@ -1,40 +1,42 @@
 """Preconditioned iterative and direct solution of the saddle-point systems.
 
-Both solvers first eliminate the bubble unknowns of the MINI velocity
+Both solvers work on the saddle system with its bubble unknowns eliminated
 (Arnold, Brezzi & Fortin 1984).  Every bubble row touches only its own
-element, so the bubble-bubble block of any operator built from A is
-block diagonal with one 2x2 block per element.  Ordering an operator M as
-kept (k) and bubble (b) unknowns,
+element, so the bubble-bubble block of the system matrix J is block
+diagonal with one 2x2 block per element.  Ordering an operator M as kept
+(k) and bubble (b) unknowns,
 
     [[M_kk, M_kb], [M_bk, M_bb]],
 
 the bubbles drop out through the condensed operator
 M_kk - M_kb M_bb^{-1} M_bk, whose solve is followed by the local recovery
-y_b = M_bb^{-1} (r_b - M_bk y_k).  This is an exact solve of M, so only
-the size of the sparse factorizations changes.
+y_b = M_bb^{-1} (r_b - M_bk y_k).  The kept unknowns are the vertex
+velocities and the pressures, three per vertex instead of two per vertex
+and element plus one per vertex.  The elimination of J is built once per
+system and shared by both solvers and the preconditioner.
 
-The preconditioner is block triangular: exact application of the inverse
-of the velocity block A, and the inverse of a Schur-complement surrogate
-for the pressure block, here the pressure mass matrix scaled by
-1 / (2 mu).  Applied to a residual (r_u, r_p) it returns
+The condensed system is J_c = [[A_c, B_c], [C_c, D_c]], where A_c is the
+velocity block with its bubbles eliminated and D_c = -C_b A_bb^{-1} B_b
+the pressure coupling the elimination leaves behind (plus the identity of
+a pinned pressure).  The Krylov solver is a non-restarted
+left-preconditioned GMRes on J_c that terminates when the Euclidean norm
+of the preconditioned residual has dropped by a given factor relative to
+its initial value; the bubbles are then recovered once, element by
+element, so the bubble rows of the full system hold to round-off.  The
+preconditioner is block triangular (Elman, Silvester & Wathen): an exact
+solve with A_c, and a Schur-complement surrogate S = M_p / (2 mu) - D_c
+built from the pressure mass matrix M_p, with D_c taken without the
+pinned-pressure identity.  Applied to a residual (r_u, r_p) it returns
 
-    z_u = A^{-1} r_u
-    z_p = S^{-1} (r_p - C z_u)
+    z_u = A_c^{-1} r_u
+    z_p = S^{-1} (r_p - C_c z_u).
 
-with A^{-1} applied through the condensed vertex block and S^{-1} by a
-sparse LU factorization.  The Krylov solver is a non-restarted
-left-preconditioned GMRes that terminates when the Euclidean norm of the
-preconditioned residual has dropped by a given factor relative to its
-initial value.
+The direct solver factors J_c.  Its iterative refinement evaluates the
+residual with the full, uncondensed system, so the flux balances of the
+recovered solution hold to the round-off of that evaluation.
 
-The direct solver factors the condensed saddle-point system, whose size
-is three unknowns per vertex instead of two per vertex and element plus
-one per vertex.  Its iterative refinement evaluates the residual with the
-full, uncondensed system, so the flux balances of the recovered solution
-hold to the round-off of that evaluation.
-
-Every sparse factorization (the condensed saddle system, the condensed
-velocity block and the pressure mass matrix) is a SuperLU factor with a
+Every sparse factorization (the condensed saddle system, its velocity
+block A_c and the Schur surrogate S) is a SuperLU factor with a
 minimum-degree ordering of M + M^T and diagonal pivots.  The operators are
 structurally near-symmetric; for the condensed saddle system this ordering
 leaves about 0.6 (40x40 mesh) to 0.42 (128x128) of the fill of scipy's
@@ -120,7 +122,8 @@ class BubbleElimination:
 
     `bubbles` is the contiguous range of bubble unknowns, two per element
     (x and y); all other unknowns are kept.  `condensed` is the Schur
-    complement M_kk - M_kb M_bb^{-1} M_bk on the kept unknowns.
+    complement M_kk - M_kb M_bb^{-1} M_bk on the kept unknowns.  An empty
+    range keeps every unknown, and `condensed` is M itself.
     """
 
     bubbles: range
@@ -140,14 +143,32 @@ class BubbleElimination:
         condensed = rows_k[:, keep] - M_kb @ (M_bb_inv @ M_bk)
         return cls(bubbles, condensed.tocsc(), M_kb, M_bk, M_bb_inv)
 
+    def kept(self, v: np.ndarray) -> np.ndarray:
+        """The entries of `v` on the kept unknowns."""
+        lo, hi = self.bubbles.start, self.bubbles.stop
+        return np.concatenate((v[:lo], v[hi:]))
+
+    def condense(self, r: np.ndarray) -> np.ndarray:
+        """Right-hand side r_k - M_kb M_bb^{-1} r_b of the condensed operator."""
+        r_b = r[self.bubbles.start : self.bubbles.stop]
+        return self.kept(r) - self.M_kb @ (self.M_bb_inv @ r_b)
+
+    def recover(self, r: np.ndarray, y_k: np.ndarray) -> np.ndarray:
+        """Full solution of M y = r from its kept part y_k: y_b = M_bb^{-1} (r_b - M_bk y_k)."""
+        lo, hi = self.bubbles.start, self.bubbles.stop
+        y_b = self.M_bb_inv @ (r[lo:hi] - self.M_bk @ y_k)
+        return np.concatenate((y_k[:lo], y_b, y_k[lo:]))
+
     def solve(self, solve_condensed, r: np.ndarray) -> np.ndarray:
         """Solve M y = r, given a solver of the condensed operator."""
-        lo, hi = self.bubbles.start, self.bubbles.stop
-        r_b = r[lo:hi]
-        r_k = np.concatenate((r[:lo], r[hi:]))
-        y_k = solve_condensed(r_k - self.M_kb @ (self.M_bb_inv @ r_b))
-        y_b = self.M_bb_inv @ (r_b - self.M_bk @ y_k)
-        return np.concatenate((y_k[:lo], y_b, y_k[lo:]))
+        return self.recover(r, solve_condensed(self.condense(r)))
+
+
+def bubble_elimination(system: SaddleSystem) -> BubbleElimination:
+    """The bubble elimination of `system.matrix()`, built once per system."""
+    if system._elimination is None:
+        system._elimination = BubbleElimination.build(system.matrix(), system.bubble_dofs)
+    return system._elimination
 
 
 def _invert_bubble_blocks(M_bb: sp.csr_matrix) -> sp.csr_matrix:
@@ -183,29 +204,35 @@ def _invert_bubble_blocks(M_bb: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass
 class BlockPreconditioner:
-    """Block-triangular preconditioner with exact sub-solves.
+    """Block-triangular preconditioner of the condensed saddle system.
 
-    `lu_A` factors the velocity block with its bubbles eliminated;
-    `bubbles` turns that factor into an exact solve with A.
+    `lu_A` factors the condensed velocity block A_c and `lu_S` the
+    Schur-complement surrogate M_p / (2 mu) - D_c; `C` is the condensed
+    mass block C_c and `n_velocity` the number of kept velocity unknowns.
     """
 
     lu_A: object
     lu_S: object
-    C: sp.csr_matrix
+    C: sp.csc_matrix
     n_velocity: int
-    bubbles: BubbleElimination
 
     @classmethod
     def build(cls, system: SaddleSystem, schur_approx: sp.spmatrix) -> "BlockPreconditioner":
-        bubbles = BubbleElimination.build(system.A, system.bubble_dofs)
-        lu_A = _factor(bubbles.condensed)
-        lu_S = _factor(sp.csc_matrix(schur_approx))
-        return cls(lu_A=lu_A, lu_S=lu_S, C=system.C, n_velocity=system.n_velocity, bubbles=bubbles)
+        """`schur_approx` is the pressure mass matrix scaled by 1 / (2 mu)."""
+        J_c = bubble_elimination(system).condensed
+        n_u = system.n_velocity - len(system.bubble_dofs)
+        D_c = J_c[n_u:, n_u:]
+        if system.pinned_pressure is not None:
+            k = system.pinned_pressure
+            D_c = D_c - sp.csc_matrix(([1.0], ([k], [k])), shape=D_c.shape)
+        lu_A = _factor(J_c[:n_u, :n_u])
+        lu_S = _factor(sp.csc_matrix(schur_approx) - D_c)
+        return cls(lu_A=lu_A, lu_S=lu_S, C=J_c[n_u:, :n_u], n_velocity=n_u)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r_u = r[: self.n_velocity]
         r_p = r[self.n_velocity :]
-        z_u = self.bubbles.solve(self.lu_A.solve, r_u)
+        z_u = self.lu_A.solve(r_u)
         z_p = self.lu_S.solve(r_p - self.C @ z_u)
         return np.concatenate((z_u, z_p))
 
@@ -221,6 +248,10 @@ class SolveReport:
     residual_history: np.ndarray = field(repr=False, default=None)
 
 
+# Krylov basis vectors allocated at a time.
+_CHUNK = 32
+
+
 def gmres_solve(
     system: SaddleSystem,
     preconditioner: BlockPreconditioner | None = None,
@@ -228,83 +259,91 @@ def gmres_solve(
     reduction: float = 1e10,
     max_iterations: int = 500,
 ) -> SolveReport:
-    """Non-restarted left-preconditioned GMRes.
+    """Non-restarted left-preconditioned GMRes on the condensed saddle system.
 
-    Stops once the preconditioned residual norm has been reduced by
-    `reduction` relative to its value at `x0` (zero if omitted).  The
-    residual norm comes for free from the Givens recurrence, so each
-    iteration costs one operator and one preconditioner application.
-    Raises ValueError unless `max_iterations` >= 1 and `reduction` is a
-    finite number above 1.
+    Iterates on the kept unknowns of `bubble_elimination(system)` from the
+    kept entries of `x0` (zero if omitted), and returns the full solution
+    with the bubbles recovered element by element.  Stops once the
+    preconditioned residual norm has been reduced by `reduction` relative
+    to its value at the start.  The residual norm comes for free from the
+    Givens recurrence, so each iteration costs one operator and one
+    preconditioner application.  The basis is orthogonalized by classical
+    Gram-Schmidt with one re-orthogonalization and grows `_CHUNK` vectors
+    at a time, so memory follows the iterations taken.  Raises ValueError
+    unless `max_iterations` >= 1 and `reduction` is a finite number above 1.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     if not (np.isfinite(reduction) and reduction > 1.0):
         raise ValueError(f"reduction must be a finite number above 1, got {reduction}")
-    J = system.matrix()
     b = system.rhs()
     n = b.shape[0]
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, but the system has {n} unknowns")
+    bubbles = bubble_elimination(system)
+    J = bubbles.condensed
+    x0 = bubbles.kept(x0)
 
     def precondition(r):
         return preconditioner.apply(r) if preconditioner is not None else r
 
-    r0 = b - J @ x0
-    z0 = precondition(r0)
+    z0 = precondition(bubbles.condense(b) - J @ x0)
     beta = float(np.linalg.norm(z0))
     if beta == 0.0:
-        return SolveReport(x0.copy(), 0, 0.0, True, np.zeros(1))
+        return SolveReport(bubbles.recover(b, x0), 0, 0.0, True, np.zeros(1))
 
     target = beta / reduction
-    V = [z0 / beta]
-    H = np.zeros((max_iterations + 1, max_iterations))
-    cs = np.zeros(max_iterations)
-    sn = np.zeros(max_iterations)
-    g = np.zeros(max_iterations + 1)
-    g[0] = beta
+    Q = np.empty((min(max_iterations, _CHUNK) + 1, x0.size))
+    Q[0] = z0 / beta
+    R = []                  # rotated Hessenberg columns
+    cs, sn, g = [], [], [beta]
     history = [beta]
 
     m = 0
     converged = False
     for j in range(max_iterations):
-        w = precondition(J @ V[j])
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w -= H[i, j] * V[i]
+        V = Q[: j + 1]
+        w = precondition(J @ Q[j])
+        h = V @ w
+        w -= h @ V
+        d = V @ w
+        w -= d @ V
+        h += d
         h_next = float(np.linalg.norm(w))
-        H[j + 1, j] = h_next
 
         # Apply accumulated rotations, then the new one.
         for i in range(j):
-            hi, hj = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * hi + sn[i] * hj
-            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        denom = np.hypot(H[j, j], H[j + 1, j])
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
+        denom = np.hypot(h[j], h_next)
         if denom == 0.0:
             raise GMRESBreakdownError(
                 f"GMRes breakdown at iteration {j + 1}: the Krylov space is "
                 "invariant but the operator is singular on it"
             )
-        cs[j] = H[j, j] / denom
-        sn[j] = H[j + 1, j] / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
+        cs.append(h[j] / denom)
+        sn.append(h_next / denom)
+        h[j] = denom
+        R.append(h)
+        g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
 
         m = j + 1
-        history.append(abs(g[j + 1]))
+        history.append(abs(g[m]))
         if history[-1] <= target or h_next == 0.0:
             # A vanishing h_next means the Krylov space became invariant,
             # which drives the recurrence residual to zero as well.
             converged = True
             break
-        V.append(w / h_next)
+        if m == Q.shape[0]:
+            Q = np.concatenate((Q, np.empty((min(_CHUNK, max_iterations + 1 - m), Q.shape[1]))))
+        Q[m] = w / h_next
 
-    y = solve_triangular(H[:m, :m], g[:m], lower=False)
-    x = x0 + np.column_stack(V[:m]) @ y
+    H = np.zeros((m, m))
+    for j, h in enumerate(R):
+        H[: j + 1, j] = h
+    y = solve_triangular(H, np.asarray(g[:m]), lower=False)
+    x = bubbles.recover(b, x0 + y @ Q[:m])
     rel = history[-1] / beta
     return SolveReport(x, m, float(rel), converged, np.asarray(history))
 
@@ -319,7 +358,7 @@ def direct_solve(system: SaddleSystem) -> np.ndarray:
     """
     J = system.matrix()
     b = system.rhs()
-    bubbles = BubbleElimination.build(J, system.bubble_dofs)
+    bubbles = bubble_elimination(system)
     lu = _factor(bubbles.condensed)
     x = bubbles.solve(lu.solve, b)
     return x + bubbles.solve(lu.solve, b - J @ x)

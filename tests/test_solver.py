@@ -1,6 +1,7 @@
 """Pressure-mass Schur surrogate, preconditioner, GMRes, direct solve."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,13 @@ SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
 
 class _StubSystem:
-    """Minimal stand-in exposing matrix() and rhs() for the Krylov solver."""
+    """Minimal stand-in exposing matrix() and rhs() for the Krylov solver,
+    with no bubbles to eliminate."""
+
+    bubble_dofs = range(0)
 
     def __init__(self, J, b):
+        self._elimination = None
         self._J = sp.csr_matrix(np.asarray(J, dtype=float))
         self._b = np.asarray(b, dtype=float)
 
@@ -85,14 +90,26 @@ def _capture_factors(monkeypatch):
     return factors
 
 
-class _FullLUPreconditioner:
-    """The block preconditioner with the velocity block factored whole."""
+def _condensed_blocks(system):
+    """A_c, C_c and D_c of the condensed saddle system, built independently
+    of the solver's cache; D_c leaves out the pinned-pressure identity."""
+    J_c = BubbleElimination.build(system.matrix(), system.bubble_dofs).condensed
+    n_u = system.n_velocity - len(system.bubble_dofs)
+    D_c = J_c[n_u:, n_u:].tolil()
+    if system.pinned_pressure is not None:
+        D_c[system.pinned_pressure, system.pinned_pressure] -= 1.0
+    return J_c[:n_u, :n_u], J_c[n_u:, :n_u].tocsr(), D_c.tocsr()
+
+
+class _DefaultLUPreconditioner:
+    """The block preconditioner of the condensed system, factored by scipy's
+    default ordering with partial pivoting."""
 
     def __init__(self, system, schur_approx):
-        self.lu_A = spla.splu(system.A.tocsc())
-        self.lu_S = spla.splu(sp.csc_matrix(schur_approx))
-        self.C = system.C
-        self.n_velocity = system.n_velocity
+        A_c, self.C, D_c = _condensed_blocks(system)
+        self.lu_A = spla.splu(A_c.tocsc())
+        self.lu_S = spla.splu(sp.csc_matrix(schur_approx - D_c))
+        self.n_velocity = A_c.shape[0]
 
     def apply(self, r):
         z_u = self.lu_A.solve(r[: self.n_velocity])
@@ -136,21 +153,42 @@ def test_random_initial_guess():
 
 
 def test_block_preconditioner_identities():
+    # The mixed boundary, then all-Dirichlet with pressure 0 pinned, whose
+    # identity D_c leaves out.
+    for disc, system in (_small_system(n=5), _pinned_system("overlapping")):
+        M = assemble_pressure_mass(disc, viscosity=1.0)
+        precond = BlockPreconditioner.build(system, M)
+        A_c, C_c, D_c = _condensed_blocks(system)
+        n_u = A_c.shape[0]
+        assert n_u == 2 * disc.mesh.n_vertices
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal(n_u + system.n_pressure)
+        z = precond.apply(r)
+        r_u, r_p = r[:n_u], r[n_u:]
+        z_u, z_p = z[:n_u], z[n_u:]
+        assert np.allclose(A_c @ z_u, r_u, atol=1e-10)
+        assert np.allclose((M - D_c) @ z_p, r_p - C_c @ z_u, atol=1e-10)
+        # apply() is linear
+        z2 = precond.apply(2.0 * r)
+        assert np.allclose(z2, 2.0 * z, atol=1e-10)
+
+
+def test_one_bubble_elimination_per_system(monkeypatch):
     disc, system = _small_system(n=5)
-    S = assemble_pressure_mass(disc, viscosity=1.0)
-    precond = BlockPreconditioner.build(system, S)
-    rng = np.random.default_rng(0)
-    r = rng.standard_normal(system.n_dofs)
-    z = precond.apply(r)
-    r_u = r[: system.n_velocity]
-    r_p = r[system.n_velocity :]
-    z_u = z[: system.n_velocity]
-    z_p = z[system.n_velocity :]
-    assert np.allclose(system.A @ z_u, r_u, atol=1e-10)
-    assert np.allclose(S @ z_p, r_p - system.C @ z_u, atol=1e-10)
-    # apply() is linear
-    z2 = precond.apply(2.0 * r)
-    assert np.allclose(z2, 2.0 * z, atol=1e-10)
+    builds = []
+    build_elimination = BubbleElimination.build.__func__
+
+    def counting(cls, M, bubbles):
+        builds.append(bubbles)
+        return build_elimination(cls, M, bubbles)
+
+    monkeypatch.setattr(BubbleElimination, "build", classmethod(counting))
+    precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
+    gmres_solve(system, precond)
+    direct_solve(system)
+    assert builds == [system.bubble_dofs]
+    replaced = dataclasses.replace(system, _matrix=None)
+    assert replaced._elimination is None
 
 
 def test_gmres_identity_system():
@@ -330,10 +368,10 @@ def test_direct_solve_without_bubbles():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_condensed_preconditioner_keeps_iteration_counts(scheme):
-    # The reference factors the whole velocity block with scipy's default
-    # ordering and partial pivoting.  At mu = 1e4 the two residual histories
-    # part by up to 1.1e-5 relative, with the default ordering on both
-    # sides as with the minimum-degree one; elsewhere they agree to 4e-11.
+    # The reference factors the same condensed blocks with scipy's default
+    # ordering and partial pivoting, and runs the same condensed iteration.
+    # At mu = 1e4 the two residual histories part by up to 1.3e-6 relative;
+    # elsewhere they agree to 6e-13.
     # The counts are also viscosity-robust: at most 45 (criterion 3's bound)
     # and within 5 of each other across the three viscosities.
     counts = []
@@ -341,14 +379,59 @@ def test_condensed_preconditioner_keeps_iteration_counts(scheme):
         disc, system = _dh_system(scheme, 20, viscosity)
         S = assemble_pressure_mass(disc, viscosity)
         x0 = random_initial_guess(disc, seed=9)
-        condensed = gmres_solve(system, BlockPreconditioner.build(system, S), x0)
-        full = gmres_solve(system, _FullLUPreconditioner(system, S), x0)
-        assert condensed.converged and full.converged
-        assert condensed.iterations == full.iterations, viscosity
+        ordered = gmres_solve(system, BlockPreconditioner.build(system, S), x0)
+        default = gmres_solve(system, _DefaultLUPreconditioner(system, S), x0)
+        assert ordered.converged and default.converged
+        assert ordered.iterations == default.iterations, viscosity
         rtol = 1e-6 if viscosity <= 1.0 else 1e-4
-        assert np.allclose(condensed.residual_history, full.residual_history, rtol=rtol)
-        counts.append(condensed.iterations)
+        assert np.allclose(ordered.residual_history, default.residual_history, rtol=rtol)
+        counts.append(ordered.iterations)
     assert max(counts) <= 45 and max(counts) - min(counts) <= 5, counts
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_pinned_gmres_counts_are_bounded(scheme):
+    # All-Dirichlet boundary with pressure 0 pinned, mu = 1, 10x10 to 40x40.
+    counts = []
+    for n in (10, 20, 40):
+        case = donea_huerta_case()
+        disc = build(distort(generate_structured(n, n), 0.2, seed=31), scheme)
+        system = assemble(disc, case.problem(), pin_pressure=0)
+        precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
+        report = gmres_solve(system, precond, random_initial_guess(disc, seed=9))
+        assert report.converged
+        counts.append(report.iterations)
+    assert max(counts) <= 45 and max(counts) - min(counts) <= 5, counts
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_gmres_recovers_bubbles_to_round_off(scheme):
+    # The bubbles are recovered from the full system's bubble rows, so those
+    # rows of the full residual hold to round-off whatever the Krylov
+    # tolerance left in the kept rows.
+    disc, system = _dh_system(scheme, 10)
+    precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
+    report = gmres_solve(system, precond, random_initial_guess(disc, seed=9))
+    residual = system.residual(report.solution)[system.bubble_dofs.start : system.bubble_dofs.stop]
+    assert np.max(np.abs(residual)) <= 1e-13 * np.linalg.norm(system.rhs())
+
+
+def test_gmres_memory_follows_iterations_taken():
+    # The workspace once had max_iterations columns: 10**6 asked for 7.3 TiB.
+    report = gmres_solve(_StubSystem(np.eye(3), np.ones(3)), max_iterations=10**6)
+    assert report.converged and report.iterations == 1
+    disc, system = _dh_system("overlapping", 10)
+    precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
+    x0 = random_initial_guess(disc, seed=9)
+    tracemalloc.start()
+    try:
+        report = gmres_solve(system, precond, x0, max_iterations=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    kept = system.n_dofs - len(system.bubble_dofs)
+    assert peak <= 4 * (report.iterations + 1) * kept * 8, (peak, report.iterations)
 
 
 @pytest.mark.parametrize("viscosity", [1e-4, 1.0, 1e4])
