@@ -33,13 +33,16 @@ control-volume family is a few rows of `_FAMILIES` over these ids, and one
 builder gathers them element by element, recording each sub-volume's
 element and its polygon in `REFERENCE_CELLS` in `scv_element` / `scv_row`.
 `REFERENCE_FACES` gives each family's face rows by local owner, from which
-the assembly builds its element blocks.
+the assembly builds its element blocks.  A `ControlVolumeSet` stores only
+these ids and the local points of every element, shared by the families of
+a mesh; coordinates are derived on access.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +90,11 @@ _FAMILIES = {
 # Each family's sub-volume polygons in the reference triangle, indexed by `scv_row`.
 REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(polygon)] for group in groups for polygon, _ in group[0]]
                    for family, (groups, _) in _FAMILIES.items()}
+# Each family's sub-volume polygons as local point ids, padded to four by
+# repeating the last, and their vertex counts, indexed by `scv_row`.
+_CELL_IDS = {family: np.array([p + p[-1:] * (4 - len(p)) for group in groups for p, _ in group[0]])
+             for family, (groups, _) in _FAMILIES.items()}
+_CELL_SIZES = {family: np.array([len(cell) for cell in cells]) for family, cells in REFERENCE_CELLS.items()}
 # Each family's face rows (slot, inside owner, outside owner), the same in every element.
 REFERENCE_FACES = {family: [face for group in groups for face in group[1]] for family, (groups, _) in _FAMILIES.items()}
 # The owner of a boundary slot's segment, its vertex end (the only id below 3), indexed by slot.
@@ -206,47 +214,88 @@ def _polygon_areas(polys: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(x * yn - xn * y, axis=-1)
 
 
+class Pieces(NamedTuple):
+    """Faces or boundary segments, each the image of a reference slot in its element."""
+
+    element: np.ndarray
+    slot: np.ndarray        # index into REFERENCE_PIECES
+    a: np.ndarray
+    b: np.ndarray
+    normal: np.ndarray      # unit, to the right of a -> b
+    length: np.ndarray
+    qpoints: np.ndarray     # (n, 2, 2) two-point Gauss rule
+    qweights: np.ndarray    # (n, 2), summing to the length
+
+
+def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Pieces:
+    """The slot pieces `slots` of `elements`, from the local points (ne, 7, 2)."""
+    a = _take(points, elements, _SLOTS[slots, 0])
+    b = _take(points, elements, _SLOTS[slots, 1])
+    d = b - a
+    lengths = np.linalg.norm(d, axis=1)
+    qpoints, qweights = _segment_quad(a, b)
+    return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[:, None], lengths, qpoints, qweights)
+
+
+def _derived(kind: str, name: str) -> property:
+    return property(lambda self: getattr(self.pieces(kind), name),
+                    doc=f"`pieces({kind!r}).{name}` of every {kind}, derived on access.")
+
+
+_COORDINATES = Pieces._fields[2:]
+
+
 @dataclass(frozen=True)
 class ControlVolumeSet:
     """Structure-of-arrays description of one family of control volumes.
 
     Control-volume ids double as unknown ids: vertex control volumes use
     the vertex index, bubble control volumes use n_vertices + element.
-    `partition` marks the ids whose volumes tile the domain.  Faces and
-    boundary segments both carry a two-point Gauss rule whose weights sum
-    to their length.
+    `partition` marks the ids whose volumes tile the domain.  Sub-volumes,
+    faces and boundary segments are stored as their element and reference
+    row or slot; `points` is the (ne, 7, 2) table of local points of every
+    element, shared by the families of a mesh.  Their coordinates are
+    derived on access; faces and boundary segments both carry a two-point
+    Gauss rule whose weights sum to their length.
     """
 
     family: str                 # key of REFERENCE_CELLS
+    points: np.ndarray          # (ne, 7, 2)
     dof_locations: np.ndarray   # (n_cvs, 2)
     partition: np.ndarray       # (n_cvs,) bool
     scv_cv: np.ndarray
     scv_element: np.ndarray
     scv_row: np.ndarray         # index into REFERENCE_CELLS[family]
-    scv_nverts: np.ndarray
-    scv_polys: np.ndarray       # (m, 4, 2), padded by repeating the last vertex
-    scv_volumes: np.ndarray
     face_element: np.ndarray
     face_slot: np.ndarray       # index into REFERENCE_PIECES
     face_inside: np.ndarray
     face_outside: np.ndarray    # -1 when the flux has no receiving balance
-    face_a: np.ndarray
-    face_b: np.ndarray
-    face_normal: np.ndarray
-    face_length: np.ndarray
-    face_qpoints: np.ndarray    # (F, 2, 2)
-    face_qweights: np.ndarray   # (F, 2)
     seg_cv: np.ndarray
     seg_element: np.ndarray
     seg_slot: np.ndarray        # index into REFERENCE_PIECES
-    seg_a: np.ndarray
-    seg_b: np.ndarray
-    seg_normal: np.ndarray
-    seg_length: np.ndarray
-    seg_qpoints: np.ndarray     # (S, 2, 2)
-    seg_qweights: np.ndarray    # (S, 2)
     seg_marker: np.ndarray      # index into marker_names
     marker_names: tuple
+
+    face_a, face_b, face_normal, face_length, face_qpoints, face_qweights = (_derived("face", n) for n in _COORDINATES)
+    seg_a, seg_b, seg_normal, seg_length, seg_qpoints, seg_qweights = (_derived("seg", n) for n in _COORDINATES)
+
+    def pieces(self, kind: str, which=slice(None)) -> Pieces:
+        """The faces ("face") or boundary segments ("seg", outward normals)
+        `which`, every field derived once from their element and slot."""
+        return _pieces(self.points, getattr(self, f"{kind}_element")[which], getattr(self, f"{kind}_slot")[which])
+
+    @property
+    def scv_polys(self) -> np.ndarray:
+        """(m, 4, 2) sub-volume polygons, padded by repeating the last vertex."""
+        return _take(self.points, self.scv_element[:, None], _CELL_IDS[self.family][self.scv_row])
+
+    @property
+    def scv_nverts(self) -> np.ndarray:
+        return _CELL_SIZES[self.family][self.scv_row]
+
+    @property
+    def scv_volumes(self) -> np.ndarray:
+        return _polygon_areas(self.scv_polys)
 
     @property
     def n_cvs(self) -> int:
@@ -267,23 +316,7 @@ class ControlVolumeSet:
         return vol
 
 
-def _pieces(kind: str, points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> dict:
-    """`ControlVolumeSet` fields of the slot pieces `slots` of `elements`.
-
-    `kind` is the field prefix, "face" or "seg"; normals are the unit
-    vectors to the right of a -> b.
-    """
-    a = _take(points, elements, _SLOTS[slots, 0])
-    b = _take(points, elements, _SLOTS[slots, 1])
-    d = b - a
-    lengths = np.linalg.norm(d, axis=1)
-    qpoints, qweights = _segment_quad(a, b)
-    fields = dict(element=elements, slot=slots, a=a, b=b, normal=_rot_minus90(d) / lengths[:, None],
-                  length=lengths, qpoints=qpoints, qweights=qweights)
-    return {f"{kind}_{name}": value for name, value in fields.items()}
-
-
-def _boundary_segments(mesh: Mesh, points: np.ndarray) -> dict:
+def _boundary_segments(mesh: Mesh) -> dict:
     """Split every boundary facet at its midpoint into two CV pieces."""
     facets = mesh.boundary_facets
     # Owner of facet (a, b): the triangle whose edge j runs from a to b.
@@ -292,11 +325,8 @@ def _boundary_segments(mesh: Mesh, points: np.ndarray) -> dict:
     order = np.argsort(directed, axis=None)
     owner, edge = np.divmod(order[np.searchsorted(directed.ravel(), facet_directed, sorter=order)], 3)
     slots = (6 + 2 * edge[:, None] + np.arange(2)).ravel()
-    return dict(
-        seg_cv=facets.reshape(-1),
-        seg_marker=np.repeat(mesh.facet_markers, 2),
-        **_pieces("seg", points, np.repeat(owner, 2), slots),
-    )
+    return dict(seg_cv=facets.reshape(-1), seg_element=np.repeat(owner, 2), seg_slot=slots,
+                seg_marker=np.repeat(mesh.facet_markers, 2))
 
 
 def _take(table: np.ndarray, elements: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -323,7 +353,7 @@ def _mesh_pieces(mesh: Mesh):
     """Element data, local points and boundary segments, shared by every family of a mesh."""
     eldata = element_data(mesh)
     points = _local_points(eldata.coords, eldata.centroids)
-    return eldata, points, _boundary_segments(mesh, points)
+    return eldata, points, _boundary_segments(mesh)
 
 
 def _build_family(family: str, mesh: Mesh, eldata, points, segments) -> ControlVolumeSet:
@@ -334,28 +364,24 @@ def _build_family(family: str, mesh: Mesh, eldata, points, segments) -> ControlV
     owners = np.column_stack((mesh.triangles, nv + np.arange(ne), np.full(ne, -1))).astype(np.int64)
 
     cells, cell_element, cell_row = _layout(groups, 0, ne)
-    polygons, cell_owner = zip(*cells)
-    padded = np.array([p + p[-1:] * (4 - len(p)) for p in polygons])
-    scv_polys = _take(points, cell_element[:, None], padded[cell_row])
-    scv_cv = _take(owners, cell_element, np.array(cell_owner)[cell_row])
+    scv_cv = _take(owners, cell_element, np.array([owner for _, owner in cells])[cell_row])
     bubbles = ne if np.any(scv_cv >= nv) else 0
 
     walls, face_element, face_row = _layout(groups, 1, ne)
     slot, inside, outside = (np.array(column)[face_row] for column in zip(*walls))
     return ControlVolumeSet(
         family=family,
+        points=points,
         dof_locations=np.vstack((mesh.vertices, eldata.centroids[:bubbles])),
         partition=np.repeat((True, bubbles_tile), (nv, bubbles)),
         scv_cv=scv_cv,
         scv_element=cell_element,
         scv_row=cell_row,
-        scv_nverts=np.array([len(p) for p in polygons])[cell_row],
-        scv_polys=scv_polys,
-        scv_volumes=_polygon_areas(scv_polys),
+        face_element=face_element,
+        face_slot=slot,
         face_inside=_take(owners, face_element, inside),
         face_outside=_take(owners, face_element, outside),
         marker_names=mesh.marker_names,
-        **_pieces("face", points, face_element, slot),
         **segments,
     )
 

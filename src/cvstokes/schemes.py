@@ -118,7 +118,12 @@ def basis_at(eldata: ElementData, elements: np.ndarray, points: np.ndarray):
 
 
 def split_solution(disc: GridDiscretization, x: np.ndarray):
-    """Split a solution vector into velocity (n_u, 2) and pressure (n_p,)."""
+    """Split a solution vector into velocity (n_u, 2) and pressure (n_p,).
+
+    Raises ValueError unless `x` has one entry per unknown of `disc`.
+    """
+    if np.ndim(x) != 1 or len(x) != disc.n_dofs:
+        raise ValueError(f"solution vector has shape {np.shape(x)}, but the discretization has {disc.n_dofs} unknowns")
     n_u = disc.n_velocity_locations
     vel = x[: 2 * n_u].reshape(n_u, 2)
     return vel, x[2 * n_u :]
@@ -126,8 +131,9 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
 
 def _pieces(cvset: ControlVolumeSet, kind: str, which=slice(None)):
     """Element, quadrature points and weights, unit normal of the faces ("face")
-    or boundary segments ("seg", outward normals) `which`."""
-    return tuple(getattr(cvset, f"{kind}_{name}")[which] for name in ("element", "qpoints", "qweights", "normal"))
+    or boundary segments ("seg", outward normals) `which`, derived once."""
+    p = cvset.pieces(kind, which)
+    return p.element, p.qpoints, p.qweights, p.normal
 
 
 def _piece_blocks(disc, pieces):
@@ -181,9 +187,10 @@ class SaddleSystem:
     rows of A are identity rows; `dirichlet_dofs` lists the scalar velocity
     dofs so constrained.  If a pressure unknown is pinned its mass row is
     replaced by an identity row stored in the otherwise empty block.
-    `bubble_dofs` is the contiguous range of bubble velocity dofs, which
-    the solvers eliminate element by element; `_elimination` keeps that
-    elimination of `matrix()` once a solver has built it.
+    `bubble_dofs` is the contiguous range of bubble velocity dofs, the last
+    ones, which the solvers eliminate element by element; `_elimination`
+    keeps that elimination once a solver has built it from A, B and C.
+    `matrix()` forms the full matrix for inspection; no solver calls it.
     """
 
     A: sp.csr_matrix
@@ -209,22 +216,26 @@ class SaddleSystem:
     def n_dofs(self) -> int:
         return self.n_velocity + self.n_pressure
 
+    def pressure_block(self) -> sp.csr_matrix:
+        """The pressure-pressure block: the identity row of a pinned pressure, else zero."""
+        k = [] if self.pinned_pressure is None else [self.pinned_pressure]
+        return sp.csr_matrix((np.ones(len(k)), (k, k)), shape=(self.n_pressure,) * 2)
+
     def matrix(self) -> sp.csr_matrix:
         if self._matrix is None:
-            n_p = self.n_pressure
-            if self.pinned_pressure is None:
-                D = None
-            else:
-                k = self.pinned_pressure
-                D = sp.coo_matrix(([1.0], ([k], [k])), shape=(n_p, n_p))
-            self._matrix = sp.bmat([[self.A, self.B], [self.C, D]], format="csr")
+            self._matrix = sp.bmat([[self.A, self.B], [self.C, self.pressure_block()]], format="csr")
         return self._matrix
 
     def rhs(self) -> np.ndarray:
         return np.concatenate((self.rhs_momentum, self.rhs_mass))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.rhs() - self.matrix() @ x
+        """rhs - J x, summed block by block: (A u + B p, C u) plus the pinned identity."""
+        u, p = x[: self.n_velocity], x[self.n_velocity :]
+        r_p = self.rhs_mass - self.C @ u
+        if self.pinned_pressure is not None:
+            r_p[self.pinned_pressure] -= p[self.pinned_pressure]
+        return np.concatenate((self.rhs_momentum - (self.A @ u + self.B @ p), r_p))
 
 
 def _xy(ids):
@@ -309,11 +320,15 @@ def _blocks(n):
 
 
 def _evaluate(func, name, points, shape):
-    """`func` at the points (..., 2), checked to return `shape` per point."""
+    """`func` at the points (..., 2), checked to return finite values of `shape` per point."""
     n = points.size // 2
-    vals = np.asarray(func(points.reshape(n, 2)), dtype=float)
+    flat = points.reshape(n, 2)
+    vals = np.asarray(func(flat), dtype=float)
     if vals.shape != (n,) + shape:
         raise ConfigurationError(f"{name} returned shape {vals.shape} for {n} points, not {(n,) + shape}")
+    if not np.isfinite(vals).all():
+        bad = ~np.isfinite(vals).all(axis=tuple(range(1, vals.ndim)))
+        raise ConfigurationError(f"{name} is not finite at {bad.sum()} of {n} points, first at {flat[bad.argmax()].tolist()}")
     return vals.reshape(points.shape[:-1] + shape)
 
 
@@ -371,15 +386,14 @@ def segment_tractions(disc, problem):
     kinds = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in segs.marker_names])
     neu = kinds[segs.seg_marker]
     if np.any(neu):
-        a = segs.seg_a[neu]
-        b = segs.seg_b[neu]
+        s = segs.pieces("seg", neu)
         rule = segment_rule(NEUMANN_QUAD_DEGREE)
-        pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-        w = rule.weights[None, :] * segs.seg_length[neu][:, None]
-        nn = np.broadcast_to(segs.seg_normal[neu][:, None, :], pts.shape).reshape(-1, 2)
+        pts = s.a[:, None, :] + rule.points[None, :, None] * (s.b - s.a)[:, None, :]
+        w = rule.weights[None, :] * s.length[:, None]
+        nn = np.broadcast_to(s.normal[:, None, :], pts.shape).reshape(-1, 2)
         tn = _evaluate(lambda x: problem.neumann(x, nn), "neumann", pts, (2,))
         plain[neu] = np.einsum("sq,sqk->sk", w, tn)
-        hats[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[segs.seg_slot[neu]], tn)
+        hats[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[s.slot], tn)
     return plain, hats
 
 

@@ -12,8 +12,10 @@ the bubbles drop out through the condensed operator
 M_kk - M_kb M_bb^{-1} M_bk, whose solve is followed by the local recovery
 y_b = M_bb^{-1} (r_b - M_bk y_k).  The kept unknowns are the vertex
 velocities and the pressures, three per vertex instead of two per vertex
-and element plus one per vertex.  The elimination of J is built once per
-system and shared by both solvers and the preconditioner.
+and element plus one per vertex.  The bubbles are the last velocity
+unknowns, so the four parts of J are contiguous slices of the blocks A, B
+and C, stacked; J itself is never formed.  The elimination is built once
+per system and shared by both solvers and the preconditioner.
 
 The condensed system is J_c = [[A_c, B_c], [C_c, D_c]], where A_c is the
 velocity block with its bubbles eliminated and D_c = -C_b A_bb^{-1} B_b
@@ -32,8 +34,9 @@ pinned-pressure identity.  Applied to a residual (r_u, r_p) it returns
     z_p = S^{-1} (r_p - C_c z_u).
 
 The direct solver factors J_c.  Its iterative refinement evaluates the
-residual with the full, uncondensed system, so the flux balances of the
-recovered solution hold to the round-off of that evaluation.
+residual of the full, uncondensed system block by block, so the flux
+balances of the recovered solution hold to the round-off of that
+evaluation.
 
 Every sparse factorization (the condensed saddle system, its velocity
 block A_c and the Schur surrogate S) is a SuperLU factor with a
@@ -123,7 +126,7 @@ class BubbleElimination:
     `bubbles` is the contiguous range of bubble unknowns, two per element
     (x and y); all other unknowns are kept.  `condensed` is the Schur
     complement M_kk - M_kb M_bb^{-1} M_bk on the kept unknowns.  An empty
-    range keeps every unknown, and `condensed` is M itself.
+    range keeps every unknown, and `condensed` is M_kk.
     """
 
     bubbles: range
@@ -133,14 +136,10 @@ class BubbleElimination:
     M_bb_inv: sp.csr_matrix
 
     @classmethod
-    def build(cls, M: sp.spmatrix, bubbles: range) -> "BubbleElimination":
-        M = sp.csr_matrix(M)
-        lo, hi = bubbles.start, bubbles.stop
-        keep = np.r_[0:lo, hi : M.shape[0]]
-        rows_k, rows_b = M[keep], M[lo:hi]
-        M_bb_inv = _invert_bubble_blocks(rows_b[:, lo:hi])
-        M_kb, M_bk = rows_k[:, lo:hi], rows_b[:, keep]
-        condensed = rows_k[:, keep] - M_kb @ (M_bb_inv @ M_bk)
+    def build(cls, bubbles: range, M_kk, M_kb, M_bk, M_bb) -> "BubbleElimination":
+        """The elimination from the kept (k) and bubble (b) parts of M, all CSR."""
+        M_bb_inv = _invert_bubble_blocks(M_bb)
+        condensed = M_kk - M_kb @ (M_bb_inv @ M_bk)
         return cls(bubbles, condensed.tocsc(), M_kb, M_bk, M_bb_inv)
 
     def kept(self, v: np.ndarray) -> np.ndarray:
@@ -165,9 +164,26 @@ class BubbleElimination:
 
 
 def bubble_elimination(system: SaddleSystem) -> BubbleElimination:
-    """The bubble elimination of `system.matrix()`, built once per system."""
+    """The bubble elimination of the saddle system, built once per system.
+
+    The bubbles are the last velocity unknowns, so with v the vertex
+    velocities and b the bubbles, J_kk = [[A_vv, B_v], [C_v, D]],
+    J_kb = [[A_vb], [C_b]], J_bk = [A_bv, B_b] and J_bb = A_bb, where D is
+    the pressure block (the pinned identity, if any).
+    """
     if system._elimination is None:
-        system._elimination = BubbleElimination.build(system.matrix(), system.bubble_dofs)
+        A, B, C = system.A, system.B, system.C
+        n = system.n_velocity
+        lo = system.bubble_dofs.start if system.bubble_dofs else n
+        if system.bubble_dofs and system.bubble_dofs.stop != n:
+            raise BubbleStructureError(f"bubble unknowns {system.bubble_dofs} are not the last of {n} velocity unknowns")
+        system._elimination = BubbleElimination.build(
+            range(lo, n),
+            sp.bmat([[A[:lo, :lo], B[:lo]], [C[:, :lo], system.pressure_block()]], format="csr"),
+            sp.vstack((A[:lo, lo:], C[:, lo:]), format="csr"),
+            sp.hstack((A[lo:, :lo], B[lo:]), format="csr"),
+            A[lo:, lo:],
+        )
     return system._elimination
 
 
@@ -356,9 +372,7 @@ def direct_solve(system: SaddleSystem) -> np.ndarray:
     residual evaluation itself, which matters when flux balances of the
     solution are inspected directly.
     """
-    J = system.matrix()
-    b = system.rhs()
     bubbles = bubble_elimination(system)
     lu = _factor(bubbles.condensed)
-    x = bubbles.solve(lu.solve, b)
-    return x + bubbles.solve(lu.solve, b - J @ x)
+    x = bubbles.solve(lu.solve, system.rhs())
+    return x + bubbles.solve(lu.solve, system.residual(x))

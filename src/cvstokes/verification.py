@@ -345,41 +345,45 @@ def run_convergence(
     problem = case.problem()
     levels = []
     for k in range(n_levels):
-        m = _level_mesh(case, k, base, distortion, seed, mesh_files)
-        disc = build(m, scheme)
-        system = assemble(disc, problem)
-        if use_direct:
-            x = direct_solve(system)
-            iterations, converged = 0, True
-        else:
-            schur = assemble_pressure_mass(disc, problem.viscosity)
-            precond = BlockPreconditioner.build(system, schur)
-            x0 = random_initial_guess(disc, seed + 901 + k)
-            report = gmres_solve(system, precond, x0)
-            x, iterations, converged = report.solution, report.iterations, report.converged
-        norms = error_norms(disc, x, case)
-        st = stats(m)
-        levels.append(
-            LevelResult(
-                level=k,
-                n_vertices=st.n_vertices,
-                n_elements=st.n_elements,
-                h_p=st.h_p,
-                h_v=st.h_v,
-                l2_pressure=norms.l2_pressure,
-                l2_velocity=norms.l2_velocity,
-                h1_velocity=norms.h1_velocity,
-                iterations=iterations,
-                converged=converged,
-            )
-        )
-        log.info(
-            "case=%s scheme=%s level=%d h_p=%.3e it=%d L2v=%.3e",
-            case.name, scheme.value, k, st.h_p, iterations, norms.l2_velocity,
-        )
-        if on_level is not None:
-            on_level(k, disc, x)
+        mesh = _level_mesh(case, k, base, distortion, seed, mesh_files)
+        levels.append(_solve_level(case, problem, scheme, k, mesh, seed, use_direct, on_level))
     return ConvergenceReport(case.name, scheme, levels)
+
+
+def _solve_level(case, problem, scheme, k, m, seed, use_direct, on_level) -> LevelResult:
+    """One level of `run_convergence`; its discretization, system and
+    preconditioner are freed when it returns, before the next level is built."""
+    disc = build(m, scheme)
+    system = assemble(disc, problem)
+    if use_direct:
+        x = direct_solve(system)
+        iterations, converged = 0, True
+    else:
+        schur = assemble_pressure_mass(disc, problem.viscosity)
+        precond = BlockPreconditioner.build(system, schur)
+        x0 = random_initial_guess(disc, seed + 901 + k)
+        report = gmres_solve(system, precond, x0)
+        x, iterations, converged = report.solution, report.iterations, report.converged
+    norms = error_norms(disc, x, case)
+    st = stats(m)
+    log.info(
+        "case=%s scheme=%s level=%d h_p=%.3e it=%d L2v=%.3e",
+        case.name, scheme.value, k, st.h_p, iterations, norms.l2_velocity,
+    )
+    if on_level is not None:
+        on_level(k, disc, x)
+    return LevelResult(
+        level=k,
+        n_vertices=st.n_vertices,
+        n_elements=st.n_elements,
+        h_p=st.h_p,
+        h_v=st.h_v,
+        l2_pressure=norms.l2_pressure,
+        l2_velocity=norms.l2_velocity,
+        h1_velocity=norms.h1_velocity,
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 @dataclass
@@ -411,7 +415,8 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
-    massf = _mass_fluxes(disc, _pieces(pset, "face"), vel)
+    faces = _pieces(pset, "face")
+    massf = _mass_fluxes(disc, faces, vel)
     segf = _mass_fluxes(disc, _pieces(pset, "seg"), vel)
     res_m = np.zeros(pset.n_cvs)
     np.add.at(res_m, pset.face_inside, massf)
@@ -427,7 +432,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
     if flux_momentum:
-        momf = _momentum_fluxes(disc, _pieces(vset, "face"), mu, vel, pres)
+        momf = _momentum_fluxes(disc, faces if vset is pset else _pieces(vset, "face"), mu, vel, pres)
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh, single_triangle_mesh
+from cvstokes import geometry
 from cvstokes.geometry import (
     REFERENCE_PIECES,
     SchemeKind,
@@ -304,3 +305,56 @@ def test_control_volume_set_is_frozen():
     vset = build_boxes(generate_structured(2, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         vset.face_normal = None
+
+
+def _kept_bytes(*cvsets):
+    """Bytes of the distinct arrays the sets keep alive (views count their base)."""
+    roots = {}
+    for cvset in cvsets:
+        for f in dataclasses.fields(cvset):
+            value = getattr(cvset, f.name)
+            while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+                value = value.base
+            if isinstance(value, np.ndarray):
+                roots[id(value)] = value.nbytes
+    return sum(roots.values())
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_overlapping_geometry_keeps_at_most_800_bytes_per_element(n):
+    # Stored as element and slot ids plus the shared local-point table; the
+    # coordinates are derived on access (about 2,000 bytes per element when
+    # they were stored).
+    mesh = generate_structured(n, n)
+    disc = build(mesh, "overlapping")
+    assert _kept_bytes(disc.pressure, disc.velocity) <= 800 * mesh.n_elements
+
+
+def _reference_ids(polygon):
+    """Local point ids of a reference polygon's vertices, padded to four."""
+    local = geometry._local_points(geometry._REFERENCE_TRIANGLE, geometry._REFERENCE_TRIANGLE.mean(axis=1))[0]
+    ids = [int(np.flatnonzero(np.all(local == vertex, axis=1))[0]) for vertex in polygon]
+    return ids + ids[-1:] * (4 - len(ids))
+
+
+@pytest.mark.parametrize("family", ["boxes", "non-overlapping", "overlapping"])
+def test_derived_coordinates_equal_a_pieces_oracle(family):
+    mesh = random_distorted_mesh(17, n=7)
+    cvset = geometry._build_family(family, mesh, *geometry._mesh_pieces(mesh))
+    el = element_data(mesh)
+    points = geometry._local_points(el.coords, el.centroids)
+    rng = np.random.default_rng(2)
+    for kind in ("face", "seg"):
+        elements, slots = getattr(cvset, f"{kind}_element"), getattr(cvset, f"{kind}_slot")
+        oracle = geometry._pieces(points, elements, slots)
+        which = rng.random(elements.size) < 0.4
+        selected = cvset.pieces(kind, which)
+        for name in geometry.Pieces._fields[2:]:
+            assert np.array_equal(getattr(cvset, f"{kind}_{name}"), getattr(oracle, name)), (kind, name)
+            assert np.array_equal(getattr(selected, name), getattr(oracle, name)[which]), (kind, name)
+    ids = np.array([_reference_ids(polygon) for polygon in geometry.REFERENCE_CELLS[family]])[cvset.scv_row]
+    polys = points[cvset.scv_element[:, None], ids]
+    assert np.array_equal(cvset.scv_polys, polys)
+    assert np.array_equal(cvset.scv_volumes, geometry._polygon_areas(polys))
+    sizes = np.array([len(polygon) for polygon in geometry.REFERENCE_CELLS[family]])
+    assert np.array_equal(cvset.scv_nverts, sizes[cvset.scv_row])

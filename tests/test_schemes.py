@@ -659,3 +659,23 @@ def test_wrong_shape_of_a_case_field_names_it(field):
     disc = build(case.apply_bc(random_distorted_mesh(25, n=3)), "hybrid")
     with pytest.raises(ConfigurationError, match=field):
         error_norms(disc, np.zeros(disc.n_dofs), broken)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["body_force", "mass_source", "dirichlet", "neumann"])
+def test_non_finite_field_values_are_rejected(field, value):
+    # Unchecked, one NaN load entry makes the direct solve return NaNs
+    # without an error and GMRES fail inside scipy.
+    case = donea_huerta_case()
+    mesh = case.apply_bc(generate_structured(4, 4))
+    problem = case.problem()
+    clean = getattr(problem, field) or (lambda points: np.zeros(len(points)))
+
+    def poisoned(points, *normals):
+        values = np.array(clean(points, *normals), dtype=float)
+        values[len(values) // 2] = value
+        return values
+
+    for scheme in SCHEMES:
+        with pytest.raises(ConfigurationError, match=f"{field} is not finite at 1 of"):
+            assemble(build(mesh, scheme), dataclasses.replace(problem, **{field: poisoned}))

@@ -29,22 +29,17 @@ MIXED = {"right": BCKind.NEUMANN, "top": BCKind.NEUMANN}
 SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
 
-class _StubSystem:
-    """Minimal stand-in exposing matrix() and rhs() for the Krylov solver,
-    with no bubbles to eliminate."""
-
-    bubble_dofs = range(0)
+class _StubSystem(SaddleSystem):
+    """Saddle system whose velocity block A is the matrix J, with empty
+    pressure blocks B and C and no bubbles to eliminate."""
 
     def __init__(self, J, b):
-        self._elimination = None
-        self._J = sp.csr_matrix(np.asarray(J, dtype=float))
-        self._b = np.asarray(b, dtype=float)
-
-    def matrix(self):
-        return self._J
-
-    def rhs(self):
-        return self._b
+        A = sp.csr_matrix(np.asarray(J, dtype=float))
+        n = A.shape[0]
+        super().__init__(
+            A=A, B=sp.csr_matrix((n, 0)), C=sp.csr_matrix((0, n)), rhs_momentum=np.asarray(b, dtype=float),
+            rhs_mass=np.zeros(0), dirichlet_dofs=np.empty(0, dtype=np.int64),
+        )
 
 
 class _StubPreconditioner:
@@ -90,10 +85,21 @@ def _capture_factors(monkeypatch):
     return factors
 
 
+def _condense_full_matrix(M, bubbles):
+    """Oracle: the condensed operator M_kk - M_kb M_bb^{-1} M_bk, split from
+    the full matrix M by fancy indexing, as the solver once did."""
+    M = sp.csr_matrix(M)
+    lo, hi = bubbles.start, bubbles.stop
+    keep = np.r_[0:lo, hi : M.shape[0]]
+    rows_k, rows_b = M[keep], M[lo:hi]
+    M_bb_inv = solver._invert_bubble_blocks(rows_b[:, lo:hi])
+    return (rows_k[:, keep] - rows_k[:, lo:hi] @ (M_bb_inv @ rows_b[:, keep])).tocsc()
+
+
 def _condensed_blocks(system):
     """A_c, C_c and D_c of the condensed saddle system, built independently
     of the solver's cache; D_c leaves out the pinned-pressure identity."""
-    J_c = BubbleElimination.build(system.matrix(), system.bubble_dofs).condensed
+    J_c = _condense_full_matrix(system.matrix(), system.bubble_dofs)
     n_u = system.n_velocity - len(system.bubble_dofs)
     D_c = J_c[n_u:, n_u:].tolil()
     if system.pinned_pressure is not None:
@@ -178,9 +184,9 @@ def test_one_bubble_elimination_per_system(monkeypatch):
     builds = []
     build_elimination = BubbleElimination.build.__func__
 
-    def counting(cls, M, bubbles):
+    def counting(cls, bubbles, *parts):
         builds.append(bubbles)
-        return build_elimination(cls, M, bubbles)
+        return build_elimination(cls, bubbles, *parts)
 
     monkeypatch.setattr(BubbleElimination, "build", classmethod(counting))
     precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
@@ -323,7 +329,8 @@ def test_bubble_block_is_per_element_2x2(scheme, pinned):
     scale = np.abs(blocks).max(axis=(1, 2))
     assert np.all(np.abs(dets) > 1e-8 * scale**2)
     # The elimination accepts the block and solves with A exactly.
-    elim = BubbleElimination.build(system.A, b)
+    A, lo = system.A, b.start
+    elim = BubbleElimination.build(b, A[:lo, :lo], A[:lo, lo:], A[lo:, :lo], A[lo:, lo:])
     assert elim.condensed.shape == (system.n_velocity - len(b),) * 2
     rhs = np.random.default_rng(4).standard_normal(system.n_velocity)
     y = elim.solve(spla.splu(elim.condensed).solve, rhs)
@@ -457,7 +464,7 @@ def test_direct_factor_fill_below_default_ordering(scheme, monkeypatch):
     _, system = _dh_system(scheme, 40)
     factors = _capture_factors(monkeypatch)
     direct_solve(system)
-    default = spla.splu(BubbleElimination.build(system.matrix(), system.bubble_dofs).condensed)
+    default = spla.splu(_condense_full_matrix(system.matrix(), system.bubble_dofs))
     assert factors[0].nnz <= 0.75 * default.nnz
 
 
@@ -517,3 +524,34 @@ def test_gmres_breakdown_raises():
     system = _StubSystem([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
     with pytest.raises(GMRESBreakdownError):
         gmres_solve(system)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_solver_forms_the_full_matrix(scheme, pinned, monkeypatch):
+    disc, system = (_pinned_system if pinned else _small_system)(scheme)
+
+    def refuse(self):
+        raise AssertionError("the full saddle matrix was formed")
+
+    monkeypatch.setattr(SaddleSystem, "matrix", refuse)
+    precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
+    assert gmres_solve(system, precond).converged
+    x = direct_solve(system)
+    assert np.linalg.norm(system.residual(x)) <= 1e-12 * np.linalg.norm(system.rhs())
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_condensed_system_from_blocks_equals_full_matrix_oracle(scheme, pinned):
+    # J_c from slices of A, B and C holds the same entries, in the same
+    # order, as the condensation of the full matrix split by fancy indexing.
+    disc, system = _pinned_system(scheme, n=20) if pinned else _dh_system(scheme, 20)
+    want = _condense_full_matrix(system.matrix(), system.bubble_dofs)
+    got = solver.bubble_elimination(system).condensed
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # The residual summed by blocks agrees with the full matrix to round-off.
+    x = np.random.default_rng(5).standard_normal(system.n_dofs)
+    full = system.rhs() - system.matrix() @ x
+    assert np.max(np.abs(system.residual(x) - full)) <= 1e-13 * np.max(np.abs(full))

@@ -1,11 +1,14 @@
 """Manufactured solutions, error norms, convergence driver, conservation."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh, write_msh22
+from cvstokes import verification
+from cvstokes.cli_io import write_vtu
 from cvstokes.geometry import build
 from cvstokes.mesh import BCKind, distort, generate_structured
 from cvstokes.schemes import assemble, split_solution
@@ -525,3 +528,39 @@ def test_momentum_audited_mask_per_scheme():
         if scheme == "fem":
             assert not np.any(audit.momentum_residuals)
             assert audit.max_momentum_flux == 0.0
+
+
+@pytest.mark.parametrize("use_direct", [False, True], ids=["gmres", "direct"])
+def test_run_convergence_frees_each_level_before_the_next(use_direct, monkeypatch):
+    # Each level's system (with its elimination and preconditioner) is gone
+    # before the next level is assembled, so levels do not stack up in memory.
+    alive, systems = [], []
+
+    def tracking(disc, problem):
+        alive.append([ref() is not None for ref in systems])
+        system = assemble(disc, problem)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(verification, "assemble", tracking)
+    run_convergence(donea_huerta_case(), "overlapping", n_levels=3, base=3, use_direct=use_direct)
+    assert alive == [[], [False], [False, False]]
+
+
+@pytest.mark.parametrize("offset", [-3, -5, 2])
+@pytest.mark.parametrize("call", ["conservation_audit", "error_norms", "region_mass_balance", "write_vtu"])
+def test_solution_of_the_wrong_length_is_rejected(call, offset, tmp_path):
+    case = donea_huerta_case()
+    problem = case.problem()
+    disc = build(case.apply_bc(generate_structured(4, 4)), "overlapping")
+    x = np.zeros(disc.n_dofs + offset)
+    path = tmp_path / "solution.vtu"
+    calls = {
+        "conservation_audit": lambda: conservation_audit(disc, x, problem),
+        "error_norms": lambda: error_norms(disc, x, case),
+        "region_mass_balance": lambda: region_mass_balance(disc, x, problem, [0, 1, 2]),
+        "write_vtu": lambda: write_vtu(disc, x, str(path)),
+    }
+    with pytest.raises(ValueError, match=rf"\({x.size},\).* {disc.n_dofs} unknowns"):
+        calls[call]()
+    assert not path.exists()
