@@ -112,16 +112,10 @@ class SchemeKind(enum.Enum):
         if isinstance(name, cls):
             return name
         key = str(name).strip().lower().replace("_", "-")
-        aliases = {
-            "non-overlapping": cls.NONOVERLAPPING,
-            "nonoverlapping": cls.NONOVERLAPPING,
-            "overlapping": cls.OVERLAPPING,
-            "hybrid": cls.HYBRID,
-            "fem": cls.FEM,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown scheme {name!r}; choose from {sorted(aliases)}")
-        return aliases[key]
+        try:
+            return cls(key)
+        except ValueError:
+            raise ValueError(f"unknown scheme {name!r}; choose from {sorted(s.value for s in cls)}") from None
 
     @property
     def spec(self) -> "SchemeSpec":
@@ -237,14 +231,6 @@ def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Piec
     return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[:, None], lengths, qpoints, qweights)
 
 
-def _derived(kind: str, name: str) -> property:
-    return property(lambda self: getattr(self.pieces(kind), name),
-                    doc=f"`pieces({kind!r}).{name}` of every {kind}, derived on access.")
-
-
-_COORDINATES = Pieces._fields[2:]
-
-
 @dataclass(frozen=True)
 class ControlVolumeSet:
     """Structure-of-arrays description of one family of control volumes.
@@ -255,8 +241,8 @@ class ControlVolumeSet:
     faces and boundary segments are stored as their element and reference
     row or slot; `points` is the (ne, 7, 2) table of local points of every
     element, shared by the families of a mesh.  Their coordinates are
-    derived on access; faces and boundary segments both carry a two-point
-    Gauss rule whose weights sum to their length.
+    derived on access, those of faces and boundary segments by `pieces`,
+    with a two-point Gauss rule whose weights sum to their length.
     """
 
     family: str                 # key of REFERENCE_CELLS
@@ -275,9 +261,6 @@ class ControlVolumeSet:
     seg_slot: np.ndarray        # index into REFERENCE_PIECES
     seg_marker: np.ndarray      # index into marker_names
     marker_names: tuple
-
-    face_a, face_b, face_normal, face_length, face_qpoints, face_qweights = (_derived("face", n) for n in _COORDINATES)
-    seg_a, seg_b, seg_normal, seg_length, seg_qpoints, seg_qweights = (_derived("seg", n) for n in _COORDINATES)
 
     def pieces(self, kind: str, which=slice(None)) -> Pieces:
         """The faces ("face") or boundary segments ("seg", outward normals)

@@ -311,10 +311,11 @@ def read_msh(path: str) -> Mesh:
     """Read an ASCII MSH 2.2 file (nodes, line and triangle elements).
 
     Line elements carry boundary markers through their first (physical)
-    tag; names from $PhysicalNames are used when present, otherwise the
-    marker is called "tag<N>".  All markers default to Dirichlet.  Nodes
-    that no triangle uses (such as point-element nodes) are dropped.  Binary
-    files, nonzero z coordinates, malformed or truncated sections and line
+    tag; the names of dimension-1 groups in $PhysicalNames are used when
+    present (tags are numbered per dimension), otherwise the marker is
+    called "tag<N>".  All markers default to Dirichlet.  Nodes that no
+    triangle uses (such as point-element nodes) are dropped.  Binary files,
+    nonzero z coordinates, malformed or truncated sections and line
     elements on a dropped node raise MshParseError with the offending line
     number.
     """
@@ -376,7 +377,7 @@ def read_msh(path: str) -> Mesh:
         for _ in range(count("physical name")):
             parts = line().split(maxsplit=2)
             try:
-                phys_names[int(parts[1])] = parts[2].strip().strip('"')
+                phys_names[int(parts[0]), int(parts[1])] = parts[2].strip().strip('"')
             except (IndexError, ValueError):
                 raise err(idx, "malformed physical name") from None
             idx += 1
@@ -448,7 +449,7 @@ def read_msh(path: str) -> Mesh:
     triangles, facets = _orient(coords, triangles.reshape(-1, 3), facets)
 
     tag_list = sorted(set(facet_tags))
-    marker_names = tuple(phys_names.get(t, f"tag{t}") for t in tag_list)
+    marker_names = tuple(phys_names.get((1, t), f"tag{t}") for t in tag_list)
     tag_to_idx = {t: i for i, t in enumerate(tag_list)}
     facet_markers = np.array([tag_to_idx[t] for t in facet_tags], dtype=np.int64)
     markers = {name: BCKind.DIRICHLET for name in marker_names}

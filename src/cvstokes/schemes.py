@@ -51,6 +51,7 @@ from .geometry import (
     ControlVolumeSet,
     ElementData,
     GridDiscretization,
+    Pieces,
     _segment_quad,
     to_reference,
 )
@@ -129,39 +130,32 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
-def _pieces(cvset: ControlVolumeSet, kind: str, which=slice(None)):
-    """Element, quadrature points and weights, unit normal of the faces ("face")
-    or boundary segments ("seg", outward normals) `which`, derived once."""
-    p = cvset.pieces(kind, which)
-    return p.element, p.qpoints, p.qweights, p.normal
-
-
-def _piece_blocks(disc, pieces):
+def _piece_blocks(disc, pieces: Pieces):
     """Per block of `_BLOCK` pieces: slice, elements, weights (B, 1, nq), reference points, normals (B, 2, 1)."""
-    elements, qpoints, qweights, normals = pieces
-    for sl in _blocks(elements.shape[0]):
-        e = elements[sl]
-        yield sl, e, qweights[sl, None], to_reference(disc.elements, e[:, None], qpoints[sl]), normals[sl, :, None]
+    for sl in _blocks(pieces.element.shape[0]):
+        e = pieces.element[sl]
+        ref = to_reference(disc.elements, e[:, None], pieces.qpoints[sl])
+        yield sl, e, pieces.qweights[sl, None], ref, pieces.normal[sl, :, None]
 
 
-def _mass_fluxes(disc, pieces, velocity):
+def _mass_fluxes(disc, pieces: Pieces, velocity):
     """Volume flux of v_h through pieces, (F,): each lies in one element and
-    carries a quadrature rule along it and a unit normal, as from `_pieces`."""
+    carries a quadrature rule along it and a unit normal."""
     eldofs = disc.element_velocity_dofs()
-    out = np.empty(pieces[0].shape[0])
+    out = np.empty(pieces.element.shape[0])
     for sl, e, w, ref, n in _piece_blocks(disc, pieces):
         out[sl] = ((w @ _eval_unchecked(ref).values) @ (velocity[eldofs[e]] @ n))[:, 0, 0]
     return out
 
 
-def _momentum_fluxes(disc, pieces, viscosity, velocity, pressure):
+def _momentum_fluxes(disc, pieces: Pieces, viscosity, velocity, pressure):
     """Momentum flux of (-2 mu D(v_h) + p_h I) through pieces, (F, 2).
 
     With g_b = sum_q w_q grad phi_b(x_q) and P = sum_q w_q p_h(x_q) it is
     -mu sum_b (v_b (g_b . n) + g_b (v_b . n)) + P n.
     """
     eldofs = disc.element_velocity_dofs()
-    out = np.empty((pieces[0].shape[0], 2))
+    out = np.empty((pieces.element.shape[0], 2))
     for sl, e, w, ref, n in _piece_blocks(disc, pieces):
         coeff = velocity[eldofs[e]]                                       # (B, 4, 2)
         grads = _eval_unchecked(ref).gradients.reshape(*ref.shape[:2], 8)  # [f, q, (b, i)]
@@ -174,34 +168,34 @@ def _momentum_fluxes(disc, pieces, viscosity, velocity, pressure):
 
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
     """Mass (F,) and momentum (F, 2) flux of every face of a CV set, from inside to outside."""
-    faces = _pieces(cvset, "face")
+    faces = cvset.pieces("face")
     return _mass_fluxes(disc, faces, velocity), _momentum_fluxes(disc, faces, viscosity, velocity, pressure)
 
 
 @dataclass
 class SaddleSystem:
-    """Assembled saddle-point system [[A, B], [C, 0]] with right-hand side.
+    """Assembled saddle-point system [[A, B], [C, D]] with right-hand side.
 
     A acts on velocity unknowns (2 per location, interleaved), B couples
-    pressure into the momentum rows, C holds the mass balances.  Dirichlet
-    rows of A are identity rows; `dirichlet_dofs` lists the scalar velocity
-    dofs so constrained.  If a pressure unknown is pinned its mass row is
-    replaced by an identity row stored in the otherwise empty block.
-    `bubble_dofs` is the contiguous range of bubble velocity dofs, the last
-    ones, which the solvers eliminate element by element; `_elimination`
-    keeps that elimination once a solver has built it from A, B and C.
-    `matrix()` forms the full matrix for inspection; no solver calls it.
+    pressure into the momentum rows, C holds the mass balances and D is
+    the pressure-pressure block.  Dirichlet rows of A are identity rows;
+    `dirichlet_dofs` lists the scalar velocity dofs so constrained.  D
+    holds the identity entry of a pinned pressure, whose mass row of C is
+    empty, or no entries at all.  `bubble_dofs` is the contiguous range of
+    bubble velocity dofs, the last ones, which the solvers eliminate
+    element by element; `_elimination` keeps that elimination once a
+    solver has built it from the blocks.  `matrix()` forms the full matrix
+    for inspection; no solver calls it.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
+    D: sp.csr_matrix
     rhs_momentum: np.ndarray
     rhs_mass: np.ndarray
     dirichlet_dofs: np.ndarray
-    pinned_pressure: int | None = None
     bubble_dofs: range = range(0)
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False)
     _elimination: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -216,26 +210,17 @@ class SaddleSystem:
     def n_dofs(self) -> int:
         return self.n_velocity + self.n_pressure
 
-    def pressure_block(self) -> sp.csr_matrix:
-        """The pressure-pressure block: the identity row of a pinned pressure, else zero."""
-        k = [] if self.pinned_pressure is None else [self.pinned_pressure]
-        return sp.csr_matrix((np.ones(len(k)), (k, k)), shape=(self.n_pressure,) * 2)
-
     def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            self._matrix = sp.bmat([[self.A, self.B], [self.C, self.pressure_block()]], format="csr")
-        return self._matrix
+        return sp.bmat([[self.A, self.B], [self.C, self.D]], format="csr")
 
     def rhs(self) -> np.ndarray:
         return np.concatenate((self.rhs_momentum, self.rhs_mass))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """rhs - J x, summed block by block: (A u + B p, C u) plus the pinned identity."""
+        """rhs - J x, summed block by block: rhs - (A u + B p, C u + D p)."""
         u, p = x[: self.n_velocity], x[self.n_velocity :]
-        r_p = self.rhs_mass - self.C @ u
-        if self.pinned_pressure is not None:
-            r_p[self.pinned_pressure] -= p[self.pinned_pressure]
-        return np.concatenate((self.rhs_momentum - (self.A @ u + self.B @ p), r_p))
+        r_u = self.rhs_momentum - (self.A @ u + self.B @ p)
+        return np.concatenate((r_u, self.rhs_mass - (self.C @ u + self.D @ p)))
 
 
 def _xy(ids):
@@ -520,9 +505,9 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         A=A,
         B=B,
         C=C,
+        D=sp.csr_matrix((np.ones(len(pinned)), (pinned, pinned)), shape=(n_p, n_p)),
         rhs_momentum=rhs_u,
         rhs_mass=rhs_p,
         dirichlet_dofs=ddofs,
-        pinned_pressure=pin_pressure,
         bubble_dofs=range(2 * mesh.n_vertices, 2 * n_u),
     )

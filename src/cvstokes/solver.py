@@ -13,22 +13,24 @@ M_kk - M_kb M_bb^{-1} M_bk, whose solve is followed by the local recovery
 y_b = M_bb^{-1} (r_b - M_bk y_k).  The kept unknowns are the vertex
 velocities and the pressures, three per vertex instead of two per vertex
 and element plus one per vertex.  The bubbles are the last velocity
-unknowns, so the four parts of J are contiguous slices of the blocks A, B
-and C, stacked; J itself is never formed.  The elimination is built once
-per system and shared by both solvers and the preconditioner.
+unknowns, so the four parts of J are stacked from contiguous slices of
+the blocks A, B and C and the whole of D; J itself is never formed.  The
+elimination is built once per system and shared by both solvers and the
+preconditioner.
 
-The condensed system is J_c = [[A_c, B_c], [C_c, D_c]], where A_c is the
-velocity block with its bubbles eliminated and D_c = -C_b A_bb^{-1} B_b
-the pressure coupling the elimination leaves behind (plus the identity of
-a pinned pressure).  The Krylov solver is a non-restarted
-left-preconditioned GMRes on J_c that terminates when the Euclidean norm
-of the preconditioned residual has dropped by a given factor relative to
-its initial value; the bubbles are then recovered once, element by
-element, so the bubble rows of the full system hold to round-off.  The
-preconditioner is block triangular (Elman, Silvester & Wathen): an exact
-solve with A_c, and a Schur-complement surrogate S = M_p / (2 mu) - D_c
-built from the pressure mass matrix M_p, with D_c taken without the
-pinned-pressure identity.  Applied to a residual (r_u, r_p) it returns
+The saddle system is [[A, B], [C, D]], where D is the pressure-pressure
+block: the identity entry of a pinned pressure, or empty.  The condensed
+system is J_c = [[A_c, B_c], [C_c, D + D_c]], where A_c is the velocity
+block with its bubbles eliminated and D_c = -C_b A_bb^{-1} B_b the
+pressure coupling the elimination leaves behind.  The Krylov solver is a
+non-restarted left-preconditioned GMRes on J_c that terminates when the
+Euclidean norm of the preconditioned residual has dropped by a given
+factor relative to its initial value; the bubbles are then recovered
+once, element by element, so the bubble rows of the full system hold to
+round-off.  The preconditioner is block triangular (Elman, Silvester &
+Wathen): an exact solve with A_c, and a Schur-complement surrogate
+S = M_p / (2 mu) - D_c built from the pressure mass matrix M_p.  Applied
+to a residual (r_u, r_p) it returns
 
     z_u = A_c^{-1} r_u
     z_p = S^{-1} (r_p - C_c z_u).
@@ -168,8 +170,7 @@ def bubble_elimination(system: SaddleSystem) -> BubbleElimination:
 
     The bubbles are the last velocity unknowns, so with v the vertex
     velocities and b the bubbles, J_kk = [[A_vv, B_v], [C_v, D]],
-    J_kb = [[A_vb], [C_b]], J_bk = [A_bv, B_b] and J_bb = A_bb, where D is
-    the pressure block (the pinned identity, if any).
+    J_kb = [[A_vb], [C_b]], J_bk = [A_bv, B_b] and J_bb = A_bb.
     """
     if system._elimination is None:
         A, B, C = system.A, system.B, system.C
@@ -179,7 +180,7 @@ def bubble_elimination(system: SaddleSystem) -> BubbleElimination:
             raise BubbleStructureError(f"bubble unknowns {system.bubble_dofs} are not the last of {n} velocity unknowns")
         system._elimination = BubbleElimination.build(
             range(lo, n),
-            sp.bmat([[A[:lo, :lo], B[:lo]], [C[:, :lo], system.pressure_block()]], format="csr"),
+            sp.bmat([[A[:lo, :lo], B[:lo]], [C[:, :lo], system.D]], format="csr"),
             sp.vstack((A[:lo, lo:], C[:, lo:]), format="csr"),
             sp.hstack((A[lo:, :lo], B[lo:]), format="csr"),
             A[lo:, lo:],
@@ -237,10 +238,7 @@ class BlockPreconditioner:
         """`schur_approx` is the pressure mass matrix scaled by 1 / (2 mu)."""
         J_c = bubble_elimination(system).condensed
         n_u = system.n_velocity - len(system.bubble_dofs)
-        D_c = J_c[n_u:, n_u:]
-        if system.pinned_pressure is not None:
-            k = system.pinned_pressure
-            D_c = D_c - sp.csc_matrix(([1.0], ([k], [k])), shape=D_c.shape)
+        D_c = J_c[n_u:, n_u:] - system.D
         lu_A = _factor(J_c[:n_u, :n_u])
         lu_S = _factor(sp.csc_matrix(schur_approx) - D_c)
         return cls(lu_A=lu_A, lu_S=lu_S, C=J_c[n_u:, :n_u], n_velocity=n_u)

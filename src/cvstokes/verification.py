@@ -47,7 +47,6 @@ from .schemes import (
     _integrate_over_cvs,
     _mass_fluxes,
     _momentum_fluxes,
-    _pieces,
     assemble,
     segment_tractions,
     split_solution,
@@ -260,40 +259,45 @@ class LevelResult:
     converged: bool
 
 
+def _slope(errors, lengths) -> float:
+    """Log-log slope of the errors from the first level to the last; NaN, as
+    undefined, when an error is below RATE_ERROR_FLOOR or the two end
+    lengths are equal."""
+    if min(errors) < RATE_ERROR_FLOOR or lengths[0] == lengths[-1]:
+        return float("nan")
+    return float(np.log(errors[0] / errors[-1]) / np.log(lengths[0] / lengths[-1]))
+
+
 @dataclass
 class ConvergenceReport:
     case: str
     scheme: SchemeKind
     levels: list
 
-    def _rate(self, errors, lengths):
-        rates = np.full(len(errors), np.nan)
-        for k in range(1, len(errors)):
-            if errors[k - 1] < RATE_ERROR_FLOOR or errors[k] < RATE_ERROR_FLOOR:
-                continue
-            rates[k] = np.log(errors[k - 1] / errors[k]) / np.log(lengths[k - 1] / lengths[k])
-        return rates
+    def _series(self, key: str):
+        """Errors `key` per level and the matching lengths: h_p for the pressure, h_v for the velocity."""
+        errors = [getattr(lv, key) for lv in self.levels]
+        lengths = [lv.h_p if key == "l2_pressure" else lv.h_v for lv in self.levels]
+        return errors, lengths
 
     def rates(self) -> dict:
-        """Per-level rates (first entry NaN, NaN where errors hit round-off)."""
-        h_p = np.array([lv.h_p for lv in self.levels])
-        h_v = np.array([lv.h_v for lv in self.levels])
-        return {
-            "l2_pressure": self._rate(np.array([lv.l2_pressure for lv in self.levels]), h_p),
-            "l2_velocity": self._rate(np.array([lv.l2_velocity for lv in self.levels]), h_v),
-            "h1_velocity": self._rate(np.array([lv.h1_velocity for lv in self.levels]), h_v),
-        }
+        """Per-level rates against the previous level; the first entry is NaN, as is
+        every rate `_slope` leaves undefined."""
+        out = {}
+        for key in ("l2_pressure", "l2_velocity", "h1_velocity"):
+            errors, lengths = self._series(key)
+            out[key] = np.array([np.nan] + [_slope(errors[k - 1 : k + 1], lengths[k - 1 : k + 1])
+                                            for k in range(1, len(errors))])
+        return out
 
     def window_rate(self, key: str, count: int = 3) -> float:
-        """Aggregate log-log slope over the last `count` levels."""
+        """Aggregate log-log slope over the last `count` levels, at least two."""
+        if count < 2:
+            raise ValueError(f"a rate needs at least two levels, got count={count}")
         if len(self.levels) < count:
             raise ValueError("not enough levels")
-        sel = self.levels[-count:]
-        errors = [getattr(lv, key) for lv in sel]
-        lengths = [lv.h_p if key == "l2_pressure" else lv.h_v for lv in sel]
-        if min(errors) < RATE_ERROR_FLOOR:
-            return float("nan")
-        return float(np.log(errors[0] / errors[-1]) / np.log(lengths[0] / lengths[-1]))
+        errors, lengths = self._series(key)
+        return _slope(errors[-count:], lengths[-count:])
 
     def iteration_counts(self) -> np.ndarray:
         return np.array([lv.iterations for lv in self.levels])
@@ -415,9 +419,9 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
-    faces = _pieces(pset, "face")
+    faces = pset.pieces("face")
     massf = _mass_fluxes(disc, faces, vel)
-    segf = _mass_fluxes(disc, _pieces(pset, "seg"), vel)
+    segf = _mass_fluxes(disc, pset.pieces("seg"), vel)
     res_m = np.zeros(pset.n_cvs)
     np.add.at(res_m, pset.face_inside, massf)
     np.add.at(res_m, pset.face_outside, -massf)
@@ -432,7 +436,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
     if flux_momentum:
-        momf = _momentum_fluxes(disc, faces if vset is pset else _pieces(vset, "face"), mu, vel, pres)
+        momf = _momentum_fluxes(disc, faces if vset is pset else vset.pieces("face"), mu, vel, pres)
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
@@ -472,8 +476,8 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
 
     fin = sel[pset.face_inside]
     fout = sel[pset.face_outside]
-    balance = float(np.sum(_mass_fluxes(disc, _pieces(pset, "face", fin & ~fout), vel))
-                    - np.sum(_mass_fluxes(disc, _pieces(pset, "face", fout & ~fin), vel)))
-    balance += float(np.sum(_mass_fluxes(disc, _pieces(pset, "seg", sel[pset.seg_cv]), vel)))
+    balance = float(np.sum(_mass_fluxes(disc, pset.pieces("face", fin & ~fout), vel))
+                    - np.sum(_mass_fluxes(disc, pset.pieces("face", fout & ~fin), vel)))
+    balance += float(np.sum(_mass_fluxes(disc, pset.pieces("seg", sel[pset.seg_cv]), vel)))
     balance -= float(np.sum(_integrate_over_cvs(disc, pset, problem, "mass_source")[sel]))
     return balance

@@ -204,6 +204,21 @@ def test_run_custom_msh(tmp_path):
     assert (tmp_path / "custom-msh_hybrid.csv").exists()
 
 
+def test_main_leaves_rates_between_equal_levels_undefined(tmp_path, capsys):
+    # The same mesh twice: a rate between two levels of one size is
+    # undefined, not +-inf (and no numpy warning is raised).
+    path = tmp_path / "a.msh"
+    write_msh22(path, distort(generate_structured(4, 4), 0.15, seed=53))
+    code = main(["--case", "custom-msh", "--mesh", str(path), "--mesh", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "inf" not in out
+    assert out.splitlines()[-1].count("--") == 3
+    with open(tmp_path / "custom-msh_overlapping.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [rows[2][i] for i in (2, 5, 7)] == ["", "", ""]
+
+
 def test_run_custom_msh_uses_mixed_boundary_layout(tmp_path):
     # Markers read from MSH default to Dirichlet; the run replaces them with
     # Dirichlet left/bottom and traction right/top, as for the built-in cases.

@@ -26,15 +26,17 @@ def _closure_defects(vset):
     n = vset.n_cvs
     net = np.zeros((n, 2))
     scale = np.zeros(n)
-    nl = vset.face_normal * vset.face_length[:, None]
+    faces = vset.pieces("face")
+    nl = faces.normal * faces.length[:, None]
     np.add.at(net, vset.face_inside, nl)
-    np.add.at(scale, vset.face_inside, vset.face_length)
+    np.add.at(scale, vset.face_inside, faces.length)
     interior = vset.face_outside >= 0
     np.subtract.at(net, vset.face_outside[interior], nl[interior])
-    np.add.at(scale, vset.face_outside[interior], vset.face_length[interior])
+    np.add.at(scale, vset.face_outside[interior], faces.length[interior])
     if vset.n_segments:
-        np.add.at(net, vset.seg_cv, vset.seg_normal * vset.seg_length[:, None])
-        np.add.at(scale, vset.seg_cv, vset.seg_length)
+        segs = vset.pieces("seg")
+        np.add.at(net, vset.seg_cv, segs.normal * segs.length[:, None])
+        np.add.at(scale, vset.seg_cv, segs.length)
     return net, scale
 
 
@@ -67,22 +69,23 @@ def test_boxes_single_triangle():
     assert vset.n_faces == 3
     assert vset.n_segments == 6
     # Face 0 runs from the midpoint of edge (0, 1) to the centroid.
-    assert np.allclose(vset.face_a[0], [0.5, 0.0], atol=1e-15)
-    assert np.allclose(vset.face_b[0], [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    faces = vset.pieces("face")
+    assert np.allclose(faces.a[0], [0.5, 0.0], atol=1e-15)
+    assert np.allclose(faces.b[0], [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
     assert (vset.face_inside[0], vset.face_outside[0]) == (0, 1)
-    d = vset.face_b[0] - vset.face_a[0]
-    length = vset.face_length[0]
-    normal = vset.face_normal[0]
+    d = faces.b[0] - faces.a[0]
+    length = faces.length[0]
+    normal = faces.normal[0]
     assert length == pytest.approx(np.hypot(*d), rel=1e-14)
     assert np.allclose(normal, np.array([d[1], -d[0]]) / length, atol=1e-15)
     assert np.linalg.norm(normal) == pytest.approx(1.0, rel=1e-15)
-    assert np.sum(vset.face_qweights[0]) == pytest.approx(length, rel=1e-14)
+    assert np.sum(faces.qweights[0]) == pytest.approx(length, rel=1e-14)
 
 
 def test_box_face_quadrature_points_on_face():
-    vset = build_boxes(generate_structured(3, 3))
-    t = (vset.face_qpoints - vset.face_a[:, None, :]) / (
-        vset.face_b - vset.face_a
+    faces = build_boxes(generate_structured(3, 3)).pieces("face")
+    t = (faces.qpoints - faces.a[:, None, :]) / (
+        faces.b - faces.a
     )[:, None, :]
     assert np.allclose(t[..., 0], t[..., 1], atol=1e-13)
     assert np.all((t > 0.0) & (t < 1.0))
@@ -94,10 +97,8 @@ def test_pieces_are_images_of_their_reference_slots(builder):
     el = element_data(mesh)
     vset = builder(mesh)
     t = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
-    for elements, slots, qpoints in (
-        (vset.face_element, vset.face_slot, vset.face_qpoints),
-        (vset.seg_element, vset.seg_slot, vset.seg_qpoints),
-    ):
+    for pieces in (vset.pieces("face"), vset.pieces("seg")):
+        elements, slots, qpoints = pieces.element, pieces.slot, pieces.qpoints
         a, b = REFERENCE_PIECES[slots, 0], REFERENCE_PIECES[slots, 1]
         gauss = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
         assert np.max(np.abs(to_reference(el, elements[:, None], qpoints) - gauss)) <= 1e-12
@@ -116,10 +117,11 @@ def test_bubble_cv_is_medial_triangle():
     assert faces.size == 3
     assert np.all(vset.face_outside[faces] == -1)
     center = mids.mean(axis=0)
-    for f in faces:
-        mid = 0.5 * (vset.face_a[f] + vset.face_b[f])
-        assert np.dot(vset.face_normal[f], mid - center) > 0.0
-        assert np.linalg.norm(vset.face_normal[f]) == pytest.approx(1.0, rel=1e-14)
+    pieces = vset.pieces("face", faces)
+    for a, b, normal in zip(pieces.a, pieces.b, pieces.normal):
+        mid = 0.5 * (a + b)
+        assert np.dot(normal, mid - center) > 0.0
+        assert np.linalg.norm(normal) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_nonoverlapping_single_triangle():
@@ -135,7 +137,8 @@ def test_nonoverlapping_single_triangle():
     assert np.all(vset.face_inside == 3)
     assert sorted(vset.face_outside) == [0, 1, 2]
     # The face from midpoint(0,1) to midpoint(1,2) cuts off vertex 1.
-    k = int(np.flatnonzero(np.isclose(vset.face_a[:, 0], 0.5) & np.isclose(vset.face_a[:, 1], 0.0))[0])
+    a = vset.pieces("face").a
+    k = int(np.flatnonzero(np.isclose(a[:, 0], 0.5) & np.isclose(a[:, 1], 0.0))[0])
     assert vset.face_outside[k] == 1
 
 
@@ -196,20 +199,21 @@ def test_face_normals_point_from_inside_to_outside():
                 vset.dof_locations[vset.face_outside[sel]]
                 - vset.dof_locations[vset.face_inside[sel]]
             )
-            dots = np.sum(vset.face_normal[sel] * d, axis=1)
+            dots = np.sum(vset.pieces("face", sel).normal * d, axis=1)
             assert np.all(dots > 0.0)
 
 
 def test_boundary_segments_cover_perimeter():
     mesh = generate_structured(3, 3)
     vset = build_boxes(mesh)
-    assert np.sum(vset.seg_length) == pytest.approx(4.0, rel=1e-14)
-    mids = 0.5 * (vset.seg_a + vset.seg_b)
-    outward = np.sum(vset.seg_normal * (mids - 0.5), axis=1)
+    segs = vset.pieces("seg")
+    assert np.sum(segs.length) == pytest.approx(4.0, rel=1e-14)
+    mids = 0.5 * (segs.a + segs.b)
+    outward = np.sum(segs.normal * (mids - 0.5), axis=1)
     assert np.all(outward > 0.0)
     # Segment markers agree with the geometric side.
     for i in range(vset.n_segments):
-        mid = 0.5 * (vset.seg_a[i] + vset.seg_b[i])
+        mid = mids[i]
         side = {
             "left": mid[0] == 0.0,
             "right": mid[0] == 1.0,
@@ -224,11 +228,12 @@ def test_boundary_segment_splitting():
     vset = build_boxes(mesh)
     # Each of the 8 boundary facets splits at its midpoint into 2 pieces.
     assert vset.n_segments == 16
-    assert np.allclose(vset.seg_length, 0.25, rtol=1e-14)
+    segs = vset.pieces("seg")
+    assert np.allclose(segs.length, 0.25, rtol=1e-14)
     # Each piece belongs to the vertex at its unsplit end.
     for i in range(vset.n_segments):
         v = mesh.vertices[vset.seg_cv[i]]
-        assert min(np.linalg.norm(vset.seg_a[i] - v), np.linalg.norm(vset.seg_b[i] - v)) < 1e-14
+        assert min(np.linalg.norm(segs.a[i] - v), np.linalg.norm(segs.b[i] - v)) < 1e-14
 
 
 def test_subcontrol_volume_polygons():
@@ -304,7 +309,7 @@ def test_hybrid_and_fem_velocity_set_is_the_pressure_set():
 def test_control_volume_set_is_frozen():
     vset = build_boxes(generate_structured(2, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        vset.face_normal = None
+        vset.face_slot = None
 
 
 def _kept_bytes(*cvsets):
@@ -348,9 +353,9 @@ def test_derived_coordinates_equal_a_pieces_oracle(family):
         elements, slots = getattr(cvset, f"{kind}_element"), getattr(cvset, f"{kind}_slot")
         oracle = geometry._pieces(points, elements, slots)
         which = rng.random(elements.size) < 0.4
-        selected = cvset.pieces(kind, which)
+        every, selected = cvset.pieces(kind), cvset.pieces(kind, which)
         for name in geometry.Pieces._fields[2:]:
-            assert np.array_equal(getattr(cvset, f"{kind}_{name}"), getattr(oracle, name)), (kind, name)
+            assert np.array_equal(getattr(every, name), getattr(oracle, name)), (kind, name)
             assert np.array_equal(getattr(selected, name), getattr(oracle, name)[which]), (kind, name)
     ids = np.array([_reference_ids(polygon) for polygon in geometry.REFERENCE_CELLS[family]])[cvset.scv_row]
     polys = points[cvset.scv_element[:, None], ids]

@@ -384,6 +384,25 @@ def test_msh_minimal_handwritten(tmp_path):
     validate(mesh)
 
 
+def test_msh_marker_names_come_from_dimension_one(tmp_path):
+    # Physical tags are numbered per dimension: tag 1 names the wall lines
+    # and, separately, the fluid surface.
+    text = "\n".join(
+        [
+            "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+            "$PhysicalNames", "2", '1 1 "wall"', '2 1 "fluid"', "$EndPhysicalNames",
+            "$Nodes", "3", "1 0 0 0", "2 1 0 0", "3 0 1 0", "$EndNodes",
+            "$Elements", "4",
+            "1 1 2 1 1 1 2", "2 1 2 1 1 2 3", "3 1 2 1 1 3 1",
+            "4 2 2 1 1 1 2 3",
+            "$EndElements", "",
+        ]
+    )
+    path = tmp_path / "named.msh"
+    path.write_text(text)
+    assert read_msh(str(path)).marker_names == ("wall",)
+
+
 def test_msh_rejects_binary(tmp_path):
     path = tmp_path / "bin.msh"
     path.write_text("$MeshFormat\n2.2 1 8\n$EndMeshFormat\n")

@@ -31,13 +31,14 @@ SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
 class _StubSystem(SaddleSystem):
     """Saddle system whose velocity block A is the matrix J, with empty
-    pressure blocks B and C and no bubbles to eliminate."""
+    pressure blocks B, C and D and no bubbles to eliminate."""
 
     def __init__(self, J, b):
         A = sp.csr_matrix(np.asarray(J, dtype=float))
         n = A.shape[0]
         super().__init__(
-            A=A, B=sp.csr_matrix((n, 0)), C=sp.csr_matrix((0, n)), rhs_momentum=np.asarray(b, dtype=float),
+            A=A, B=sp.csr_matrix((n, 0)), C=sp.csr_matrix((0, n)), D=sp.csr_matrix((0, 0)),
+            rhs_momentum=np.asarray(b, dtype=float),
             rhs_mass=np.zeros(0), dirichlet_dofs=np.empty(0, dtype=np.int64),
         )
 
@@ -98,12 +99,10 @@ def _condense_full_matrix(M, bubbles):
 
 def _condensed_blocks(system):
     """A_c, C_c and D_c of the condensed saddle system, built independently
-    of the solver's cache; D_c leaves out the pinned-pressure identity."""
+    of the solver's cache; D_c leaves out the pressure block D."""
     J_c = _condense_full_matrix(system.matrix(), system.bubble_dofs)
     n_u = system.n_velocity - len(system.bubble_dofs)
-    D_c = J_c[n_u:, n_u:].tolil()
-    if system.pinned_pressure is not None:
-        D_c[system.pinned_pressure, system.pinned_pressure] -= 1.0
+    D_c = J_c[n_u:, n_u:] - system.D
     return J_c[:n_u, :n_u], J_c[n_u:, :n_u].tocsr(), D_c.tocsr()
 
 
@@ -193,7 +192,7 @@ def test_one_bubble_elimination_per_system(monkeypatch):
     gmres_solve(system, precond)
     direct_solve(system)
     assert builds == [system.bubble_dofs]
-    replaced = dataclasses.replace(system, _matrix=None)
+    replaced = dataclasses.replace(system)
     assert replaced._elimination is None
 
 
@@ -342,7 +341,7 @@ def test_bubble_elimination_rejects_bad_blocks():
     lo = system.bubble_dofs.start
     A = system.A.tolil()
     A[lo, lo + 2] = 1e-3                 # couple the bubbles of elements 0 and 1
-    coupled = dataclasses.replace(system, A=A.tocsr(), _matrix=None)
+    coupled = dataclasses.replace(system, A=A.tocsr())
     with pytest.raises(BubbleStructureError, match="outside"):
         direct_solve(coupled)
     with pytest.raises(BubbleStructureError, match="outside"):
@@ -351,7 +350,7 @@ def test_bubble_elimination_rejects_bad_blocks():
     A = system.A.tolil()
     A[lo + 1, lo] = A[lo, lo]            # second row of the first block = first row
     A[lo + 1, lo + 1] = A[lo, lo + 1]
-    singular = dataclasses.replace(system, A=A.tocsr(), _matrix=None)
+    singular = dataclasses.replace(system, A=A.tocsr())
     with pytest.raises(BubbleStructureError, match="singular"):
         direct_solve(singular)
     assert issubclass(BubbleStructureError, ValueError)
@@ -365,12 +364,39 @@ def test_direct_solve_without_bubbles():
         A=A,
         B=B,
         C=sp.csr_matrix(B.T),
+        D=sp.csr_matrix((2, 2)),
         rhs_momentum=rng.standard_normal(4),
         rhs_mass=rng.standard_normal(2),
         dirichlet_dofs=np.empty(0, dtype=np.int64),
     )
     want = np.linalg.solve(system.matrix().toarray(), system.rhs())
     assert np.allclose(direct_solve(system), want, atol=1e-12)
+
+
+def test_both_solvers_take_a_general_pressure_block():
+    # No bubbles and a dense, non-identity D: each solver and the residual
+    # see the system as [[A, B], [C, D]].
+    rng = np.random.default_rng(9)
+    A = sp.csr_matrix(rng.standard_normal((5, 5)) + 5.0 * np.eye(5))
+    system = SaddleSystem(
+        A=A,
+        B=sp.csr_matrix(rng.standard_normal((5, 3))),
+        C=sp.csr_matrix(rng.standard_normal((3, 5))),
+        D=sp.csr_matrix(rng.standard_normal((3, 3)) - 3.0 * np.eye(3)),
+        rhs_momentum=rng.standard_normal(5),
+        rhs_mass=rng.standard_normal(3),
+        dirichlet_dofs=np.empty(0, dtype=np.int64),
+    )
+    J = system.matrix().toarray()
+    assert np.array_equal(J[5:, 5:], system.D.toarray())
+    want = np.linalg.solve(J, system.rhs())
+    assert np.allclose(direct_solve(system), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    report = gmres_solve(system, _StubPreconditioner(J))
+    assert report.converged
+    assert np.allclose(report.solution, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    x = rng.standard_normal(8)
+    full = system.rhs() - J @ x
+    assert np.allclose(system.residual(x), full, rtol=0, atol=1e-14 * np.max(np.abs(full)))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

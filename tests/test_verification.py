@@ -309,6 +309,9 @@ def test_window_rate_and_rates():
     assert np.array_equal(report.iteration_counts(), np.full(5, 10))
     with pytest.raises(ValueError):
         ConvergenceReport("synthetic", "fem", levels[:2]).window_rate("l2_velocity")
+    for count in (0, 1):
+        with pytest.raises(ValueError, match="at least two levels"):
+            report.window_rate("l2_velocity", count=count)
 
 
 def test_window_rate_nan_at_roundoff():
