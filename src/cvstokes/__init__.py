@@ -11,10 +11,8 @@ bounded under refinement.
 """
 
 from .basis import (
-    AffineMap,
     QuadratureRule,
     ReferenceBasisEval,
-    eval_physical,
     eval_reference,
     segment_rule,
     triangle_rule,
@@ -24,9 +22,6 @@ from .geometry import (
     GridDiscretization,
     SchemeKind,
     build,
-    build_boxes,
-    build_nonoverlapping,
-    build_overlapping,
 )
 from .mesh import (
     BCKind,
@@ -45,7 +40,6 @@ from .schemes import (
     SaddleSystem,
     StokesProblem,
     assemble,
-    face_fluxes,
     split_solution,
 )
 from .solver import (
@@ -67,6 +61,7 @@ from .verification import (
     conservation_audit,
     donea_huerta_case,
     error_norms,
+    product_case,
     region_mass_balance,
     run_convergence,
     shear_flow_case,

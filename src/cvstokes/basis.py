@@ -1,4 +1,4 @@
-"""Reference-element basis, affine mappings, and quadrature rules.
+"""Reference-element basis and quadrature rules.
 
 The velocity space on a triangle uses the four-function enriched linear
 basis: three modified vertex functions plus a cubic bubble.  On the
@@ -18,7 +18,6 @@ own node and zero at the other three.  Pressure uses the plain barycentric
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +25,6 @@ from numpy.polynomial.legendre import leggauss
 
 MAX_TRIANGLE_DEGREE = 8
 MAX_SEGMENT_DEGREE = 5
-
-#: Nodes of the four reference basis functions: vertices, then centroid.
-REFERENCE_NODES = np.array(
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0 / 3.0, 1.0 / 3.0]]
-)
-
 
 @dataclass(frozen=True)
 class ReferenceBasisEval:
@@ -115,57 +108,6 @@ def barycentric(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """Affine map x = origin + J xi from the reference triangle.
-
-    `jacobian` holds the edge vectors v1-v0 and v2-v0 as columns, so `det`
-    equals twice the (signed) triangle area and must be positive.
-    """
-
-    origin: np.ndarray
-    jacobian: np.ndarray
-    det: float
-    inverse: np.ndarray
-
-    @classmethod
-    def from_triangle(cls, coords: np.ndarray) -> "AffineMap":
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (3, 2):
-            raise ValueError("coords must have shape (3, 2)")
-        jac = np.column_stack((coords[1] - coords[0], coords[2] - coords[0]))
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if det <= 0.0:
-            raise ValueError(f"triangle is degenerate or negatively oriented (det={det:g})")
-        inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-        return cls(coords[0].copy(), jac, float(det), inv)
-
-    @property
-    def inverse_transpose(self) -> np.ndarray:
-        return self.inverse.T
-
-    def to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        ref = np.asarray(ref_points, dtype=float)
-        return self.origin + ref @ self.jacobian.T
-
-    def to_reference(self, phys_points: np.ndarray) -> np.ndarray:
-        phys = np.asarray(phys_points, dtype=float)
-        return (phys - self.origin) @ self.inverse.T
-
-
-def eval_physical(coords: np.ndarray, points: np.ndarray, tol: float = 1e-10) -> ReferenceBasisEval:
-    """Evaluate the basis on a physical triangle at physical points.
-
-    Returns values and physical-space gradients.  Points must lie in the
-    closed triangle up to `tol` in reference coordinates.
-    """
-    amap = AffineMap.from_triangle(coords)
-    ref = amap.to_reference(points)
-    ev = eval_reference(ref, tol=tol)
-    grads = ev.gradients @ amap.inverse
-    return ReferenceBasisEval(ev.values, grads)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature points and weights on the reference triangle or unit segment.
 
@@ -218,8 +160,3 @@ def segment_rule(degree: int) -> QuadratureRule:
     n = (degree + 2) // 2
     nodes, weights = leggauss(n)
     return QuadratureRule(0.5 * (nodes + 1.0), 0.5 * weights, 2 * n - 1)
-
-
-def monomial_integral_triangle(a: int, b: int) -> float:
-    """Exact value of the integral of x^a y^b over the reference triangle."""
-    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)

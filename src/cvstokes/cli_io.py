@@ -219,34 +219,39 @@ def run(config: RunConfig) -> ConvergenceReport:
     return report
 
 
+class _AppendToTuple(argparse.Action):
+    """Like `append`, but onto a tuple, the type of `RunConfig.mesh_files`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, getattr(namespace, self.dest) + (values,))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line of `RunConfig`: each flag's dest is a field, its default the field's."""
     parser = argparse.ArgumentParser(
         prog="cvstokes",
         description="Convergence studies for locally conservative Stokes schemes.",
     )
+    parser.set_defaults(**vars(RunConfig()))
     parser.add_argument(
         "--case",
-        default="donea-huerta",
         choices=sorted(CASES) + ["custom-msh"],
         help="benchmark case; custom-msh runs the donea-huerta fields on --mesh files",
     )
     parser.add_argument(
         "--scheme",
-        default="overlapping",
         choices=[s.value for s in SchemeKind],
         help="discretization scheme",
     )
-    parser.add_argument("--levels", type=int, default=5, help="number of refinement levels")
-    parser.add_argument(
-        "--distortion", type=float, default=0.2, help="random vertex distortion fraction"
-    )
-    parser.add_argument("--seed", type=int, default=7, help="seed for distortion and start vectors")
-    parser.add_argument("--out", default=".", help="output directory for CSV/VTU files")
-    parser.add_argument("--vtk", action="store_true", help="write a VTU file per level")
+    parser.add_argument("--levels", type=int, help="number of refinement levels")
+    parser.add_argument("--distortion", type=float, help="random vertex distortion fraction")
+    parser.add_argument("--seed", type=int, help="seed for distortion and start vectors")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for CSV/VTU files")
+    parser.add_argument("--vtk", dest="write_vtk", action="store_true", help="write a VTU file per level")
     parser.add_argument(
         "--mesh",
-        action="append",
-        default=[],
+        dest="mesh_files",
+        action=_AppendToTuple,
         metavar="PATH",
         help="MSH 2.2 mesh file, one per level (required for custom-msh; "
         "markers must be named left/right/bottom/top)",
@@ -259,17 +264,7 @@ def main(argv=None) -> int:
         level=os.environ.get(LOG_ENV_VAR, "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        case=args.case,
-        scheme=args.scheme,
-        levels=args.levels,
-        distortion=args.distortion,
-        seed=args.seed,
-        out_dir=args.out,
-        write_vtk=args.vtk,
-        mesh_files=tuple(args.mesh),
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         report = run(config)
     except (ValueError, OSError, DistortionError) as exc:

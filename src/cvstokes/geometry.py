@@ -7,7 +7,9 @@ centroid.  Velocity control volumes differ per scheme:
 
 - non-overlapping: per-vertex unions of corner triangles (vertex plus the
   two adjacent edge midpoints) and, per element, the medial triangle as
-  the bubble control volume.  These tile the domain exactly.
+  the bubble control volume.  These tile the domain exactly; the only
+  interior faces are the medial edges, since corner pieces of the same
+  vertex volume meet along element edges and need no face there.
 - overlapping: boxes for the vertex unknowns plus the medial triangles for
   the bubbles; the medial triangles overlap the boxes, and only the boxes
   form a partition of the domain.
@@ -226,9 +228,9 @@ def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Piec
     a = _take(points, elements, _SLOTS[slots, 0])
     b = _take(points, elements, _SLOTS[slots, 1])
     d = b - a
-    lengths = np.linalg.norm(d, axis=1)
+    lengths = np.linalg.norm(d, axis=-1)
     qpoints, qweights = _segment_quad(a, b)
-    return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[:, None], lengths, qpoints, qweights)
+    return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[..., None], lengths, qpoints, qweights)
 
 
 @dataclass(frozen=True)
@@ -332,13 +334,6 @@ def _layout(groups, part: int, ne: int):
     return rows, np.concatenate(elements), np.concatenate(index)
 
 
-def _mesh_pieces(mesh: Mesh):
-    """Element data, local points and boundary segments, shared by every family of a mesh."""
-    eldata = element_data(mesh)
-    points = _local_points(eldata.coords, eldata.centroids)
-    return eldata, points, _boundary_segments(mesh)
-
-
 def _build_family(family: str, mesh: Mesh, eldata, points, segments) -> ControlVolumeSet:
     """One control-volume family of `_FAMILIES`: "boxes", "non-overlapping" or "overlapping"."""
     groups, bubbles_tile = _FAMILIES[family]
@@ -367,25 +362,6 @@ def _build_family(family: str, mesh: Mesh, eldata, points, segments) -> ControlV
         marker_names=mesh.marker_names,
         **segments,
     )
-
-
-def build_boxes(mesh: Mesh) -> ControlVolumeSet:
-    """Vertex boxes: the pressure control volumes of every scheme."""
-    return _build_family("boxes", mesh, *_mesh_pieces(mesh))
-
-
-def build_nonoverlapping(mesh: Mesh) -> ControlVolumeSet:
-    """Corner-triangle vertex volumes plus medial bubble volumes (a tiling).
-
-    The only interior faces are the medial edges; corner pieces of the same
-    vertex volume meet along element edges and need no face there.
-    """
-    return _build_family("non-overlapping", mesh, *_mesh_pieces(mesh))
-
-
-def build_overlapping(mesh: Mesh) -> ControlVolumeSet:
-    """Boxes for vertex unknowns plus overlapping medial bubble volumes."""
-    return _build_family("overlapping", mesh, *_mesh_pieces(mesh))
 
 
 @dataclass(frozen=True)
@@ -425,8 +401,9 @@ def build(mesh: Mesh, scheme) -> GridDiscretization:
     `pressure`.
     """
     scheme = SchemeKind.parse(scheme)
-    pieces = _mesh_pieces(mesh)
-    pressure = _build_family("boxes", mesh, *pieces)
+    eldata = element_data(mesh)
+    shared = (eldata, _local_points(eldata.coords, eldata.centroids), _boundary_segments(mesh))
+    pressure = _build_family("boxes", mesh, *shared)
     family = scheme.spec.velocity_cvs
-    velocity = pressure if family == "boxes" else _build_family(family, mesh, *pieces)
-    return GridDiscretization(mesh, scheme, pieces[0], pressure, velocity)
+    velocity = pressure if family == "boxes" else _build_family(family, mesh, *shared)
+    return GridDiscretization(mesh, scheme, eldata, pressure, velocity)

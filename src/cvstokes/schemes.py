@@ -48,7 +48,6 @@ from .geometry import (
     REFERENCE_FACES,
     REFERENCE_PIECES,
     SEGMENT_OWNERS,
-    ControlVolumeSet,
     ElementData,
     GridDiscretization,
     Pieces,
@@ -105,19 +104,6 @@ def _piece_averages():
 _PIECE_VALUES, _PIECE_GRADIENTS, _PIECE_HATS = _piece_averages()
 
 
-def basis_at(eldata: ElementData, elements: np.ndarray, points: np.ndarray):
-    """Basis values, physical gradients, and hat values at physical points.
-
-    Points must lie inside their elements; no containment check is done.
-    Shapes: values (..., 4), gradients (..., 4, 2), hats (..., 3).
-    """
-    ref = to_reference(eldata, elements, points)
-    ev = _eval_unchecked(ref)
-    inv = eldata.inv_jacobians[elements]
-    grads = np.einsum("...bi,...ia->...ba", ev.gradients, inv)
-    return ev.values, grads, barycentric(ref)
-
-
 def split_solution(disc: GridDiscretization, x: np.ndarray):
     """Split a solution vector into velocity (n_u, 2) and pressure (n_p,).
 
@@ -166,12 +152,6 @@ def _momentum_fluxes(disc, pieces: Pieces, viscosity, velocity, pressure):
     return out
 
 
-def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
-    """Mass (F,) and momentum (F, 2) flux of every face of a CV set, from inside to outside."""
-    faces = cvset.pieces("face")
-    return _mass_fluxes(disc, faces, velocity), _momentum_fluxes(disc, faces, viscosity, velocity, pressure)
-
-
 @dataclass
 class SaddleSystem:
     """Assembled saddle-point system [[A, B], [C, D]] with right-hand side.
@@ -185,7 +165,7 @@ class SaddleSystem:
     bubble velocity dofs, the last ones, which the solvers eliminate
     element by element; `_elimination` keeps that elimination once a
     solver has built it from the blocks.  `matrix()` forms the full matrix
-    for inspection; no solver calls it.
+    for the tests and the benchmark's tracer; no solver calls it.
     """
 
     A: sp.csr_matrix

@@ -1,6 +1,6 @@
 """Manufactured solutions, error norms, convergence studies, audits.
 
-Every manufactured case is a stream-function product: `_product_case`
+Every manufactured case is a stream-function product: `product_case`
 takes the 1D factors X, Y of the stream function s X(x) Y(y) (with their
 first three derivatives) and P, R of the pressure P(x) R(y) (with their
 first derivatives), and derives the velocity, its gradient and the body
@@ -150,7 +150,7 @@ def _field(components, shape=()):
     return evaluate
 
 
-def _product_case(name, viscosity, scale, X, Y, P, R) -> ManufacturedCase:
+def product_case(name, viscosity, scale, X, Y, P, R) -> ManufacturedCase:
     """Case with stream function scale X(x) Y(y) and pressure P(x) R(y).
 
     X and Y list a factor and its first three derivatives, P and R a factor
@@ -187,7 +187,7 @@ def _product_case(name, viscosity, scale, X, Y, P, R) -> ManufacturedCase:
 def donea_huerta_case(viscosity: float = 1.0) -> ManufacturedCase:
     """Quartic vortex benchmark: stream function q(x) q(y), pressure x (1 - x)."""
     pressure = (lambda u: u * (1.0 - u), lambda u: 1.0 - 2.0 * u)
-    return _product_case("donea-huerta", viscosity, 1.0, _QUARTIC, _QUARTIC, pressure, (1.0, 0.0))
+    return product_case("donea-huerta", viscosity, 1.0, _QUARTIC, _QUARTIC, pressure, (1.0, 0.0))
 
 
 def bercovier_engelman_case() -> ManufacturedCase:
@@ -196,14 +196,14 @@ def bercovier_engelman_case() -> ManufacturedCase:
     That is the stream function -128 q(x) q(y); the pressure is (x - 1/2) (y - 1/2).
     """
     half = (lambda u: u - 0.5, 1.0)
-    return _product_case("bercovier-engelman", 1.0, -128.0, _QUARTIC, _QUARTIC, half, half)
+    return product_case("bercovier-engelman", 1.0, -128.0, _QUARTIC, _QUARTIC, half, half)
 
 
 def shear_flow_case(viscosity: float = 1.0) -> ManufacturedCase:
     """Linear shear v = (y, 0), stream function y^2 / 2, zero pressure; in every scheme's space."""
     half_square = (lambda u: 0.5 * u * u, lambda u: u, 1.0, 0.0)
     one = (1.0, 0.0, 0.0, 0.0)
-    return _product_case("shear-flow", viscosity, 1.0, one, half_square, (0.0, 0.0), (1.0, 0.0))
+    return product_case("shear-flow", viscosity, 1.0, one, half_square, (0.0, 0.0), (1.0, 0.0))
 
 
 CASES = {

@@ -14,16 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh
-from test_geometry import _closure_defects
-from cvstokes.basis import eval_physical, eval_reference
-from cvstokes.geometry import (
-    build,
-    build_boxes,
-    build_nonoverlapping,
-    build_overlapping,
-)
+from oracles import basis_at, eval_physical
+from test_geometry import FAMILY_SCHEMES, _closure_defects, family_set
+from cvstokes.basis import eval_reference
+from cvstokes.geometry import build
 from cvstokes.mesh import distort, generate_structured
-from cvstokes.schemes import assemble, basis_at, split_solution
+from cvstokes.schemes import assemble, split_solution
 from cvstokes.solver import direct_solve
 from cvstokes.verification import (
     MIXED_BC_LAYOUT,
@@ -457,8 +453,8 @@ def test_criterion_8_property_suites(criterion):
             assert np.max(np.abs(fd - ev.gradients[:, :, a]) / scale) <= 1e-6
 
         # Control volumes close and the partition tiles the domain.
-        for builder in (build_boxes, build_nonoverlapping, build_overlapping):
-            vset = builder(mesh)
+        for family in FAMILY_SCHEMES:
+            vset = family_set(mesh, family)
             net, scale = _closure_defects(vset)
             assert np.all(
                 np.linalg.norm(net, axis=1) <= 1e-13 * np.maximum(scale, 1e-30)

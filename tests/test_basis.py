@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import REFERENCE_NODES, AffineMap, eval_physical, monomial_integral_triangle
 from cvstokes.basis import (
-    REFERENCE_NODES,
-    AffineMap,
     QuadratureRule,
     barycentric,
-    eval_physical,
     eval_reference,
-    monomial_integral_triangle,
     segment_rule,
     triangle_rule,
 )

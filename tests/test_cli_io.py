@@ -263,14 +263,21 @@ def test_parser_defaults_and_choices():
     assert args.scheme == "overlapping"
     assert args.levels == 5
     assert args.distortion == 0.2
-    assert args.mesh == []
+    assert args.mesh_files == ()
     with pytest.raises(SystemExit):
         parser.parse_args(["--scheme", "spectral"])
     args = parser.parse_args(["--mesh", "a.msh", "--mesh", "b.msh", "--vtk"])
-    assert args.mesh == ["a.msh", "b.msh"]
-    assert args.vtk is True
+    assert args.mesh_files == ("a.msh", "b.msh")
+    assert args.write_vtk is True
     with pytest.raises(SystemExit):
         parser.parse_args(["--deterministic"])
+
+
+def test_parser_defaults_are_the_run_config_defaults():
+    assert RunConfig(**vars(build_parser().parse_args([]))) == RunConfig()
+    args = ["--out", "results", "--mesh", "a.msh", "--levels", "2", "--case", "custom-msh"]
+    config = RunConfig(**vars(build_parser().parse_args(args)))
+    assert config == RunConfig(case="custom-msh", levels=2, out_dir="results", mesh_files=("a.msh",))
 
 
 def test_main_end_to_end(tmp_path, capsys):

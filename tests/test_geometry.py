@@ -12,13 +12,23 @@ from cvstokes.geometry import (
     SchemeKind,
     build,
     SCHEME_SPECS,
-    build_boxes,
-    build_nonoverlapping,
-    build_overlapping,
     element_data,
     to_reference,
 )
 from cvstokes.mesh import generate_structured, triangle_areas
+
+# A scheme whose velocity volumes are each control-volume family; the fem
+# velocity volumes are the pressure boxes.
+FAMILY_SCHEMES = {"boxes": "fem", "non-overlapping": "non-overlapping", "overlapping": "overlapping"}
+# The ids keep the names the suite reports these tests under.
+BY_FAMILY = pytest.mark.parametrize(
+    "family", list(FAMILY_SCHEMES), ids=["build_boxes", "build_nonoverlapping", "build_overlapping"]
+)
+
+
+def family_set(mesh, family):
+    """The control volumes of one family, as `build` makes them."""
+    return build(mesh, FAMILY_SCHEMES[family]).velocity
 
 
 def _closure_defects(vset):
@@ -62,7 +72,7 @@ def test_to_reference_roundtrip():
 
 def test_boxes_single_triangle():
     mesh = single_triangle_mesh()
-    vset = build_boxes(mesh)
+    vset = family_set(mesh, "boxes")
     assert vset.n_cvs == 3
     assert np.all(vset.partition)
     assert np.allclose(vset.cv_volumes(), 1.0 / 6.0, rtol=1e-14)
@@ -83,7 +93,7 @@ def test_boxes_single_triangle():
 
 
 def test_box_face_quadrature_points_on_face():
-    faces = build_boxes(generate_structured(3, 3)).pieces("face")
+    faces = family_set(generate_structured(3, 3), "boxes").pieces("face")
     t = (faces.qpoints - faces.a[:, None, :]) / (
         faces.b - faces.a
     )[:, None, :]
@@ -91,11 +101,11 @@ def test_box_face_quadrature_points_on_face():
     assert np.all((t > 0.0) & (t < 1.0))
 
 
-@pytest.mark.parametrize("builder", [build_boxes, build_nonoverlapping, build_overlapping])
-def test_pieces_are_images_of_their_reference_slots(builder):
+@BY_FAMILY
+def test_pieces_are_images_of_their_reference_slots(family):
     mesh = random_distorted_mesh(21, n=6)
     el = element_data(mesh)
-    vset = builder(mesh)
+    vset = family_set(mesh, family)
     t = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
     for pieces in (vset.pieces("face"), vset.pieces("seg")):
         elements, slots, qpoints = pieces.element, pieces.slot, pieces.qpoints
@@ -107,7 +117,7 @@ def test_pieces_are_images_of_their_reference_slots(builder):
 def test_bubble_cv_is_medial_triangle():
     mesh = single_triangle_mesh(scale=2.0)
     coords = mesh.vertices
-    vset = build_overlapping(mesh)
+    vset = family_set(mesh, "overlapping")
     (scv,) = np.flatnonzero(vset.scv_cv == 3)
     mids = 0.5 * (coords + np.roll(coords, -1, axis=0))
     assert vset.scv_nverts[scv] == 3
@@ -126,7 +136,7 @@ def test_bubble_cv_is_medial_triangle():
 
 def test_nonoverlapping_single_triangle():
     mesh = single_triangle_mesh()
-    vset = build_nonoverlapping(mesh)
+    vset = family_set(mesh, "non-overlapping")
     assert vset.n_cvs == 4
     assert np.all(vset.partition)
     vols = vset.cv_volumes()
@@ -144,7 +154,7 @@ def test_nonoverlapping_single_triangle():
 
 def test_overlapping_counts_two_elements():
     mesh = generate_structured(1, 1)
-    vset = build_overlapping(mesh)
+    vset = family_set(mesh, "overlapping")
     assert vset.n_cvs == 6
     assert np.array_equal(vset.partition, [True] * 4 + [False] * 2)
     vols = vset.cv_volumes()
@@ -160,40 +170,40 @@ def test_overlapping_counts_two_elements():
 
 def test_velocity_dof_locations():
     mesh = generate_structured(2, 2)
-    vset = build_overlapping(mesh)
+    vset = family_set(mesh, "overlapping")
     el = element_data(mesh)
     assert np.allclose(vset.dof_locations[: mesh.n_vertices], mesh.vertices)
     assert np.allclose(vset.dof_locations[mesh.n_vertices :], el.centroids)
 
 
-@pytest.mark.parametrize("builder", [build_boxes, build_nonoverlapping, build_overlapping])
-def test_cv_closure_random_meshes(builder):
+@BY_FAMILY
+def test_cv_closure_random_meshes(family):
     for seed in range(10):
         mesh = random_distorted_mesh(seed, n=4, fraction=0.25)
-        vset = builder(mesh)
+        vset = family_set(mesh, family)
         net, scale = _closure_defects(vset)
         assert np.all(np.linalg.norm(net, axis=1) <= 1e-13 * np.maximum(scale, 1e-30))
 
 
-@pytest.mark.parametrize("builder", [build_boxes, build_nonoverlapping, build_overlapping])
-def test_partition_volumes_random_meshes(builder):
+@BY_FAMILY
+def test_partition_volumes_random_meshes(family):
     for seed in range(10):
         mesh = random_distorted_mesh(seed + 10, n=4, fraction=0.25)
         area = np.sum(triangle_areas(mesh.vertices, mesh.triangles))
-        vset = builder(mesh)
+        vset = family_set(mesh, family)
         vols = vset.cv_volumes()
         assert np.all(vols > 0.0)
         total = np.sum(vols[vset.partition])
         assert total == pytest.approx(area, rel=1e-12)
-        if builder is build_overlapping:
+        if family == "overlapping":
             assert np.sum(vols) == pytest.approx(1.25 * area, rel=1e-12)
 
 
 def test_face_normals_point_from_inside_to_outside():
     for seed in range(5):
         mesh = random_distorted_mesh(seed, n=4, fraction=0.25)
-        for builder in (build_boxes, build_nonoverlapping, build_overlapping):
-            vset = builder(mesh)
+        for family in FAMILY_SCHEMES:
+            vset = family_set(mesh, family)
             sel = vset.face_outside >= 0
             d = (
                 vset.dof_locations[vset.face_outside[sel]]
@@ -205,7 +215,7 @@ def test_face_normals_point_from_inside_to_outside():
 
 def test_boundary_segments_cover_perimeter():
     mesh = generate_structured(3, 3)
-    vset = build_boxes(mesh)
+    vset = family_set(mesh, "boxes")
     segs = vset.pieces("seg")
     assert np.sum(segs.length) == pytest.approx(4.0, rel=1e-14)
     mids = 0.5 * (segs.a + segs.b)
@@ -225,7 +235,7 @@ def test_boundary_segments_cover_perimeter():
 
 def test_boundary_segment_splitting():
     mesh = generate_structured(2, 2)
-    vset = build_boxes(mesh)
+    vset = family_set(mesh, "boxes")
     # Each of the 8 boundary facets splits at its midpoint into 2 pieces.
     assert vset.n_segments == 16
     segs = vset.pieces("seg")
@@ -238,7 +248,7 @@ def test_boundary_segment_splitting():
 
 def test_subcontrol_volume_polygons():
     mesh = random_distorted_mesh(1, n=3)
-    vset = build_overlapping(mesh)
+    vset = family_set(mesh, "overlapping")
     total = 0.0
     for i in range(vset.scv_cv.shape[0]):
         poly = vset.scv_polys[i, : vset.scv_nverts[i]]
@@ -307,7 +317,7 @@ def test_hybrid_and_fem_velocity_set_is_the_pressure_set():
 
 
 def test_control_volume_set_is_frozen():
-    vset = build_boxes(generate_structured(2, 2))
+    vset = family_set(generate_structured(2, 2), "boxes")
     with pytest.raises(dataclasses.FrozenInstanceError):
         vset.face_slot = None
 
@@ -342,10 +352,20 @@ def _reference_ids(polygon):
     return ids + ids[-1:] * (4 - len(ids))
 
 
-@pytest.mark.parametrize("family", ["boxes", "non-overlapping", "overlapping"])
+def test_pieces_of_one_index_are_that_row_of_all_pieces():
+    vset = family_set(random_distorted_mesh(9, n=3), "overlapping")
+    for kind, count in (("face", vset.n_faces), ("seg", vset.n_segments)):
+        every = vset.pieces(kind)
+        for k in (0, 7, count - 1, -1):
+            one = vset.pieces(kind, k)
+            for name in geometry.Pieces._fields:
+                assert np.array_equal(getattr(one, name), getattr(every, name)[k]), (kind, k, name)
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SCHEMES))
 def test_derived_coordinates_equal_a_pieces_oracle(family):
     mesh = random_distorted_mesh(17, n=7)
-    cvset = geometry._build_family(family, mesh, *geometry._mesh_pieces(mesh))
+    cvset = family_set(mesh, family)
     el = element_data(mesh)
     points = geometry._local_points(el.coords, el.centroids)
     rng = np.random.default_rng(2)

@@ -8,9 +8,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
+from oracles import basis_at, eval_physical, face_fluxes
 from cvstokes import schemes
-from cvstokes.basis import barycentric, eval_physical, eval_reference, segment_rule, triangle_rule
-from cvstokes.geometry import build, build_overlapping
+from cvstokes.basis import barycentric, eval_reference, segment_rule, triangle_rule
+from cvstokes.geometry import build
 from cvstokes.mesh import BCKind, distort, generate_structured
 from cvstokes.schemes import (
     SOURCE_QUAD_DEGREE,
@@ -18,8 +19,6 @@ from cvstokes.schemes import (
     StokesProblem,
     _galerkin_momentum,
     assemble,
-    basis_at,
-    face_fluxes,
     split_solution,
 )
 from cvstokes.verification import donea_huerta_case, error_norms, shear_flow_case

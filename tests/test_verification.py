@@ -18,11 +18,11 @@ from cvstokes.verification import (
     MIXED_BC_LAYOUT,
     ConvergenceReport,
     LevelResult,
-    _product_case,
     bercovier_engelman_case,
     conservation_audit,
     donea_huerta_case,
     error_norms,
+    product_case,
     region_mass_balance,
     run_convergence,
     shear_flow_case,
@@ -203,7 +203,7 @@ def test_product_case_derives_gradient_and_body_force():
     )
     square = (lambda u: u**2, lambda u: 2 * u)
     affine = (lambda u: u + 1, 1.0)
-    case = _product_case("product", 1.7, 3.0, cubic, quartic, square, affine)
+    case = product_case("product", 1.7, 3.0, cubic, quartic, square, affine)
     assert case.viscosity == 1.7
     _check_gradient(case)
     _check_divergence_free(case)
