@@ -10,13 +10,7 @@ solved with a block-preconditioned GMRes whose iteration counts stay
 bounded under refinement.
 """
 
-from .basis import (
-    QuadratureRule,
-    ReferenceBasisEval,
-    eval_reference,
-    segment_rule,
-    triangle_rule,
-)
+from .basis import QuadratureRule, segment_rule, triangle_rule
 from .geometry import (
     ControlVolumeSet,
     GridDiscretization,

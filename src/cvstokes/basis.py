@@ -44,7 +44,8 @@ class ReferenceBasisEval:
 
 
 def _eval_unchecked(points: np.ndarray) -> ReferenceBasisEval:
-    """Evaluate the reference basis without the domain check."""
+    """Evaluate the reference basis at points (..., 2), which are not
+    checked to lie in the reference triangle."""
     pts = np.asarray(points, dtype=float)
     x = pts[..., 0]
     y = pts[..., 1]
@@ -70,31 +71,6 @@ def _eval_unchecked(points: np.ndarray) -> ReferenceBasisEval:
     gradients[..., 2, 1] = 1.0 - gb[..., 1] / 3.0
     gradients[..., 3, :] = gb
     return ReferenceBasisEval(values, gradients)
-
-
-def eval_reference(points: np.ndarray, tol: float = 1e-12) -> ReferenceBasisEval:
-    """Evaluate the four reference basis functions and their gradients.
-
-    Parameters
-    ----------
-    points : array_like, shape (..., 2)
-        Evaluation points in reference coordinates.
-    tol : float
-        Tolerance for the containment check.
-
-    Raises
-    ------
-    ValueError
-        If any point lies outside the closed reference triangle.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 2:
-        raise ValueError("points must have shape (..., 2)")
-    x = pts[..., 0]
-    y = pts[..., 1]
-    if np.any(x < -tol) or np.any(y < -tol) or np.any(x + y > 1.0 + tol):
-        raise ValueError("point outside the reference triangle")
-    return _eval_unchecked(pts)
 
 
 def barycentric(points: np.ndarray) -> np.ndarray:

@@ -260,10 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get(LOG_ENV_VAR, "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get(LOG_ENV_VAR, "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: {LOG_ENV_VAR}={level!r} is not a logging level; "
+              "use DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         report = run(config)

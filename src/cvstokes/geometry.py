@@ -50,8 +50,6 @@ import numpy as np
 
 from .mesh import _TRIANGLE_EDGES, Mesh, _edge_keys
 
-_GAUSS2 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
-
 # The twelve slots, as (a, b) pairs of local point ids.
 _SLOTS = np.array([
     (3, 6), (4, 6), (5, 6),                          # 0-2   box faces        M_k -> C
@@ -178,27 +176,8 @@ def element_data(mesh: Mesh) -> ElementData:
     return ElementData(coords, centroids, 0.5 * det, jac, inv)
 
 
-def to_reference(eldata: ElementData, elements: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Map physical points to reference coordinates of their elements.
-
-    `elements` and `points` broadcast along the leading axes; points has
-    shape (..., 2) and elements indexes its leading dimension.
-    """
-    inv = eldata.inv_jacobians[elements]
-    d = points - eldata.coords[elements, 0]
-    return inv[..., 0] * d[..., :1] + inv[..., 1] * d[..., 1:]
-
-
 def _rot_minus90(d: np.ndarray) -> np.ndarray:
     return np.stack((d[..., 1], -d[..., 0]), axis=-1)
-
-
-def _segment_quad(a: np.ndarray, b: np.ndarray):
-    t0, t1 = _GAUSS2
-    pts = np.stack((a + t0 * (b - a), a + t1 * (b - a)), axis=-2)
-    lengths = np.linalg.norm(b - a, axis=-1)
-    weights = np.repeat(0.5 * lengths[..., None], 2, axis=-1)
-    return pts, weights
 
 
 def _polygon_areas(polys: np.ndarray) -> np.ndarray:
@@ -219,8 +198,6 @@ class Pieces(NamedTuple):
     b: np.ndarray
     normal: np.ndarray      # unit, to the right of a -> b
     length: np.ndarray
-    qpoints: np.ndarray     # (n, 2, 2) two-point Gauss rule
-    qweights: np.ndarray    # (n, 2), summing to the length
 
 
 def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Pieces:
@@ -229,8 +206,7 @@ def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Piec
     b = _take(points, elements, _SLOTS[slots, 1])
     d = b - a
     lengths = np.linalg.norm(d, axis=-1)
-    qpoints, qweights = _segment_quad(a, b)
-    return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[..., None], lengths, qpoints, qweights)
+    return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[..., None], lengths)
 
 
 @dataclass(frozen=True)
@@ -243,8 +219,7 @@ class ControlVolumeSet:
     faces and boundary segments are stored as their element and reference
     row or slot; `points` is the (ne, 7, 2) table of local points of every
     element, shared by the families of a mesh.  Their coordinates are
-    derived on access, those of faces and boundary segments by `pieces`,
-    with a two-point Gauss rule whose weights sum to their length.
+    derived on access, those of faces and boundary segments by `pieces`.
     """
 
     family: str                 # key of REFERENCE_CELLS

@@ -24,11 +24,15 @@ Every face and boundary segment is the affine image of one of the twelve
 reference pieces (`geometry.REFERENCE_PIECES`), so the averages of the
 basis values, reference gradients and pressure hats over it are
 constants, computed once with the two-point Gauss rule, which is exact
-for the cubic basis.  A flux-balance entry is such an average (gradients
+for the cubic basis.  A flux coefficient is such an average (gradients
 mapped by the element's inverse Jacobian) times n |piece| = rot(J (b - a)).
+`_mass_coefficients` and `_momentum_coefficients` return them for any
+pieces, given as elements and slots: the one flux kernel of each quantity.
 Each face separates two owners in one element (`geometry.REFERENCE_FACES`),
-so the flux balances add into owner-major element blocks like the Galerkin
-rows, and each block is one COO -> CSR conversion.  Volume integrals (the
+so assembly adds the coefficients of one slot at a time into owner-major
+element blocks like the Galerkin rows, and each block is one COO -> CSR
+conversion.  The conservation audit contracts the same coefficients with a
+solution (`_mass_fluxes`, `_momentum_fluxes`).  Volume integrals (the
 sources over control volumes, the Galerkin load) map a fixed reference
 rule, the degree-6 rule on the fan triangles of `geometry.REFERENCE_CELLS`
 or on the whole element, by each element's X0 + J xi and evaluate it
@@ -50,9 +54,6 @@ from .geometry import (
     SEGMENT_OWNERS,
     ElementData,
     GridDiscretization,
-    Pieces,
-    _segment_quad,
-    to_reference,
 )
 from .mesh import BCKind
 
@@ -67,6 +68,14 @@ _OWNERS = 5
 
 class ConfigurationError(ValueError):
     pass
+
+
+def _checked_viscosity(viscosity) -> float:
+    """The viscosity as a float; ConfigurationError unless it is finite and positive."""
+    mu = float(viscosity)
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ConfigurationError(f"viscosity must be finite and positive, got {mu}")
+    return mu
 
 
 def _zero_vector_field(points: np.ndarray) -> np.ndarray:
@@ -94,9 +103,17 @@ class StokesProblem:
     mass_source: callable | None = None
 
 
+def _piece_points(degree):
+    """The points of the degree-`degree` Gauss rule on each reference piece, (12, nq, 2)."""
+    t = segment_rule(degree).points[:, None]
+    a, b = REFERENCE_PIECES[:, None, 0], REFERENCE_PIECES[:, None, 1]
+    return a + t * (b - a)
+
+
 def _piece_averages():
-    """Basis values, reference gradients and hats averaged over each reference piece."""
-    pts, _ = _segment_quad(REFERENCE_PIECES[:, 0], REFERENCE_PIECES[:, 1])   # (12, 2, 2)
+    """Basis values, reference gradients and hats averaged over each reference
+    piece with the two-point Gauss rule."""
+    pts = _piece_points(3)
     ev = _eval_unchecked(pts)
     return ev.values.mean(axis=1), ev.gradients.mean(axis=1), barycentric(pts).mean(axis=1)
 
@@ -114,42 +131,6 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     n_u = disc.n_velocity_locations
     vel = x[: 2 * n_u].reshape(n_u, 2)
     return vel, x[2 * n_u :]
-
-
-def _piece_blocks(disc, pieces: Pieces):
-    """Per block of `_BLOCK` pieces: slice, elements, weights (B, 1, nq), reference points, normals (B, 2, 1)."""
-    for sl in _blocks(pieces.element.shape[0]):
-        e = pieces.element[sl]
-        ref = to_reference(disc.elements, e[:, None], pieces.qpoints[sl])
-        yield sl, e, pieces.qweights[sl, None], ref, pieces.normal[sl, :, None]
-
-
-def _mass_fluxes(disc, pieces: Pieces, velocity):
-    """Volume flux of v_h through pieces, (F,): each lies in one element and
-    carries a quadrature rule along it and a unit normal."""
-    eldofs = disc.element_velocity_dofs()
-    out = np.empty(pieces.element.shape[0])
-    for sl, e, w, ref, n in _piece_blocks(disc, pieces):
-        out[sl] = ((w @ _eval_unchecked(ref).values) @ (velocity[eldofs[e]] @ n))[:, 0, 0]
-    return out
-
-
-def _momentum_fluxes(disc, pieces: Pieces, viscosity, velocity, pressure):
-    """Momentum flux of (-2 mu D(v_h) + p_h I) through pieces, (F, 2).
-
-    With g_b = sum_q w_q grad phi_b(x_q) and P = sum_q w_q p_h(x_q) it is
-    -mu sum_b (v_b (g_b . n) + g_b (v_b . n)) + P n.
-    """
-    eldofs = disc.element_velocity_dofs()
-    out = np.empty((pieces.element.shape[0], 2))
-    for sl, e, w, ref, n in _piece_blocks(disc, pieces):
-        coeff = velocity[eldofs[e]]                                       # (B, 4, 2)
-        grads = _eval_unchecked(ref).gradients.reshape(*ref.shape[:2], 8)  # [f, q, (b, i)]
-        g = (w @ grads).reshape(-1, 4, 2) @ disc.elements.inv_jacobians[e]
-        viscous = np.swapaxes(coeff, 1, 2) @ (g @ n) + np.swapaxes(g, 1, 2) @ (coeff @ n)
-        p = (w @ barycentric(ref)) @ pressure[disc.mesh.triangles[e]][:, :, None]
-        out[sl] = (p * n - viscosity * viscous)[:, :, 0]
-    return out
 
 
 @dataclass
@@ -214,42 +195,73 @@ def _scaled_normals(eldata, elements, slots):
     return np.concatenate((jd[..., 1, :], -jd[..., 0, :]), axis=-1)
 
 
+def _mass_coefficients(eldata, elements, slots):
+    """Volume flux v . n |piece| per velocity coefficient, (P, trial, comp), of
+    the reference pieces `slots` in `elements`: index arrays of one length P,
+    or a slice and one slot."""
+    return _PIECE_VALUES[slots][..., None] * _scaled_normals(eldata, elements, slots)[..., None, :]
+
+
+def _momentum_coefficients(eldata, elements, slots, mu):
+    """Momentum flux (-2 mu D(v) + p I) n |piece| per coefficient of the pieces,
+    as `_mass_coefficients` takes them: velocity (P, comp, trial, comp) and
+    pressure (P, comp, hat)."""
+    nl = _scaled_normals(eldata, elements, slots)
+    grads = np.swapaxes(_PIECE_GRADIENTS[slots] @ eldata.inv_jacobians[elements], -1, -2)  # [p, comp, trial]
+    gn = nl[:, :1] * grads[:, 0] + nl[:, 1:] * grads[:, 1]                                 # [p, trial]
+    a = grads[..., None] * nl[:, None, None, :]
+    a[:, 0, :, 0] += gn
+    a[:, 1, :, 1] += gn
+    a *= -mu
+    return a, nl[:, :, None] * _PIECE_HATS[slots][..., None, :]
+
+
 def _flux_momentum_blocks(disc, mu, A, B):
     """Add the momentum flux balances of the velocity control volumes to the
     element blocks A [owner, e, comp, trial, comp] and B [owner, e, comp, hat]:
-    a face's flux (-2 mu D(v) + p I) n |face| enters its inside owner's rows
-    and leaves its outside owner's."""
-    inv = disc.elements.inv_jacobians
-    a = np.empty(A.shape[1:])
-    b = np.empty(B.shape[1:])
+    a face's flux enters its inside owner's rows and leaves its outside owner's."""
     for slot, inside, outside in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]:
-        nl = _scaled_normals(disc.elements, slice(None), slot)
-        grads = np.swapaxes(_PIECE_GRADIENTS[slot] @ inv, 1, 2)        # [e, comp, trial]
-        gn = nl[:, :1] * grads[:, 0] + nl[:, 1:] * grads[:, 1]          # [e, trial]
-        np.multiply(grads[..., None], nl[:, None, None, :], out=a)
-        a[:, 0, :, 0] += gn
-        a[:, 1, :, 1] += gn
-        a *= -mu
-        np.multiply(nl[:, :, None], _PIECE_HATS[slot], out=b)
-        for block, pair in ((A, a), (B, b)):
+        for block, pair in zip((A, B), _momentum_coefficients(disc.elements, slice(None), slot, mu)):
             block[inside] += pair
             block[outside] -= pair
 
 
 def _mass_blocks(disc):
     """Element block C [owner, e, trial, comp] of the pressure boxes' flux
-    balances, owned by the element's vertices: v . n |piece| enters a face's
-    inside box and leaves its outside box, and leaves the box at a boundary
-    segment's vertex end."""
+    balances, owned by the element's vertices: a face's volume flux enters
+    its inside box and leaves its outside box, and leaves the box at a
+    boundary segment's vertex end."""
     C = np.zeros((3, disc.mesh.n_elements, 4, 2))
     for slot, inside, outside in REFERENCE_FACES["boxes"]:
-        c = _PIECE_VALUES[slot][:, None] * _scaled_normals(disc.elements, slice(None), slot)[:, None, :]
+        c = _mass_coefficients(disc.elements, slice(None), slot)
         C[inside] += c
         C[outside] -= c
     e, slots = disc.pressure.seg_element, disc.pressure.seg_slot
-    c = _PIECE_VALUES[slots][..., None] * _scaled_normals(disc.elements, e, slots)[:, None, :]
-    np.add.at(C, (SEGMENT_OWNERS[slots], e), c)
+    np.add.at(C, (SEGMENT_OWNERS[slots], e), _mass_coefficients(disc.elements, e, slots))
     return C
+
+
+def _mass_fluxes(disc, elements, slots, velocity):
+    """Volume flux of v_h through the reference pieces `slots` of `elements`, (P,)."""
+    eldofs = disc.element_velocity_dofs()
+    out = np.empty(len(elements))
+    for sl in _blocks(len(elements)):
+        e = elements[sl]
+        out[sl] = np.einsum("pbk,pbk->p", _mass_coefficients(disc.elements, e, slots[sl]), velocity[eldofs[e]])
+    return out
+
+
+def _momentum_fluxes(disc, elements, slots, mu, velocity, pressure):
+    """Momentum flux of (-2 mu D(v_h) + p_h I) through the reference pieces
+    `slots` of `elements`, (P, 2)."""
+    eldofs = disc.element_velocity_dofs()
+    out = np.empty((len(elements), 2))
+    for sl in _blocks(len(elements)):
+        e = elements[sl]
+        a, b = _momentum_coefficients(disc.elements, e, slots[sl], mu)
+        out[sl] = (np.einsum("pcbk,pbk->pc", a, velocity[eldofs[e]])
+                   + np.einsum("pcj,pj->pc", b, pressure[disc.mesh.triangles[e]]))
+    return out
 
 
 def _to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dtype=np.int64)):
@@ -328,14 +340,8 @@ def _integrate_over_cvs(disc, cvset, problem, source):
     return out
 
 
-def _traction_hats():
-    """Vertex hats at the traction rule's points on each reference piece, (12, nq, 3)."""
-    t = segment_rule(NEUMANN_QUAD_DEGREE).points[:, None]
-    a, b = REFERENCE_PIECES[:, None, 0], REFERENCE_PIECES[:, None, 1]
-    return barycentric(a + t * (b - a))
-
-
-_TRACTION_HATS = _traction_hats()
+# Vertex hats at the traction rule's points on each reference piece, (12, nq, 3).
+_TRACTION_HATS = barycentric(_piece_points(NEUMANN_QUAD_DEGREE))
 
 
 def segment_tractions(disc, problem):
@@ -430,12 +436,10 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     ConfigurationError is raised.
     """
     mesh = disc.mesh
-    mu = float(problem.viscosity)
+    mu = _checked_viscosity(problem.viscosity)
     n_u = disc.n_velocity_locations
     n_p = disc.n_pressure_dofs
 
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigurationError(f"viscosity must be finite and positive, got {mu}")
     has_neumann = any(kind is BCKind.NEUMANN for kind in mesh.markers.values())
     if not has_neumann and pin_pressure is None:
         raise ConfigurationError(

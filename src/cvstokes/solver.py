@@ -69,7 +69,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import barycentric, triangle_rule
 from .geometry import GridDiscretization
-from .schemes import SaddleSystem
+from .schemes import SaddleSystem, _checked_viscosity
 
 MASS_QUAD_DEGREE = 2
 
@@ -78,8 +78,10 @@ def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr
     """Vertex-pressure mass matrix scaled by 1 / (2 mu).
 
     Uses a degree-2 volume rule, which integrates the products of hat
-    functions exactly.
+    functions exactly.  Raises ConfigurationError unless the viscosity is
+    finite and positive.
     """
+    viscosity = _checked_viscosity(viscosity)
     rule = triangle_rule(MASS_QUAD_DEGREE)
     lam = barycentric(rule.points)              # (nq, 3)
     ref_block = np.einsum("q,qi,qj->ij", rule.weights, lam, lam)

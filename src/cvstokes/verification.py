@@ -18,8 +18,10 @@ solution vector and sums the balances; for a converged solve the box and
 volume residuals sit at the accumulated round-off of the flux sums, far
 below any discretization scale, and unions of boxes telescope to the same
 level because shared faces cancel exactly.  Error norms integrate with
-assembly's block kernel and the degree-8 element rule; the audit maps
-each face point back to its element and contracts in blocks of faces.
+assembly's block kernel and the degree-8 element rule.  The audit
+contracts the solution with assembly's flux coefficients of each face and
+boundary segment, in blocks of pieces, so each of its balances is minus
+the residual of the flux row that was solved, up to the order of the sums.
 """
 
 from __future__ import annotations
@@ -419,9 +421,8 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
-    faces = pset.pieces("face")
-    massf = _mass_fluxes(disc, faces, vel)
-    segf = _mass_fluxes(disc, pset.pieces("seg"), vel)
+    massf = _mass_fluxes(disc, pset.face_element, pset.face_slot, vel)
+    segf = _mass_fluxes(disc, pset.seg_element, pset.seg_slot, vel)
     res_m = np.zeros(pset.n_cvs)
     np.add.at(res_m, pset.face_inside, massf)
     np.add.at(res_m, pset.face_outside, -massf)
@@ -436,7 +437,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
     if flux_momentum:
-        momf = _momentum_fluxes(disc, faces if vset is pset else vset.pieces("face"), mu, vel, pres)
+        momf = _momentum_fluxes(disc, vset.face_element, vset.face_slot, mu, vel, pres)
         np.add.at(res_u, vset.face_inside, momf)
         has_out = vset.face_outside >= 0
         np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
@@ -474,10 +475,13 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     sel = np.zeros(pset.n_cvs, dtype=bool)
     sel[ids] = True
 
+    def outflow(kind, which):
+        elements, slots = (getattr(pset, f"{kind}_{name}")[which] for name in ("element", "slot"))
+        return np.sum(_mass_fluxes(disc, elements, slots, vel))
+
     fin = sel[pset.face_inside]
     fout = sel[pset.face_outside]
-    balance = float(np.sum(_mass_fluxes(disc, pset.pieces("face", fin & ~fout), vel))
-                    - np.sum(_mass_fluxes(disc, pset.pieces("face", fout & ~fin), vel)))
-    balance += float(np.sum(_mass_fluxes(disc, pset.pieces("seg", sel[pset.seg_cv]), vel)))
+    balance = float(outflow("face", fin & ~fout) - outflow("face", fout & ~fin))
+    balance += float(outflow("seg", sel[pset.seg_cv]))
     balance -= float(np.sum(_integrate_over_cvs(disc, pset, problem, "mass_source")[sel]))
     return balance

@@ -1,10 +1,13 @@
 """Reference implementations the tests compare the package against.
 
-A per-triangle affine map and basis evaluation, the exact monomial
-integrals of the reference triangle, a pointwise basis evaluation over a
-discretization's elements, and the face fluxes of a whole control-volume
-set.  None of these is on the solve path; they exist so that the tests
-have something independent of the vectorized kernels to check them with.
+A checked reference-basis evaluation, a per-triangle affine map and basis
+evaluation, the exact monomial integrals of the reference triangle, the
+map of physical points back to their elements, a pointwise basis
+evaluation over a discretization's elements, and the fluxes through faces
+and boundary segments from the basis at their Gauss points.  None of these
+is on the solve path; they exist so that the tests have something
+independent of the package's reference-piece flux coefficients to check
+them with.
 """
 
 from __future__ import annotations
@@ -14,14 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric, eval_reference
-from cvstokes.geometry import ControlVolumeSet, ElementData, GridDiscretization, to_reference
-from cvstokes.schemes import _mass_fluxes, _momentum_fluxes
+from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric
+from cvstokes.geometry import ControlVolumeSet, ElementData, GridDiscretization, Pieces
 
 #: Nodes of the four reference basis functions: vertices, then centroid.
 REFERENCE_NODES = np.array(
     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0 / 3.0, 1.0 / 3.0]]
 )
+#: Nodes of the two-point Gauss rule on [0, 1].
+GAUSS2 = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+
+
+def eval_reference(points: np.ndarray, tol: float = 1e-12) -> ReferenceBasisEval:
+    """Evaluate the four reference basis functions and their gradients.
+
+    `points` (..., 2) are in reference coordinates; a ValueError is raised
+    if any lies outside the closed reference triangle by more than `tol`.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1] != 2:
+        raise ValueError("points must have shape (..., 2)")
+    x = pts[..., 0]
+    y = pts[..., 1]
+    if np.any(x < -tol) or np.any(y < -tol) or np.any(x + y > 1.0 + tol):
+        raise ValueError("point outside the reference triangle")
+    return _eval_unchecked(pts)
 
 
 @dataclass(frozen=True)
@@ -80,6 +100,17 @@ def monomial_integral_triangle(a: int, b: int) -> float:
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
+def to_reference(eldata: ElementData, elements: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Map physical points to reference coordinates of their elements.
+
+    `elements` and `points` broadcast along the leading axes; points has
+    shape (..., 2) and elements indexes its leading dimension.
+    """
+    inv = eldata.inv_jacobians[elements]
+    d = points - eldata.coords[elements, 0]
+    return inv[..., 0] * d[..., :1] + inv[..., 1] * d[..., 1:]
+
+
 def basis_at(eldata: ElementData, elements: np.ndarray, points: np.ndarray):
     """Basis values, physical gradients, and hat values at physical points.
 
@@ -93,7 +124,31 @@ def basis_at(eldata: ElementData, elements: np.ndarray, points: np.ndarray):
     return ev.values, grads, barycentric(ref)
 
 
+def gauss_rule(pieces: Pieces):
+    """The two-point Gauss rule on each piece: points (n, 2, 2) and weights
+    (n, 2), which sum to its length."""
+    points = pieces.a[:, None, :] + GAUSS2[None, :, None] * (pieces.b - pieces.a)[:, None, :]
+    return points, np.repeat(0.5 * pieces.length[:, None], 2, axis=1)
+
+
+def piece_fluxes(disc: GridDiscretization, pieces: Pieces, viscosity, velocity, pressure):
+    """Mass (n,) and momentum (n, 2) flux through pieces, along their normals.
+
+    The basis is evaluated at each piece's Gauss points, mapped back to its
+    element; the momentum flux is that of -2 mu D(v_h) + p_h I.
+    """
+    e = pieces.element
+    points, w = gauss_rule(pieces)
+    vals, grads, hats = basis_at(disc.elements, e[:, None], points)
+    coeff = velocity[disc.element_velocity_dofs()[e]]                   # (n, 4, 2)
+    n = pieces.normal
+    v = np.einsum("fq,fqb,fbk->fk", w, vals, coeff)
+    grad_v = np.einsum("fq,fqba,fbk->fka", w, grads, coeff)             # [f, k, a] = int dv_k/dx_a
+    p = np.einsum("fq,fqj,fj->f", w, hats, pressure[disc.mesh.triangles[e]])
+    viscous = np.einsum("fka,fa->fk", grad_v, n) + np.einsum("fak,fa->fk", grad_v, n)
+    return np.einsum("fk,fk->f", v, n), p[:, None] * n - viscosity * viscous
+
+
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
     """Mass (F,) and momentum (F, 2) flux of every face of a CV set, from inside to outside."""
-    faces = cvset.pieces("face")
-    return _mass_fluxes(disc, faces, velocity), _momentum_fluxes(disc, faces, viscosity, velocity, pressure)
+    return piece_fluxes(disc, cvset.pieces("face"), viscosity, velocity, pressure)

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh
-from oracles import basis_at, eval_physical
+from oracles import basis_at, eval_physical, eval_reference
 from test_geometry import FAMILY_SCHEMES, _closure_defects, family_set
-from cvstokes.basis import eval_reference
 from cvstokes.geometry import build
 from cvstokes.mesh import distort, generate_structured
 from cvstokes.schemes import assemble, split_solution

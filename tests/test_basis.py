@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_NODES, AffineMap, eval_physical, monomial_integral_triangle
-from cvstokes.basis import (
-    QuadratureRule,
-    barycentric,
-    eval_reference,
-    segment_rule,
-    triangle_rule,
-)
+from oracles import REFERENCE_NODES, AffineMap, eval_physical, eval_reference, monomial_integral_triangle
+from cvstokes.basis import QuadratureRule, barycentric, segment_rule, triangle_rule
 
 
 def _interior_points(n, seed=0, margin=0.02):

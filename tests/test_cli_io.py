@@ -303,6 +303,16 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["verbose", "10", ""])
+def test_main_reports_an_unknown_log_level(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CVSTOKES_LOG", value)
+    code = main(["--levels", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CVSTOKES_LOG={value!r} ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_main_reports_truncated_mesh_file(tmp_path, capsys):
     path = tmp_path / "cut.msh"
     write_msh22(path, generate_structured(4, 4))

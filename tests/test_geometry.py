@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh, single_triangle_mesh
+from oracles import to_reference
 from cvstokes import geometry
 from cvstokes.geometry import (
     REFERENCE_PIECES,
@@ -13,7 +14,6 @@ from cvstokes.geometry import (
     build,
     SCHEME_SPECS,
     element_data,
-    to_reference,
 )
 from cvstokes.mesh import generate_structured, triangle_areas
 
@@ -89,16 +89,6 @@ def test_boxes_single_triangle():
     assert length == pytest.approx(np.hypot(*d), rel=1e-14)
     assert np.allclose(normal, np.array([d[1], -d[0]]) / length, atol=1e-15)
     assert np.linalg.norm(normal) == pytest.approx(1.0, rel=1e-15)
-    assert np.sum(faces.qweights[0]) == pytest.approx(length, rel=1e-14)
-
-
-def test_box_face_quadrature_points_on_face():
-    faces = family_set(generate_structured(3, 3), "boxes").pieces("face")
-    t = (faces.qpoints - faces.a[:, None, :]) / (
-        faces.b - faces.a
-    )[:, None, :]
-    assert np.allclose(t[..., 0], t[..., 1], atol=1e-13)
-    assert np.all((t > 0.0) & (t < 1.0))
 
 
 @BY_FAMILY
@@ -106,12 +96,9 @@ def test_pieces_are_images_of_their_reference_slots(family):
     mesh = random_distorted_mesh(21, n=6)
     el = element_data(mesh)
     vset = family_set(mesh, family)
-    t = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
     for pieces in (vset.pieces("face"), vset.pieces("seg")):
-        elements, slots, qpoints = pieces.element, pieces.slot, pieces.qpoints
-        a, b = REFERENCE_PIECES[slots, 0], REFERENCE_PIECES[slots, 1]
-        gauss = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        assert np.max(np.abs(to_reference(el, elements[:, None], qpoints) - gauss)) <= 1e-12
+        ends = np.stack((pieces.a, pieces.b), axis=1)
+        assert np.max(np.abs(to_reference(el, pieces.element[:, None], ends) - REFERENCE_PIECES[pieces.slot])) <= 1e-12
 
 
 def test_bubble_cv_is_medial_triangle():

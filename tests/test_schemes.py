@@ -8,9 +8,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
-from oracles import basis_at, eval_physical, face_fluxes
+from oracles import basis_at, eval_physical, eval_reference, face_fluxes, gauss_rule, piece_fluxes
 from cvstokes import schemes
-from cvstokes.basis import barycentric, eval_reference, segment_rule, triangle_rule
+from cvstokes.basis import barycentric, segment_rule, triangle_rule
 from cvstokes.geometry import build
 from cvstokes.mesh import BCKind, distort, generate_structured
 from cvstokes.schemes import (
@@ -34,6 +34,15 @@ def interpolate(disc, field):
     vel[: disc.mesh.n_vertices] = field(disc.mesh.vertices)
     vel[disc.mesh.n_vertices :] = field(disc.elements.centroids)
     return vel
+
+
+def kernel_fluxes(disc, cvset, kind, viscosity, velocity, pressure):
+    """Mass (P,) and momentum (P, 2) fluxes through the faces ("face") or
+    boundary segments ("seg") of a CV set, from the package's flux
+    coefficients: the kernel the assembly and the audit share."""
+    e, slots = getattr(cvset, f"{kind}_element"), getattr(cvset, f"{kind}_slot")
+    return (schemes._mass_fluxes(disc, e, slots, velocity),
+            schemes._momentum_fluxes(disc, e, slots, viscosity, velocity, pressure))
 
 
 def test_basis_at_matches_eval_physical():
@@ -68,7 +77,7 @@ def test_momentum_flux_uniaxial_strain():
     vel = interpolate(disc, lambda p: np.stack((p[..., 0], np.zeros(p.shape[:-1])), axis=-1))
     pres = np.zeros(disc.n_pressure_dofs)
     vset = disc.velocity
-    _, got = face_fluxes(disc, vset, mu, vel, pres)
+    _, got = kernel_fluxes(disc, vset, "face", mu, vel, pres)
     faces = vset.pieces("face")
     n = faces.normal
     want = -2.0 * mu * faces.length[:, None] * np.column_stack((n[:, 0], np.zeros(vset.n_faces)))
@@ -82,7 +91,7 @@ def test_momentum_flux_shear():
     vel = interpolate(disc, lambda p: np.stack((p[..., 1], np.zeros(p.shape[:-1])), axis=-1))
     pres = np.zeros(disc.n_pressure_dofs)
     vset = disc.velocity
-    _, got = face_fluxes(disc, vset, mu, vel, pres)
+    _, got = kernel_fluxes(disc, vset, "face", mu, vel, pres)
     faces = vset.pieces("face")
     want = -mu * faces.length[:, None] * faces.normal[:, ::-1]
     assert np.allclose(got, want, atol=1e-13)
@@ -94,7 +103,7 @@ def test_momentum_flux_linear_pressure():
     vel = np.zeros((disc.n_velocity_locations, 2))
     pres = 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
     vset = disc.velocity
-    _, got = face_fluxes(disc, vset, 1.0, vel, pres)
+    _, got = kernel_fluxes(disc, vset, "face", 1.0, vel, pres)
     faces = vset.pieces("face")
     mid = 0.5 * (faces.a + faces.b)
     want = ((2.0 * mid[:, 0] - mid[:, 1]) * faces.length)[:, None] * faces.normal
@@ -106,7 +115,7 @@ def test_mass_flux_linear_field():
     disc = build(mesh, "overlapping")
     vel = interpolate(disc, lambda p: np.stack((p[..., 0], 3.0 * np.ones(p.shape[:-1])), axis=-1))
     vset = disc.velocity
-    got, _ = face_fluxes(disc, vset, 1.0, vel, np.zeros(disc.n_pressure_dofs))
+    got, _ = kernel_fluxes(disc, vset, "face", 1.0, vel, np.zeros(disc.n_pressure_dofs))
     faces = vset.pieces("face")
     mid = 0.5 * (faces.a + faces.b)
     n = faces.normal
@@ -125,7 +134,7 @@ def test_mass_flux_bubble_mode_dense_oracle():
     vel = np.zeros((disc.n_velocity_locations, 2))
     vel[3] = (1.0, 0.0)  # bubble coefficient, x component
     vset = disc.velocity
-    massf, momf = face_fluxes(disc, vset, mu, vel, np.zeros(disc.n_pressure_dofs))
+    massf, momf = kernel_fluxes(disc, vset, "face", mu, vel, np.zeros(disc.n_pressure_dofs))
     t, w = np.polynomial.legendre.leggauss(24)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
@@ -146,6 +155,25 @@ def test_mass_flux_bubble_mode_dense_oracle():
         )
         assert massf[i] == pytest.approx(want_mass, abs=1e-14)
         assert np.allclose(momf[i], want_mom, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("scheme", ["fem", "non-overlapping", "overlapping"],
+                         ids=["boxes", "non-overlapping", "overlapping"])
+def test_face_and_segment_fluxes_match_pointwise_oracle(scheme):
+    # The reference-piece coefficients contracted with a solution give the
+    # fluxes of v_h and (-2 mu D(v_h) + p_h I) evaluated at the Gauss points
+    # of every face and boundary segment, up to the rounding of the mapping.
+    mesh = distort(generate_structured(20, 20), 0.2, seed=29)
+    disc = build(mesh, scheme)
+    rng = np.random.default_rng(6)
+    vel = rng.standard_normal((disc.n_velocity_locations, 2))
+    pres = rng.standard_normal(disc.n_pressure_dofs)
+    for kind in ("face", "seg"):
+        got = kernel_fluxes(disc, disc.velocity, kind, 1.3, vel, pres)
+        want = piece_fluxes(disc, disc.velocity.pieces(kind), 1.3, vel, pres)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), kind
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -298,9 +326,9 @@ def _flux_momentum_blocks_oracle(disc, mu, A, B):
     cvset = disc.velocity
     faces = cvset.pieces("face")
     e = faces.element
-    _, grads, hats = basis_at(disc.elements, e[:, None], faces.qpoints)
+    points, w = gauss_rule(faces)
+    _, grads, hats = basis_at(disc.elements, e[:, None], points)
     n = faces.normal
-    w = faces.qweights
     gn = np.einsum("fqba,fa->fqb", grads, n)
     term1 = np.einsum("fq,fqb->fb", w, gn)
     term2 = np.einsum("fq,fqba,fk->fabk", w, grads, n)
@@ -318,8 +346,9 @@ def _mass_blocks_oracle(disc):
     C = np.zeros((3, disc.mesh.n_elements, 4, 2))
     for kind, cvs, sign in (("face", "face_inside", 1.0), ("face", "face_outside", -1.0), ("seg", "seg_cv", 1.0)):
         pieces = cvset.pieces(kind)
-        e, qpoints, w, n = pieces.element, pieces.qpoints, pieces.qweights, pieces.normal
-        vals, _, _ = basis_at(disc.elements, e[:, None], qpoints)
+        e, n = pieces.element, pieces.normal
+        points, w = gauss_rule(pieces)
+        vals, _, _ = basis_at(disc.elements, e[:, None], points)
         pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
         np.add.at(C, (_local_owners(disc, e, getattr(cvset, cvs)), e), sign * pair)
     return C
@@ -622,10 +651,8 @@ def test_block_edges_do_not_change_volume_and_face_kernels(monkeypatch):
             vel, pres = split_solution(disc, x)
             for cvset in (disc.pressure, disc.velocity):
                 out.append(schemes._integrate_over_cvs(disc, cvset, case.problem(), "body_force"))
-                faces = cvset.pieces("face")
-                out.append(schemes._mass_fluxes(disc, faces, vel))
-                out.append(schemes._mass_fluxes(disc, cvset.pieces("seg"), vel))
-                out.append(schemes._momentum_fluxes(disc, faces, 1.3, vel, pres))
+                for kind in ("face", "seg"):
+                    out.extend(kernel_fluxes(disc, cvset, kind, 1.3, vel, pres))
             out.append(np.array(dataclasses.astuple(error_norms(disc, x, case))))
         return out
 

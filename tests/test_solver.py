@@ -12,7 +12,7 @@ import cvstokes.solver as solver
 from conftest import random_distorted_mesh, single_triangle_mesh, write_msh22
 from cvstokes.geometry import build
 from cvstokes.mesh import BCKind, distort, generate_structured, read_msh
-from cvstokes.schemes import SaddleSystem, StokesProblem, assemble
+from cvstokes.schemes import ConfigurationError, SaddleSystem, StokesProblem, assemble
 from cvstokes.solver import (
     BlockPreconditioner,
     BubbleElimination,
@@ -127,6 +127,17 @@ def test_pressure_mass_reference_triangle():
     M = assemble_pressure_mass(disc, viscosity=0.5).toarray()
     want = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
     assert np.allclose(M, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("viscosity", [0.0, -1.0, np.nan, np.inf])
+def test_bad_viscosity_is_rejected_by_assembly_and_pressure_mass(viscosity):
+    # Unchecked, 0 gives infinite entries and -1 a negative "mass" matrix.
+    case = donea_huerta_case()
+    disc = build(case.apply_bc(random_distorted_mesh(20, n=3)), "overlapping")
+    problem = dataclasses.replace(case.problem(), viscosity=viscosity)
+    for call in (lambda: assemble_pressure_mass(disc, viscosity), lambda: assemble(disc, problem)):
+        with pytest.raises(ConfigurationError, match="viscosity must be finite and positive"):
+            call()
 
 
 def test_pressure_mass_scaling_and_spd():

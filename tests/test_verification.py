@@ -470,6 +470,28 @@ def test_absent_mass_source_equals_zero_source(scheme):
     assert np.float64(balances[0]).tobytes() == np.float64(balances[1]).tobytes()
 
 
+@pytest.mark.parametrize("scheme", ["overlapping", "hybrid", "non-overlapping", "fem"])
+def test_audit_is_the_flux_row_residual(scheme):
+    # The audit contracts the coefficients that assembly puts in the flux
+    # rows, so at any vector it reads the residual of those rows: the mass
+    # rows everywhere, the momentum rows where they are flux balances.
+    case = donea_huerta_case()
+    mesh = case.apply_bc(distort(generate_structured(8, 8), 0.2, seed=34))
+    disc = build(mesh, scheme)
+    problem = case.problem()
+    system = assemble(disc, problem)
+    x = np.random.default_rng(8).standard_normal(disc.n_dofs)
+    audit = conservation_audit(disc, x, problem)
+    residual = system.residual(x)
+    n_u = system.n_velocity
+    assert audit.max_mass_flux > 0.0
+    assert np.max(np.abs(audit.mass_residuals + residual[n_u:])) <= 1e-12 * audit.max_mass_flux
+    rows = audit.momentum_audited
+    assert rows.any() == (scheme != "fem")
+    momentum = residual[: 2 * rows.size].reshape(-1, 2)[rows]
+    assert np.max(np.abs(audit.momentum_residuals[rows] + momentum), initial=0.0) <= 1e-12 * audit.max_momentum_flux
+
+
 def test_region_mass_balance_unions():
     disc, x, problem = _solved("overlapping", n=10, seed=33)
     audit = conservation_audit(disc, x, problem)
