@@ -39,6 +39,7 @@ from .schemes import (
 from .solver import (
     BlockPreconditioner,
     BubbleStructureError,
+    DirectSolveError,
     GMRESBreakdownError,
     SolveReport,
     assemble_pressure_mass,

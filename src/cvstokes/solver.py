@@ -35,10 +35,15 @@ to a residual (r_u, r_p) it returns
     z_u = A_c^{-1} r_u
     z_p = S^{-1} (r_p - C_c z_u).
 
-The direct solver factors J_c.  Its iterative refinement evaluates the
+The direct solver factors a single-precision copy of J_c, which holds
+about half the memory of a double-precision factor, and refines the
+solution in double (mixed-precision iterative refinement; Buttari et al.,
+ACM TOMS 34(4), 2008; LAPACK DSGESV).  Each refinement step evaluates the
 residual of the full, uncondensed system block by block, so the flux
 balances of the recovered solution hold to the round-off of that
-evaluation.
+evaluation; a row-wise backward-error test accepts the result or sends the
+solve to a double-precision factor.  The preconditioner's factors stay in
+double.
 
 Every sparse factorization (the condensed saddle system, its velocity
 block A_c and the Schur surrogate S) is a SuperLU factor with a
@@ -53,9 +58,11 @@ thresholds 1e-6 and 1e-3 raise the fill from 1.8 M to 72-74 M and the
 factor time from 0.14 s to 60 s (2 cores); at mu = 1, threshold 1e-3
 gives back the fill of the default ordering.
 Without a threshold, accuracy rests on the diagonal pivots staying away
-from zero relative to their columns; the refinement step and the tests'
-residual and conservation audits (up to mu = 1e4, and on a strongly
-distorted mesh read from an MSH file) check that this holds.
+from zero relative to their columns; the direct solve's backward-error
+test, which raises DirectSolveError when even the double-precision
+factor misses it, and the tests' residual and conservation audits (up to
+mu = 1e4, and on a strongly distorted mesh read from an MSH file) check
+that this holds.
 """
 
 from __future__ import annotations
@@ -121,6 +128,10 @@ class BubbleStructureError(ValueError):
 
 class GMRESBreakdownError(ArithmeticError):
     """The Krylov space became invariant while the Hessenberg matrix is singular."""
+
+
+class DirectSolveError(ArithmeticError):
+    """The direct solve's double-precision result misses its backward-error test."""
 
 
 @dataclass
@@ -286,7 +297,8 @@ def gmres_solve(
     preconditioner application.  The basis is orthogonalized by classical
     Gram-Schmidt with one re-orthogonalization and grows `_CHUNK` vectors
     at a time, so memory follows the iterations taken.  Raises ValueError
-    unless `max_iterations` >= 1 and `reduction` is a finite number above 1.
+    unless `max_iterations` >= 1, `reduction` is a finite number above 1
+    and `x0` is finite with one entry per unknown.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
@@ -297,6 +309,8 @@ def gmres_solve(
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, but the system has {n} unknowns")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 has {np.count_nonzero(~np.isfinite(x0))} entries that are nan or inf")
     bubbles = bubble_elimination(system)
     J = bubbles.condensed
     x0 = bubbles.kept(x0)
@@ -364,15 +378,99 @@ def gmres_solve(
     return SolveReport(x, m, float(rel), converged, np.asarray(history))
 
 
+# Refinement steps at most per factor.
+_MAX_REFINEMENTS = 10
+
+
 def direct_solve(system: SaddleSystem) -> np.ndarray:
     """Sparse LU solve of the saddle-point system with its bubbles eliminated.
 
-    One step of iterative refinement, with the residual of the full
-    system, pushes the per-row backward error to the round-off of the
-    residual evaluation itself, which matters when flux balances of the
-    solution are inspected directly.
+    The condensed system is factored in single precision and the solution
+    refined in double against the residual of the full system (Buttari et
+    al. 2008; LAPACK DSGESV).  The result is accepted when its row-wise
+    backward error max_i |r_i| / (|J| |x| + |b|)_i is at most sqrt(n) eps,
+    which also bounds DSGESV's normwise test; every row's balance then holds
+    to the round-off of the residual evaluation, which matters when flux
+    balances of the solution are inspected directly.  Otherwise, or if the
+    single-precision copy overflows or its factor is exactly singular, the
+    condensed system is factored in double and refined the same way.
+    Raises DirectSolveError if even that result misses the test.
     """
     bubbles = bubble_elimination(system)
-    lu = _factor(bubbles.condensed)
-    x = bubbles.solve(lu.solve, system.rhs())
-    return x + bubbles.solve(lu.solve, system.residual(x))
+    b = system.rhs()
+    tol = np.sqrt(b.size) * np.finfo(np.float64).eps
+    solve = _single_precision_solver(bubbles.condensed)
+    if solve is not None:
+        x, r = _refine(system, bubbles, b, solve)
+        del solve                   # frees the factor before the fallback
+        if _backward_error(system, x, r) <= tol:
+            return x
+    x, r = _refine(system, bubbles, b, _factor(bubbles.condensed).solve)
+    error = _backward_error(system, x, r)
+    if not error <= tol:
+        raise DirectSolveError(
+            f"direct solve missed the backward-error test with a double-precision "
+            f"factor: backward error {error:.3g} > {tol:.3g}"
+        )
+    return x
+
+
+def _single_precision_solver(J_c: sp.csc_matrix):
+    """Solver of J_c y = r through a float32 factor of J_c, or None if the
+    cast overflows or SuperLU finds the factor exactly singular.
+
+    r is scaled by its largest entry before the cast, so its magnitude
+    stays inside the single-precision range.
+    """
+    with np.errstate(over="ignore"):
+        data = J_c.data.astype(np.float32)
+    if not np.all(np.isfinite(data)):
+        return None
+    try:
+        lu = _factor(sp.csc_matrix((data, J_c.indices, J_c.indptr), shape=J_c.shape))
+    except RuntimeError:
+        return None
+
+    def solve(r):
+        scale = np.max(np.abs(r), initial=0.0)
+        if scale == 0.0:
+            return np.zeros_like(r)
+        return lu.solve((r / scale).astype(np.float32)).astype(np.float64) * scale
+
+    return solve
+
+
+def _refine(system: SaddleSystem, bubbles: BubbleElimination, b: np.ndarray, solve):
+    """(x, b - J x): the solution through `solve` of the condensed system,
+    refined against the full residual until it is zero, a step no longer
+    halves its 2-norm (keeping the better iterate) or `_MAX_REFINEMENTS`
+    steps were taken."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = bubbles.solve(solve, b)
+        r = system.residual(x)
+        norm = np.linalg.norm(r)
+        for _ in range(_MAX_REFINEMENTS):
+            if norm == 0.0:
+                break
+            x_new = x + bubbles.solve(solve, r)
+            r_new = system.residual(x_new)
+            norm_new = np.linalg.norm(r_new)
+            halved = norm_new <= 0.5 * norm
+            if norm_new < norm:
+                x, r, norm = x_new, r_new, norm_new
+            if not halved:
+                break
+    return x, r
+
+
+def _backward_error(system: SaddleSystem, x: np.ndarray, r: np.ndarray) -> float:
+    """Row-wise backward error max_i |r_i| / (|J| |x| + |b|)_i of x, where
+    r = b - J x; a row with r_i = 0 counts 0, and a non-finite x gives nan."""
+    n = system.n_velocity
+    u, p = np.abs(x[:n]), np.abs(x[n:])
+    scale = np.abs(system.rhs()) + np.concatenate(
+        (abs(system.A) @ u + abs(system.B) @ p, abs(system.C) @ u + abs(system.D) @ p)
+    )
+    r = np.abs(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(r == 0.0, 0.0, r / scale), initial=0.0))

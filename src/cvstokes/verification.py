@@ -342,6 +342,8 @@ def run_convergence(
     solver (iterations reported as 0).
     """
     scheme = SchemeKind.parse(scheme)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not (np.isfinite(distortion) and distortion >= 0.0):
         raise ValueError(f"distortion must be a finite number >= 0, got {distortion}")
     if mesh_files is not None:

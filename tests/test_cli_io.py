@@ -367,3 +367,13 @@ def test_main_rejects_negative_or_nonfinite_distortion(tmp_path, capsys, distort
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed, distortion", [("-5", "0.2"), ("-1", "0")])
+def test_main_rejects_a_negative_seed(tmp_path, capsys, seed, distortion):
+    # numpy's "expected non-negative integer" named neither the flag nor the
+    # value, and without distortion seeds -900 to -1 passed.
+    code = main(["--levels", "1", "--seed", seed, "--distortion", distortion, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not list(tmp_path.iterdir())

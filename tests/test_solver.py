@@ -17,6 +17,7 @@ from cvstokes.solver import (
     BlockPreconditioner,
     BubbleElimination,
     BubbleStructureError,
+    DirectSolveError,
     GMRESBreakdownError,
     assemble_pressure_mass,
     direct_solve,
@@ -295,6 +296,17 @@ def test_gmres_rejects_start_vector_of_wrong_shape(shape):
         gmres_solve(_StubSystem(np.eye(3), np.ones(3)), x0=np.zeros(shape))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gmres_rejects_non_finite_start_vector(bad, monkeypatch):
+    # Unchecked, a nan ran all 500 iterations before solve_triangular failed.
+    system = _StubSystem(np.eye(3), np.ones(3))
+    applications = []
+    monkeypatch.setattr(_StubPreconditioner, "apply", lambda self, r: applications.append(r) or r)
+    with pytest.raises(ValueError, match="x0 has 1 entries that are nan or inf"):
+        gmres_solve(system, _StubPreconditioner(np.eye(3)), x0=np.array([0.0, bad, 1.0]))
+    assert not applications
+
+
 def test_gmres_solution_solves_saddle_system():
     disc, system = _small_system(n=8)
     S = assemble_pressure_mass(disc, viscosity=1.0)
@@ -488,10 +500,91 @@ def test_every_factor_pivots_on_the_diagonal(scheme, viscosity, monkeypatch):
     factors = _capture_factors(monkeypatch)
     direct_solve(system)
     precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, viscosity))
+    # One single-precision direct factor, no double-precision fallback, and
+    # the preconditioner's two factors in double.
     assert len(factors) == 3
     assert factors[1] is precond.lu_A and factors[2] is precond.lu_S
+    assert [lu.L.dtype for lu in factors] == [np.float32, np.float64, np.float64]
     for lu in factors:
         assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "fem"])
+def test_direct_solve_refines_a_single_precision_factor(scheme, monkeypatch):
+    # The first solve, two contracting steps and the step that detects
+    # stagnation: four residuals of the full system, and no fallback.
+    _, system = _dh_system(scheme, 40)
+    factors = _capture_factors(monkeypatch)
+    residuals = []
+    residual = SaddleSystem.residual
+
+    def counting(self, x):
+        residuals.append(x)
+        return residual(self, x)
+
+    monkeypatch.setattr(SaddleSystem, "residual", counting)
+    x = direct_solve(system)
+    assert [lu.L.dtype for lu in factors] == [np.float32]
+    assert len(residuals) <= 4
+    assert np.linalg.norm(residual(system, x)) <= 1e-13 * np.linalg.norm(system.rhs())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_direct_solve_falls_back_to_double_when_the_cast_overflows(scheme, monkeypatch):
+    # At mu = 1e40 the viscous entries overflow float32; the double factor
+    # solves the system to the bound of the refinement test above, and no
+    # overflow warning escapes.
+    _, system = _dh_system(scheme, 8, viscosity=1e40)
+    factors = _capture_factors(monkeypatch)
+    x = direct_solve(system)
+    assert [lu.L.dtype for lu in factors] == [np.float64]
+    assert np.linalg.norm(system.residual(x)) <= 1e-13 * np.linalg.norm(system.rhs())
+
+
+def _spd_with_condition(n, condition, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return (q * np.logspace(0.0, -np.log10(condition), n)) @ q.T
+
+
+@pytest.mark.parametrize(
+    "J, single_factors",
+    [
+        # The first row underflows to zero in float32: SuperLU finds the
+        # single-precision factor exactly singular.
+        ([[2e-50, 1e-50, 0.0], [1e-50, 2.0, 1.0], [0.0, 1.0, 2.0]], 0),
+        # Condition 1e9: float32 refinement does not contract.
+        (_spd_with_condition(8, 1e9, seed=12), 1),
+    ],
+    ids=["singular-in-float32", "ill-conditioned"],
+)
+def test_direct_solve_falls_back_to_double_without_bubbles(J, single_factors, monkeypatch):
+    J = np.asarray(J)
+    b = np.random.default_rng(13).standard_normal(J.shape[0])
+    factors = _capture_factors(monkeypatch)
+    x = direct_solve(_StubSystem(J, b))
+    assert [lu.L.dtype for lu in factors] == [np.float32] * single_factors + [np.float64]
+    want = np.linalg.solve(J, b)
+    assert np.allclose(x, want, rtol=0, atol=1e-5 * np.max(np.abs(want)))
+
+
+def test_direct_solve_raises_when_double_precision_misses_the_backward_error_test():
+    # Diagonal pivots of 1e-25 against off-diagonal entries of order 1: the
+    # factor's growth leaves refinement stuck at a backward error of about
+    # 1e-7, where the unchecked solve returned a relative error of 1e-4.
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((3, 3))
+    system = SaddleSystem(
+        A=sp.csr_matrix(1e-25 * np.eye(3)),
+        B=sp.csr_matrix(M),
+        C=sp.csr_matrix(M.T),
+        D=sp.csr_matrix(1e-25 * np.eye(3)),
+        rhs_momentum=rng.standard_normal(3),
+        rhs_mass=rng.standard_normal(3),
+        dirichlet_dofs=np.empty(0, dtype=np.int64),
+    )
+    with pytest.raises(DirectSolveError, match=r"backward error \S+ > "):
+        direct_solve(system)
+    assert issubclass(DirectSolveError, ArithmeticError)
 
 
 @pytest.mark.parametrize("scheme", ["overlapping", "fem"])

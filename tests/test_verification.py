@@ -403,6 +403,11 @@ def test_run_convergence_mesh_files(tmp_path):
     assert report.levels[1].l2_velocity < report.levels[0].l2_velocity
 
 
+def test_run_convergence_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        run_convergence(donea_huerta_case(), "overlapping", n_levels=1, seed=-3)
+
+
 def test_run_convergence_rejects_no_levels():
     with pytest.raises(ValueError, match="at least one level"):
         run_convergence(donea_huerta_case(), "overlapping", mesh_files=[])
