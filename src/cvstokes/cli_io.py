@@ -183,19 +183,22 @@ def run(config: RunConfig) -> ConvergenceReport:
     The `custom-msh` case runs the Donea-Huerta fields on user-supplied
     unit-square MSH meshes whose boundary markers must be named left,
     right, bottom, top; like the built-in cases, left and bottom get
-    Dirichlet data and right and top get traction data.
+    Dirichlet data and right and top get traction data.  Mesh files are
+    used as read, one per level, so `levels` and `distortion` keep their defaults.
     """
+    ignored = [f"--{k}" for k in ("levels", "distortion") if getattr(config, k) != getattr(RunConfig, k)]
+    if config.mesh_files and ignored:
+        raise ValueError(" and ".join(ignored) + " cannot be used with --mesh, whose files are used as read")
     if config.case == "custom-msh":
         if not config.mesh_files:
             raise ValueError("case custom-msh requires at least one --mesh file")
         case = donea_huerta_case()
-        mesh_files = list(config.mesh_files)
     elif config.case in CASES:
         case = CASES[config.case]()
-        mesh_files = list(config.mesh_files) or None
     else:
         raise ValueError(f"unknown case {config.case!r}; choose from "
                          f"{sorted(CASES) + ['custom-msh']}")
+    mesh_files = list(config.mesh_files) or None
 
     scheme = SchemeKind.parse(config.scheme)
     os.makedirs(config.out_dir, exist_ok=True)

@@ -9,6 +9,10 @@ files, and mesh statistics including the characteristic lengths
 
 where pressure locations are the vertices and velocity locations are the
 vertices plus the element centroids.
+
+`validate` guards meshes from outside (`read_msh` runs it on every file);
+`generate_structured` checks its arguments and `distort` the one invariant
+it can break, positive areas, so the meshes they make are not validated.
 """
 
 from __future__ import annotations
@@ -192,16 +196,15 @@ def validate(mesh: Mesh) -> None:
         )
 
 
-def _finalize(vertices, triangles, facets, facet_markers, marker_names, markers) -> Mesh:
+def _mesh(vertices, triangles, facets, facet_markers, marker_names) -> Mesh:
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     facets = np.ascontiguousarray(facets, dtype=np.int64).reshape(-1, 2)
     facet_markers = np.ascontiguousarray(facet_markers, dtype=np.int64)
     for arr in (vertices, triangles, facets, facet_markers):
         arr.setflags(write=False)
-    mesh = Mesh(vertices, triangles, facets, facet_markers, tuple(marker_names), dict(markers))
-    validate(mesh)
-    return mesh
+    names = tuple(marker_names)
+    return Mesh(vertices, triangles, facets, facet_markers, names, dict.fromkeys(names, BCKind.DIRICHLET))
 
 
 def generate_structured(
@@ -215,10 +218,13 @@ def generate_structured(
 
     Cells are split along the diagonal from the lower-left to the upper-right
     corner.  Boundary markers are "left", "right", "bottom", "top"; all
-    default to Dirichlet unless `markers` overrides them.
+    default to Dirichlet unless `markers` overrides them through `Mesh.with_bc`.
+    Raises ValueError unless nx, ny >= 1 and lower < upper, both finite.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be positive")
+    if not (np.all(np.isfinite((lower, upper))) and np.all(np.less(lower, upper))):
+        raise ValueError(f"box corners must be finite with lower < upper, got lower={lower}, upper={upper}")
     x = np.linspace(lower[0], upper[0], nx + 1)
     y = np.linspace(lower[1], upper[1], ny + 1)
     xx, yy = np.meshgrid(x, y, indexing="xy")
@@ -241,10 +247,7 @@ def generate_structured(
     facets = np.concatenate((sides.reshape(-1, 2), caps.reshape(-1, 2)))
     fmark = np.concatenate((np.tile([0, 1], ny), np.tile([2, 3], nx)))
 
-    bc = {name: BCKind.DIRICHLET for name in marker_names}
-    if markers:
-        bc.update(markers)
-    return _finalize(vertices, tris, facets, fmark, marker_names, bc)
+    return _mesh(vertices, tris, facets, fmark, marker_names).with_bc(markers or {})
 
 
 def _shortest_incident_edge(mesh: Mesh) -> np.ndarray:
@@ -283,14 +286,8 @@ def distort(mesh: Mesh, fraction: float, seed: int) -> Mesh:
             f"distortion with fraction {fraction} and seed {seed} "
             f"degenerated {int(np.sum(areas <= 0.0))} triangle(s)"
         )
-    return _finalize(
-        moved,
-        mesh.triangles,
-        mesh.boundary_facets,
-        mesh.facet_markers,
-        mesh.marker_names,
-        mesh.markers,
-    )
+    moved.setflags(write=False)
+    return replace(mesh, vertices=moved, markers=dict(mesh.markers))
 
 
 def _orient(vertices, triangles, facets):
@@ -452,8 +449,9 @@ def read_msh(path: str) -> Mesh:
     marker_names = tuple(phys_names.get((1, t), f"tag{t}") for t in tag_list)
     tag_to_idx = {t: i for i, t in enumerate(tag_list)}
     facet_markers = np.array([tag_to_idx[t] for t in facet_tags], dtype=np.int64)
-    markers = {name: BCKind.DIRICHLET for name in marker_names}
-    return _finalize(coords, triangles, facets, facet_markers, marker_names, markers)
+    mesh = _mesh(coords, triangles, facets, facet_markers, marker_names)
+    validate(mesh)
+    return mesh
 
 
 @dataclass(frozen=True)

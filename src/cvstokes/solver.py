@@ -76,7 +76,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import barycentric, triangle_rule
 from .geometry import GridDiscretization
-from .schemes import SaddleSystem, _checked_viscosity
+from .schemes import SaddleSystem, _checked_viscosity, _to_csr
 
 MASS_QUAD_DEGREE = 2
 
@@ -95,10 +95,8 @@ def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr
     areas = disc.elements.areas
     blocks = (2.0 * areas)[:, None, None] * ref_block[None] / (2.0 * viscosity)
     tri = disc.mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
     n_p = disc.n_pressure_dofs
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n_p, n_p)).tocsr()
+    return _to_csr(blocks, tri[:, :, None], tri[:, None, :], (n_p, n_p), [])
 
 
 def random_initial_guess(disc: GridDiscretization, seed: int) -> np.ndarray:

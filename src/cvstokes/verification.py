@@ -336,7 +336,7 @@ def run_convergence(
     """Refinement study: solve the case on each level, report errors and rates.
 
     Levels are structured meshes with base*2^k cells per side, randomly
-    distorted with the given fraction (deterministic per seed), or the
+    distorted with the given fraction in [0, 0.5) (deterministic per seed), or the
     user-supplied MSH files.  Each level starts the preconditioned GMRes
     from a seeded random vector; `use_direct` switches to the sparse direct
     solver (iterations reported as 0).
@@ -344,8 +344,8 @@ def run_convergence(
     scheme = SchemeKind.parse(scheme)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if not (np.isfinite(distortion) and distortion >= 0.0):
-        raise ValueError(f"distortion must be a finite number >= 0, got {distortion}")
+    if not 0.0 <= distortion < 0.5:
+        raise ValueError(f"distortion must lie in [0, 0.5), got {distortion}")
     if mesh_files is not None:
         n_levels = len(mesh_files)
     if n_levels < 1:

@@ -6,6 +6,8 @@ cases, all four schemes, five levels of randomly distorted meshes
 refined direct solver and re-derive every balance from the solution
 vector.  Criterion 6 rebuilds matrix rows from scratch by walking
 control-volume boundaries with an independent basis evaluation.
+Criterion 10 is informative: it solves a hydrostatic case (u = 0, f = grad p)
+and prints how far each control-volume scheme's velocity is from fem's.
 """
 
 import time
@@ -26,6 +28,7 @@ from cvstokes.verification import (
     conservation_audit,
     donea_huerta_case,
     error_norms,
+    product_case,
     region_mass_balance,
     run_convergence,
     shear_flow_case,
@@ -492,3 +495,40 @@ def test_criterion_9_error_magnitudes_informative(studies, criterion):
         f"worst ratio {worst:.2f} at {worst_at} (factor-3 agreement: {within})",
     )
     assert np.isfinite(worst)
+
+
+def _velocity_norms_times_viscosity(mesh, scheme, viscosities, P, R):
+    """mu ||u_h||_L2 of direct solves of the case u = 0, p = P(x) R(y), so f = grad p."""
+    zero = (0.0, 0.0, 0.0, 0.0)
+    out = []
+    for mu in viscosities:
+        case = product_case("hydrostatic", mu, 0.0, zero, zero, P, R)
+        disc = build(case.apply_bc(mesh), scheme)
+        x = direct_solve(assemble(disc, case.problem()))
+        out.append(mu * error_norms(disc, x, case).l2_velocity)
+    return np.array(out)
+
+
+def test_criterion_10_pressure_robustness_informative(criterion):
+    # A gradient load is balanced by the discrete pressure only up to the
+    # scheme's consistency error, and the velocity it leaves scales as 1/mu.
+    cubic = (lambda u: u**3, lambda u: 3.0 * u * u)
+    square = (lambda u: u * u, lambda u: 2.0 * u)
+    linear = (lambda u: u - 0.3, 1.0)
+    ratios = []
+    for n in (10, 20):
+        mesh = distort(generate_structured(n, n), DISTORTION, seed=31)
+        scaled = {}
+        for scheme in SCHEMES:
+            norms = _velocity_norms_times_viscosity(mesh, scheme, (1.0, 1e-3, 1e-6), cubic, square)
+            assert np.ptp(norms) <= 1e-10 * norms.max(), (n, scheme, norms)
+            scaled[scheme] = norms[0]
+            # Every scheme balances a linear pressure exactly.
+            assert _velocity_norms_times_viscosity(mesh, scheme, (1e-6,), linear, (1.0, 0.0))[0] <= 1e-14
+        ratios.append(" / ".join(f"{scaled[s] / scaled['fem']:.1f}" for s in SCHEMES[:3]))
+    criterion(
+        10,
+        None,
+        "informative: hydrostatic p = x^3 y^2, mu ||u_h||_L2 independent of mu; ratio to fem "
+        f"({' / '.join(SCHEMES[:3])}) {ratios[0]} at 10^2, {ratios[1]} at 20^2",
+    )

@@ -369,6 +369,38 @@ def test_main_rejects_negative_or_nonfinite_distortion(tmp_path, capsys, distort
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("distortion", ["0.7", "0.5"])
+def test_main_names_the_distortion_out_of_range(tmp_path, capsys, distortion):
+    code = main(["--levels", "1", "--distortion", distortion, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: distortion must lie in [0, 0.5), got {distortion}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--levels", "7"], "--levels"),
+    (["--distortion", "0.45"], "--distortion"),
+    (["--levels", "7", "--distortion", "0.45"], "--levels and --distortion"),
+])
+def test_main_rejects_flags_that_mesh_files_would_ignore(tmp_path, capsys, flags, named):
+    # Each mesh file is one level, used as read: these flags ran the files
+    # undistorted and exited 0.
+    path = tmp_path / "a.msh"
+    write_msh22(path, generate_structured(2, 2))
+    out = tmp_path / "out"
+    code = main(["--case", "custom-msh", "--mesh", str(path), "--mesh", str(path), *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {named} cannot be used with --mesh, whose files are used as read\n"
+    assert not out.exists()
+
+
+def test_main_accepts_default_levels_and_distortion_with_mesh_files(tmp_path):
+    path = tmp_path / "a.msh"
+    write_msh22(path, distort(generate_structured(3, 3), 0.15, seed=54))
+    args = ["--case", "custom-msh", "--mesh", str(path), "--levels", "5", "--distortion", "0.2"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("seed, distortion", [("-5", "0.2"), ("-1", "0")])
 def test_main_rejects_a_negative_seed(tmp_path, capsys, seed, distortion):
     # numpy's "expected non-negative integer" named neither the flag nor the

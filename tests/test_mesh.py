@@ -1,6 +1,7 @@
 """Structured mesh generation, validation, distortion, MSH parsing, stats."""
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     single_triangle_mesh,
     write_msh22,
 )
+from cvstokes import mesh as mesh_module
 from cvstokes.mesh import (
     BCKind,
     DistortionError,
@@ -79,6 +81,62 @@ def test_with_bc_override():
     # its traction would silently never be applied.
     with pytest.raises(ValueError, match="marker 'right' has boundary kind 'neumann', not a BCKind"):
         mesh.with_bc({"left": BCKind.DIRICHLET, "right": "neumann", "top": BCKind.NEUMANN})
+
+
+def test_structured_markers_go_through_with_bc():
+    # A misspelt name used to leave "left" Dirichlet and add a stray "lefft" key.
+    with pytest.raises(ValueError, match=re.escape("unknown marker names: ['lefft']")):
+        generate_structured(2, 2, markers={"lefft": BCKind.NEUMANN})
+    mesh = generate_structured(2, 2, markers={"left": BCKind.NEUMANN})
+    assert mesh.markers == {"left": BCKind.NEUMANN, "right": BCKind.DIRICHLET,
+                            "bottom": BCKind.DIRICHLET, "top": BCKind.DIRICHLET}
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ((0.0, 0.0), (0.0, 1.0)),
+    ((0.0, 1.0), (1.0, 0.5)),
+    ((0.0, float("nan")), (1.0, 1.0)),
+    ((0.0, 0.0), (float("inf"), 1.0)),
+])
+def test_structured_rejects_an_empty_or_infinite_box(lower, upper):
+    # An inverted or flat box used to fail later as "triangle 0 has non-positive area".
+    with pytest.raises(ValueError) as info:
+        generate_structured(2, 2, lower=lower, upper=upper)
+    assert str(info.value) == (
+        f"box corners must be finite with lower < upper, got lower={lower}, upper={upper}"
+    )
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(nx=1, ny=1),
+    dict(nx=1, ny=4),
+    dict(nx=5, ny=2),
+    dict(nx=3, ny=7),
+    dict(nx=16, ny=16),
+    dict(nx=3, ny=2, lower=(-1.0, 0.5), upper=(2.0, 1.5)),
+    dict(nx=4, ny=3, lower=(1e-3, -7.0), upper=(2e-3, -6.5)),
+    dict(nx=2, ny=5, markers={"right": BCKind.NEUMANN, "top": BCKind.NEUMANN}),
+])
+def test_generated_meshes_are_valid(kwargs):
+    # generate_structured does not validate its output; this test does.
+    mesh = generate_structured(**kwargs)
+    validate(mesh)
+    for moved in (mesh, distort(mesh, 0.3, seed=kwargs["nx"])):
+        for arr in (moved.vertices, moved.triangles, moved.boundary_facets, moved.facet_markers):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def test_validate_runs_once_per_read_msh_and_never_on_package_meshes(tmp_path, monkeypatch):
+    calls = []
+    real = mesh_module.validate
+    monkeypatch.setattr(mesh_module, "validate", lambda mesh: calls.append(mesh) or real(mesh))
+    grid = generate_structured(6, 4, markers={"top": BCKind.NEUMANN})
+    moved = distort(grid, 0.3, seed=4)
+    assert calls == []
+    path = tmp_path / "m.msh"
+    write_msh22(path, moved)
+    meshes = [read_msh(str(path)) for _ in range(2)]
+    assert len(calls) == 2 and all(a is b for a, b in zip(calls, meshes))
 
 
 def test_dirichlet_vertices_mixed_layout():

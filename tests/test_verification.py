@@ -408,6 +408,14 @@ def test_run_convergence_rejects_a_negative_seed():
         run_convergence(donea_huerta_case(), "overlapping", n_levels=1, seed=-3)
 
 
+@pytest.mark.parametrize("distortion", [0.5, 0.7, -0.1, float("inf"), float("nan")])
+def test_run_convergence_rejects_distortion_outside_its_range(distortion):
+    # 0.7 used to reach `distort`, whose message named neither the flag nor the value.
+    with pytest.raises(ValueError) as info:
+        run_convergence(donea_huerta_case(), "overlapping", n_levels=1, distortion=distortion)
+    assert str(info.value) == f"distortion must lie in [0, 0.5), got {distortion}"
+
+
 def test_run_convergence_rejects_no_levels():
     with pytest.raises(ValueError, match="at least one level"):
         run_convergence(donea_huerta_case(), "overlapping", mesh_files=[])
