@@ -29,15 +29,14 @@ Every piece is a tuple of ids into the seven local points of its
 triangle: ids 0-2 are the vertices X_k, ids 3-5 the edge midpoints
 M_k = (X_k + X_k+1) / 2 and id 6 the centroid C.  Faces and boundary
 segments are pairs of ids, the twelve slots of `_SLOTS`; evaluated at the
-reference triangle's local points they give `REFERENCE_PIECES`, and every
-face and segment records its slot in `face_slot` / `seg_slot`.  Each
+reference triangle's local points they give `REFERENCE_PIECES`.  Each
 control-volume family is a few rows of `_FAMILIES` over these ids, and one
 builder gathers them element by element, recording each sub-volume's
 element and its polygon in `REFERENCE_CELLS` in `scv_element` / `scv_row`.
-`REFERENCE_FACES` gives each family's face rows by local owner, from which
-the assembly builds its element blocks.  A `ControlVolumeSet` stores only
-these ids and the local points of every element, shared by the families of
-a mesh; coordinates are derived on access.
+Faces are not stored: `REFERENCE_FACES` gives each family's face rows
+(slot, inside owner, outside owner), the same in every element, which the
+assembly and the audit walk slot by slot over all elements, reading owner
+ids from the (ne, 5) `owners` table.  Coordinates are derived on access.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ SCHEME_SPECS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementData:
     """Per-element geometry used by basis evaluation and assembly."""
 
@@ -209,30 +208,27 @@ def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Piec
     return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[..., None], lengths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlVolumeSet:
     """Structure-of-arrays description of one family of control volumes.
 
     Control-volume ids double as unknown ids: vertex control volumes use
     the vertex index, bubble control volumes use n_vertices + element.
-    `partition` marks the ids whose volumes tile the domain.  Sub-volumes,
-    faces and boundary segments are stored as their element and reference
-    row or slot; `points` is the (ne, 7, 2) table of local points of every
-    element, shared by the families of a mesh.  Their coordinates are
-    derived on access, those of faces and boundary segments by `pieces`.
+    `partition` marks the ids whose volumes tile the domain.  Sub-volumes
+    and boundary segments are stored as their element and reference row or
+    slot, faces not at all; `points` (ne, 7, 2) and `owners` (ne, 5, by local
+    owner: the vertices, the bubble, none = -1) are shared by the families of
+    a mesh.  Coordinates and per-face ids are derived on access.
     """
 
     family: str                 # key of REFERENCE_CELLS
     points: np.ndarray          # (ne, 7, 2)
+    owners: np.ndarray          # (ne, 5)
     dof_locations: np.ndarray   # (n_cvs, 2)
     partition: np.ndarray       # (n_cvs,) bool
     scv_cv: np.ndarray
     scv_element: np.ndarray
     scv_row: np.ndarray         # index into REFERENCE_CELLS[family]
-    face_element: np.ndarray
-    face_slot: np.ndarray       # index into REFERENCE_PIECES
-    face_inside: np.ndarray
-    face_outside: np.ndarray    # -1 when the flux has no receiving balance
     seg_cv: np.ndarray
     seg_element: np.ndarray
     seg_slot: np.ndarray        # index into REFERENCE_PIECES
@@ -243,6 +239,20 @@ class ControlVolumeSet:
         """The faces ("face") or boundary segments ("seg", outward normals)
         `which`, every field derived once from their element and slot."""
         return _pieces(self.points, getattr(self, f"{kind}_element")[which], getattr(self, f"{kind}_slot")[which])
+
+    def _face_ids(self, column: int) -> np.ndarray:
+        """One id per face, group by group and element-major within a group:
+        its element (column -1), slot (0), or inside (1) or outside (2) owner."""
+        elements, rows = _layout(_FAMILIES[self.family][0], 1, self.owners.shape[0])[1:]
+        if column < 0:
+            return elements
+        local = np.array(REFERENCE_FACES[self.family])[rows, column]
+        return local if column == 0 else _take(self.owners, elements, local)
+
+    face_element = property(lambda self: self._face_ids(-1))
+    face_slot = property(lambda self: self._face_ids(0))        # index into REFERENCE_PIECES
+    face_inside = property(lambda self: self._face_ids(1))
+    face_outside = property(lambda self: self._face_ids(2))     # -1 when the flux has no receiving balance
 
     @property
     def scv_polys(self) -> np.ndarray:
@@ -263,7 +273,7 @@ class ControlVolumeSet:
 
     @property
     def n_faces(self) -> int:
-        return self.face_inside.shape[0]
+        return self.owners.shape[0] * len(REFERENCE_FACES[self.family])
 
     @property
     def n_segments(self) -> int:
@@ -309,37 +319,28 @@ def _layout(groups, part: int, ne: int):
     return rows, np.concatenate(elements), np.concatenate(index)
 
 
-def _build_family(family: str, mesh: Mesh, eldata, points, segments) -> ControlVolumeSet:
+def _build_family(family: str, mesh: Mesh, eldata, points, owners, segments) -> ControlVolumeSet:
     """One control-volume family of `_FAMILIES`: "boxes", "non-overlapping" or "overlapping"."""
     groups, bubbles_tile = _FAMILIES[family]
     ne, nv = mesh.n_elements, mesh.n_vertices
-    # Owner ids per element, by local owner: the vertices, the bubble, none.
-    owners = np.column_stack((mesh.triangles, nv + np.arange(ne), np.full(ne, -1))).astype(np.int64)
-
     cells, cell_element, cell_row = _layout(groups, 0, ne)
     scv_cv = _take(owners, cell_element, np.array([owner for _, owner in cells])[cell_row])
     bubbles = ne if np.any(scv_cv >= nv) else 0
-
-    walls, face_element, face_row = _layout(groups, 1, ne)
-    slot, inside, outside = (np.array(column)[face_row] for column in zip(*walls))
     return ControlVolumeSet(
         family=family,
         points=points,
+        owners=owners,
         dof_locations=np.vstack((mesh.vertices, eldata.centroids[:bubbles])),
         partition=np.repeat((True, bubbles_tile), (nv, bubbles)),
         scv_cv=scv_cv,
         scv_element=cell_element,
         scv_row=cell_row,
-        face_element=face_element,
-        face_slot=slot,
-        face_inside=_take(owners, face_element, inside),
-        face_outside=_take(owners, face_element, outside),
         marker_names=mesh.marker_names,
         **segments,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDiscretization:
     """Mesh plus the pressure and velocity control volumes of one scheme."""
 
@@ -362,22 +363,23 @@ class GridDiscretization:
         return 2 * self.n_velocity_locations + self.n_pressure_dofs
 
     def element_velocity_dofs(self) -> np.ndarray:
-        """Velocity unknown ids per element: three vertices plus the bubble."""
-        ne = self.mesh.n_elements
-        bubbles = self.mesh.n_vertices + np.arange(ne, dtype=np.int64)
-        return np.column_stack((self.mesh.triangles, bubbles))
+        """Velocity unknown ids per element, (ne, 4): three vertices plus the bubble; read-only."""
+        return self.pressure.owners[:, :4]
 
 
 def build(mesh: Mesh, scheme) -> GridDiscretization:
     """Build the control-volume discretization for a scheme.
 
-    Element data, local points and boundary segments are computed once and
-    shared; when the scheme's velocity volumes are the boxes, `velocity` is
-    `pressure`.
+    Element data, local points, local owners and boundary segments are
+    computed once and shared; when the scheme's velocity volumes are the
+    boxes, `velocity` is `pressure`.
     """
     scheme = SchemeKind.parse(scheme)
     eldata = element_data(mesh)
-    shared = (eldata, _local_points(eldata.coords, eldata.centroids), _boundary_segments(mesh))
+    ne, nv = mesh.n_elements, mesh.n_vertices
+    owners = np.column_stack((mesh.triangles, nv + np.arange(ne), np.full(ne, -1))).astype(np.int64)
+    owners.setflags(write=False)
+    shared = (eldata, _local_points(eldata.coords, eldata.centroids), owners, _boundary_segments(mesh))
     pressure = _build_family("boxes", mesh, *shared)
     family = scheme.spec.velocity_cvs
     velocity = pressure if family == "boxes" else _build_family(family, mesh, *shared)

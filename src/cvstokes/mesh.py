@@ -42,7 +42,7 @@ class DistortionError(RuntimeError):
     """Raised when random distortion produces a degenerate triangle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable conforming triangle mesh.
 

@@ -31,16 +31,17 @@ pieces, given as elements and slots: the one flux kernel of each quantity.
 Each face separates two owners in one element (`geometry.REFERENCE_FACES`),
 so assembly adds the coefficients of one slot at a time into owner-major
 element blocks like the Galerkin rows, and each block is one COO -> CSR
-conversion.  The conservation audit contracts the same coefficients with a
-solution (`_mass_fluxes`, `_momentum_fluxes`).  Volume integrals (the
-sources over control volumes, the Galerkin load) map a fixed reference
-rule, the degree-6 rule on the fan triangles of `geometry.REFERENCE_CELLS`
-or on the whole element, by each element's X0 + J xi and evaluate it
-`_BLOCK` elements at a time.
+conversion.  The audit contracts the same coefficients with a solution, one
+slot over all elements at a time (`_mass_flux_slots`, `_momentum_flux_slots`).
+Volume integrals (the sources over control volumes, the Galerkin load) map
+a fixed reference rule, the degree-6 rule on the fan triangles of
+`geometry.REFERENCE_CELLS` or on the whole element, by each element's
+X0 + J xi and evaluate it `_BLOCK` elements at a time.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ from .mesh import BCKind
 
 SOURCE_QUAD_DEGREE = 6
 NEUMANN_QUAD_DEGREE = 5
-# Elements or faces per block of the volume and face kernels.
+# Elements per block of the volume kernels (`_integrate_elements`).
 _BLOCK = 512
 # Owner slots of an element block, as in `REFERENCE_FACES`: the local
 # vertices 0-2, the bubble, and "none", whose entries are discarded.
@@ -71,10 +72,10 @@ class ConfigurationError(ValueError):
 
 
 def _checked_viscosity(viscosity) -> float:
-    """The viscosity as a float; ConfigurationError unless it is finite and positive."""
-    mu = float(viscosity)
+    """The viscosity as a float; ConfigurationError unless it is a finite, positive real number."""
+    mu = float(viscosity) if isinstance(viscosity, numbers.Real) else np.nan
     if not (np.isfinite(mu) and mu > 0.0):
-        raise ConfigurationError(f"viscosity must be finite and positive, got {mu}")
+        raise ConfigurationError(f"viscosity must be finite and positive, got {viscosity!r}")
     return mu
 
 
@@ -241,27 +242,25 @@ def _mass_blocks(disc):
     return C
 
 
-def _mass_fluxes(disc, elements, slots, velocity):
-    """Volume flux of v_h through the reference pieces `slots` of `elements`, (P,)."""
-    eldofs = disc.element_velocity_dofs()
-    out = np.empty(len(elements))
-    for sl in _blocks(len(elements)):
-        e = elements[sl]
-        out[sl] = np.einsum("pbk,pbk->p", _mass_coefficients(disc.elements, e, slots[sl]), velocity[eldofs[e]])
-    return out
+def _mass_flux_slots(disc, velocity):
+    """Volume flux of v_h through the box faces, one (ne,) row per row of
+    `REFERENCE_FACES["boxes"]`, and through the boundary segments, (S,)."""
+    el, coeff = disc.elements, velocity[disc.element_velocity_dofs()]
+    faces = [np.einsum("ebk,ebk->e", _mass_coefficients(el, slice(None), slot), coeff)
+             for slot, _, _ in REFERENCE_FACES["boxes"]]
+    e, slots = disc.pressure.seg_element, disc.pressure.seg_slot
+    return faces, np.einsum("sbk,sbk->s", _mass_coefficients(el, e, slots), coeff[e])
 
 
-def _momentum_fluxes(disc, elements, slots, mu, velocity, pressure):
-    """Momentum flux of (-2 mu D(v_h) + p_h I) through the reference pieces
-    `slots` of `elements`, (P, 2)."""
-    eldofs = disc.element_velocity_dofs()
-    out = np.empty((len(elements), 2))
-    for sl in _blocks(len(elements)):
-        e = elements[sl]
-        a, b = _momentum_coefficients(disc.elements, e, slots[sl], mu)
-        out[sl] = (np.einsum("pcbk,pbk->pc", a, velocity[eldofs[e]])
-                   + np.einsum("pcj,pj->pc", b, pressure[disc.mesh.triangles[e]]))
-    return out
+def _momentum_flux_slots(disc, mu, velocity, pressure):
+    """Momentum flux of (-2 mu D(v_h) + p_h I) through the faces of the velocity
+    control volumes, one (ne, 2) row per row of `REFERENCE_FACES`."""
+    ne = disc.mesh.n_elements
+    u = velocity[disc.element_velocity_dofs()].reshape(ne, 8, 1)
+    p = pressure[disc.mesh.triangles][..., None]
+    pairs = (_momentum_coefficients(disc.elements, slice(None), slot, mu)
+             for slot, _, _ in REFERENCE_FACES[disc.scheme.spec.velocity_cvs])
+    return [(a.reshape(ne, 2, 8) @ u + b @ p)[..., 0] for a, b in pairs]
 
 
 def _to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dtype=np.int64)):
@@ -291,11 +290,6 @@ def _volume_rule(cells):
 _VOLUME_RULES = {family: _volume_rule(cells) for family, cells in REFERENCE_CELLS.items()}
 
 
-def _blocks(n):
-    """Slices of at most `_BLOCK` items covering range(n)."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
-
-
 def _evaluate(func, name, points, shape):
     """`func` at the points (..., 2), checked to return finite values of `shape` per point."""
     n = points.size // 2
@@ -319,7 +313,7 @@ def _integrate_elements(eldata: ElementData, points, weights, integrand, shape) 
     nq = points.shape[0]
     scale = 2.0 * eldata.areas
     out = np.empty((weights.shape[0],) + scale.shape + shape)
-    for sl in _blocks(scale.shape[0]):
+    for sl in (slice(start, start + _BLOCK) for start in range(0, scale.shape[0], _BLOCK)):
         x = (points @ eldata.jacobians[sl].transpose(2, 0, 1).reshape(2, -1)).reshape(nq, -1, 2) + eldata.coords[sl, 0]
         local = (weights @ integrand(sl, x).reshape(nq, -1)).reshape(out[:, sl].shape)
         out[:, sl] = local * scale[sl].reshape((-1,) + (1,) * len(shape))

@@ -18,10 +18,10 @@ solution vector and sums the balances; for a converged solve the box and
 volume residuals sit at the accumulated round-off of the flux sums, far
 below any discretization scale, and unions of boxes telescope to the same
 level because shared faces cancel exactly.  Error norms integrate with
-assembly's block kernel and the degree-8 element rule.  The audit
-contracts the solution with assembly's flux coefficients of each face and
-boundary segment, in blocks of pieces, so each of its balances is minus
-the residual of the flux row that was solved, up to the order of the sums.
+assembly's block kernel and the degree-8 element rule.  The audit walks
+the face rows of `geometry.REFERENCE_FACES` slot by slot, as assembly does,
+and contracts the solution with the same flux coefficients, so each of its
+balances is minus the residual of the flux row solved, up to rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _eval_unchecked, barycentric, triangle_rule
-from .geometry import GridDiscretization, SchemeKind, build
+from .geometry import _NONE, REFERENCE_FACES, GridDiscretization, SchemeKind, build
 from .mesh import (
     BCKind,
     DistortionError,
@@ -44,11 +44,12 @@ from .mesh import (
 )
 from .schemes import (
     StokesProblem,
+    _checked_viscosity,
     _evaluate,
     _integrate_elements,
     _integrate_over_cvs,
-    _mass_fluxes,
-    _momentum_fluxes,
+    _mass_flux_slots,
+    _momentum_flux_slots,
     assemble,
     segment_tractions,
     split_solution,
@@ -416,18 +417,25 @@ class ConservationAudit:
     max_momentum_flux: float
 
 
+def _scatter_faces(out, cvset, fluxes):
+    """Add each face row's fluxes (ne, ...) to its inside owner's balance and
+    subtract them from its outside owner's; the owner "none" receives nothing."""
+    for (_, inside, outside), flux in zip(REFERENCE_FACES[cvset.family], fluxes):
+        np.add.at(out, cvset.owners[:, inside], flux)
+        if outside != _NONE:
+            np.subtract.at(out, cvset.owners[:, outside], flux)
+
+
 def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: StokesProblem) -> ConservationAudit:
     """Recompute all control-volume balances from the solution vector."""
     vel, pres = split_solution(disc, solution)
-    mu = problem.viscosity
+    mu = _checked_viscosity(problem.viscosity)
 
     # Mass balances over the pressure boxes (identical for every scheme).
     pset = disc.pressure
-    massf = _mass_fluxes(disc, pset.face_element, pset.face_slot, vel)
-    segf = _mass_fluxes(disc, pset.seg_element, pset.seg_slot, vel)
+    massf, segf = _mass_flux_slots(disc, vel)
     res_m = np.zeros(pset.n_cvs)
-    np.add.at(res_m, pset.face_inside, massf)
-    np.add.at(res_m, pset.face_outside, -massf)
+    _scatter_faces(res_m, pset, massf)
     np.add.at(res_m, pset.seg_cv, segf)
     res_m -= _integrate_over_cvs(disc, pset, problem, "mass_source")
     max_mass = float(max(np.abs(massf).max(initial=0.0), np.abs(segf).max(initial=0.0)))
@@ -439,10 +447,8 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     audited = np.full(vset.n_cvs, flux_momentum)
     max_mom = 0.0
     if flux_momentum:
-        momf = _momentum_fluxes(disc, vset.face_element, vset.face_slot, mu, vel, pres)
-        np.add.at(res_u, vset.face_inside, momf)
-        has_out = vset.face_outside >= 0
-        np.add.at(res_u, vset.face_outside[has_out], -momf[has_out])
+        momf = _momentum_flux_slots(disc, mu, vel, pres)
+        _scatter_faces(res_u, vset, momf)
         np.add.at(res_u, vset.seg_cv, segment_tractions(disc, problem)[0])
         res_u -= _integrate_over_cvs(disc, vset, problem, "body_force")
         audited[disc.mesh.dirichlet_vertices()] = False
@@ -466,7 +472,7 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     Computed from the union boundary only: faces interior to the region do
     not enter, demonstrating that box balances telescope exactly.
     """
-    vel, pres = split_solution(disc, solution)
+    vel, _ = split_solution(disc, solution)
     pset = disc.pressure
     ids = np.asarray(box_ids)
     if ids.size and ids.dtype.kind not in "iu":
@@ -477,13 +483,9 @@ def region_mass_balance(disc: GridDiscretization, solution: np.ndarray, problem:
     sel = np.zeros(pset.n_cvs, dtype=bool)
     sel[ids] = True
 
-    def outflow(kind, which):
-        elements, slots = (getattr(pset, f"{kind}_{name}")[which] for name in ("element", "slot"))
-        return np.sum(_mass_fluxes(disc, elements, slots, vel))
-
-    fin = sel[pset.face_inside]
-    fout = sel[pset.face_outside]
-    balance = float(outflow("face", fin & ~fout) - outflow("face", fout & ~fin))
-    balance += float(outflow("seg", sel[pset.seg_cv]))
-    balance -= float(np.sum(_integrate_over_cvs(disc, pset, problem, "mass_source")[sel]))
-    return balance
+    massf, segf = _mass_flux_slots(disc, vel)
+    balance = float(np.sum(segf[sel[pset.seg_cv]]))
+    for (_, inside, outside), flux in zip(REFERENCE_FACES[pset.family], massf):
+        fin, fout = sel[pset.owners[:, inside]], sel[pset.owners[:, outside]]
+        balance += float(np.sum(flux[fin & ~fout]) - np.sum(flux[fout & ~fin]))
+    return balance - float(np.sum(_integrate_over_cvs(disc, pset, problem, "mass_source")[sel]))

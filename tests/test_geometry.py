@@ -323,13 +323,50 @@ def _kept_bytes(*cvsets):
 
 
 @pytest.mark.parametrize("n", [24, 64])
-def test_overlapping_geometry_keeps_at_most_800_bytes_per_element(n):
-    # Stored as element and slot ids plus the shared local-point table; the
-    # coordinates are derived on access (about 2,000 bytes per element when
-    # they were stored).
+def test_overlapping_geometry_keeps_at_most_400_bytes_per_element(n):
+    # Stored as sub-volume and segment ids plus the shared tables of local
+    # points and owners; coordinates and per-face ids are derived on access
+    # (about 2,000 bytes per element with stored coordinates, about 600 with
+    # stored per-face ids).
     mesh = generate_structured(n, n)
     disc = build(mesh, "overlapping")
-    assert _kept_bytes(disc.pressure, disc.velocity) <= 800 * mesh.n_elements
+    assert _kept_bytes(disc.pressure, disc.velocity) <= 400 * mesh.n_elements
+
+
+def test_families_share_the_owner_table_and_count_faces_by_row():
+    mesh = random_distorted_mesh(10, n=3)
+    disc = build(mesh, "overlapping")
+    assert disc.velocity.owners is disc.pressure.owners
+    assert np.shares_memory(disc.element_velocity_dofs(), disc.pressure.owners)
+    for cvset in (disc.pressure, disc.velocity):
+        rows = geometry.REFERENCE_FACES[cvset.family]
+        assert cvset.n_faces == mesh.n_elements * len(rows) == cvset.face_inside.size
+        slot, inside, outside = np.array(rows).T
+        # Group by group, element-major within a group; the overlapping family
+        # has two groups (boxes, then medial faces).
+        for group in np.split(np.arange(len(rows)), [3] if len(rows) == 6 else []):
+            k = np.arange(mesh.n_elements * group.size)
+            faces = mesh.n_elements * group[0] + k
+            e, r = np.divmod(k, group.size)
+            r = group[r]
+            assert np.array_equal(cvset.face_element[faces], e)
+            assert np.array_equal(cvset.face_slot[faces], slot[r])
+            assert np.array_equal(cvset.face_inside[faces], cvset.owners[e, inside[r]])
+            assert np.array_equal(cvset.face_outside[faces], cvset.owners[e, outside[r]])
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # Field-wise == would ask an array for one truth value, and a field-wise
+    # hash would fail on the arrays.
+    m = generate_structured(2, 2)
+    assert m == m
+    assert m != generate_structured(2, 2)
+    disc = build(m, "overlapping")
+    assert disc != build(m, "overlapping")
+    objects = (m, disc.elements, disc.pressure, disc.velocity, disc)
+    assert len(set(objects)) == len(objects)
+    for obj in objects:
+        assert obj == obj and obj in {obj}
 
 
 def _reference_ids(polygon):

@@ -38,11 +38,13 @@ def interpolate(disc, field):
 
 def kernel_fluxes(disc, cvset, kind, viscosity, velocity, pressure):
     """Mass (P,) and momentum (P, 2) fluxes through the faces ("face") or
-    boundary segments ("seg") of a CV set, from the package's flux
+    boundary segments ("seg") of a CV set, contracted from the package's flux
     coefficients: the kernel the assembly and the audit share."""
     e, slots = getattr(cvset, f"{kind}_element"), getattr(cvset, f"{kind}_slot")
-    return (schemes._mass_fluxes(disc, e, slots, velocity),
-            schemes._momentum_fluxes(disc, e, slots, viscosity, velocity, pressure))
+    u = velocity[disc.element_velocity_dofs()[e]]
+    a, b = schemes._momentum_coefficients(disc.elements, e, slots, viscosity)
+    return (np.einsum("pbk,pbk->p", schemes._mass_coefficients(disc.elements, e, slots), u),
+            np.einsum("pcbk,pbk->pc", a, u) + np.einsum("pcj,pj->pc", b, pressure[disc.mesh.triangles[e]]))
 
 
 def test_basis_at_matches_eval_physical():

@@ -130,9 +130,10 @@ def test_pressure_mass_reference_triangle():
     assert np.allclose(M, want, atol=1e-15)
 
 
-@pytest.mark.parametrize("viscosity", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("viscosity", [0.0, -1.0, np.nan, np.inf, "1"])
 def test_bad_viscosity_is_rejected_by_assembly_and_pressure_mass(viscosity):
-    # Unchecked, 0 gives infinite entries and -1 a negative "mass" matrix.
+    # Unchecked, 0 gives infinite entries and -1 a negative "mass" matrix;
+    # a string is not cast.
     case = donea_huerta_case()
     disc = build(case.apply_bc(random_distorted_mesh(20, n=3)), "overlapping")
     problem = dataclasses.replace(case.problem(), viscosity=viscosity)

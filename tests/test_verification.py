@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh, write_msh22
-from cvstokes import verification
+from cvstokes import schemes, verification
 from cvstokes.cli_io import write_vtu
-from cvstokes.geometry import build
+from cvstokes.geometry import REFERENCE_FACES, build
 from cvstokes.mesh import BCKind, distort, generate_structured
-from cvstokes.schemes import assemble, split_solution
+from cvstokes.schemes import ConfigurationError, assemble, split_solution
 from cvstokes.solver import direct_solve
 from cvstokes.verification import (
     CASES,
@@ -514,6 +514,53 @@ def test_region_mass_balance_unions():
     for size in (1, 5, 40, n_p):
         ids = rng.choice(n_p, size=size, replace=False)
         assert abs(region_mass_balance(disc, x, problem, ids)) <= 1e-12 * scale * max(1, size) ** 0.5
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "hybrid", "non-overlapping", "fem"])
+def test_region_balance_is_the_sum_of_its_box_residuals(scheme):
+    # Interior faces cancel at any vector, not only at a solution.
+    case = donea_huerta_case()
+    disc = build(case.apply_bc(distort(generate_structured(10, 10), 0.2, seed=36)), scheme)
+    problem = case.problem()
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(disc.n_dofs)
+    audit = conservation_audit(disc, x, problem)
+    n_p = disc.n_pressure_dofs
+    for size in (1, 5, 40, n_p):
+        ids = rng.choice(n_p, size=size, replace=False)
+        got = region_mass_balance(disc, x, problem, ids)
+        assert abs(got - audit.mass_residuals[ids].sum()) <= 1e-12 * audit.max_mass_flux * size ** 0.5
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "hybrid", "non-overlapping", "fem"])
+def test_audit_contracts_whole_slots(scheme, monkeypatch):
+    # One coefficient call per face row over all elements (and one for the
+    # boundary segments), however large the mesh.
+    calls = {"_mass_coefficients": 0, "_momentum_coefficients": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(schemes, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(schemes, name, counting)
+    case = donea_huerta_case()
+    spec = build(generate_structured(1, 1), scheme).scheme.spec
+    rows = len(REFERENCE_FACES[spec.velocity_cvs]) if spec.flux_momentum else 0
+    for n in (4, 16):
+        disc = build(case.apply_bc(generate_structured(n, n)), scheme)
+        x = np.random.default_rng(n).standard_normal(disc.n_dofs)
+        calls.update(dict.fromkeys(calls, 0))
+        conservation_audit(disc, x, case.problem())
+        assert calls == {"_mass_coefficients": 3 + 1, "_momentum_coefficients": rows}, n
+
+
+@pytest.mark.parametrize("viscosity", [np.nan, 0.0, -1.0, "1"])
+@pytest.mark.parametrize("scheme", ["overlapping", "fem"])
+def test_audit_rejects_a_viscosity_that_assembly_rejects(scheme, viscosity):
+    # fem audits no momentum, so only an up-front check sees its viscosity.
+    case = donea_huerta_case()
+    disc = build(case.apply_bc(generate_structured(4, 4)), scheme)
+    with pytest.raises(ConfigurationError, match="viscosity must be finite and positive"):
+        conservation_audit(disc, np.zeros(disc.n_dofs), replace(case.problem(), viscosity=viscosity))
 
 
 def test_region_balance_of_two_boxes_telescopes():
