@@ -30,13 +30,13 @@ triangle: ids 0-2 are the vertices X_k, ids 3-5 the edge midpoints
 M_k = (X_k + X_k+1) / 2 and id 6 the centroid C.  Faces and boundary
 segments are pairs of ids, the twelve slots of `_SLOTS`; evaluated at the
 reference triangle's local points they give `REFERENCE_PIECES`.  Each
-control-volume family is a few rows of `_FAMILIES` over these ids, and one
-builder gathers them element by element, recording each sub-volume's
-element and its polygon in `REFERENCE_CELLS` in `scv_element` / `scv_row`.
-Faces are not stored: `REFERENCE_FACES` gives each family's face rows
-(slot, inside owner, outside owner), the same in every element, which the
-assembly and the audit walk slot by slot over all elements, reading owner
-ids from the (ne, 5) `owners` table.  Coordinates are derived on access.
+control-volume family is a few rows of `_FAMILIES` over these ids, the
+same in every element: sub-volume rows (`REFERENCE_CELLS`), row r owned by
+local owner r, and face rows (slot, inside owner, outside owner,
+`REFERENCE_FACES`).  A `ControlVolumeSet` stores no array of its own, only
+the tables every family of a mesh shares, among them the (ne, 5) `owners`;
+all ids and coordinates are derived on access.  The assembly and the audit
+walk the rows slot by slot over all elements, reading owners from `owners`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import _TRIANGLE_EDGES, Mesh, _edge_keys
+from .mesh import Mesh, facet_edges
 
 # The twelve slots, as (a, b) pairs of local point ids.
 _SLOTS = np.array([
@@ -68,30 +68,29 @@ _REFERENCE_POINTS = _local_points(_REFERENCE_TRIANGLE, _REFERENCE_TRIANGLE.mean(
 REFERENCE_PIECES = _REFERENCE_POINTS[_SLOTS]
 
 # A family is a list of groups, each laid out element-major.  A group holds
-# sub-volume rows (polygon, owner) and face rows (slot, inside, outside);
-# an owner is local vertex 0-2, the element's bubble or none, and a face's
-# normal points from inside to outside.  The flag says whether the bubble
-# volumes belong to the partition of the domain.
+# sub-volume rows (polygons) and face rows (slot, inside, outside); an owner
+# is local vertex 0-2, the element's bubble or none, and a face's normal
+# points from inside to outside.  Sub-volume row r, counted over the
+# family's groups, is owned by local owner r: the vertices, then the bubble.
+# The flag says whether the bubble volumes belong to the partition of the
+# domain.
 _BUBBLE, _NONE = 3, 4
-_BOXES = (
-    (((0, 3, 6, 5), 0), ((1, 4, 6, 3), 1), ((2, 5, 6, 4), 2)),
-    ((0, 0, 1), (1, 1, 2), (2, 2, 0)),
-)
-_CORNERS = ((((0, 3, 5), 0), ((1, 4, 3), 1), ((2, 5, 4), 2)), ())
+_BOXES = (((0, 3, 6, 5), (1, 4, 6, 3), (2, 5, 6, 4)), ((0, 0, 1), (1, 1, 2), (2, 2, 0)))
+_CORNERS = (((0, 3, 5), (1, 4, 3), (2, 5, 4)), ())
 # Medial face k cuts off corner k + 1, which receives its flux or not.
-_MEDIAL_TO_CORNERS = ((((3, 4, 5), _BUBBLE),), ((3, _BUBBLE, 1), (4, _BUBBLE, 2), (5, _BUBBLE, 0)))
-_MEDIAL_OPEN = ((((3, 4, 5), _BUBBLE),), ((3, _BUBBLE, _NONE), (4, _BUBBLE, _NONE), (5, _BUBBLE, _NONE)))
+_MEDIAL_TO_CORNERS = (((3, 4, 5),), ((3, _BUBBLE, 1), (4, _BUBBLE, 2), (5, _BUBBLE, 0)))
+_MEDIAL_OPEN = (((3, 4, 5),), ((3, _BUBBLE, _NONE), (4, _BUBBLE, _NONE), (5, _BUBBLE, _NONE)))
 _FAMILIES = {
     "boxes": ((_BOXES,), True),
     "non-overlapping": ((_CORNERS, _MEDIAL_TO_CORNERS), True),
     "overlapping": ((_BOXES, _MEDIAL_OPEN), False),
 }
 # Each family's sub-volume polygons in the reference triangle, indexed by `scv_row`.
-REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(polygon)] for group in groups for polygon, _ in group[0]]
+REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(polygon)] for group in groups for polygon in group[0]]
                    for family, (groups, _) in _FAMILIES.items()}
 # Each family's sub-volume polygons as local point ids, padded to four by
 # repeating the last, and their vertex counts, indexed by `scv_row`.
-_CELL_IDS = {family: np.array([p + p[-1:] * (4 - len(p)) for group in groups for p, _ in group[0]])
+_CELL_IDS = {family: np.array([p + p[-1:] * (4 - len(p)) for group in groups for p in group[0]])
              for family, (groups, _) in _FAMILIES.items()}
 _CELL_SIZES = {family: np.array([len(cell) for cell in cells]) for family, cells in REFERENCE_CELLS.items()}
 # Each family's face rows (slot, inside owner, outside owner), the same in every element.
@@ -210,54 +209,82 @@ def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Piec
 
 @dataclass(frozen=True, eq=False)
 class ControlVolumeSet:
-    """Structure-of-arrays description of one family of control volumes.
+    """One family of control volumes, a view of tables shared by all families of a mesh.
 
     Control-volume ids double as unknown ids: vertex control volumes use
     the vertex index, bubble control volumes use n_vertices + element.
-    `partition` marks the ids whose volumes tile the domain.  Sub-volumes
-    and boundary segments are stored as their element and reference row or
-    slot, faces not at all; `points` (ne, 7, 2) and `owners` (ne, 5, by local
-    owner: the vertices, the bubble, none = -1) are shared by the families of
-    a mesh.  Coordinates and per-face ids are derived on access.
+    `partition` marks the ids whose volumes tile the domain.  A set stores
+    no array of its own: the mesh, its element data, `owners` (ne, 5, by
+    local owner: the vertices, the bubble, none = -1) and the boundary
+    segments are shared by the families of a mesh.  Sub-volume row r of an
+    element is owned by its local owner r.  Every other id and coordinate
+    is derived on access.
     """
 
     family: str                 # key of REFERENCE_CELLS
-    points: np.ndarray          # (ne, 7, 2)
+    mesh: Mesh
+    elements: ElementData
     owners: np.ndarray          # (ne, 5)
-    dof_locations: np.ndarray   # (n_cvs, 2)
-    partition: np.ndarray       # (n_cvs,) bool
-    scv_cv: np.ndarray
-    scv_element: np.ndarray
-    scv_row: np.ndarray         # index into REFERENCE_CELLS[family]
     seg_cv: np.ndarray
     seg_element: np.ndarray
     seg_slot: np.ndarray        # index into REFERENCE_PIECES
     seg_marker: np.ndarray      # index into marker_names
-    marker_names: tuple
 
     def pieces(self, kind: str, which=slice(None)) -> Pieces:
         """The faces ("face") or boundary segments ("seg", outward normals)
-        `which`, every field derived once from their element and slot."""
-        return _pieces(self.points, getattr(self, f"{kind}_element")[which], getattr(self, f"{kind}_slot")[which])
+        `which`, every field derived once from their element and slot; local
+        points are computed for the elements of these pieces only."""
+        elements = getattr(self, f"{kind}_element")[which]
+        near, local = np.unique(elements, return_inverse=True)
+        points = _local_points(self.elements.coords[near], self.elements.centroids[near])
+        return _pieces(points, local, getattr(self, f"{kind}_slot")[which])._replace(element=elements)
 
-    def _face_ids(self, column: int) -> np.ndarray:
-        """One id per face, group by group and element-major within a group:
-        its element (column -1), slot (0), or inside (1) or outside (2) owner."""
-        elements, rows = _layout(_FAMILIES[self.family][0], 1, self.owners.shape[0])[1:]
+    def _ids(self, part: int, column: int) -> np.ndarray:
+        """One id per sub-volume (part 0) or face (part 1), group by group and
+        element-major within a group: its element (column -1), its row of
+        `REFERENCE_CELLS` or its slot (0), or its owner (1), for a face the
+        inside (1) or outside (2) one."""
+        ne, elements, rows, start = self.owners.shape[0], [], [], 0
+        for group in _FAMILIES[self.family][0]:
+            n = len(group[part])
+            elements.append(np.repeat(np.arange(ne), n))
+            rows.append(np.tile(np.arange(start, start + n), ne))
+            start += n
+        elements, rows = np.concatenate(elements), np.concatenate(rows)
         if column < 0:
             return elements
-        local = np.array(REFERENCE_FACES[self.family])[rows, column]
+        local = rows if part == 0 else np.array(REFERENCE_FACES[self.family])[rows, column]
         return local if column == 0 else _take(self.owners, elements, local)
 
-    face_element = property(lambda self: self._face_ids(-1))
-    face_slot = property(lambda self: self._face_ids(0))        # index into REFERENCE_PIECES
-    face_inside = property(lambda self: self._face_ids(1))
-    face_outside = property(lambda self: self._face_ids(2))     # -1 when the flux has no receiving balance
+    scv_element = property(lambda self: self._ids(0, -1))
+    scv_row = property(lambda self: self._ids(0, 0))            # index into REFERENCE_CELLS[family]
+    scv_cv = property(lambda self: self._ids(0, 1))
+    face_element = property(lambda self: self._ids(1, -1))
+    face_slot = property(lambda self: self._ids(1, 0))          # index into REFERENCE_PIECES
+    face_inside = property(lambda self: self._ids(1, 1))
+    face_outside = property(lambda self: self._ids(1, 2))       # -1 when the flux has no receiving balance
+    marker_names = property(lambda self: self.mesh.marker_names)
+
+    @property
+    def n_cvs(self) -> int:
+        """Vertex volumes, plus one bubble volume per element if a sub-volume row is the bubble's."""
+        return self.mesh.n_vertices + self.mesh.n_elements * (len(REFERENCE_CELLS[self.family]) > _BUBBLE)
+
+    @property
+    def dof_locations(self) -> np.ndarray:
+        """(n_cvs, 2): the vertices, then the centroids of the bubble volumes' elements."""
+        return np.vstack((self.mesh.vertices, self.elements.centroids[: self.n_cvs - self.mesh.n_vertices]))
+
+    @property
+    def partition(self) -> np.ndarray:
+        nv = self.mesh.n_vertices
+        return np.repeat((True, _FAMILIES[self.family][1]), (nv, self.n_cvs - nv))
 
     @property
     def scv_polys(self) -> np.ndarray:
         """(m, 4, 2) sub-volume polygons, padded by repeating the last vertex."""
-        return _take(self.points, self.scv_element[:, None], _CELL_IDS[self.family][self.scv_row])
+        points = _local_points(self.elements.coords, self.elements.centroids)
+        return _take(points, self.scv_element[:, None], _CELL_IDS[self.family][self.scv_row])
 
     @property
     def scv_nverts(self) -> np.ndarray:
@@ -266,10 +293,6 @@ class ControlVolumeSet:
     @property
     def scv_volumes(self) -> np.ndarray:
         return _polygon_areas(self.scv_polys)
-
-    @property
-    def n_cvs(self) -> int:
-        return self.dof_locations.shape[0]
 
     @property
     def n_faces(self) -> int:
@@ -289,11 +312,8 @@ class ControlVolumeSet:
 def _boundary_segments(mesh: Mesh) -> dict:
     """Split every boundary facet at its midpoint into two CV pieces."""
     facets = mesh.boundary_facets
-    # Owner of facet (a, b): the triangle whose edge j runs from a to b.
-    _, directed = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], mesh.n_vertices)
-    _, facet_directed = _edge_keys(facets, mesh.n_vertices)
-    order = np.argsort(directed, axis=None)
-    owner, edge = np.divmod(order[np.searchsorted(directed.ravel(), facet_directed, sorter=order)], 3)
+    # Owner of facet (a, b): the triangle whose edge runs from a to b.
+    owner, edge = np.divmod(facet_edges(mesh.triangles, facets, mesh.n_vertices), 3)
     slots = (6 + 2 * edge[:, None] + np.arange(2)).ravel()
     return dict(seg_cv=facets.reshape(-1), seg_element=np.repeat(owner, 2), seg_slot=slots,
                 seg_marker=np.repeat(mesh.facet_markers, 2))
@@ -302,42 +322,6 @@ def _boundary_segments(mesh: Mesh) -> dict:
 def _take(table: np.ndarray, elements: np.ndarray, local: np.ndarray) -> np.ndarray:
     """`table[elements, local]` for a per-element table, as one flat take."""
     return table.reshape(-1, *table.shape[2:]).take(table.shape[1] * elements + local, axis=0)
-
-
-def _layout(groups, part: int, ne: int):
-    """The rows of one kind (0 sub-volumes, 1 faces) of a family's groups.
-
-    Also returns the element and the row of every entry; entries run group
-    by group, element-major within a group.
-    """
-    rows, elements, index = [], [], []
-    for group in groups:
-        n = len(group[part])
-        elements.append(np.repeat(np.arange(ne), n))
-        index.append(np.tile(np.arange(len(rows), len(rows) + n), ne))
-        rows += group[part]
-    return rows, np.concatenate(elements), np.concatenate(index)
-
-
-def _build_family(family: str, mesh: Mesh, eldata, points, owners, segments) -> ControlVolumeSet:
-    """One control-volume family of `_FAMILIES`: "boxes", "non-overlapping" or "overlapping"."""
-    groups, bubbles_tile = _FAMILIES[family]
-    ne, nv = mesh.n_elements, mesh.n_vertices
-    cells, cell_element, cell_row = _layout(groups, 0, ne)
-    scv_cv = _take(owners, cell_element, np.array([owner for _, owner in cells])[cell_row])
-    bubbles = ne if np.any(scv_cv >= nv) else 0
-    return ControlVolumeSet(
-        family=family,
-        points=points,
-        owners=owners,
-        dof_locations=np.vstack((mesh.vertices, eldata.centroids[:bubbles])),
-        partition=np.repeat((True, bubbles_tile), (nv, bubbles)),
-        scv_cv=scv_cv,
-        scv_element=cell_element,
-        scv_row=cell_row,
-        marker_names=mesh.marker_names,
-        **segments,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,8 +354,8 @@ class GridDiscretization:
 def build(mesh: Mesh, scheme) -> GridDiscretization:
     """Build the control-volume discretization for a scheme.
 
-    Element data, local points, local owners and boundary segments are
-    computed once and shared; when the scheme's velocity volumes are the
+    Element data, local owners and boundary segments are computed once
+    and shared by both sets; when the scheme's velocity volumes are the
     boxes, `velocity` is `pressure`.
     """
     scheme = SchemeKind.parse(scheme)
@@ -379,8 +363,8 @@ def build(mesh: Mesh, scheme) -> GridDiscretization:
     ne, nv = mesh.n_elements, mesh.n_vertices
     owners = np.column_stack((mesh.triangles, nv + np.arange(ne), np.full(ne, -1))).astype(np.int64)
     owners.setflags(write=False)
-    shared = (eldata, _local_points(eldata.coords, eldata.centroids), owners, _boundary_segments(mesh))
-    pressure = _build_family("boxes", mesh, *shared)
+    segments = _boundary_segments(mesh)
+    pressure = ControlVolumeSet("boxes", mesh, eldata, owners, **segments)
     family = scheme.spec.velocity_cvs
-    velocity = pressure if family == "boxes" else _build_family(family, mesh, *shared)
+    velocity = pressure if family == "boxes" else ControlVolumeSet(family, mesh, eldata, owners, **segments)
     return GridDiscretization(mesh, scheme, eldata, pressure, velocity)

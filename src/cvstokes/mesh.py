@@ -134,6 +134,17 @@ def _edge_keys(edges: np.ndarray, n_vertices: int):
     return key, 2 * key + (a > b)
 
 
+def facet_edges(triangles: np.ndarray, facets: np.ndarray, n_vertices: int) -> np.ndarray:
+    """For each facet (a, b), element * 3 + edge of the triangle edge that runs
+    from a to b (edges as in `_TRIANGLE_EDGES`), or -1 where no edge does."""
+    directed = _edge_keys(triangles[:, _TRIANGLE_EDGES], n_vertices)[1].ravel()
+    facet_directed = _edge_keys(facets, n_vertices)[1]
+    order = np.argsort(directed)
+    found = np.append(order, -1)[np.searchsorted(directed, facet_directed, sorter=order)]
+    found[np.append(directed, -1)[found] != facet_directed] = -1
+    return found
+
+
 def validate(mesh: Mesh) -> None:
     """Check mesh invariants, raising MeshValidationError on the first failure."""
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != 2:
@@ -156,14 +167,14 @@ def validate(mesh: Mesh) -> None:
             f"triangle {bad} has non-positive area {areas[bad]:.3e}"
         )
 
-    edge_keys, directed = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], n)
+    edge_keys = _edge_keys(mesh.triangles[:, _TRIANGLE_EDGES], n)[0]
     keys, counts = np.unique(edge_keys, return_counts=True)
     if np.any(counts > 2):
         raise MeshValidationError("non-conforming mesh: edge shared by >2 triangles")
     boundary_edges = keys[counts == 1]
 
     facets = mesh.boundary_facets
-    facet_keys, facet_directed = _edge_keys(facets, n)
+    facet_keys = _edge_keys(facets, n)[0]
     # A facet naming a vertex outside the mesh is no edge at all.
     not_boundary = ~np.isin(facet_keys, boundary_edges) | np.any((facets < 0) | (facets >= n), axis=1)
     repeated = np.ones(facet_keys.size, dtype=bool)
@@ -188,7 +199,7 @@ def validate(mesh: Mesh) -> None:
     _check_bc_kinds(mesh.markers)
 
     # Facet orientation must be counterclockwise in the owning triangle.
-    against = ~np.isin(facet_directed, directed)
+    against = facet_edges(mesh.triangles, facets, n) < 0
     if against.any():
         a, b = facets[int(np.argmax(against))]
         raise MeshValidationError(
@@ -297,11 +308,8 @@ def _orient(vertices, triangles, facets):
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    n = vertices.shape[0]
-    _, directed = _edge_keys(triangles[:, _TRIANGLE_EDGES], n)
-    _, facet_directed = _edge_keys(facets, n)
-    keep = np.isin(facet_directed, directed)
-    return triangles, np.where(keep[:, None], facets, facets[:, ::-1])
+    against = facet_edges(triangles, facets, vertices.shape[0]) < 0
+    return triangles, np.where(against[:, None], facets[:, ::-1], facets)
 
 
 def read_msh(path: str) -> Mesh:

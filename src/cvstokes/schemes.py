@@ -16,9 +16,10 @@ pressure boxes, integral of v . n over the box boundary equals the mass
 source integral (zero when the problem has no mass source).  Dirichlet
 conditions replace the momentum rows of boundary vertices with identity
 rows (columns are kept, which preserves the exact mass balance of
-boundary boxes); traction data enters the right-hand side of Neumann
-boundary pieces, integrated once over the boundary half-segments: plainly
-for the flux balances, against the element's vertex hats for Galerkin rows.
+boundary boxes).  Traction data enters the right-hand side through one
+array per scheme, integrated over the boundary half-segments against the
+test of each vertex row of the segment's element: the indicator of the
+segment's vertex for flux balances, the vertex hat for Galerkin rows.
 
 Every face and boundary segment is the affine image of one of the twelve
 reference pieces (`geometry.REFERENCE_PIECES`), so the averages of the
@@ -134,7 +135,7 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
-@dataclass
+@dataclass(eq=False)
 class SaddleSystem:
     """Assembled saddle-point system [[A, B], [C, D]] with right-hand side.
 
@@ -158,7 +159,7 @@ class SaddleSystem:
     rhs_mass: np.ndarray
     dirichlet_dofs: np.ndarray
     bubble_dofs: range = range(0)
-    _elimination: object = field(default=None, init=False, repr=False, compare=False)
+    _elimination: object = field(default=None, init=False, repr=False)
 
     @property
     def n_velocity(self) -> int:
@@ -321,8 +322,8 @@ def _integrate_elements(eldata: ElementData, points, weights, integrand, shape) 
 
 
 def _integrate_over_cvs(disc, cvset, problem, source):
-    """Integral of a source of the problem, "body_force" or "mass_source",
-    over each control volume; zeros when the source is None."""
+    """Integral of a source of the problem, "body_force" or "mass_source", over each
+    control volume, element by element through `owners`; zeros when the source is None."""
     shape = (2,) if source == "body_force" else ()
     func = getattr(problem, source)
     out = np.zeros((cvset.n_cvs,) + shape)
@@ -330,7 +331,7 @@ def _integrate_over_cvs(disc, cvset, problem, source):
         points, weights = _VOLUME_RULES[cvset.family]
         local = _integrate_elements(disc.elements, points, weights,
                                     lambda sl, x: _evaluate(func, source, x, shape), shape)
-        np.add.at(out, cvset.scv_cv, local[cvset.scv_row, cvset.scv_element])
+        np.add.at(out, cvset.owners[:, : local.shape[0]], np.swapaxes(local, 0, 1))
     return out
 
 
@@ -339,15 +340,15 @@ _TRACTION_HATS = barycentric(_piece_points(NEUMANN_QUAD_DEGREE))
 
 
 def segment_tractions(disc, problem):
-    """Traction integrals over the boundary half-segments, zero on Dirichlet ones.
+    """Traction integrals over the boundary half-segments, (S, 3, 2), zero on Dirichlet ones.
 
-    Every control-volume family shares the segments of `disc.pressure`.
-    Returns the plain integrals (S, 2) and the integrals against the three
-    vertex hats of each segment's element (S, 3, 2).
+    Entry [s, j] tests the traction on segment s (of `disc.pressure`, shared by
+    every family) for the row of vertex j of its element: with the indicator
+    of the segment's vertex end for a flux balance, with the vertex hat for
+    a Galerkin row (fem); the bubble has zero trace.
     """
     segs = disc.pressure
-    plain = np.zeros((segs.n_segments, 2))
-    hats = np.zeros((segs.n_segments, 3, 2))
+    out = np.zeros((segs.n_segments, 3, 2))
     kinds = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in segs.marker_names])
     neu = kinds[segs.seg_marker]
     if np.any(neu):
@@ -357,9 +358,11 @@ def segment_tractions(disc, problem):
         w = rule.weights[None, :] * s.length[:, None]
         nn = np.broadcast_to(s.normal[:, None, :], pts.shape).reshape(-1, 2)
         tn = _evaluate(lambda x: problem.neumann(x, nn), "neumann", pts, (2,))
-        plain[neu] = np.einsum("sq,sqk->sk", w, tn)
-        hats[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[s.slot], tn)
-    return plain, hats
+        if 0 in disc.scheme.spec.galerkin_tests:
+            out[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[s.slot], tn)
+        else:
+            out[np.flatnonzero(neu), SEGMENT_OWNERS[s.slot]] = np.einsum("sq,sqk->sk", w, tn)
+    return out
 
 
 def _galerkin_momentum(disc, problem, tests, A, B, load):
@@ -373,8 +376,6 @@ def _galerkin_momentum(disc, problem, tests, A, B, load):
 
         K[t, b, i, j] = sum_q w_q d_i phi_b d_j phi_t
         L[t, j, i]    = sum_q w_q lambda_j d_i phi_t
-
-    The vertex hats also take the traction load; the bubble has zero trace.
     """
     mu = float(problem.viscosity)
     el = disc.elements
@@ -416,9 +417,6 @@ def _galerkin_momentum(disc, problem, tests, A, B, load):
         lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,),
     )
     np.add.at(load, eldofs[:, tests].T, force)
-    if min(tests) < 3:
-        tris = disc.mesh.triangles[disc.pressure.seg_element]
-        np.subtract.at(load, tris, segment_tractions(disc, problem)[1])
 
 
 def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int | None = None) -> SaddleSystem:
@@ -457,9 +455,9 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         vset = disc.velocity
         _flux_momentum_blocks(disc, mu, A, B)
         load[: vset.n_cvs] += _integrate_over_cvs(disc, vset, problem, "body_force")
-        np.subtract.at(load, vset.seg_cv, segment_tractions(disc, problem)[0])
     if spec.galerkin_tests:
         _galerkin_momentum(disc, problem, spec.galerkin_tests, A, B, load)
+    np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], segment_tractions(disc, problem))
     rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 
     # Dirichlet rows become identity rows on both components of marked

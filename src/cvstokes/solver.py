@@ -132,7 +132,7 @@ class DirectSolveError(ArithmeticError):
     """The direct solve's double-precision result misses its backward-error test."""
 
 
-@dataclass
+@dataclass(eq=False)
 class BubbleElimination:
     """Local elimination of the bubble unknowns from a square operator M.
 
@@ -230,7 +230,7 @@ def _invert_bubble_blocks(M_bb: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((inv.ravel(), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockPreconditioner:
     """Block-triangular preconditioner of the condensed saddle system.
 
@@ -262,7 +262,7 @@ class BlockPreconditioner:
         return np.concatenate((z_u, z_p))
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Outcome of a linear solve."""
 

@@ -7,7 +7,8 @@ evaluation over a discretization's elements, and the fluxes through faces
 and boundary segments from the basis at their Gauss points.  None of these
 is on the solve path; they exist so that the tests have something
 independent of the package's reference-piece flux coefficients to check
-them with.
+them with.  `cv_integrals` adds the package's own sub-volume integrals one
+sub-volume at a time, so that it checks only the owner map.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cvstokes import schemes
 from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric
 from cvstokes.geometry import ControlVolumeSet, ElementData, GridDiscretization, Pieces
 
@@ -152,3 +154,17 @@ def piece_fluxes(disc: GridDiscretization, pieces: Pieces, viscosity, velocity, 
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
     """Mass (F,) and momentum (F, 2) flux of every face of a CV set, from inside to outside."""
     return piece_fluxes(disc, cvset.pieces("face"), viscosity, velocity, pressure)
+
+
+def cv_integrals(disc: GridDiscretization, cvset: ControlVolumeSet, problem, source: str) -> np.ndarray:
+    """Integral of "body_force" or "mass_source" over each control volume: the
+    package's per-element sub-volume integrals, added one sub-volume at a time
+    through the derived `scv_cv`, `scv_row` and `scv_element`."""
+    shape = (2,) if source == "body_force" else ()
+    func = getattr(problem, source)
+    points, weights = schemes._VOLUME_RULES[cvset.family]
+    local = schemes._integrate_elements(disc.elements, points, weights,
+                                        lambda sl, x: schemes._evaluate(func, source, x, shape), shape)
+    out = np.zeros((cvset.n_cvs,) + shape)
+    np.add.at(out, cvset.scv_cv, local[cvset.scv_row, cvset.scv_element])
+    return out

@@ -309,12 +309,16 @@ def test_control_volume_set_is_frozen():
         vset.face_slot = None
 
 
-def _kept_bytes(*cvsets):
-    """Bytes of the distinct arrays the sets keep alive (views count their base)."""
-    roots = {}
-    for cvset in cvsets:
-        for f in dataclasses.fields(cvset):
-            value = getattr(cvset, f.name)
+def _kept_bytes(*records):
+    """Bytes of the distinct arrays the records keep alive, following the
+    fields of nested dataclasses (views count their base)."""
+    roots, todo = {}, list(records)
+    while todo:
+        record = todo.pop()
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            if dataclasses.is_dataclass(value):
+                todo.append(value)
             while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
                 value = value.base
             if isinstance(value, np.ndarray):
@@ -323,14 +327,22 @@ def _kept_bytes(*cvsets):
 
 
 @pytest.mark.parametrize("n", [24, 64])
-def test_overlapping_geometry_keeps_at_most_400_bytes_per_element(n):
-    # Stored as sub-volume and segment ids plus the shared tables of local
-    # points and owners; coordinates and per-face ids are derived on access
-    # (about 2,000 bytes per element with stored coordinates, about 600 with
-    # stored per-face ids).
+def test_overlapping_discretization_keeps_at_most_240_bytes_per_element(n):
+    # The mesh, the element data and the owner and segment tables, shared by
+    # both control-volume sets, which store no array of their own; sub-volume
+    # and face ids, local points and coordinates are derived on access (about
+    # 530 bytes per element with stored local points and sub-volume ids).
     mesh = generate_structured(n, n)
     disc = build(mesh, "overlapping")
-    assert _kept_bytes(disc.pressure, disc.velocity) <= 400 * mesh.n_elements
+    assert _kept_bytes(disc) <= 240 * mesh.n_elements
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SCHEMES))
+def test_sub_volume_row_r_is_owned_by_local_owner_r(family):
+    cvset = family_set(random_distorted_mesh(6, n=5), family)
+    assert np.array_equal(cvset.scv_cv, cvset.owners[cvset.scv_element, cvset.scv_row])
+    assert [f.name for f in dataclasses.fields(cvset)] == [
+        "family", "mesh", "elements", "owners", "seg_cv", "seg_element", "seg_slot", "seg_marker"]
 
 
 def test_families_share_the_owner_table_and_count_faces_by_row():

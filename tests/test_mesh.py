@@ -23,6 +23,7 @@ from cvstokes.mesh import (
     MshParseError,
     _edge_keys,
     distort,
+    facet_edges,
     generate_structured,
     read_msh,
     stats,
@@ -602,3 +603,19 @@ def test_validate_rejects_vertex_in_no_triangle():
     lonely = dataclasses.replace(mesh, vertices=np.vstack((mesh.vertices, [[2.0, 2.0]])))
     with pytest.raises(MeshValidationError, match="vertex 3 belongs to no triangle"):
         validate(lonely)
+
+
+def test_facet_edges_find_the_triangle_edge_running_along_each_facet():
+    mesh = random_distorted_mesh(5, n=4)
+    tris, facets, n = mesh.triangles, mesh.boundary_facets, mesh.n_vertices
+    element, edge = np.divmod(facet_edges(tris, facets, n), 3)
+    assert np.array_equal(tris[element, edge], facets[:, 0])
+    assert np.array_equal(tris[element, (edge + 1) % 3], facets[:, 1])
+    # Against the direction of every edge, or with no triangles, nothing matches.
+    assert np.all(facet_edges(tris, facets[:, ::-1], n) == -1)
+    assert np.all(facet_edges(tris[:0], facets, n) == -1)
+    # Interior edges too: edge 0 of each triangle runs from its vertex 0 to 1.
+    assert np.array_equal(facet_edges(tris, tris[:, :2], n), 3 * np.arange(mesh.n_elements))
+    empty = facet_edges(tris, facets[:0], n)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+

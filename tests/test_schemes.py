@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
-from oracles import basis_at, eval_physical, eval_reference, face_fluxes, gauss_rule, piece_fluxes
+from oracles import basis_at, cv_integrals, eval_physical, eval_reference, face_fluxes, gauss_rule, piece_fluxes
 from cvstokes import schemes
 from cvstokes.basis import barycentric, segment_rule, triangle_rule
-from cvstokes.geometry import build
+from cvstokes.geometry import SEGMENT_OWNERS, build
 from cvstokes.mesh import BCKind, distort, generate_structured
 from cvstokes.schemes import (
     SOURCE_QUAD_DEGREE,
@@ -464,17 +464,40 @@ def test_fem_traction_load_is_exact_for_linear_traction():
 
 
 def test_traction_hat_integrals_split_plain_integrals():
+    # Flux rows test the traction with the indicator of the segment's vertex
+    # end, Galerkin rows with the three vertex hats, which sum to one.
     case = donea_huerta_case()
     mesh = case.apply_bc(distort(generate_structured(10, 10), 0.2, seed=25))
     disc = build(mesh, "overlapping")
-    plain, hats = schemes.segment_tractions(disc, case.problem())
+    plain = schemes.segment_tractions(disc, case.problem())
+    hats = schemes.segment_tractions(build(mesh, "fem"), case.problem())
     scale = np.max(np.abs(plain))
     assert scale > 0.0
-    assert np.max(np.abs(hats.sum(axis=1) - plain)) <= 1e-14 * scale
+    assert np.max(np.abs(hats.sum(axis=1) - plain.sum(axis=1))) <= 1e-14 * scale
+    rows = np.arange(disc.pressure.n_segments)
+    elsewhere = np.ones(plain.shape[:2], dtype=bool)
+    elsewhere[rows, SEGMENT_OWNERS[disc.pressure.seg_slot]] = False
+    assert not np.any(plain[elsewhere])
     # The element vertex off the segment's edge has a zero hat there.
     edge = (disc.pressure.seg_slot - 6) // 2
-    off = hats[np.arange(edge.size), (edge + 2) % 3]
+    off = hats[rows, (edge + 2) % 3]
     assert np.max(np.abs(off)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("family", ["boxes", "non-overlapping", "overlapping"])
+def test_control_volume_sources_follow_the_owner_map(family):
+    # Sub-volume row r of an element belongs to its local owner r: the
+    # element-major scatter through the owner table gives the same bits as
+    # one sub-volume at a time through the derived sub-volume ids.
+    mesh = random_distorted_mesh(12, n=6)
+    scheme = {"boxes": "fem"}.get(family, family)
+    disc = build(mesh, scheme)
+    cvset = disc.velocity
+    problem = dataclasses.replace(donea_huerta_case().problem(),
+                                  mass_source=lambda p: np.sin(3.0 * p[..., 0]) * np.cos(2.0 * p[..., 1]))
+    for source in ("body_force", "mass_source"):
+        got = schemes._integrate_over_cvs(disc, cvset, problem, source)
+        assert np.array_equal(got, cv_integrals(disc, cvset, problem, source)), source
 
 
 @pytest.mark.parametrize("viscosity", [0.0, np.nan, np.inf, -1.0])

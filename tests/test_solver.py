@@ -686,3 +686,22 @@ def test_condensed_system_from_blocks_equals_full_matrix_oracle(scheme, pinned):
     x = np.random.default_rng(5).standard_normal(system.n_dofs)
     full = system.rhs() - system.matrix() @ x
     assert np.max(np.abs(system.residual(x) - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_array_holding_results_compare_and_hash_by_identity():
+    # Field-wise == would ask an array for one truth value.
+    disc, system = _small_system(scheme="fem", n=3)
+    problem = donea_huerta_case().problem()
+    x = direct_solve(system)
+    M = assemble_pressure_mass(disc, 1.0)
+    pairs = [
+        (system, assemble(disc, problem)),
+        (solver.bubble_elimination(system), solver.bubble_elimination(assemble(disc, problem))),
+        (BlockPreconditioner.build(system, M), BlockPreconditioner.build(system, M)),
+        (gmres_solve(system), gmres_solve(system)),
+        (conservation_audit(disc, x, problem), conservation_audit(disc, x, problem)),
+    ]
+    for first, second in pairs:
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
