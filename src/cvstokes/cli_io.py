@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridDiscretization, SchemeKind
+from .geometry import REFERENCE_CELLS, GridDiscretization, SchemeKind, to_physical
 from .mesh import DistortionError
 from .schemes import split_solution
 from .verification import CASES, ConvergenceReport, donea_huerta_case, run_convergence
@@ -152,15 +152,20 @@ def write_vtu(disc: GridDiscretization, solution: np.ndarray, path: str) -> None
 
 
 def write_cv_debug_vtu(disc: GridDiscretization, which: str, path: str) -> None:
-    """Dump the sub-control-volume polygons of one CV family for inspection."""
+    """Dump the sub-control-volume polygons of one CV family for inspection:
+    row by row of `REFERENCE_CELLS`, each row in every element, with the id
+    of its control volume."""
     families = {"pressure": disc.pressure, "velocity": disc.velocity}
     if which not in families:
         raise ValueError(f"unknown control-volume family {which!r}; choose from {sorted(families)}")
     cvset = families[which]
-    nverts = cvset.scv_nverts
-    points = cvset.scv_polys[np.arange(4) < nverts[:, None]]
-    cells = [c.tolist() for c in np.split(np.arange(points.shape[0]), np.cumsum(nverts)[:-1])]
-    _write_grid(path, points, cells, 7, cell_data=(("cv", cvset.scv_cv, 1),))
+    cells = REFERENCE_CELLS[cvset.family]
+    elements = np.arange(disc.mesh.n_elements)[:, None]
+    points = np.concatenate([to_physical(disc.elements, elements, cell).reshape(-1, 2) for cell in cells])
+    sizes = np.repeat([len(cell) for cell in cells], disc.mesh.n_elements)
+    polygons = [c.tolist() for c in np.split(np.arange(points.shape[0]), np.cumsum(sizes)[:-1])]
+    cv = cvset.owners[:, : len(cells)].T.ravel()
+    _write_grid(path, points, polygons, 7, cell_data=(("cv", cv, 1),))
 
 
 @dataclass

@@ -20,33 +20,36 @@ centroid.  Velocity control volumes differ per scheme:
 `build`, the assembly and the conservation audit to read.
 
 All interior faces are straight segments strictly inside one triangle
-(they meet element edges only at midpoints), each stored once with a unit
-normal pointing from the `inside` control volume to the `outside` one.
-Boundary pieces of control volumes are kept separately with their marker
-and the outward domain normal.
+(they meet element edges only at midpoints), each one face row of its
+family, whose normal (to the right of its slot's a -> b) points from the
+`inside` control volume to the `outside` one.  Boundary pieces of control
+volumes are kept separately with their marker; their normal points out of
+the domain.
 
 Every piece is a tuple of ids into the seven local points of its
 triangle: ids 0-2 are the vertices X_k, ids 3-5 the edge midpoints
 M_k = (X_k + X_k+1) / 2 and id 6 the centroid C.  Faces and boundary
 segments are pairs of ids, the twelve slots of `_SLOTS`; evaluated at the
 reference triangle's local points they give `REFERENCE_PIECES`.  Each
-control-volume family is a few rows of `_FAMILIES` over these ids, the
-same in every element: sub-volume rows (`REFERENCE_CELLS`), row r owned by
+control-volume family is a row of `_FAMILIES` over these ids, the same in
+every element: sub-volume polygons (`REFERENCE_CELLS`), row r owned by
 local owner r, and face rows (slot, inside owner, outside owner,
-`REFERENCE_FACES`).  A `ControlVolumeSet` stores no array of its own, only
-the tables every family of a mesh shares, among them the (ne, 5) `owners`;
-all ids and coordinates are derived on access.  The assembly and the audit
-walk the rows slot by slot over all elements, reading owners from `owners`.
+`REFERENCE_FACES`).  These reference tables and each element's map are
+the only geometry: a `ControlVolumeSet` stores no array of its own, only
+the tables every family of a mesh shares, among them the (ne, 5) `owners`.
+The assembly and the audit walk the rows slot by slot over all elements,
+reading owners from `owners`; `to_physical` maps reference points into
+elements where physical coordinates are needed.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .basis import barycentric
 from .mesh import Mesh, facet_edges
 
 # The twelve slots, as (a, b) pairs of local point ids.
@@ -55,48 +58,43 @@ _SLOTS = np.array([
     (3, 4), (4, 5), (5, 3),                          # 3-5   medial faces     M_k -> M_k+1
     (0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0),  # 6-11  boundary halves  X_j -> M_j -> X_j+1
 ])
-
-
-def _local_points(coords: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """The seven local points of each triangle, (ne, 7, 2): X_0-2, M_0-2, C."""
-    mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
-    return np.concatenate((coords, mids, centroids[:, None, :]), axis=1)
-
-
-_REFERENCE_TRIANGLE = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-_REFERENCE_POINTS = _local_points(_REFERENCE_TRIANGLE, _REFERENCE_TRIANGLE.mean(axis=1))[0]
+# The seven local points of the reference triangle: X_0-2, M_0-2, C.
+_REFERENCE_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5], [1 / 3, 1 / 3]])
 REFERENCE_PIECES = _REFERENCE_POINTS[_SLOTS]
 
-# A family is a list of groups, each laid out element-major.  A group holds
-# sub-volume rows (polygons) and face rows (slot, inside, outside); an owner
-# is local vertex 0-2, the element's bubble or none, and a face's normal
-# points from inside to outside.  Sub-volume row r, counted over the
-# family's groups, is owned by local owner r: the vertices, then the bubble.
-# The flag says whether the bubble volumes belong to the partition of the
-# domain.
+# A family is its sub-volume polygons, its face rows (slot, inside, outside)
+# and a flag that says whether the bubble volumes belong to the partition of
+# the domain.  An owner is local vertex 0-2, the element's bubble or none,
+# and a face's normal points from inside to outside.  Sub-volume row r is
+# owned by local owner r: the vertices, then the bubble.
 _BUBBLE, _NONE = 3, 4
-_BOXES = (((0, 3, 6, 5), (1, 4, 6, 3), (2, 5, 6, 4)), ((0, 0, 1), (1, 1, 2), (2, 2, 0)))
-_CORNERS = (((0, 3, 5), (1, 4, 3), (2, 5, 4)), ())
-# Medial face k cuts off corner k + 1, which receives its flux or not.
-_MEDIAL_TO_CORNERS = (((3, 4, 5),), ((3, _BUBBLE, 1), (4, _BUBBLE, 2), (5, _BUBBLE, 0)))
-_MEDIAL_OPEN = (((3, 4, 5),), ((3, _BUBBLE, _NONE), (4, _BUBBLE, _NONE), (5, _BUBBLE, _NONE)))
+_BOXES = ((0, 3, 6, 5), (1, 4, 6, 3), (2, 5, 6, 4))
+_BOX_FACES = ((0, 0, 1), (1, 1, 2), (2, 2, 0))
+_MEDIAL = ((3, 4, 5),)
 _FAMILIES = {
-    "boxes": ((_BOXES,), True),
-    "non-overlapping": ((_CORNERS, _MEDIAL_TO_CORNERS), True),
-    "overlapping": ((_BOXES, _MEDIAL_OPEN), False),
+    "boxes": (_BOXES, _BOX_FACES, True),
+    # Medial face k cuts off corner k + 1, which receives its flux or not.
+    "non-overlapping": (((0, 3, 5), (1, 4, 3), (2, 5, 4)) + _MEDIAL,
+                        ((3, _BUBBLE, 1), (4, _BUBBLE, 2), (5, _BUBBLE, 0)), True),
+    "overlapping": (_BOXES + _MEDIAL,
+                    _BOX_FACES + ((3, _BUBBLE, _NONE), (4, _BUBBLE, _NONE), (5, _BUBBLE, _NONE)), False),
 }
-# Each family's sub-volume polygons in the reference triangle, indexed by `scv_row`.
-REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(polygon)] for group in groups for polygon in group[0]]
-                   for family, (groups, _) in _FAMILIES.items()}
-# Each family's sub-volume polygons as local point ids, padded to four by
-# repeating the last, and their vertex counts, indexed by `scv_row`.
-_CELL_IDS = {family: np.array([p + p[-1:] * (4 - len(p)) for group in groups for p in group[0]])
-             for family, (groups, _) in _FAMILIES.items()}
-_CELL_SIZES = {family: np.array([len(cell) for cell in cells]) for family, cells in REFERENCE_CELLS.items()}
+# Each family's sub-volume polygons in the reference triangle, row by row.
+REFERENCE_CELLS = {family: [_REFERENCE_POINTS[list(cell)] for cell in cells]
+                   for family, (cells, _, _) in _FAMILIES.items()}
 # Each family's face rows (slot, inside owner, outside owner), the same in every element.
-REFERENCE_FACES = {family: [face for group in groups for face in group[1]] for family, (groups, _) in _FAMILIES.items()}
+REFERENCE_FACES = {family: list(faces) for family, (_, faces, _) in _FAMILIES.items()}
 # The owner of a boundary slot's segment, its vertex end (the only id below 3), indexed by slot.
 SEGMENT_OWNERS = _SLOTS.min(axis=1)
+
+
+def _shoelace(polygon: np.ndarray) -> float:
+    x, y = polygon.T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+# Each family's reference sub-volume areas, row by row.
+_CELL_AREAS = {family: np.array([_shoelace(cell) for cell in cells]) for family, cells in REFERENCE_CELLS.items()}
 
 
 class SchemeKind(enum.Enum):
@@ -125,23 +123,26 @@ class SchemeSpec:
     """What sets one scheme apart; everything else is shared.
 
     `velocity_cvs` names the velocity control-volume family ("boxes" are
-    the pressure boxes themselves).  `flux_momentum` says whether the
-    velocity control volumes carry momentum flux balances, which are then
-    assembled and audited.  `galerkin_tests` lists the local test
+    the pressure boxes themselves).  `galerkin_tests` lists the local test
     functions (0-2 vertex hats, 3 the bubble) whose momentum rows are
     Galerkin equations; the vertex hats come all together or not at all.
     """
 
     velocity_cvs: str
-    flux_momentum: bool
     galerkin_tests: tuple
+
+    @property
+    def flux_momentum(self) -> bool:
+        """Whether the velocity control volumes carry momentum flux balances,
+        which are then assembled and audited: unless the vertex rows are Galerkin."""
+        return 0 not in self.galerkin_tests
 
 
 SCHEME_SPECS = {
-    SchemeKind.NONOVERLAPPING: SchemeSpec("non-overlapping", True, ()),
-    SchemeKind.OVERLAPPING: SchemeSpec("overlapping", True, ()),
-    SchemeKind.HYBRID: SchemeSpec("boxes", True, (3,)),
-    SchemeKind.FEM: SchemeSpec("boxes", False, (0, 1, 2, 3)),
+    SchemeKind.NONOVERLAPPING: SchemeSpec("non-overlapping", ()),
+    SchemeKind.OVERLAPPING: SchemeSpec("overlapping", ()),
+    SchemeKind.HYBRID: SchemeSpec("boxes", (3,)),
+    SchemeKind.FEM: SchemeSpec("boxes", (0, 1, 2, 3)),
 }
 
 
@@ -174,37 +175,14 @@ def element_data(mesh: Mesh) -> ElementData:
     return ElementData(coords, centroids, 0.5 * det, jac, inv)
 
 
-def _rot_minus90(d: np.ndarray) -> np.ndarray:
-    return np.stack((d[..., 1], -d[..., 0]), axis=-1)
-
-
-def _polygon_areas(polys: np.ndarray) -> np.ndarray:
-    """Shoelace area of padded polygons (last vertex may repeat)."""
-    x = polys[..., 0]
-    y = polys[..., 1]
-    xn = np.roll(x, -1, axis=-1)
-    yn = np.roll(y, -1, axis=-1)
-    return 0.5 * np.sum(x * yn - xn * y, axis=-1)
-
-
-class Pieces(NamedTuple):
-    """Faces or boundary segments, each the image of a reference slot in its element."""
-
-    element: np.ndarray
-    slot: np.ndarray        # index into REFERENCE_PIECES
-    a: np.ndarray
-    b: np.ndarray
-    normal: np.ndarray      # unit, to the right of a -> b
-    length: np.ndarray
-
-
-def _pieces(points: np.ndarray, elements: np.ndarray, slots: np.ndarray) -> Pieces:
-    """The slot pieces `slots` of `elements`, from the local points (ne, 7, 2)."""
-    a = _take(points, elements, _SLOTS[slots, 0])
-    b = _take(points, elements, _SLOTS[slots, 1])
-    d = b - a
-    lengths = np.linalg.norm(d, axis=-1)
-    return Pieces(elements, slots, a, b, _rot_minus90(d) / lengths[..., None], lengths)
+def to_physical(eldata: ElementData, elements, reference: np.ndarray) -> np.ndarray:
+    """The images sum_k lambda_k(xi) X_k of reference points xi (..., 2) in
+    `elements`, whose ids broadcast against the points' leading axes, (..., 2).
+    A reference vertex maps to its vertex and a reference edge midpoint to
+    exactly (X_j + X_k) / 2."""
+    lam = barycentric(reference)[..., None]
+    x = eldata.coords[elements]
+    return lam[..., 0, :] * x[..., 0, :] + lam[..., 1, :] * x[..., 1, :] + lam[..., 2, :] * x[..., 2, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +194,10 @@ class ControlVolumeSet:
     `partition` marks the ids whose volumes tile the domain.  A set stores
     no array of its own: the mesh, its element data, `owners` (ne, 5, by
     local owner: the vertices, the bubble, none = -1) and the boundary
-    segments are shared by the families of a mesh.  Sub-volume row r of an
-    element is owned by its local owner r.  Every other id and coordinate
-    is derived on access.
+    segments are shared by the families of a mesh.  Its sub-volumes and
+    faces are the rows of `REFERENCE_CELLS[family]` and
+    `REFERENCE_FACES[family]` in every element; sub-volume row r of an
+    element is owned by its local owner r.
     """
 
     family: str                 # key of REFERENCE_CELLS
@@ -228,42 +207,7 @@ class ControlVolumeSet:
     seg_cv: np.ndarray
     seg_element: np.ndarray
     seg_slot: np.ndarray        # index into REFERENCE_PIECES
-    seg_marker: np.ndarray      # index into marker_names
-
-    def pieces(self, kind: str, which=slice(None)) -> Pieces:
-        """The faces ("face") or boundary segments ("seg", outward normals)
-        `which`, every field derived once from their element and slot; local
-        points are computed for the elements of these pieces only."""
-        elements = getattr(self, f"{kind}_element")[which]
-        near, local = np.unique(elements, return_inverse=True)
-        points = _local_points(self.elements.coords[near], self.elements.centroids[near])
-        return _pieces(points, local, getattr(self, f"{kind}_slot")[which])._replace(element=elements)
-
-    def _ids(self, part: int, column: int) -> np.ndarray:
-        """One id per sub-volume (part 0) or face (part 1), group by group and
-        element-major within a group: its element (column -1), its row of
-        `REFERENCE_CELLS` or its slot (0), or its owner (1), for a face the
-        inside (1) or outside (2) one."""
-        ne, elements, rows, start = self.owners.shape[0], [], [], 0
-        for group in _FAMILIES[self.family][0]:
-            n = len(group[part])
-            elements.append(np.repeat(np.arange(ne), n))
-            rows.append(np.tile(np.arange(start, start + n), ne))
-            start += n
-        elements, rows = np.concatenate(elements), np.concatenate(rows)
-        if column < 0:
-            return elements
-        local = rows if part == 0 else np.array(REFERENCE_FACES[self.family])[rows, column]
-        return local if column == 0 else _take(self.owners, elements, local)
-
-    scv_element = property(lambda self: self._ids(0, -1))
-    scv_row = property(lambda self: self._ids(0, 0))            # index into REFERENCE_CELLS[family]
-    scv_cv = property(lambda self: self._ids(0, 1))
-    face_element = property(lambda self: self._ids(1, -1))
-    face_slot = property(lambda self: self._ids(1, 0))          # index into REFERENCE_PIECES
-    face_inside = property(lambda self: self._ids(1, 1))
-    face_outside = property(lambda self: self._ids(1, 2))       # -1 when the flux has no receiving balance
-    marker_names = property(lambda self: self.mesh.marker_names)
+    seg_marker: np.ndarray      # index into mesh.marker_names
 
     @property
     def n_cvs(self) -> int:
@@ -271,28 +215,9 @@ class ControlVolumeSet:
         return self.mesh.n_vertices + self.mesh.n_elements * (len(REFERENCE_CELLS[self.family]) > _BUBBLE)
 
     @property
-    def dof_locations(self) -> np.ndarray:
-        """(n_cvs, 2): the vertices, then the centroids of the bubble volumes' elements."""
-        return np.vstack((self.mesh.vertices, self.elements.centroids[: self.n_cvs - self.mesh.n_vertices]))
-
-    @property
     def partition(self) -> np.ndarray:
         nv = self.mesh.n_vertices
-        return np.repeat((True, _FAMILIES[self.family][1]), (nv, self.n_cvs - nv))
-
-    @property
-    def scv_polys(self) -> np.ndarray:
-        """(m, 4, 2) sub-volume polygons, padded by repeating the last vertex."""
-        points = _local_points(self.elements.coords, self.elements.centroids)
-        return _take(points, self.scv_element[:, None], _CELL_IDS[self.family][self.scv_row])
-
-    @property
-    def scv_nverts(self) -> np.ndarray:
-        return _CELL_SIZES[self.family][self.scv_row]
-
-    @property
-    def scv_volumes(self) -> np.ndarray:
-        return _polygon_areas(self.scv_polys)
+        return np.repeat((True, _FAMILIES[self.family][2]), (nv, self.n_cvs - nv))
 
     @property
     def n_faces(self) -> int:
@@ -303,9 +228,11 @@ class ControlVolumeSet:
         return self.seg_cv.shape[0]
 
     def cv_volumes(self) -> np.ndarray:
-        """Total volume per control-volume id."""
+        """Total volume per control-volume id: each reference sub-volume's
+        area times 2|e|, added element by element through `owners`."""
+        areas = _CELL_AREAS[self.family]
         vol = np.zeros(self.n_cvs)
-        np.add.at(vol, self.scv_cv, self.scv_volumes)
+        np.add.at(vol, self.owners[:, : areas.size], (2.0 * self.elements.areas)[:, None] * areas)
         return vol
 
 
@@ -317,11 +244,6 @@ def _boundary_segments(mesh: Mesh) -> dict:
     slots = (6 + 2 * edge[:, None] + np.arange(2)).ravel()
     return dict(seg_cv=facets.reshape(-1), seg_element=np.repeat(owner, 2), seg_slot=slots,
                 seg_marker=np.repeat(mesh.facet_markers, 2))
-
-
-def _take(table: np.ndarray, elements: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """`table[elements, local]` for a per-element table, as one flat take."""
-    return table.reshape(-1, *table.shape[2:]).take(table.shape[1] * elements + local, axis=0)
 
 
 @dataclass(frozen=True, eq=False)

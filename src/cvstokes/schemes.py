@@ -56,6 +56,7 @@ from .geometry import (
     SEGMENT_OWNERS,
     ElementData,
     GridDiscretization,
+    to_physical,
 )
 from .mesh import BCKind
 
@@ -335,8 +336,12 @@ def _integrate_over_cvs(disc, cvset, problem, source):
     return out
 
 
-# Vertex hats at the traction rule's points on each reference piece, (12, nq, 3).
+# The test of each vertex row against the traction on a boundary slot, at the
+# traction rule's points, (12, nq, 3): the indicator of the slot's vertex end
+# for flux balances, the vertex hats for Galerkin rows.
 _TRACTION_HATS = barycentric(_piece_points(NEUMANN_QUAD_DEGREE))
+_TRACTION_TESTS = (np.broadcast_to(SEGMENT_OWNERS[:, None, None] == np.arange(3), _TRACTION_HATS.shape).astype(float),
+                   _TRACTION_HATS)
 
 
 def segment_tractions(disc, problem):
@@ -349,26 +354,28 @@ def segment_tractions(disc, problem):
     """
     segs = disc.pressure
     out = np.zeros((segs.n_segments, 3, 2))
-    kinds = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in segs.marker_names])
+    kinds = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in disc.mesh.marker_names])
     neu = kinds[segs.seg_marker]
     if np.any(neu):
-        s = segs.pieces("seg", neu)
+        slots = segs.seg_slot[neu]
+        ends = to_physical(disc.elements, segs.seg_element[neu, None], REFERENCE_PIECES[slots])
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+        length = np.linalg.norm(d, axis=-1)
+        normal = np.stack((d[:, 1], -d[:, 0]), axis=-1) / length[:, None]
         rule = segment_rule(NEUMANN_QUAD_DEGREE)
-        pts = s.a[:, None, :] + rule.points[None, :, None] * (s.b - s.a)[:, None, :]
-        w = rule.weights[None, :] * s.length[:, None]
-        nn = np.broadcast_to(s.normal[:, None, :], pts.shape).reshape(-1, 2)
+        pts = a[:, None, :] + rule.points[None, :, None] * d[:, None, :]
+        w = rule.weights[None, :] * length[:, None]
+        nn = np.broadcast_to(normal[:, None, :], pts.shape).reshape(-1, 2)
         tn = _evaluate(lambda x: problem.neumann(x, nn), "neumann", pts, (2,))
-        if 0 in disc.scheme.spec.galerkin_tests:
-            out[neu] = np.einsum("sq,sqj,sqk->sjk", w, _TRACTION_HATS[s.slot], tn)
-        else:
-            out[np.flatnonzero(neu), SEGMENT_OWNERS[s.slot]] = np.einsum("sq,sqk->sk", w, tn)
+        tests = _TRACTION_TESTS[0 in disc.scheme.spec.galerkin_tests][slots]
+        out[neu] = np.einsum("sq,sqj,sqk->sjk", w, tests, tn)
     return out
 
 
-def _galerkin_momentum(disc, problem, tests, A, B, load):
-    """Galerkin momentum rows for the local test functions `tests` (0..3),
-    added to the element blocks A and B by test; loads accumulate into
-    `load`, one (x, y) pair per velocity location.
+def _galerkin_momentum(disc, problem, mu, tests, A, B, load):
+    """Galerkin momentum rows for the local test functions `tests` (0..3) at
+    the checked viscosity `mu`, added to the element blocks A and B by test;
+    loads accumulate into `load`, one (x, y) pair per velocity location.
 
     The element matrices come from reference-element tensors, integrated
     once with the degree-6 rule and mapped by each element's inverse
@@ -377,7 +384,6 @@ def _galerkin_momentum(disc, problem, tests, A, B, load):
         K[t, b, i, j] = sum_q w_q d_i phi_b d_j phi_t
         L[t, j, i]    = sum_q w_q lambda_j d_i phi_t
     """
-    mu = float(problem.viscosity)
     el = disc.elements
     ne = disc.mesh.n_elements
     eldofs = disc.element_velocity_dofs()
@@ -456,7 +462,7 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         _flux_momentum_blocks(disc, mu, A, B)
         load[: vset.n_cvs] += _integrate_over_cvs(disc, vset, problem, "body_force")
     if spec.galerkin_tests:
-        _galerkin_momentum(disc, problem, spec.galerkin_tests, A, B, load)
+        _galerkin_momentum(disc, problem, mu, spec.galerkin_tests, A, B, load)
     np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], segment_tractions(disc, problem))
     rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 

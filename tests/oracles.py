@@ -7,7 +7,15 @@ evaluation over a discretization's elements, and the fluxes through faces
 and boundary segments from the basis at their Gauss points.  None of these
 is on the solve path; they exist so that the tests have something
 independent of the package's reference-piece flux coefficients to check
-them with.  `cv_integrals` adds the package's own sub-volume integrals one
+them with.
+
+The package keeps a control-volume family as reference tables only
+(`REFERENCE_CELLS`, `REFERENCE_FACES`) walked through the shared owner
+table.  `pieces`, `sub_volumes` and `dof_locations` lay the same rows out
+in physical coordinates, one face, segment or sub-volume at a time and
+element by element, from each triangle's own vertices, edge midpoints and
+centroid: the geometric oracle of closure, tiling, normals, segments and
+polygons.  `cv_integrals` adds the package's own sub-volume integrals one
 sub-volume at a time, so that it checks only the owner map.
 """
 
@@ -15,12 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from cvstokes import schemes
 from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric
-from cvstokes.geometry import ControlVolumeSet, ElementData, GridDiscretization, Pieces
+from cvstokes.geometry import (
+    REFERENCE_CELLS,
+    REFERENCE_FACES,
+    REFERENCE_PIECES,
+    ControlVolumeSet,
+    ElementData,
+    GridDiscretization,
+)
 
 #: Nodes of the four reference basis functions: vertices, then centroid.
 REFERENCE_NODES = np.array(
@@ -126,24 +142,108 @@ def basis_at(eldata: ElementData, elements: np.ndarray, points: np.ndarray):
     return ev.values, grads, barycentric(ref)
 
 
-def gauss_rule(pieces: Pieces):
+def local_points(coords: np.ndarray) -> np.ndarray:
+    """The seven local points of each triangle (..., 3, 2): X_0-2, the edge
+    midpoints M_k = (X_k + X_k+1) / 2, the centroid; (..., 7, 2)."""
+    mids = 0.5 * (coords + np.roll(coords, -1, axis=-2))
+    return np.concatenate((coords, mids, coords.mean(axis=-2, keepdims=True)), axis=-2)
+
+
+_REFERENCE_LOCAL = local_points(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
+def local_ids(reference: np.ndarray) -> np.ndarray:
+    """The local point ids of reference points (..., 2), which must each be one of the seven."""
+    match = np.all(reference[..., None, :] == _REFERENCE_LOCAL, axis=-1)
+    assert np.all(match.sum(axis=-1) == 1), reference
+    return match.argmax(axis=-1)
+
+
+class Pieces(NamedTuple):
+    """Faces or boundary segments in physical coordinates.  A segment's
+    inside is its control volume and its outside -1."""
+
+    element: np.ndarray
+    slot: np.ndarray        # index into REFERENCE_PIECES
+    inside: np.ndarray
+    outside: np.ndarray     # -1 when the flux has no receiving balance
+    a: np.ndarray
+    b: np.ndarray
+    normal: np.ndarray      # unit, to the right of a -> b
+    length: np.ndarray
+
+
+def pieces(cvset: ControlVolumeSet, kind: str) -> Pieces:
+    """The faces ("face", every row of `REFERENCE_FACES` in every element,
+    element by element) or the boundary segments ("seg") of a CV set."""
+    if kind == "face":
+        rows = np.array(REFERENCE_FACES[cvset.family])
+        e = np.repeat(np.arange(cvset.mesh.n_elements), len(rows))
+        slot, inside, outside = rows[np.tile(np.arange(len(rows)), cvset.mesh.n_elements)].T
+        inside, outside = cvset.owners[e, inside], cvset.owners[e, outside]
+    else:
+        e, slot, inside = cvset.seg_element, cvset.seg_slot, cvset.seg_cv
+        outside = np.full(e.size, -1)
+    points = local_points(cvset.mesh.vertices[cvset.mesh.triangles[e]])
+    ends = np.take_along_axis(points, local_ids(REFERENCE_PIECES[slot])[..., None], axis=1)
+    a, b = ends[:, 0], ends[:, 1]
+    d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
+    return Pieces(e, slot, inside, outside, a, b, np.column_stack((d[:, 1], -d[:, 0])) / length[:, None], length)
+
+
+class SubVolumes(NamedTuple):
+    """Sub-volume polygons in physical coordinates, element by element."""
+
+    element: np.ndarray
+    row: np.ndarray         # index into REFERENCE_CELLS[family]
+    cv: np.ndarray
+    polygon: np.ndarray     # (m, 4, 2), padded by repeating the last vertex
+    nverts: np.ndarray
+    volume: np.ndarray      # shoelace area of the polygon
+
+
+def sub_volumes(cvset: ControlVolumeSet) -> SubVolumes:
+    """Every row of `REFERENCE_CELLS[family]` in every element, element by
+    element, owned by local owner `row`."""
+    cells = REFERENCE_CELLS[cvset.family]
+    ids = [list(local_ids(cell)) for cell in cells]
+    ids = np.array([i + i[-1:] * (4 - len(i)) for i in ids])
+    ne = cvset.mesh.n_elements
+    e, row = np.repeat(np.arange(ne), len(cells)), np.tile(np.arange(len(cells)), ne)
+    points = local_points(cvset.mesh.vertices[cvset.mesh.triangles[e]])
+    polygon = np.take_along_axis(points, ids[row][..., None], axis=1)
+    x, y = polygon[..., 0], polygon[..., 1]
+    volume = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    nverts = np.array([len(cell) for cell in cells])[row]
+    return SubVolumes(e, row, cvset.owners[e, row], polygon, nverts, volume)
+
+
+def dof_locations(cvset: ControlVolumeSet) -> np.ndarray:
+    """(n_cvs, 2): the vertices, then the centroids of the bubble volumes' elements."""
+    mesh = cvset.mesh
+    bubbles = mesh.vertices[mesh.triangles[: cvset.n_cvs - mesh.n_vertices]].mean(axis=1)
+    return np.vstack((mesh.vertices, bubbles))
+
+
+def gauss_rule(piece: Pieces):
     """The two-point Gauss rule on each piece: points (n, 2, 2) and weights
     (n, 2), which sum to its length."""
-    points = pieces.a[:, None, :] + GAUSS2[None, :, None] * (pieces.b - pieces.a)[:, None, :]
-    return points, np.repeat(0.5 * pieces.length[:, None], 2, axis=1)
+    points = piece.a[:, None, :] + GAUSS2[None, :, None] * (piece.b - piece.a)[:, None, :]
+    return points, np.repeat(0.5 * piece.length[:, None], 2, axis=1)
 
 
-def piece_fluxes(disc: GridDiscretization, pieces: Pieces, viscosity, velocity, pressure):
+def piece_fluxes(disc: GridDiscretization, piece: Pieces, viscosity, velocity, pressure):
     """Mass (n,) and momentum (n, 2) flux through pieces, along their normals.
 
     The basis is evaluated at each piece's Gauss points, mapped back to its
     element; the momentum flux is that of -2 mu D(v_h) + p_h I.
     """
-    e = pieces.element
-    points, w = gauss_rule(pieces)
+    e = piece.element
+    points, w = gauss_rule(piece)
     vals, grads, hats = basis_at(disc.elements, e[:, None], points)
     coeff = velocity[disc.element_velocity_dofs()[e]]                   # (n, 4, 2)
-    n = pieces.normal
+    n = piece.normal
     v = np.einsum("fq,fqb,fbk->fk", w, vals, coeff)
     grad_v = np.einsum("fq,fqba,fbk->fka", w, grads, coeff)             # [f, k, a] = int dv_k/dx_a
     p = np.einsum("fq,fqj,fj->f", w, hats, pressure[disc.mesh.triangles[e]])
@@ -153,18 +253,19 @@ def piece_fluxes(disc: GridDiscretization, pieces: Pieces, viscosity, velocity, 
 
 def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, velocity, pressure):
     """Mass (F,) and momentum (F, 2) flux of every face of a CV set, from inside to outside."""
-    return piece_fluxes(disc, cvset.pieces("face"), viscosity, velocity, pressure)
+    return piece_fluxes(disc, pieces(cvset, "face"), viscosity, velocity, pressure)
 
 
 def cv_integrals(disc: GridDiscretization, cvset: ControlVolumeSet, problem, source: str) -> np.ndarray:
     """Integral of "body_force" or "mass_source" over each control volume: the
     package's per-element sub-volume integrals, added one sub-volume at a time
-    through the derived `scv_cv`, `scv_row` and `scv_element`."""
+    in the order of `sub_volumes`."""
     shape = (2,) if source == "body_force" else ()
     func = getattr(problem, source)
     points, weights = schemes._VOLUME_RULES[cvset.family]
     local = schemes._integrate_elements(disc.elements, points, weights,
                                         lambda sl, x: schemes._evaluate(func, source, x, shape), shape)
     out = np.zeros((cvset.n_cvs,) + shape)
-    np.add.at(out, cvset.scv_cv, local[cvset.scv_row, cvset.scv_element])
+    scv = sub_volumes(cvset)
+    np.add.at(out, scv.cv, local[scv.row, scv.element])
     return out

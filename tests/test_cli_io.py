@@ -13,6 +13,7 @@ from conftest import (
     run_python,
     write_msh22,
 )
+from oracles import sub_volumes
 from cvstokes.cli_io import (
     CSV_COLUMNS,
     RunConfig,
@@ -24,7 +25,7 @@ from cvstokes.cli_io import (
     write_cv_debug_vtu,
     write_vtu,
 )
-from cvstokes.geometry import build
+from cvstokes.geometry import REFERENCE_CELLS, build
 from cvstokes.mesh import distort, generate_structured
 from cvstokes.schemes import split_solution
 from cvstokes.verification import ConvergenceReport, LevelResult, SchemeKind
@@ -137,12 +138,44 @@ def test_write_cv_debug_vtu(tmp_path, which):
     write_cv_debug_vtu(disc, which, str(path))
     root = ET.parse(path).getroot()
     cvset = disc.pressure if which == "pressure" else disc.velocity
+    rows = len(REFERENCE_CELLS[cvset.family])
     piece = root.find(".//Piece")
-    assert int(piece.get("NumberOfCells")) == cvset.scv_cv.shape[0]
+    assert int(piece.get("NumberOfCells")) == mesh.n_elements * rows
     types = _vtu_array(root, "types").astype(int)
     assert np.all(types == 7)
     ids = _vtu_array(root, "cv").astype(int)
-    assert np.array_equal(ids, cvset.scv_cv)
+    assert np.array_equal(ids, cvset.owners[:, :rows].T.ravel())
+
+
+@pytest.mark.parametrize("scheme", ["fem", "non-overlapping", "overlapping"],
+                         ids=["boxes", "non-overlapping", "overlapping"])
+def test_cv_debug_vtu_cells_are_the_oracle_sub_volumes(tmp_path, scheme):
+    # Row by row of REFERENCE_CELLS, each row in every element: cell
+    # r * ne + e is reference cell r mapped into element e, owned by owners[e, r].
+    mesh = distort(generate_structured(6, 5), 0.2, seed=31)
+    disc = build(mesh, scheme)
+    path = tmp_path / "cv.vtu"
+    write_cv_debug_vtu(disc, "velocity", str(path))
+    root = ET.parse(path).getroot()
+    cvset, ne = disc.velocity, mesh.n_elements
+    scvs = sub_volumes(cvset)
+    rows = len(REFERENCE_CELLS[cvset.family])
+    assert int(root.find(".//Piece").get("NumberOfCells")) == ne * rows
+    points = _vtu_array(root, "points").reshape(-1, 3)[:, :2]
+    offsets = _vtu_array(root, "offsets").astype(int)
+    conn = _vtu_array(root, "connectivity").astype(int)
+    ids = _vtu_array(root, "cv").astype(int)
+    cells = np.split(points[conn], offsets[:-1])
+    order = np.argsort(scvs.row * ne + scvs.element, kind="stable")
+    assert np.array_equal(ids, scvs.cv[order])
+    area = np.zeros(cvset.n_cvs)
+    for k, (cell, i) in enumerate(zip(cells, order)):
+        r, e = divmod(k, ne)
+        assert (scvs.row[i], scvs.element[i]) == (r, e)
+        assert np.max(np.abs(cell - scvs.polygon[i, : scvs.nverts[i]])) <= 1e-15
+        x, y = cell.T
+        area[ids[k]] += 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert np.max(np.abs(area - cvset.cv_volumes())) <= 1e-12 * np.max(area)
 
 
 def test_write_cv_debug_vtu_rejects_unknown_family(tmp_path):

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh, single_triangle_mesh
-from oracles import to_reference
+from oracles import dof_locations, pieces, sub_volumes, to_reference
 from cvstokes import geometry
 from cvstokes.geometry import (
+    REFERENCE_CELLS,
     REFERENCE_PIECES,
     SchemeKind,
+    SchemeSpec,
     build,
     SCHEME_SPECS,
     element_data,
+    to_physical,
 )
-from cvstokes.mesh import generate_structured, triangle_areas
+from cvstokes.mesh import distort, generate_structured, triangle_areas
 
 # A scheme whose velocity volumes are each control-volume family; the fem
 # velocity volumes are the pressure boxes.
@@ -36,15 +39,15 @@ def _closure_defects(vset):
     n = vset.n_cvs
     net = np.zeros((n, 2))
     scale = np.zeros(n)
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
     nl = faces.normal * faces.length[:, None]
-    np.add.at(net, vset.face_inside, nl)
-    np.add.at(scale, vset.face_inside, faces.length)
-    interior = vset.face_outside >= 0
-    np.subtract.at(net, vset.face_outside[interior], nl[interior])
-    np.add.at(scale, vset.face_outside[interior], faces.length[interior])
+    np.add.at(net, faces.inside, nl)
+    np.add.at(scale, faces.inside, faces.length)
+    interior = faces.outside >= 0
+    np.subtract.at(net, faces.outside[interior], nl[interior])
+    np.add.at(scale, faces.outside[interior], faces.length[interior])
     if vset.n_segments:
-        segs = vset.pieces("seg")
+        segs = pieces(vset, "seg")
         np.add.at(net, vset.seg_cv, segs.normal * segs.length[:, None])
         np.add.at(scale, vset.seg_cv, segs.length)
     return net, scale
@@ -79,10 +82,10 @@ def test_boxes_single_triangle():
     assert vset.n_faces == 3
     assert vset.n_segments == 6
     # Face 0 runs from the midpoint of edge (0, 1) to the centroid.
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
     assert np.allclose(faces.a[0], [0.5, 0.0], atol=1e-15)
     assert np.allclose(faces.b[0], [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-    assert (vset.face_inside[0], vset.face_outside[0]) == (0, 1)
+    assert (faces.inside[0], faces.outside[0]) == (0, 1)
     d = faces.b[0] - faces.a[0]
     length = faces.length[0]
     normal = faces.normal[0]
@@ -96,26 +99,29 @@ def test_pieces_are_images_of_their_reference_slots(family):
     mesh = random_distorted_mesh(21, n=6)
     el = element_data(mesh)
     vset = family_set(mesh, family)
-    for pieces in (vset.pieces("face"), vset.pieces("seg")):
-        ends = np.stack((pieces.a, pieces.b), axis=1)
-        assert np.max(np.abs(to_reference(el, pieces.element[:, None], ends) - REFERENCE_PIECES[pieces.slot])) <= 1e-12
+    for kind in ("face", "seg"):
+        piece = pieces(vset, kind)
+        ends = np.stack((piece.a, piece.b), axis=1)
+        assert np.max(np.abs(to_reference(el, piece.element[:, None], ends) - REFERENCE_PIECES[piece.slot])) <= 1e-12
 
 
 def test_bubble_cv_is_medial_triangle():
     mesh = single_triangle_mesh(scale=2.0)
     coords = mesh.vertices
     vset = family_set(mesh, "overlapping")
-    (scv,) = np.flatnonzero(vset.scv_cv == 3)
+    scvs = sub_volumes(vset)
+    (scv,) = np.flatnonzero(scvs.cv == 3)
     mids = 0.5 * (coords + np.roll(coords, -1, axis=0))
-    assert vset.scv_nverts[scv] == 3
-    assert np.allclose(vset.scv_polys[scv, :3], mids, atol=1e-15)
-    assert vset.scv_volumes[scv] == pytest.approx(0.5, rel=1e-14)  # a quarter of area 2
-    faces = np.flatnonzero(vset.face_inside == 3)
-    assert faces.size == 3
-    assert np.all(vset.face_outside[faces] == -1)
+    assert scvs.nverts[scv] == 3
+    assert np.allclose(scvs.polygon[scv, :3], mids, atol=1e-15)
+    assert scvs.volume[scv] == pytest.approx(0.5, rel=1e-14)  # a quarter of area 2
+    assert vset.cv_volumes()[3] == pytest.approx(0.5, rel=1e-14)
+    faces = pieces(vset, "face")
+    bubble = faces.inside == 3
+    assert np.sum(bubble) == 3
+    assert np.all(faces.outside[bubble] == -1)
     center = mids.mean(axis=0)
-    pieces = vset.pieces("face", faces)
-    for a, b, normal in zip(pieces.a, pieces.b, pieces.normal):
+    for a, b, normal in zip(faces.a[bubble], faces.b[bubble], faces.normal[bubble]):
         mid = 0.5 * (a + b)
         assert np.dot(normal, mid - center) > 0.0
         assert np.linalg.norm(normal) == pytest.approx(1.0, rel=1e-14)
@@ -131,12 +137,13 @@ def test_nonoverlapping_single_triangle():
     assert np.sum(vols) == pytest.approx(0.5, rel=1e-14)
     assert vset.n_faces == 3
     # Every face lies between the bubble volume and the cut-off corner.
-    assert np.all(vset.face_inside == 3)
-    assert sorted(vset.face_outside) == [0, 1, 2]
+    faces = pieces(vset, "face")
+    assert np.all(faces.inside == 3)
+    assert sorted(faces.outside) == [0, 1, 2]
     # The face from midpoint(0,1) to midpoint(1,2) cuts off vertex 1.
-    a = vset.pieces("face").a
+    a = faces.a
     k = int(np.flatnonzero(np.isclose(a[:, 0], 0.5) & np.isclose(a[:, 1], 0.0))[0])
-    assert vset.face_outside[k] == 1
+    assert faces.outside[k] == 1
 
 
 def test_overlapping_counts_two_elements():
@@ -149,18 +156,21 @@ def test_overlapping_counts_two_elements():
     assert np.allclose(vols[4:], 0.125, rtol=1e-14)
     assert vset.n_faces == 12
     # Bubble faces route their flux only into the bubble balance.
-    bubble_faces = vset.face_inside >= 4
+    faces = pieces(vset, "face")
+    bubble_faces = faces.inside >= 4
     assert np.sum(bubble_faces) == 6
-    assert np.all(vset.face_outside[bubble_faces] == -1)
-    assert np.all(vset.face_outside[~bubble_faces] >= 0)
+    assert np.all(faces.outside[bubble_faces] == -1)
+    assert np.all(faces.outside[~bubble_faces] >= 0)
 
 
 def test_velocity_dof_locations():
     mesh = generate_structured(2, 2)
     vset = family_set(mesh, "overlapping")
     el = element_data(mesh)
-    assert np.allclose(vset.dof_locations[: mesh.n_vertices], mesh.vertices)
-    assert np.allclose(vset.dof_locations[mesh.n_vertices :], el.centroids)
+    locations = dof_locations(vset)
+    assert locations.shape == (vset.n_cvs, 2)
+    assert np.allclose(locations[vset.owners[:, :3]], el.coords)
+    assert np.allclose(locations[vset.owners[:, 3]], el.centroids)
 
 
 @BY_FAMILY
@@ -191,19 +201,18 @@ def test_face_normals_point_from_inside_to_outside():
         mesh = random_distorted_mesh(seed, n=4, fraction=0.25)
         for family in FAMILY_SCHEMES:
             vset = family_set(mesh, family)
-            sel = vset.face_outside >= 0
-            d = (
-                vset.dof_locations[vset.face_outside[sel]]
-                - vset.dof_locations[vset.face_inside[sel]]
-            )
-            dots = np.sum(vset.pieces("face", sel).normal * d, axis=1)
+            faces = pieces(vset, "face")
+            sel = faces.outside >= 0
+            locations = dof_locations(vset)
+            d = locations[faces.outside[sel]] - locations[faces.inside[sel]]
+            dots = np.sum(faces.normal[sel] * d, axis=1)
             assert np.all(dots > 0.0)
 
 
 def test_boundary_segments_cover_perimeter():
     mesh = generate_structured(3, 3)
     vset = family_set(mesh, "boxes")
-    segs = vset.pieces("seg")
+    segs = pieces(vset, "seg")
     assert np.sum(segs.length) == pytest.approx(4.0, rel=1e-14)
     mids = 0.5 * (segs.a + segs.b)
     outward = np.sum(segs.normal * (mids - 0.5), axis=1)
@@ -217,7 +226,7 @@ def test_boundary_segments_cover_perimeter():
             "bottom": mid[1] == 0.0,
             "top": mid[1] == 1.0,
         }
-        assert side[vset.marker_names[vset.seg_marker[i]]]
+        assert side[mesh.marker_names[vset.seg_marker[i]]]
 
 
 def test_boundary_segment_splitting():
@@ -225,7 +234,7 @@ def test_boundary_segment_splitting():
     vset = family_set(mesh, "boxes")
     # Each of the 8 boundary facets splits at its midpoint into 2 pieces.
     assert vset.n_segments == 16
-    segs = vset.pieces("seg")
+    segs = pieces(vset, "seg")
     assert np.allclose(segs.length, 0.25, rtol=1e-14)
     # Each piece belongs to the vertex at its unsplit end.
     for i in range(vset.n_segments):
@@ -236,16 +245,20 @@ def test_boundary_segment_splitting():
 def test_subcontrol_volume_polygons():
     mesh = random_distorted_mesh(1, n=3)
     vset = family_set(mesh, "overlapping")
+    scvs = sub_volumes(vset)
     total = 0.0
-    for i in range(vset.scv_cv.shape[0]):
-        poly = vset.scv_polys[i, : vset.scv_nverts[i]]
+    for i in range(scvs.cv.shape[0]):
+        poly = scvs.polygon[i, : scvs.nverts[i]]
         x, y = poly[:, 0], poly[:, 1]
         area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
         assert area > 0.0
-        assert vset.scv_volumes[i] == pytest.approx(area, rel=1e-12)
-        total += vset.scv_volumes[i]
+        assert scvs.volume[i] == pytest.approx(area, rel=1e-12)
+        total += scvs.volume[i]
     area = np.sum(triangle_areas(mesh.vertices, mesh.triangles))
     assert total == pytest.approx(1.25 * area, rel=1e-12)
+    oracle = np.zeros(vset.n_cvs)
+    np.add.at(oracle, scvs.cv, scvs.volume)
+    assert np.max(np.abs(vset.cv_volumes() - oracle)) <= 1e-12 * np.max(oracle)
 
 
 def test_scheme_parse():
@@ -280,15 +293,17 @@ def test_grid_discretization_layout():
 
 def test_every_scheme_has_a_spec_row():
     assert set(SCHEME_SPECS) == set(SchemeKind)
+    # Whether momentum is a flux balance follows from the Galerkin tests, so
+    # a spec cannot say otherwise.
+    assert [f.name for f in dataclasses.fields(SchemeSpec)] == ["velocity_cvs", "galerkin_tests"]
     for scheme in SchemeKind:
         spec = scheme.spec
         assert spec.velocity_cvs in ("boxes", "non-overlapping", "overlapping")
         assert spec.galerkin_tests in ((), (3,), (0, 1, 2, 3))
-        # Each velocity unknown gets exactly one momentum equation: a flux
-        # balance of its control volume or a Galerkin row.
-        vertex_flux = spec.flux_momentum
+        assert spec.flux_momentum == (0 not in spec.galerkin_tests), scheme
+        # Each bubble gets exactly one momentum equation: a flux balance of
+        # its control volume or a Galerkin row.
         bubble_flux = spec.flux_momentum and spec.velocity_cvs != "boxes"
-        assert vertex_flux != (0 in spec.galerkin_tests), scheme
         assert bubble_flux != (3 in spec.galerkin_tests), scheme
 
 
@@ -306,7 +321,7 @@ def test_hybrid_and_fem_velocity_set_is_the_pressure_set():
 def test_control_volume_set_is_frozen():
     vset = family_set(generate_structured(2, 2), "boxes")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        vset.face_slot = None
+        vset.owners = None
 
 
 def _kept_bytes(*records):
@@ -339,8 +354,15 @@ def test_overlapping_discretization_keeps_at_most_240_bytes_per_element(n):
 
 @pytest.mark.parametrize("family", list(FAMILY_SCHEMES))
 def test_sub_volume_row_r_is_owned_by_local_owner_r(family):
+    # The unknown of local owner r (vertex r, or the bubble at the centroid)
+    # lies in the closed polygon of sub-volume row r of every element.
     cvset = family_set(random_distorted_mesh(6, n=5), family)
-    assert np.array_equal(cvset.scv_cv, cvset.owners[cvset.scv_element, cvset.scv_row])
+    scvs = sub_volumes(cvset)
+    assert np.array_equal(scvs.cv, cvset.owners[scvs.element, scvs.row])
+    d = scvs.polygon - dof_locations(cvset)[scvs.cv][:, None]
+    d_next = np.roll(d, -1, axis=1)
+    cross = d[..., 0] * d_next[..., 1] - d[..., 1] * d_next[..., 0]
+    assert np.all(cross >= -1e-15)
     assert [f.name for f in dataclasses.fields(cvset)] == [
         "family", "mesh", "elements", "owners", "seg_cv", "seg_element", "seg_slot", "seg_marker"]
 
@@ -352,19 +374,8 @@ def test_families_share_the_owner_table_and_count_faces_by_row():
     assert np.shares_memory(disc.element_velocity_dofs(), disc.pressure.owners)
     for cvset in (disc.pressure, disc.velocity):
         rows = geometry.REFERENCE_FACES[cvset.family]
-        assert cvset.n_faces == mesh.n_elements * len(rows) == cvset.face_inside.size
-        slot, inside, outside = np.array(rows).T
-        # Group by group, element-major within a group; the overlapping family
-        # has two groups (boxes, then medial faces).
-        for group in np.split(np.arange(len(rows)), [3] if len(rows) == 6 else []):
-            k = np.arange(mesh.n_elements * group.size)
-            faces = mesh.n_elements * group[0] + k
-            e, r = np.divmod(k, group.size)
-            r = group[r]
-            assert np.array_equal(cvset.face_element[faces], e)
-            assert np.array_equal(cvset.face_slot[faces], slot[r])
-            assert np.array_equal(cvset.face_inside[faces], cvset.owners[e, inside[r]])
-            assert np.array_equal(cvset.face_outside[faces], cvset.owners[e, outside[r]])
+        assert cvset.n_faces == mesh.n_elements * len(rows) == pieces(cvset, "face").inside.size
+        assert cvset.n_segments == 2 * len(mesh.boundary_facets) == pieces(cvset, "seg").inside.size
 
 
 def test_array_holding_records_compare_and_hash_by_identity():
@@ -381,41 +392,39 @@ def test_array_holding_records_compare_and_hash_by_identity():
         assert obj == obj and obj in {obj}
 
 
-def _reference_ids(polygon):
-    """Local point ids of a reference polygon's vertices, padded to four."""
-    local = geometry._local_points(geometry._REFERENCE_TRIANGLE, geometry._REFERENCE_TRIANGLE.mean(axis=1))[0]
-    ids = [int(np.flatnonzero(np.all(local == vertex, axis=1))[0]) for vertex in polygon]
-    return ids + ids[-1:] * (4 - len(ids))
-
-
-def test_pieces_of_one_index_are_that_row_of_all_pieces():
-    vset = family_set(random_distorted_mesh(9, n=3), "overlapping")
-    for kind, count in (("face", vset.n_faces), ("seg", vset.n_segments)):
-        every = vset.pieces(kind)
-        for k in (0, 7, count - 1, -1):
-            one = vset.pieces(kind, k)
-            for name in geometry.Pieces._fields:
-                assert np.array_equal(getattr(one, name), getattr(every, name)[k]), (kind, k, name)
-
-
 @pytest.mark.parametrize("family", list(FAMILY_SCHEMES))
 def test_derived_coordinates_equal_a_pieces_oracle(family):
+    # The package's one physical path, reference tables through each
+    # element's map, against the oracle's local points element by element.
     mesh = random_distorted_mesh(17, n=7)
     cvset = family_set(mesh, family)
     el = element_data(mesh)
-    points = geometry._local_points(el.coords, el.centroids)
-    rng = np.random.default_rng(2)
     for kind in ("face", "seg"):
-        elements, slots = getattr(cvset, f"{kind}_element"), getattr(cvset, f"{kind}_slot")
-        oracle = geometry._pieces(points, elements, slots)
-        which = rng.random(elements.size) < 0.4
-        every, selected = cvset.pieces(kind), cvset.pieces(kind, which)
-        for name in geometry.Pieces._fields[2:]:
-            assert np.array_equal(getattr(every, name), getattr(oracle, name)), (kind, name)
-            assert np.array_equal(getattr(selected, name), getattr(oracle, name)[which]), (kind, name)
-    ids = np.array([_reference_ids(polygon) for polygon in geometry.REFERENCE_CELLS[family]])[cvset.scv_row]
-    polys = points[cvset.scv_element[:, None], ids]
-    assert np.array_equal(cvset.scv_polys, polys)
-    assert np.array_equal(cvset.scv_volumes, geometry._polygon_areas(polys))
-    sizes = np.array([len(polygon) for polygon in geometry.REFERENCE_CELLS[family]])
-    assert np.array_equal(cvset.scv_nverts, sizes[cvset.scv_row])
+        piece = pieces(cvset, kind)
+        ends = to_physical(el, piece.element[:, None], REFERENCE_PIECES[piece.slot])
+        want = np.stack((piece.a, piece.b), axis=1)
+        assert np.max(np.abs(ends - want)) <= 1e-15, kind
+        if kind == "seg":
+            # Vertices and edge midpoints, all a segment's ends, map to the
+            # same bits as the oracle's.
+            assert np.array_equal(ends, want)
+    scvs = sub_volumes(cvset)
+    for row, cell in enumerate(REFERENCE_CELLS[family]):
+        mine = scvs.row == row
+        polygon = to_physical(el, scvs.element[mine, None], cell)
+        assert np.max(np.abs(polygon - scvs.polygon[mine, : len(cell)])) <= 1e-15
+    oracle = np.zeros(cvset.n_cvs)
+    np.add.at(oracle, scvs.cv, scvs.volume)
+    assert np.max(np.abs(cvset.cv_volumes() - oracle) / oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SCHEMES))
+def test_cv_volumes_keep_their_accuracy_away_from_the_origin(family):
+    # Volumes come from the edge vectors, so shifting the mesh costs only
+    # the rounding of its coordinates (shoelace sums of physical
+    # coordinates lost about 3e-6 at a shift of 1e3).
+    scheme = FAMILY_SCHEMES[family]
+    base = distort(generate_structured(40, 40), 0.2, seed=3)
+    far = distort(generate_structured(40, 40, lower=(1e3, 1e3), upper=(1e3 + 1.0, 1e3 + 1.0)), 0.2, seed=3)
+    near, shifted = (build(m, scheme).velocity.cv_volumes() for m in (base, far))
+    assert np.max(np.abs(shifted - near) / near) <= 1e-9

@@ -8,7 +8,17 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
-from oracles import basis_at, cv_integrals, eval_physical, eval_reference, face_fluxes, gauss_rule, piece_fluxes
+from oracles import (
+    basis_at,
+    cv_integrals,
+    eval_physical,
+    eval_reference,
+    face_fluxes,
+    gauss_rule,
+    piece_fluxes,
+    pieces,
+    sub_volumes,
+)
 from cvstokes import schemes
 from cvstokes.basis import barycentric, segment_rule, triangle_rule
 from cvstokes.geometry import SEGMENT_OWNERS, build
@@ -40,7 +50,8 @@ def kernel_fluxes(disc, cvset, kind, viscosity, velocity, pressure):
     """Mass (P,) and momentum (P, 2) fluxes through the faces ("face") or
     boundary segments ("seg") of a CV set, contracted from the package's flux
     coefficients: the kernel the assembly and the audit share."""
-    e, slots = getattr(cvset, f"{kind}_element"), getattr(cvset, f"{kind}_slot")
+    piece = pieces(cvset, kind)
+    e, slots = piece.element, piece.slot
     u = velocity[disc.element_velocity_dofs()[e]]
     a, b = schemes._momentum_coefficients(disc.elements, e, slots, viscosity)
     return (np.einsum("pbk,pbk->p", schemes._mass_coefficients(disc.elements, e, slots), u),
@@ -80,7 +91,7 @@ def test_momentum_flux_uniaxial_strain():
     pres = np.zeros(disc.n_pressure_dofs)
     vset = disc.velocity
     _, got = kernel_fluxes(disc, vset, "face", mu, vel, pres)
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
     n = faces.normal
     want = -2.0 * mu * faces.length[:, None] * np.column_stack((n[:, 0], np.zeros(vset.n_faces)))
     assert np.allclose(got, want, atol=1e-13)
@@ -94,7 +105,7 @@ def test_momentum_flux_shear():
     pres = np.zeros(disc.n_pressure_dofs)
     vset = disc.velocity
     _, got = kernel_fluxes(disc, vset, "face", mu, vel, pres)
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
     want = -mu * faces.length[:, None] * faces.normal[:, ::-1]
     assert np.allclose(got, want, atol=1e-13)
 
@@ -106,7 +117,7 @@ def test_momentum_flux_linear_pressure():
     pres = 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
     vset = disc.velocity
     _, got = kernel_fluxes(disc, vset, "face", 1.0, vel, pres)
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
     mid = 0.5 * (faces.a + faces.b)
     want = ((2.0 * mid[:, 0] - mid[:, 1]) * faces.length)[:, None] * faces.normal
     assert np.allclose(got, want, atol=1e-13)
@@ -118,7 +129,7 @@ def test_mass_flux_linear_field():
     vel = interpolate(disc, lambda p: np.stack((p[..., 0], 3.0 * np.ones(p.shape[:-1])), axis=-1))
     vset = disc.velocity
     got, _ = kernel_fluxes(disc, vset, "face", 1.0, vel, np.zeros(disc.n_pressure_dofs))
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
     mid = 0.5 * (faces.a + faces.b)
     n = faces.normal
     want = faces.length * (mid[:, 0] * n[:, 0] + 3.0 * n[:, 1])
@@ -140,9 +151,8 @@ def test_mass_flux_bubble_mode_dense_oracle():
     t, w = np.polynomial.legendre.leggauss(24)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
-    bubble_faces = np.flatnonzero(vset.face_inside == 3)
-    assert bubble_faces.size == 3
-    faces = vset.pieces("face")
+    faces = pieces(vset, "face")
+    assert np.sum(faces.inside == 3) == 3
     for i in range(vset.n_faces):
         a, b = faces.a[i], faces.b[i]
         n, length = faces.normal[i], faces.length[i]
@@ -172,7 +182,7 @@ def test_face_and_segment_fluxes_match_pointwise_oracle(scheme):
     pres = rng.standard_normal(disc.n_pressure_dofs)
     for kind in ("face", "seg"):
         got = kernel_fluxes(disc, disc.velocity, kind, 1.3, vel, pres)
-        want = piece_fluxes(disc, disc.velocity.pieces(kind), 1.3, vel, pres)
+        want = piece_fluxes(disc, pieces(disc.velocity, kind), 1.3, vel, pres)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), kind
@@ -211,11 +221,12 @@ def test_flux_rows_balance_constant_source():
 
     vset = disc.velocity
     massf, momf = face_fluxes(disc, vset, problem.viscosity, vel, pres)
+    faces = pieces(vset, "face")
     vols = vset.cv_volumes()
     net = np.zeros((vset.n_cvs, 2))
-    np.add.at(net, vset.face_inside, momf)
-    sel = vset.face_outside >= 0
-    np.subtract.at(net, vset.face_outside[sel], momf[sel])
+    np.add.at(net, faces.inside, momf)
+    sel = faces.outside >= 0
+    np.subtract.at(net, faces.outside[sel], momf[sel])
 
     res_u = system.A @ x[: system.n_velocity] + system.B @ pres - system.rhs_momentum
     has_seg = np.zeros(vset.n_cvs, dtype=bool)
@@ -228,9 +239,10 @@ def test_flux_rows_balance_constant_source():
 
     pset = disc.pressure
     massp, _ = face_fluxes(disc, pset, problem.viscosity, vel, pres)
+    pfaces = pieces(pset, "face")
     netp = np.zeros(pset.n_cvs)
-    np.add.at(netp, pset.face_inside, massp)
-    np.subtract.at(netp, pset.face_outside, massp)
+    np.add.at(netp, pfaces.inside, massp)
+    np.subtract.at(netp, pfaces.outside, massp)
     res_p = system.C @ x[: system.n_velocity] - system.rhs_mass
     pvols = pset.cv_volumes()
     has_seg_p = np.zeros(pset.n_cvs, dtype=bool)
@@ -253,7 +265,7 @@ def test_mass_rows_telescope_to_boundary_flux():
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
     boundary = 0.0
-    segs = pset.pieces("seg")
+    segs = pieces(pset, "seg")
     for i in range(pset.n_segments):
         a, b, e = segs.a[i], segs.b[i], pset.seg_element[i]
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
@@ -306,7 +318,7 @@ def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
     A = np.zeros((schemes._OWNERS, mesh.n_elements, 2, 4, 2))
     B = np.zeros((schemes._OWNERS, mesh.n_elements, 2, 3))
     problem = StokesProblem(viscosity=mu)
-    _galerkin_momentum(disc, problem, tests, A, B, np.zeros((disc.n_velocity_locations, 2)))
+    _galerkin_momentum(disc, problem, mu, tests, A, B, np.zeros((disc.n_velocity_locations, 2)))
     Apair, Bpair = _galerkin_oracle(disc, mu, tests)
     # The blocks are laid out [test, element, ...]; the other owners stay zero.
     for got, want in ((A, Apair), (B, Bpair)):
@@ -325,8 +337,7 @@ def _local_owners(disc, elements, cvs):
 
 def _flux_momentum_blocks_oracle(disc, mu, A, B):
     """Momentum flux-balance entries contracted at every face quadrature point."""
-    cvset = disc.velocity
-    faces = cvset.pieces("face")
+    faces = pieces(disc.velocity, "face")
     e = faces.element
     points, w = gauss_rule(faces)
     _, grads, hats = basis_at(disc.elements, e[:, None], points)
@@ -336,7 +347,7 @@ def _flux_momentum_blocks_oracle(disc, mu, A, B):
     term2 = np.einsum("fq,fqba,fk->fabk", w, grads, n)
     Apair = -mu * (term1[:, None, :, None] * np.eye(2)[None, :, None, :] + term2)
     Bpair = np.einsum("fq,fqj,fa->faj", w, hats, n)
-    for cvs, sign in ((cvset.face_inside, 1.0), (cvset.face_outside, -1.0)):
+    for cvs, sign in ((faces.inside, 1.0), (faces.outside, -1.0)):
         local = _local_owners(disc, e, cvs)
         np.add.at(A, (local, e), sign * Apair)
         np.add.at(B, (local, e), sign * Bpair)
@@ -344,15 +355,14 @@ def _flux_momentum_blocks_oracle(disc, mu, A, B):
 
 def _mass_blocks_oracle(disc):
     """Mass flux-balance entries contracted at every face and segment quadrature point."""
-    cvset = disc.pressure
     C = np.zeros((3, disc.mesh.n_elements, 4, 2))
-    for kind, cvs, sign in (("face", "face_inside", 1.0), ("face", "face_outside", -1.0), ("seg", "seg_cv", 1.0)):
-        pieces = cvset.pieces(kind)
-        e, n = pieces.element, pieces.normal
-        points, w = gauss_rule(pieces)
+    for kind, side, sign in (("face", "inside", 1.0), ("face", "outside", -1.0), ("seg", "inside", 1.0)):
+        piece = pieces(disc.pressure, kind)
+        e, n = piece.element, piece.normal
+        points, w = gauss_rule(piece)
         vals, _, _ = basis_at(disc.elements, e[:, None], points)
         pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
-        np.add.at(C, (_local_owners(disc, e, getattr(cvset, cvs)), e), sign * pair)
+        np.add.at(C, (_local_owners(disc, e, getattr(piece, side)), e), sign * pair)
     return C
 
 
@@ -604,8 +614,9 @@ FAMILY_SETS = {
 
 def _fan_triangle_integrals(cvset, func):
     """Integral over each control volume by the degree-6 rule on physical fan triangles."""
-    polys, cv = cvset.scv_polys, cvset.scv_cv
-    quad = cvset.scv_nverts == 4
+    scvs = sub_volumes(cvset)
+    polys, cv = scvs.polygon, scvs.cv
+    quad = scvs.nverts == 4
     tris = np.concatenate((polys[:, :3], polys[quad][:, [0, 2, 3]]))
     owners = np.concatenate((cv, cv[quad]))
     rule = triangle_rule(SOURCE_QUAD_DEGREE)
@@ -642,14 +653,15 @@ def _green_integrals(cvset):
     integral of x^(a+1) y^b / (a+1) dy along the sub-volume polygons."""
     t, w = np.polynomial.legendre.leggauss(4)   # exact for the degree-7 edge integrands
     t, w = 0.5 * (t + 1.0), 0.5 * w
-    start = cvset.scv_polys
+    scvs = sub_volumes(cvset)
+    start = scvs.polygon
     end = np.roll(start, -1, axis=1)            # padded vertices give zero-length edges
     pts = start[..., None, :] + t[:, None] * (end - start)[..., None, :]
     x, y = pts[..., 0], pts[..., 1]
     dy = (end - start)[..., 1]
     total = sum(c / (a + 1) * np.sum(w * x ** (a + 1) * y**b, axis=-1) * dy for c, a, b in SEXTIC)
     out = np.zeros(cvset.n_cvs)
-    np.add.at(out, cvset.scv_cv, total.sum(axis=1))
+    np.add.at(out, scvs.cv, total.sum(axis=1))
     return out
 
 

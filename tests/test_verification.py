@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_distorted_mesh, write_msh22
+from oracles import pieces
 from cvstokes import schemes, verification
 from cvstokes.cli_io import write_vtu
 from cvstokes.geometry import REFERENCE_FACES, build
@@ -567,9 +568,9 @@ def test_region_balance_of_two_boxes_telescopes():
     disc, x, problem = _solved("overlapping")
     # An adjacent pair: the balance of the union equals the sum of the two
     # box balances because the shared-face fluxes cancel exactly.
-    pset = disc.pressure
-    i = int(pset.face_inside[0])
-    j = int(pset.face_outside[0])
+    faces = pieces(disc.pressure, "face")
+    i = int(faces.inside[0])
+    j = int(faces.outside[0])
     union = region_mass_balance(disc, x, problem, [i, j])
     single = region_mass_balance(disc, x, problem, [i]) + region_mass_balance(
         disc, x, problem, [j]
