@@ -151,7 +151,6 @@ class ElementData:
     """Per-element geometry used by basis evaluation and assembly."""
 
     coords: np.ndarray        # (ne, 3, 2)
-    centroids: np.ndarray     # (ne, 2)
     areas: np.ndarray         # (ne,)
     jacobians: np.ndarray     # (ne, 2, 2), columns are edge vectors
     inv_jacobians: np.ndarray  # (ne, 2, 2)
@@ -159,7 +158,6 @@ class ElementData:
 
 def element_data(mesh: Mesh) -> ElementData:
     coords = mesh.vertices[mesh.triangles]
-    centroids = coords.mean(axis=1)
     d1 = coords[:, 1] - coords[:, 0]
     d2 = coords[:, 2] - coords[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -172,7 +170,7 @@ def element_data(mesh: Mesh) -> ElementData:
     inv[:, 1, 0] = -d1[:, 1]
     inv[:, 1, 1] = d1[:, 0]
     inv /= det[:, None, None]
-    return ElementData(coords, centroids, 0.5 * det, jac, inv)
+    return ElementData(coords, 0.5 * det, jac, inv)
 
 
 def to_physical(eldata: ElementData, elements, reference: np.ndarray) -> np.ndarray:

@@ -31,13 +31,18 @@ mapped by the element's inverse Jacobian) times n |piece| = rot(J (b - a)).
 pieces, given as elements and slots: the one flux kernel of each quantity.
 Each face separates two owners in one element (`geometry.REFERENCE_FACES`),
 so assembly adds the coefficients of one slot at a time into owner-major
-element blocks like the Galerkin rows, and each block is one COO -> CSR
-conversion.  The audit contracts the same coefficients with a solution, one
-slot over all elements at a time (`_mass_flux_slots`, `_momentum_flux_slots`).
-Volume integrals (the sources over control volumes, the Galerkin load) map
-a fixed reference rule, the degree-6 rule on the fan triangles of
-`geometry.REFERENCE_CELLS` or on the whole element, by each element's
-X0 + J xi and evaluate it `_BLOCK` elements at a time.
+element blocks like the Galerkin rows.  Every block goes straight into CSR
+on one pattern per assembly, the closure of the elements' vertices and
+bubbles built from the mesh's edges (`_closure`): each element entry has
+its slot there, and a sparse sum adds the entries into their slots
+(`_closure_csr`).  The audit contracts the same coefficients with a
+solution, one slot over all elements at a time (`_mass_flux_slots`,
+`_momentum_flux_slots`).  Volume integrals map a fixed reference rule by
+each element's X0 + J xi and evaluate it `_BLOCK` elements at a time:
+every control-volume source, in assembly and in the audit alike, with one
+28-point degree-6 rule that all families share (`_SOURCE_RULES`), derived
+from the degree-6 rule on the fan triangles of `geometry.REFERENCE_CELLS`;
+the Galerkin load with the degree-6 rule on the whole element.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import qr
 
 from .basis import _eval_unchecked, barycentric, segment_rule, triangle_rule
 from .geometry import (
@@ -221,10 +227,11 @@ def _momentum_coefficients(eldata, elements, slots, mu):
 
 def _flux_momentum_blocks(disc, mu, A, B):
     """Add the momentum flux balances of the velocity control volumes to the
-    element blocks A [owner, e, comp, trial, comp] and B [owner, e, comp, hat]:
+    element blocks A [owner, e, trial, comp, comp] and B [owner, e, hat, comp]:
     a face's flux enters its inside owner's rows and leaves its outside owner's."""
     for slot, inside, outside in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]:
-        for block, pair in zip((A, B), _momentum_coefficients(disc.elements, slice(None), slot, mu)):
+        a, b = _momentum_coefficients(disc.elements, slice(None), slot, mu)
+        for block, pair in ((A, np.swapaxes(a, 1, 2)), (B, np.swapaxes(b, 1, 2))):
             block[inside] += pair
             block[outside] -= pair
 
@@ -265,13 +272,96 @@ def _momentum_flux_slots(disc, mu, velocity, pressure):
     return [(a.reshape(ne, 2, 8) @ u + b @ p)[..., 0] for a, b in pairs]
 
 
-def _to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dtype=np.int64)):
-    """One COO -> CSR conversion of element blocks, whose row and column ids
-    broadcast to them.  The `dropped` rows are zeroed, then each `diagonal`
-    id takes a one; entries that cancel exactly are not stored."""
-    np.copyto(blocks, 0.0, where=np.isin(row_ids, dropped))
-    rows, cols = (np.concatenate((np.broadcast_to(ids, blocks.shape), diagonal), axis=None) for ids in (row_ids, col_ids))
-    M = sp.coo_matrix((np.concatenate((blocks, np.ones(diagonal.size)), axis=None), (rows, cols)), shape=shape).tocsr()
+@dataclass(frozen=True, eq=False)
+class _Closure:
+    """The sparsity pattern of element closures over the velocity locations:
+    the vertices, then one bubble per element.  Location r couples to
+    location c when both belong to one element.  `indptr` and `cols` are its
+    CSR structure, sorted within each row, so that the first vertex rows
+    restricted to vertex columns are the pattern of the vertices alone.
+    `slots[a, e, b]`, owner-major like the element blocks, is the entry of
+    an element's local locations a and b (vertices 0-2, bubble 3), and
+    `diagonal[r]` the entry of (r, r)."""
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    slots: np.ndarray
+    diagonal: np.ndarray
+
+
+def _closure(mesh) -> _Closure:
+    """The closure pattern of the mesh's vertices and bubbles.
+
+    A vertex row holds its lower edge neighbours, itself, its upper edge
+    neighbours and the bubbles of its elements in element order: each edge
+    of the sorted edge table is one entry in the row of its lower end and
+    one in the row of its upper end.  A bubble row holds its element's
+    vertices, sorted, then itself.
+    """
+    tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
+    nxt = np.roll(tri, -1, axis=1)                  # local edge k runs from vertex k to k + 1
+    edges, edge = np.unique(np.minimum(tri, nxt) * nv + np.maximum(tri, nxt), return_inverse=True)
+    edge = edge.reshape(ne, 3)
+    lo, hi = np.divmod(edges, nv)
+    above, below = np.bincount(lo, minlength=nv), np.bincount(hi, minlength=nv)
+    incident = np.bincount(tri.ravel(), minlength=nv)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate((below + 1 + above + incident, np.full(ne, 4))))))
+    diagonal = indptr[:-1] + np.concatenate((below, np.full(ne, 3)))
+    ids = np.arange(edges.size)
+    upper = diagonal[lo] + 1 + ids - np.concatenate(([0], np.cumsum(above)))[lo]
+    by_hi = np.argsort(hi, kind="stable")
+    lower = np.empty(edges.size, dtype=np.intp)
+    lower[by_hi] = indptr[hi[by_hi]] + ids - np.concatenate(([0], np.cumsum(below)))[hi[by_hi]]
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    cols[diagonal], cols[upper], cols[lower] = np.arange(nv + ne), hi, lo
+
+    slots = np.empty((ne, 4, 4), dtype=np.intp)
+    k, k1 = np.arange(3), (np.arange(3) + 1) % 3
+    ascending = tri < nxt
+    slots[:, k, k] = diagonal[tri]
+    slots[:, k, k1] = np.where(ascending, upper[edge], lower[edge])
+    slots[:, k1, k] = np.where(ascending, lower[edge], upper[edge])
+    by_vertex = np.argsort(tri, axis=None, kind="stable")   # element order within each vertex
+    rank = np.empty(by_vertex.size, dtype=np.intp)
+    rank[by_vertex] = np.arange(by_vertex.size)
+    slots[:, :3, 3] = (indptr[1 : nv + 1] - np.cumsum(incident))[tri] + rank.reshape(ne, 3)
+    cols[slots[:, :3, 3]] = nv + np.arange(ne)[:, None]
+    within = (tri > nxt).astype(np.intp) + (tri > np.roll(tri, 1, axis=1))   # rank in the element
+    slots[:, 3, :3] = indptr[nv:-1, None] + within
+    cols[slots[:, 3, :3]] = tri
+    slots[:, 3, 3] = diagonal[nv:]
+    return _Closure(indptr, cols, np.ascontiguousarray(np.swapaxes(slots, 0, 1)), diagonal)
+
+
+def _closure_csr(closure, blocks, shape, dropped=(), diagonal=()) -> sp.csr_matrix:
+    """CSR of element blocks [owner, e, trial, comp, comp] on a closure pattern.
+
+    The owners and trials are each element's first local locations, and
+    each (owner, trial) pair holds a small block of row components by
+    column components (1 or 2 each).  The rows and columns are the
+    pattern's first locations, as many as `shape` holds, so a location row
+    keeps its columns below that count.  A sparse product with one unit per
+    block entry sums the small blocks into the pattern's slots, and they
+    expand to CSR.  The `dropped` rows are then zeroed, each `diagonal` id
+    takes a one in its slot, and entries that cancel exactly are not
+    stored.  Indices are int32.
+    """
+    owners, ne, trials, cr, cc = blocks.shape
+    nr, nc = shape[0] // cr, shape[1] // cc
+    kept = closure.cols < nc
+    rank = np.concatenate(([0], np.cumsum(kept, dtype=np.int32)))   # pattern entry -> index among the kept ones
+    indptr = rank[closure.indptr[: nr + 1]]
+    slots = rank[closure.slots[:owners, :, :trials]].ravel()
+    summation = sp.csc_matrix((np.ones(slots.size), slots, np.arange(slots.size + 1, dtype=np.int32)),
+                              shape=(indptr[-1], slots.size))
+    data = (summation @ blocks.reshape(slots.size, cr * cc)).reshape(-1, cr, cc)
+    M = sp.bsr_matrix((data, closure.cols[kept][: indptr[-1]], indptr), shape=shape).tocsr()
+    dropped_rows = np.zeros(shape[0], dtype=bool)
+    dropped_rows[np.asarray(dropped, dtype=np.intp)] = True
+    M.data[np.repeat(dropped_rows, np.diff(M.indptr))] = 0.0
+    # Scalar row (r, c) lists kept entry q of location row r at cc (q - indptr[r]) + k.
+    r, c = np.divmod(np.asarray(diagonal, dtype=np.intp), cr)
+    M.data[M.indptr[cr * r + c] + cc * (rank[closure.diagonal[r]] - indptr[r]) + c] = 1.0
     M.eliminate_zeros()
     return M
 
@@ -289,7 +379,35 @@ def _volume_rule(cells):
     return np.concatenate(points), weights.reshape(len(cells), -1)
 
 
-_VOLUME_RULES = {family: _volume_rule(cells) for family, cells in REFERENCE_CELLS.items()}
+def _vandermonde(points):
+    """The products P_a(2x - 1) P_b(2y - 1) of Legendre polynomials of total
+    degree a + b <= 6 at points (n, 2): (n, 28)."""
+    d = SOURCE_QUAD_DEGREE
+    V = np.polynomial.legendre.legvander2d(2.0 * points[:, 0] - 1.0, 2.0 * points[:, 1] - 1.0, [d, d])
+    return V[:, (np.arange(d + 1)[:, None] + np.arange(d + 1)).ravel() <= d]
+
+
+def _compressed_rules(rules):
+    """One 28-point degree-6 rule that every family shares, from the fan rules.
+
+    The points are approximate Fekete points of the union of the fan points:
+    QR with column pivoting of the transposed Vandermonde matrix picks 28 of
+    them (Bos, De Marchi, Sommariva & Vianello, SIAM J. Numer. Anal. 48,
+    2010).  Each sub-volume row's weights then reproduce that row's fan-rule
+    moments of the degree-6 basis (Sommariva & Vianello, Numer. Funct. Anal.
+    Optim., 2015), so the rule is exact to degree 6 like the fan rule.
+    """
+    fan = np.concatenate([points for points, _ in rules.values()])
+    V = _vandermonde(fan)
+    pivots = qr(V.T, pivoting=True, mode="r")[1][: V.shape[1]]
+    points = fan[pivots]
+    V = _vandermonde(points).T
+    return {family: (points, np.linalg.solve(V, _vandermonde(p).T @ w.T).T) for family, (p, w) in rules.items()}
+
+
+# The 28-point rule of every control-volume source, from the fan rules
+# (16 points per fan triangle: 96, 64 and 112 per element).
+_SOURCE_RULES = _compressed_rules({family: _volume_rule(cells) for family, cells in REFERENCE_CELLS.items()})
 
 
 def _evaluate(func, name, points, shape):
@@ -324,12 +442,13 @@ def _integrate_elements(eldata: ElementData, points, weights, integrand, shape) 
 
 def _integrate_over_cvs(disc, cvset, problem, source):
     """Integral of a source of the problem, "body_force" or "mass_source", over each
-    control volume, element by element through `owners`; zeros when the source is None."""
+    control volume by `_SOURCE_RULES`, element by element through `owners`;
+    zeros when the source is None."""
     shape = (2,) if source == "body_force" else ()
     func = getattr(problem, source)
     out = np.zeros((cvset.n_cvs,) + shape)
     if func is not None:
-        points, weights = _VOLUME_RULES[cvset.family]
+        points, weights = _SOURCE_RULES[cvset.family]
         local = _integrate_elements(disc.elements, points, weights,
                                     lambda sl, x: _evaluate(func, source, x, shape), shape)
         np.add.at(out, cvset.owners[:, : local.shape[0]], np.swapaxes(local, 0, 1))
@@ -403,7 +522,7 @@ def _galerkin_momentum(disc, problem, mu, tests, A, B, load):
     K[:, 0] = -K[:, 1:].sum(axis=1)
     L = np.einsum("q,qj,qti->tji", w, lam, gt)
 
-    # The entry [t, e, a, b, k] of A multiplies trial (b, k) in the row of test (t, a):
+    # The entry [t, e, b, a, k] of A multiplies trial (b, k) in the row of test (t, a):
     #   mu 2|e| sum_ij K[t, b, i, j] (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
     inv = el.inv_jacobians
     Q = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # [e, i, j, a, k]
@@ -412,11 +531,11 @@ def _galerkin_momentum(disc, problem, mu, tests, A, B, load):
     Q[..., 1, 1] += metric
     Q *= (mu * 2.0 * el.areas)[:, None, None, None, None]
     Apair = (Q.reshape(ne, 4, 4).swapaxes(1, 2) @ K.reshape(4 * T, 4).T)  # [e, ak, tb]
-    A[tests] += Apair.reshape(ne, 2, 2, T, 4).transpose(3, 0, 1, 4, 2)
-    # The entry [t, e, a, j] of B is -2|e| sum_i L[t, j, i] inv[i, a].
+    A[tests] += Apair.reshape(ne, 2, 2, T, 4).transpose(3, 0, 4, 1, 2)
+    # The entry [t, e, j, a] of B is -2|e| sum_i L[t, j, i] inv[i, a].
     Bpair = np.swapaxes(inv, 1, 2) @ np.swapaxes(L, 1, 2)[:, None]       # [t, e, a, j]
     Bpair *= (-2.0 * el.areas)[:, None, None]
-    B[tests] += Bpair
+    B[tests] += np.swapaxes(Bpair, 2, 3)
 
     force = _integrate_elements(                                      # (T, ne, 2)
         el, rule.points, (ev.values[:, tests] * w[:, None]).T,
@@ -453,8 +572,8 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
 
     rhs_u = np.zeros(2 * n_u)
     load = rhs_u.reshape(n_u, 2)
-    A = np.zeros((_OWNERS, mesh.n_elements, 2, 4, 2))
-    B = np.zeros((_OWNERS, mesh.n_elements, 2, 3))
+    A = np.zeros((_OWNERS, mesh.n_elements, 4, 2, 2))
+    B = np.zeros((_OWNERS, mesh.n_elements, 3, 2))
 
     spec = disc.scheme.spec
     if spec.flux_momentum:
@@ -475,13 +594,13 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     if dverts.size:
         load[dverts] = _evaluate(problem.dirichlet, "dirichlet", mesh.vertices[dverts], (2,))
 
-    # Velocity ids [e, local, comp]: the momentum rows [owner, e, comp] (less
-    # the owner "none") and the columns of A and C.
-    dofs = _xy(disc.element_velocity_dofs())
-    rows = np.swapaxes(dofs, 0, 1)
-    A = _to_csr(A[:4], rows[..., None, None], dofs[None, :, None], (2 * n_u, 2 * n_u), ddofs, ddofs)
-    B = _to_csr(B[:4], rows[..., None], mesh.triangles[None, :, None], (2 * n_u, n_p), ddofs)
-    C = _to_csr(_mass_blocks(disc), mesh.triangles.T[..., None, None], dofs[None], (n_p, 2 * n_u), pinned)
+    # One closure pattern over the velocity locations serves every block: the
+    # momentum rows are its owners less "none", the mass rows and the
+    # pressure columns its vertices, which come first.
+    closure = _closure(mesh)
+    A = _closure_csr(closure, A[:4], (2 * n_u, 2 * n_u), ddofs, ddofs)
+    B = _closure_csr(closure, B[:4, ..., None], (2 * n_u, n_p), ddofs)
+    C = _closure_csr(closure, _mass_blocks(disc)[:, :, :, None], (n_p, 2 * n_u), pinned)
 
     return SaddleSystem(
         A=A,

@@ -76,7 +76,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import barycentric, triangle_rule
 from .geometry import GridDiscretization
-from .schemes import SaddleSystem, _checked_viscosity, _to_csr
+from .schemes import SaddleSystem, _checked_viscosity, _closure, _closure_csr
 
 MASS_QUAD_DEGREE = 2
 
@@ -92,11 +92,9 @@ def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr
     rule = triangle_rule(MASS_QUAD_DEGREE)
     lam = barycentric(rule.points)              # (nq, 3)
     ref_block = np.einsum("q,qi,qj->ij", rule.weights, lam, lam)
-    areas = disc.elements.areas
-    blocks = (2.0 * areas)[:, None, None] * ref_block[None] / (2.0 * viscosity)
-    tri = disc.mesh.triangles
+    blocks = ref_block[:, None, :, None, None] * (disc.elements.areas / viscosity)[:, None, None, None]
     n_p = disc.n_pressure_dofs
-    return _to_csr(blocks, tri[:, :, None], tri[:, None, :], (n_p, n_p), [])
+    return _closure_csr(_closure(disc.mesh), blocks, (n_p, n_p))
 
 
 def random_initial_guess(disc: GridDiscretization, seed: int) -> np.ndarray:

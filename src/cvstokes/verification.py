@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _eval_unchecked, barycentric, triangle_rule
-from .geometry import _NONE, REFERENCE_FACES, GridDiscretization, SchemeKind, build
+from .geometry import REFERENCE_FACES, GridDiscretization, SchemeKind, build
 from .mesh import (
     BCKind,
     DistortionError,
@@ -419,11 +419,13 @@ class ConservationAudit:
 
 def _scatter_faces(out, cvset, fluxes):
     """Add each face row's fluxes (ne, ...) to its inside owner's balance and
-    subtract them from its outside owner's; the owner "none" receives nothing."""
+    subtract them from its outside owner's; the owner "none", id -1 in
+    `owners`, receives nothing."""
     for (_, inside, outside), flux in zip(REFERENCE_FACES[cvset.family], fluxes):
         np.add.at(out, cvset.owners[:, inside], flux)
-        if outside != _NONE:
-            np.subtract.at(out, cvset.owners[:, outside], flux)
+        ids = cvset.owners[:, outside]
+        owned = ids >= 0
+        np.subtract.at(out, ids[owned], flux[owned])
 
 
 def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: StokesProblem) -> ConservationAudit:

@@ -16,7 +16,9 @@ in physical coordinates, one face, segment or sub-volume at a time and
 element by element, from each triangle's own vertices, edge midpoints and
 centroid: the geometric oracle of closure, tiling, normals, segments and
 polygons.  `cv_integrals` adds the package's own sub-volume integrals one
-sub-volume at a time, so that it checks only the owner map.
+sub-volume at a time, so that it checks only the owner map.  `coo_blocks`
+turns assembly's element blocks into CSR by one COO conversion each, with
+explicit row and column ids, to check the closure-pattern builder.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from cvstokes import schemes
 from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric
@@ -256,16 +259,56 @@ def face_fluxes(disc: GridDiscretization, cvset: ControlVolumeSet, viscosity, ve
     return piece_fluxes(disc, pieces(cvset, "face"), viscosity, velocity, pressure)
 
 
-def cv_integrals(disc: GridDiscretization, cvset: ControlVolumeSet, problem, source: str) -> np.ndarray:
+#: The degree-6 rule on the fan triangles of each family's reference
+#: sub-volumes (96, 64 and 112 points per element), from which the package
+#: derives its 28-point source rule.
+FAN_RULES = {family: schemes._volume_rule(cells) for family, cells in REFERENCE_CELLS.items()}
+
+
+def cv_integrals(disc: GridDiscretization, cvset: ControlVolumeSet, problem, source: str, rules) -> np.ndarray:
     """Integral of "body_force" or "mass_source" over each control volume: the
-    package's per-element sub-volume integrals, added one sub-volume at a time
-    in the order of `sub_volumes`."""
+    package's per-element sub-volume integrals by the reference `rules`
+    (`schemes._SOURCE_RULES` or `FAN_RULES`), added one sub-volume at a
+    time in the order of `sub_volumes`."""
     shape = (2,) if source == "body_force" else ()
     func = getattr(problem, source)
-    points, weights = schemes._VOLUME_RULES[cvset.family]
+    points, weights = rules[cvset.family]
     local = schemes._integrate_elements(disc.elements, points, weights,
                                         lambda sl, x: schemes._evaluate(func, source, x, shape), shape)
     out = np.zeros((cvset.n_cvs,) + shape)
     scv = sub_volumes(cvset)
     np.add.at(out, scv.cv, local[scv.row, scv.element])
     return out
+
+
+def coo_to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dtype=np.int64)):
+    """One COO -> CSR conversion of element blocks, whose row and column ids
+    broadcast to them.  The `dropped` rows are zeroed, then each `diagonal`
+    id takes a one; entries that cancel exactly are not stored."""
+    np.copyto(blocks, 0.0, where=np.isin(row_ids, dropped))
+    rows, cols = (np.concatenate((np.broadcast_to(ids, blocks.shape), diagonal), axis=None) for ids in (row_ids, col_ids))
+    M = sp.coo_matrix((np.concatenate((blocks, np.ones(diagonal.size)), axis=None), (rows, cols)), shape=shape).tocsr()
+    M.eliminate_zeros()
+    return M
+
+
+def coo_blocks(disc: GridDiscretization, problem, pin_pressure=None):
+    """A, B and C of `assemble`, each element block [owner, e, trial, comp, comp]
+    put through `coo_to_csr` with its row and column ids instead of the
+    package's closure pattern."""
+    mesh, spec = disc.mesh, disc.scheme.spec
+    ne, n_u, n_p = mesh.n_elements, disc.n_velocity_locations, disc.n_pressure_dofs
+    A = np.zeros((schemes._OWNERS, ne, 4, 2, 2))
+    B = np.zeros((schemes._OWNERS, ne, 3, 2))
+    if spec.flux_momentum:
+        schemes._flux_momentum_blocks(disc, problem.viscosity, A, B)
+    if spec.galerkin_tests:
+        schemes._galerkin_momentum(disc, problem, problem.viscosity, spec.galerkin_tests, A, B, np.zeros((n_u, 2)))
+    ddofs = (2 * mesh.dirichlet_vertices()[:, None] + np.arange(2)).ravel()
+    pinned = [] if pin_pressure is None else [pin_pressure]
+    dofs = 2 * disc.element_velocity_dofs()[..., None] + np.arange(2)     # [e, local, comp]
+    rows = np.swapaxes(dofs, 0, 1)                                        # [owner, e, comp]
+    tri = mesh.triangles
+    return (coo_to_csr(A[:4], rows[:, :, None, :, None], dofs[None, :, :, None, :], (2 * n_u, 2 * n_u), ddofs, ddofs),
+            coo_to_csr(B[:4], rows[:, :, None, :], tri[None, :, :, None], (2 * n_u, n_p), ddofs),
+            coo_to_csr(schemes._mass_blocks(disc), tri.T[:, :, None, None], dofs[None], (n_p, 2 * n_u), pinned))

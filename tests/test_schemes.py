@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import random_distorted_mesh, single_triangle_mesh
 from oracles import (
+    FAN_RULES,
     basis_at,
+    coo_blocks,
     cv_integrals,
     eval_physical,
     eval_reference,
@@ -22,7 +25,7 @@ from oracles import (
 from cvstokes import schemes
 from cvstokes.basis import barycentric, segment_rule, triangle_rule
 from cvstokes.geometry import SEGMENT_OWNERS, build
-from cvstokes.mesh import BCKind, distort, generate_structured
+from cvstokes.mesh import BCKind, distort, generate_structured, validate
 from cvstokes.schemes import (
     SOURCE_QUAD_DEGREE,
     ConfigurationError,
@@ -31,7 +34,8 @@ from cvstokes.schemes import (
     assemble,
     split_solution,
 )
-from cvstokes.verification import donea_huerta_case, error_norms, shear_flow_case
+from cvstokes.solver import assemble_pressure_mass
+from cvstokes.verification import conservation_audit, donea_huerta_case, error_norms, shear_flow_case
 
 SCHEMES = ("overlapping", "non-overlapping", "hybrid", "fem")
 
@@ -42,7 +46,7 @@ def interpolate(disc, field):
     """Nodal interpolation: vertex values plus centroid values for bubbles."""
     vel = np.zeros((disc.n_velocity_locations, 2))
     vel[: disc.mesh.n_vertices] = field(disc.mesh.vertices)
-    vel[disc.mesh.n_vertices :] = field(disc.elements.centroids)
+    vel[disc.mesh.n_vertices :] = field(disc.elements.coords.mean(axis=1))
     return vel
 
 
@@ -315,14 +319,14 @@ def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
     mesh = distort(generate_structured(6, 5), 0.2, seed=12).with_bc(MIXED)
     disc = build(mesh, "fem")
     mu = 1.7
-    A = np.zeros((schemes._OWNERS, mesh.n_elements, 2, 4, 2))
-    B = np.zeros((schemes._OWNERS, mesh.n_elements, 2, 3))
+    A = np.zeros((schemes._OWNERS, mesh.n_elements, 4, 2, 2))
+    B = np.zeros((schemes._OWNERS, mesh.n_elements, 3, 2))
     problem = StokesProblem(viscosity=mu)
     _galerkin_momentum(disc, problem, mu, tests, A, B, np.zeros((disc.n_velocity_locations, 2)))
     Apair, Bpair = _galerkin_oracle(disc, mu, tests)
-    # The blocks are laid out [test, element, ...]; the other owners stay zero.
-    for got, want in ((A, Apair), (B, Bpair)):
-        assert np.max(np.abs(got[list(tests)] - np.swapaxes(want, 0, 1))) <= 1e-13 * np.max(np.abs(want))
+    # The blocks are laid out [test, element, trial, comp, ...]; the other owners stay zero.
+    for got, want in ((A, Apair.transpose(1, 0, 3, 2, 4)), (B, Bpair.transpose(1, 0, 3, 2))):
+        assert np.max(np.abs(got[list(tests)] - want)) <= 1e-13 * np.max(np.abs(want))
         assert not np.any(np.delete(got, tests, axis=0))
 
 
@@ -345,8 +349,9 @@ def _flux_momentum_blocks_oracle(disc, mu, A, B):
     gn = np.einsum("fqba,fa->fqb", grads, n)
     term1 = np.einsum("fq,fqb->fb", w, gn)
     term2 = np.einsum("fq,fqba,fk->fabk", w, grads, n)
-    Apair = -mu * (term1[:, None, :, None] * np.eye(2)[None, :, None, :] + term2)
-    Bpair = np.einsum("fq,fqj,fa->faj", w, hats, n)
+    Apair = -mu * (term1[:, None, :, None] * np.eye(2)[None, :, None, :] + term2)   # [f, a, b, k]
+    Apair = np.swapaxes(Apair, 1, 2)
+    Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
     for cvs, sign in ((faces.inside, 1.0), (faces.outside, -1.0)):
         local = _local_owners(disc, e, cvs)
         np.add.at(A, (local, e), sign * Apair)
@@ -395,10 +400,60 @@ def test_assembled_blocks_store_no_zeros(scheme, pinned):
         assert np.count_nonzero(M.data) == M.nnz, name
 
 
+def _renumbered(mesh, seed):
+    """The same mesh with its vertices in a random order and each triangle's
+    vertices rotated by a random shift, as a mesh file may list them."""
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(mesh.n_vertices)                      # old id -> new id
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new] = mesh.vertices
+    shift = rng.integers(3, size=mesh.n_elements)[:, None]
+    triangles = new[np.take_along_axis(mesh.triangles, (np.arange(3) + shift) % 3, axis=1)]
+    return dataclasses.replace(mesh, vertices=vertices, triangles=triangles, boundary_facets=new[mesh.boundary_facets])
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_closure_pattern_csr_equals_the_coo_conversion(scheme, pinned):
+    # Every block entry lands in its pattern slot: the CSR blocks equal one
+    # COO conversion of the same element blocks with explicit ids, also when
+    # the vertices are numbered at random and listed from any corner.
+    mesh = _renumbered(distort(generate_structured(20, 20), 0.2, seed=21), seed=21)   # all Dirichlet
+    validate(mesh)
+    if not pinned:
+        mesh = mesh.with_bc(MIXED)
+    disc = build(mesh, scheme)
+    problem = donea_huerta_case(viscosity=0.7).problem()
+    pin = 5 if pinned else None
+    got = assemble(disc, problem, pin_pressure=pin)
+    for name, want in zip("ABC", coo_blocks(disc, problem, pin)):
+        G = getattr(got, name)
+        assert G.shape == want.shape, name
+        assert abs(G - want).max() <= 1e-15 * abs(want).max(), name
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_assembled_blocks_are_canonical_csr_with_int32_indices(scheme, pinned):
+    mesh = _renumbered(distort(generate_structured(9, 7), 0.2, seed=22), seed=22)
+    if not pinned:
+        mesh = mesh.with_bc(MIXED)
+    disc = build(mesh, scheme)
+    system = assemble(disc, donea_huerta_case().problem(), pin_pressure=3 if pinned else None)
+    blocks = {name: getattr(system, name) for name in "ABCD"}
+    blocks["pressure mass"] = assemble_pressure_mass(disc, 1.0)
+    for name, M in blocks.items():
+        assert M.format == "csr", name
+        assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32, name
+        # A matrix made afresh from the arrays checks them, not a cached flag.
+        assert sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape).has_canonical_format, name
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_assembly_peak_memory_is_bounded_by_its_blocks(scheme):
-    # Element blocks hold each element's entries once, so one assembly
-    # needs only a few times the memory of the CSR blocks it returns.
+    # Element blocks hold each element's entries once and are summed into
+    # the closure pattern's slots without triplets, so one assembly needs
+    # only a few times the memory of the CSR blocks it returns.
     case = donea_huerta_case()
     disc = build(case.apply_bc(distort(generate_structured(24, 24), 0.2, seed=26)), scheme)
     problem = case.problem()
@@ -410,7 +465,7 @@ def test_assembly_peak_memory_is_bounded_by_its_blocks(scheme):
     finally:
         tracemalloc.stop()
     size = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes for M in (system.A, system.B, system.C))
-    assert peak <= 7 * size
+    assert peak <= 4 * size
 
 
 def _neumann_galerkin_rhs_oracle(disc, problem, rhs_u):
@@ -494,6 +549,13 @@ def test_traction_hat_integrals_split_plain_integrals():
     assert np.max(np.abs(off)) <= 1e-15 * scale
 
 
+def _both_rules(disc, cvset, problem, source):
+    """The source integrals of the package, by its 28-point rule, and of the
+    fan rule it is derived from, by name."""
+    return {"compressed": schemes._integrate_over_cvs(disc, cvset, problem, source),
+            "fan": cv_integrals(disc, cvset, problem, source, FAN_RULES)}
+
+
 @pytest.mark.parametrize("family", ["boxes", "non-overlapping", "overlapping"])
 def test_control_volume_sources_follow_the_owner_map(family):
     # Sub-volume row r of an element belongs to its local owner r: the
@@ -507,7 +569,7 @@ def test_control_volume_sources_follow_the_owner_map(family):
                                   mass_source=lambda p: np.sin(3.0 * p[..., 0]) * np.cos(2.0 * p[..., 1]))
     for source in ("body_force", "mass_source"):
         got = schemes._integrate_over_cvs(disc, cvset, problem, source)
-        assert np.array_equal(got, cv_integrals(disc, cvset, problem, source)), source
+        assert np.array_equal(got, cv_integrals(disc, cvset, problem, source, schemes._SOURCE_RULES)), source
 
 
 @pytest.mark.parametrize("viscosity", [0.0, np.nan, np.inf, -1.0])
@@ -635,8 +697,37 @@ def test_cv_integrals_match_fan_triangle_oracle(family):
     cvset = FAMILY_SETS[family](mesh)
     problem = donea_huerta_case().problem()
     want = _fan_triangle_integrals(cvset, problem.body_force)
-    got = schemes._integrate_over_cvs(build(mesh, "fem"), cvset, problem, "body_force")
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for rule, got in _both_rules(build(mesh, "fem"), cvset, problem, "body_force").items():
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), rule
+
+
+def test_source_rule_points_lie_in_the_reference_triangle():
+    # Every family shares one set of 28 points, picked from the fan points.
+    points = [points for points, _ in schemes._SOURCE_RULES.values()]
+    assert all(p is points[0] for p in points)
+    x, y = points[0].T
+    assert points[0].shape == (28, 2)
+    assert np.all(x > 0.0) and np.all(y > 0.0) and np.all(x + y < 1.0)
+    assert len(np.unique(points[0], axis=0)) == 28
+    fan = np.concatenate([p for p, _ in FAN_RULES.values()])
+    assert all(np.any(np.all(fan == p, axis=1)) for p in points[0])
+
+
+def _monomials(points):
+    """x^a y^b, a + b <= 6, at points (n, 2): (n, 28)."""
+    a, b = np.array([(a, b) for a in range(7) for b in range(7 - a)]).T
+    return points[:, :1] ** a * points[:, 1:] ** b
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SETS))
+def test_source_rule_reproduces_the_fan_moments(family):
+    # Each sub-volume row of the 28-point rule integrates every polynomial of
+    # degree <= 6 as its fan rule does.
+    points, weights = schemes._SOURCE_RULES[family]
+    fan_points, fan_weights = FAN_RULES[family]
+    assert weights.shape == (fan_weights.shape[0], 28)
+    want = fan_weights @ _monomials(fan_points)
+    assert np.max(np.abs(weights @ _monomials(points) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # (coefficient, a, b) of c x^a y^b: a polynomial of total degree 6.
@@ -670,9 +761,24 @@ def test_cv_integrals_are_exact_for_degree_six(family):
     mesh = random_distorted_mesh(22, n=5)
     cvset = FAMILY_SETS[family](mesh)
     problem = StokesProblem(viscosity=1.0, mass_source=_sextic)
-    got = schemes._integrate_over_cvs(build(mesh, "fem"), cvset, problem, "mass_source")
     want = _green_integrals(cvset)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for rule, got in _both_rules(build(mesh, "fem"), cvset, problem, "mass_source").items():
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), rule
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "non-overlapping"])
+def test_audit_source_integrals_match_the_fan_triangle_oracle(scheme):
+    # At a zero solution on an all-Dirichlet mesh the audit's residuals are
+    # minus its source integrals, exact like the fan triangles' to degree 6.
+    mesh = random_distorted_mesh(26, n=4)
+    disc = build(mesh, scheme)
+    problem = StokesProblem(viscosity=1.0, body_force=lambda p: np.stack((_sextic(p), _sextic(p[..., ::-1])), axis=-1),
+                            mass_source=_sextic)
+    audit = conservation_audit(disc, np.zeros(disc.n_dofs), problem)
+    for got, cvset, func in ((audit.mass_residuals, disc.pressure, problem.mass_source),
+                             (audit.momentum_residuals, disc.velocity, problem.body_force)):
+        want = -_fan_triangle_integrals(cvset, func).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_block_edges_do_not_change_volume_and_face_kernels(monkeypatch):
@@ -687,7 +793,7 @@ def test_block_edges_do_not_change_volume_and_face_kernels(monkeypatch):
         for disc in discs.values():
             vel, pres = split_solution(disc, x)
             for cvset in (disc.pressure, disc.velocity):
-                out.append(schemes._integrate_over_cvs(disc, cvset, case.problem(), "body_force"))
+                out.extend(_both_rules(disc, cvset, case.problem(), "body_force").values())
                 for kind in ("face", "seg"):
                     out.extend(kernel_fluxes(disc, cvset, kind, 1.3, vel, pres))
             out.append(np.array(dataclasses.astuple(error_norms(disc, x, case))))
