@@ -37,9 +37,10 @@ local owner r, and face rows (slot, inside owner, outside owner,
 `REFERENCE_FACES`).  These reference tables and each element's map are
 the only geometry: a `ControlVolumeSet` stores no array of its own, only
 the tables every family of a mesh shares, among them the (ne, 5) `owners`.
-The assembly and the audit walk the rows slot by slot over all elements,
-reading owners from `owners`; `to_physical` maps reference points into
-elements where physical coordinates are needed.
+Assembly sums the face rows into one reference tensor per owner, and the
+audit walks them slot by slot over all elements, reading owners from
+`owners`; `to_physical` maps reference points into elements where
+physical coordinates are needed.
 """
 
 from __future__ import annotations

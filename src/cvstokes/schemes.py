@@ -21,28 +21,33 @@ array per scheme, integrated over the boundary half-segments against the
 test of each vertex row of the segment's element: the indicator of the
 segment's vertex for flux balances, the vertex hat for Galerkin rows.
 
-Every face and boundary segment is the affine image of one of the twelve
-reference pieces (`geometry.REFERENCE_PIECES`), so the averages of the
-basis values, reference gradients and pressure hats over it are
-constants, computed once with the two-point Gauss rule, which is exact
-for the cubic basis.  A flux coefficient is such an average (gradients
-mapped by the element's inverse Jacobian) times n |piece| = rot(J (b - a)).
-`_mass_coefficients` and `_momentum_coefficients` return them for any
-pieces, given as elements and slots: the one flux kernel of each quantity.
-Each face separates two owners in one element (`geometry.REFERENCE_FACES`),
-so assembly adds the coefficients of one slot at a time into owner-major
-element blocks like the Galerkin rows.  Every block goes straight into CSR
-on one pattern per assembly, the closure of the elements' vertices and
-bubbles built from the mesh's edges (`_closure`): each element entry has
-its slot there, and a sparse sum adds the entries into their slots
-(`_closure_csr`).  The audit contracts the same coefficients with a
-solution, one slot over all elements at a time (`_mass_flux_slots`,
-`_momentum_flux_slots`).  Volume integrals map a fixed reference rule by
-each element's X0 + J xi and evaluate it `_BLOCK` elements at a time:
-every control-volume source, in assembly and in the audit alike, with one
-28-point degree-6 rule that all families share (`_SOURCE_RULES`), derived
-from the degree-6 rule on the fan triangles of `geometry.REFERENCE_CELLS`;
-the Galerkin load with the degree-6 rule on the whole element.
+A scheme is its reference tensors (`_SCHEME_TENSORS`), computed once at
+import from `geometry.SCHEME_SPECS`: per local test a momentum tensor
+(trial, 2, 2) and a pressure tensor (hat, 2), and the boxes' volume-flux
+tensor (box, trial, 2) that every scheme shares.  A Galerkin row holds the
+degree-6 integrals of its test's gradient against the trials' gradients
+and the hats.  A flux row sums the flux through its face rows
+(`geometry.REFERENCE_FACES`), plus as their inside owner and minus as their
+outside one.  The flux through one of the twelve reference pieces
+(`geometry.REFERENCE_PIECES`) is a reference tensor as well: the basis
+averaged over the piece (two Gauss points, exact for the cubic basis)
+times r = rot(b - a), since by the cofactor identity a physical piece's
+n |piece| = rot(J (b - a)) is 2|e| J^-T r.  `_map_momentum` and
+`_map_vectors` map any tensor by each element's inverse Jacobian and 2|e|,
+A_e = A0 : G_e (Kirby & Logg, ACM TOMS 32(3), 2006), into owner-major
+element blocks [owner, e, trial, comp, comp].  Every block goes straight
+into CSR on one pattern per assembly, the closure of the elements'
+vertices and bubbles built from the mesh's edges (`_closure`), where a
+sparse sum adds each element entry into its slot (`_closure_csr`).  The
+audit maps each face row's own tensors with the same two functions and
+contracts them with a solution, one slot over all elements at a time
+(`_mass_flux_slots`, `_momentum_flux_slots`).  Volume integrals map a
+fixed reference rule by each element's X0 + J xi and evaluate it `_BLOCK`
+elements at a time: every control-volume source, in assembly and in the
+audit alike, with one 28-point degree-6 rule that all families share
+(`_SOURCE_RULES`), derived from the degree-6 rule on the fan triangles of
+`geometry.REFERENCE_CELLS`; the Galerkin load with the degree-6 rule on
+the whole element.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .geometry import (
     REFERENCE_CELLS,
     REFERENCE_FACES,
     REFERENCE_PIECES,
+    SCHEME_SPECS,
     SEGMENT_OWNERS,
     ElementData,
     GridDiscretization,
@@ -70,9 +76,6 @@ SOURCE_QUAD_DEGREE = 6
 NEUMANN_QUAD_DEGREE = 5
 # Elements per block of the volume kernels (`_integrate_elements`).
 _BLOCK = 512
-# Owner slots of an element block, as in `REFERENCE_FACES`: the local
-# vertices 0-2, the bubble, and "none", whose entries are discarded.
-_OWNERS = 5
 
 
 class ConfigurationError(ValueError):
@@ -119,15 +122,65 @@ def _piece_points(degree):
     return a + t * (b - a)
 
 
-def _piece_averages():
-    """Basis values, reference gradients and hats averaged over each reference
-    piece with the two-point Gauss rule."""
-    pts = _piece_points(3)
-    ev = _eval_unchecked(pts)
-    return ev.values.mean(axis=1), ev.gradients.mean(axis=1), barycentric(pts).mean(axis=1)
+def _slot_tensors():
+    """The flux through each reference piece, from its inside to its outside,
+    as reference tensors: momentum (12, trial, 2, 2), pressure (12, hat, 2)
+    and volume (12, trial, 2), from the basis averaged over the piece."""
+    points = _piece_points(3)
+    ev = _eval_unchecked(points)
+    d = REFERENCE_PIECES[:, 1] - REFERENCE_PIECES[:, 0]
+    r = np.stack((d[:, 1], -d[:, 0]), axis=-1)[:, None]
+    momentum = -ev.gradients.mean(axis=1)[..., None] * r[..., None, :]
+    return momentum, barycentric(points).mean(axis=1)[..., None] * r, ev.values.mean(axis=1)[..., None] * r
 
 
-_PIECE_VALUES, _PIECE_GRADIENTS, _PIECE_HATS = _piece_averages()
+_SLOT_MOMENTUM, _SLOT_PRESSURE, _SLOT_VOLUME = _slot_tensors()
+
+
+def _owner_tensors(family, slot_tensors):
+    """The flux balances of local owners 0-3 of a family: each face row's
+    slot tensor enters its inside owner and leaves its outside owner (the
+    owner "none" keeps nothing)."""
+    signs = np.zeros((5, len(slot_tensors)))
+    for slot, inside, outside in REFERENCE_FACES[family]:
+        signs[inside, slot] += 1.0
+        signs[outside, slot] -= 1.0
+    return np.tensordot(signs[:4], slot_tensors, axes=1)
+
+
+def _galerkin_tensors():
+    """The Galerkin momentum and pressure tensors of the four local tests,
+    integrated with the degree-6 rule:
+
+        K[t, b, i, j] = sum_q w_q d_i phi_b d_j phi_t
+        L[t, j, i]    = -sum_q w_q lambda_j d_i phi_t
+    """
+    rule = triangle_rule(SOURCE_QUAD_DEGREE)
+    grads = _eval_unchecked(rule.points).gradients
+    K = np.einsum("q,qbi,qtj->tbij", rule.weights, grads, grads)
+    # The trial functions sum to one, so the rows of K sum to zero.  The
+    # quadrature leaves the same rounding residue in every element, which
+    # adds up coherently over a mesh; taking trial 0 from the other three
+    # keeps the identity.
+    K[:, 0] = -K[:, 1:].sum(axis=1)
+    return K, -np.einsum("q,qj,qti->tji", rule.weights, barycentric(rule.points), grads)
+
+
+def _scheme_tensors(spec):
+    """A scheme's momentum tensor (test, trial, 2, 2) and pressure tensor
+    (test, hat, 2): the Galerkin tensors in the rows of `galerkin_tests`,
+    the flux balances of the velocity control volumes in the others."""
+    K, L = _galerkin_tensors()
+    flux = [t for t in range(4) if t not in spec.galerkin_tests]
+    K[flux] = _owner_tensors(spec.velocity_cvs, _SLOT_MOMENTUM)[flux]
+    L[flux] = _owner_tensors(spec.velocity_cvs, _SLOT_PRESSURE)[flux]
+    return K, L
+
+
+# Every scheme is its reference tensors, and the pressure boxes' volume-flux
+# tensor (box, trial, 2) is the same in all of them.
+_SCHEME_TENSORS = {kind: _scheme_tensors(spec) for kind, spec in SCHEME_SPECS.items()}
+_BOX_VOLUME = _owner_tensors("boxes", _SLOT_VOLUME)[:3]
 
 
 def split_solution(disc: GridDiscretization, x: np.ndarray):
@@ -198,56 +251,42 @@ def _xy(ids):
     return 2 * ids[..., None] + np.arange(2)
 
 
-def _scaled_normals(eldata, elements, slots):
-    """n |piece| = rot(J_e (b - a)) of the reference pieces `slots` in `elements`, (..., 2)."""
-    jd = eldata.jacobians[elements] @ (REFERENCE_PIECES[slots, 1] - REFERENCE_PIECES[slots, 0])[..., None]
-    return np.concatenate((jd[..., 1, :], -jd[..., 0, :]), axis=-1)
+def _map_momentum(eldata, K, mu, elements=slice(None)):
+    """Momentum blocks [t, e, trial, comp, comp] of reference tensors K
+    (T, trial, 2, 2) in `elements`, by each element's inverse Jacobian and
+    2|e|.  The entry [t, e, b, a, k] multiplies trial (b, k) in the row of
+    test or owner t, component a:
+
+        mu 2|e| sum_ij K[t, b, i, j] (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
+    """
+    inv = eldata.inv_jacobians[elements]
+    n, T = inv.shape[0], K.shape[0]
+    Q = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # [e, i, j, a, k]
+    metric = Q[..., 0, 0] + Q[..., 1, 1]                              # [e, i, j]
+    Q[..., 0, 0] += metric
+    Q[..., 1, 1] += metric
+    Q *= (mu * 2.0 * eldata.areas[elements])[:, None, None, None, None]
+    A = Q.reshape(n, 4, 4).swapaxes(1, 2) @ K.reshape(4 * T, 4).T    # [e, ak, tb]
+    return A.reshape(n, 2, 2, T, 4).transpose(3, 0, 4, 1, 2)
 
 
-def _mass_coefficients(eldata, elements, slots):
-    """Volume flux v . n |piece| per velocity coefficient, (P, trial, comp), of
-    the reference pieces `slots` in `elements`: index arrays of one length P,
-    or a slice and one slot."""
-    return _PIECE_VALUES[slots][..., None] * _scaled_normals(eldata, elements, slots)[..., None, :]
-
-
-def _momentum_coefficients(eldata, elements, slots, mu):
-    """Momentum flux (-2 mu D(v) + p I) n |piece| per coefficient of the pieces,
-    as `_mass_coefficients` takes them: velocity (P, comp, trial, comp) and
-    pressure (P, comp, hat)."""
-    nl = _scaled_normals(eldata, elements, slots)
-    grads = np.swapaxes(_PIECE_GRADIENTS[slots] @ eldata.inv_jacobians[elements], -1, -2)  # [p, comp, trial]
-    gn = nl[:, :1] * grads[:, 0] + nl[:, 1:] * grads[:, 1]                                 # [p, trial]
-    a = grads[..., None] * nl[:, None, None, :]
-    a[:, 0, :, 0] += gn
-    a[:, 1, :, 1] += gn
-    a *= -mu
-    return a, nl[:, :, None] * _PIECE_HATS[slots][..., None, :]
-
-
-def _flux_momentum_blocks(disc, mu, A, B):
-    """Add the momentum flux balances of the velocity control volumes to the
-    element blocks A [owner, e, trial, comp, comp] and B [owner, e, hat, comp]:
-    a face's flux enters its inside owner's rows and leaves its outside owner's."""
-    for slot, inside, outside in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]:
-        a, b = _momentum_coefficients(disc.elements, slice(None), slot, mu)
-        for block, pair in ((A, np.swapaxes(a, 1, 2)), (B, np.swapaxes(b, 1, 2))):
-            block[inside] += pair
-            block[outside] -= pair
+def _map_vectors(eldata, T, elements=slice(None)):
+    """Blocks [..., n, a] = 2|e| sum_i T[..., n, i] inv[i, a] of reference
+    tensors T (..., n, 2) whose leading axes broadcast against the ids of
+    `elements`: the blocks of B and C and every volume flux."""
+    out = np.swapaxes(eldata.inv_jacobians[elements], -1, -2) @ np.swapaxes(T, -1, -2)
+    out *= (2.0 * eldata.areas[elements])[:, None, None]
+    return np.swapaxes(out, -1, -2)
 
 
 def _mass_blocks(disc):
-    """Element block C [owner, e, trial, comp] of the pressure boxes' flux
-    balances, owned by the element's vertices: a face's volume flux enters
-    its inside box and leaves its outside box, and leaves the box at a
-    boundary segment's vertex end."""
-    C = np.zeros((3, disc.mesh.n_elements, 4, 2))
-    for slot, inside, outside in REFERENCE_FACES["boxes"]:
-        c = _mass_coefficients(disc.elements, slice(None), slot)
-        C[inside] += c
-        C[outside] -= c
+    """Element block C [box, e, trial, comp] of the pressure boxes' flux
+    balances: the box tensor mapped by every element, and at a boundary
+    segment its slot's volume flux, which leaves the box of its vertex end."""
+    el = disc.elements
+    C = _map_vectors(el, _BOX_VOLUME[:, None])
     e, slots = disc.pressure.seg_element, disc.pressure.seg_slot
-    np.add.at(C, (SEGMENT_OWNERS[slots], e), _mass_coefficients(disc.elements, e, slots))
+    np.add.at(C, (SEGMENT_OWNERS[slots], e), _map_vectors(el, _SLOT_VOLUME[slots], e))
     return C
 
 
@@ -255,21 +294,20 @@ def _mass_flux_slots(disc, velocity):
     """Volume flux of v_h through the box faces, one (ne,) row per row of
     `REFERENCE_FACES["boxes"]`, and through the boundary segments, (S,)."""
     el, coeff = disc.elements, velocity[disc.element_velocity_dofs()]
-    faces = [np.einsum("ebk,ebk->e", _mass_coefficients(el, slice(None), slot), coeff)
+    faces = [np.einsum("ebk,ebk->e", _map_vectors(el, _SLOT_VOLUME[slot]), coeff)
              for slot, _, _ in REFERENCE_FACES["boxes"]]
     e, slots = disc.pressure.seg_element, disc.pressure.seg_slot
-    return faces, np.einsum("sbk,sbk->s", _mass_coefficients(el, e, slots), coeff[e])
+    return faces, np.einsum("sbk,sbk->s", _map_vectors(el, _SLOT_VOLUME[slots], e), coeff[e])
 
 
 def _momentum_flux_slots(disc, mu, velocity, pressure):
     """Momentum flux of (-2 mu D(v_h) + p_h I) through the faces of the velocity
     control volumes, one (ne, 2) row per row of `REFERENCE_FACES`."""
-    ne = disc.mesh.n_elements
-    u = velocity[disc.element_velocity_dofs()].reshape(ne, 8, 1)
-    p = pressure[disc.mesh.triangles][..., None]
-    pairs = (_momentum_coefficients(disc.elements, slice(None), slot, mu)
-             for slot, _, _ in REFERENCE_FACES[disc.scheme.spec.velocity_cvs])
-    return [(a.reshape(ne, 2, 8) @ u + b @ p)[..., 0] for a, b in pairs]
+    el = disc.elements
+    u, p = velocity[disc.element_velocity_dofs()], pressure[disc.mesh.triangles]
+    return [np.einsum("ebak,ebk->ea", _map_momentum(el, _SLOT_MOMENTUM[[slot]], mu)[0], u)
+            + np.einsum("eja,ej->ea", _map_vectors(el, _SLOT_PRESSURE[slot]), p)
+            for slot, _, _ in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,57 +529,15 @@ def segment_tractions(disc, problem):
     return out
 
 
-def _galerkin_momentum(disc, problem, mu, tests, A, B, load):
-    """Galerkin momentum rows for the local test functions `tests` (0..3) at
-    the checked viscosity `mu`, added to the element blocks A and B by test;
-    loads accumulate into `load`, one (x, y) pair per velocity location.
-
-    The element matrices come from reference-element tensors, integrated
-    once with the degree-6 rule and mapped by each element's inverse
-    Jacobian and 2 * area:
-
-        K[t, b, i, j] = sum_q w_q d_i phi_b d_j phi_t
-        L[t, j, i]    = sum_q w_q lambda_j d_i phi_t
-    """
-    el = disc.elements
-    ne = disc.mesh.n_elements
-    eldofs = disc.element_velocity_dofs()
+def _galerkin_load(disc, problem, tests, load):
+    """Add the body force tested with the local basis functions `tests` (0..3),
+    by the degree-6 rule, to `load`, one (x, y) pair per velocity location."""
     rule = triangle_rule(SOURCE_QUAD_DEGREE)
-    ev = _eval_unchecked(rule.points)
-    lam = barycentric(rule.points)      # (nq, 3)
-    w = rule.weights
-
-    tests = np.asarray(tests, dtype=np.int64)
-    T = tests.size
-    gt = ev.gradients[:, tests]         # (nq, T, 2)
-    K = np.einsum("q,qbi,qtj->tbij", w, ev.gradients, gt)
-    # The trial functions sum to one, so the rows of K sum to zero.  The
-    # quadrature leaves the same rounding residue in every element, which
-    # adds up coherently over a mesh; taking trial 0 from the other three
-    # keeps the identity.
-    K[:, 0] = -K[:, 1:].sum(axis=1)
-    L = np.einsum("q,qj,qti->tji", w, lam, gt)
-
-    # The entry [t, e, b, a, k] of A multiplies trial (b, k) in the row of test (t, a):
-    #   mu 2|e| sum_ij K[t, b, i, j] (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
-    inv = el.inv_jacobians
-    Q = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # [e, i, j, a, k]
-    metric = Q[..., 0, 0] + Q[..., 1, 1]                              # [e, i, j]
-    Q[..., 0, 0] += metric
-    Q[..., 1, 1] += metric
-    Q *= (mu * 2.0 * el.areas)[:, None, None, None, None]
-    Apair = (Q.reshape(ne, 4, 4).swapaxes(1, 2) @ K.reshape(4 * T, 4).T)  # [e, ak, tb]
-    A[tests] += Apair.reshape(ne, 2, 2, T, 4).transpose(3, 0, 4, 1, 2)
-    # The entry [t, e, j, a] of B is -2|e| sum_i L[t, j, i] inv[i, a].
-    Bpair = np.swapaxes(inv, 1, 2) @ np.swapaxes(L, 1, 2)[:, None]       # [t, e, a, j]
-    Bpair *= (-2.0 * el.areas)[:, None, None]
-    B[tests] += np.swapaxes(Bpair, 2, 3)
-
-    force = _integrate_elements(                                      # (T, ne, 2)
-        el, rule.points, (ev.values[:, tests] * w[:, None]).T,
-        lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,),
-    )
-    np.add.at(load, eldofs[:, tests].T, force)
+    tests = list(tests)
+    weights = (_eval_unchecked(rule.points).values[:, tests] * rule.weights[:, None]).T
+    force = _integrate_elements(disc.elements, rule.points, weights,   # (T, ne, 2)
+                                lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,))
+    np.add.at(load, disc.element_velocity_dofs()[:, tests].T, force)
 
 
 def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int | None = None) -> SaddleSystem:
@@ -572,16 +568,11 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
 
     rhs_u = np.zeros(2 * n_u)
     load = rhs_u.reshape(n_u, 2)
-    A = np.zeros((_OWNERS, mesh.n_elements, 4, 2, 2))
-    B = np.zeros((_OWNERS, mesh.n_elements, 3, 2))
-
     spec = disc.scheme.spec
     if spec.flux_momentum:
-        vset = disc.velocity
-        _flux_momentum_blocks(disc, mu, A, B)
-        load[: vset.n_cvs] += _integrate_over_cvs(disc, vset, problem, "body_force")
+        load[: disc.velocity.n_cvs] += _integrate_over_cvs(disc, disc.velocity, problem, "body_force")
     if spec.galerkin_tests:
-        _galerkin_momentum(disc, problem, mu, spec.galerkin_tests, A, B, load)
+        _galerkin_load(disc, problem, spec.galerkin_tests, load)
     np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], segment_tractions(disc, problem))
     rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 
@@ -595,11 +586,13 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
         load[dverts] = _evaluate(problem.dirichlet, "dirichlet", mesh.vertices[dverts], (2,))
 
     # One closure pattern over the velocity locations serves every block: the
-    # momentum rows are its owners less "none", the mass rows and the
-    # pressure columns its vertices, which come first.
+    # momentum rows are its owners, the mass rows and the pressure columns its
+    # vertices, which come first.  The blocks are the scheme's reference
+    # tensors mapped by every element.
     closure = _closure(mesh)
-    A = _closure_csr(closure, A[:4], (2 * n_u, 2 * n_u), ddofs, ddofs)
-    B = _closure_csr(closure, B[:4, ..., None], (2 * n_u, n_p), ddofs)
+    K, L = _SCHEME_TENSORS[disc.scheme]
+    A = _closure_csr(closure, _map_momentum(disc.elements, K, mu), (2 * n_u, 2 * n_u), ddofs, ddofs)
+    B = _closure_csr(closure, _map_vectors(disc.elements, L[:, None])[..., None], (2 * n_u, n_p), ddofs)
     C = _closure_csr(closure, _mass_blocks(disc)[:, :, :, None], (n_p, 2 * n_u), pinned)
 
     return SaddleSystem(

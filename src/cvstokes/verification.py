@@ -19,9 +19,10 @@ volume residuals sit at the accumulated round-off of the flux sums, far
 below any discretization scale, and unions of boxes telescope to the same
 level because shared faces cancel exactly.  Error norms integrate with
 assembly's block kernel and the degree-8 element rule.  The audit walks
-the face rows of `geometry.REFERENCE_FACES` slot by slot, as assembly does,
-and contracts the solution with the same flux coefficients, so each of its
-balances is minus the residual of the flux row solved, up to rounding.
+the face rows of `geometry.REFERENCE_FACES` slot by slot, maps each row's
+own reference tensors with the two functions that map the schemes' tensors
+into assembly's blocks, and contracts them with the solution, so each of
+its balances is minus the residual of the flux row solved, up to rounding.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 A checked reference-basis evaluation, a per-triangle affine map and basis
 evaluation, the exact monomial integrals of the reference triangle, the
 map of physical points back to their elements, a pointwise basis
-evaluation over a discretization's elements, and the fluxes through faces
-and boundary segments from the basis at their Gauss points.  None of these
-is on the solve path; they exist so that the tests have something
-independent of the package's reference-piece flux coefficients to check
-them with.
+evaluation over a discretization's elements, the fluxes through faces
+and boundary segments from the basis at their Gauss points, and the
+element blocks of every scheme contracted at quadrature points
+(`quadrature_blocks`: Galerkin rows on the element's degree-6 rule, flux
+rows and box balances at the Gauss points of each face and segment).  None
+of these is on the solve path; they exist so that the tests have something
+independent of the package's reference tensors to check them with.
 
 The package keeps a control-volume family as reference tables only
 (`REFERENCE_CELLS`, `REFERENCE_FACES`) walked through the shared owner
@@ -17,8 +19,8 @@ element by element, from each triangle's own vertices, edge midpoints and
 centroid: the geometric oracle of closure, tiling, normals, segments and
 polygons.  `cv_integrals` adds the package's own sub-volume integrals one
 sub-volume at a time, so that it checks only the owner map.  `coo_blocks`
-turns assembly's element blocks into CSR by one COO conversion each, with
-explicit row and column ids, to check the closure-pattern builder.
+turns element blocks into CSR by one COO conversion each, with explicit
+row and column ids, to check the closure-pattern builder.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from cvstokes import schemes
-from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric
+from cvstokes.basis import ReferenceBasisEval, _eval_unchecked, barycentric, triangle_rule
 from cvstokes.geometry import (
     REFERENCE_CELLS,
     REFERENCE_FACES,
@@ -292,23 +294,106 @@ def coo_to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dt
     return M
 
 
-def coo_blocks(disc: GridDiscretization, problem, pin_pressure=None):
-    """A, B and C of `assemble`, each element block [owner, e, trial, comp, comp]
-    put through `coo_to_csr` with its row and column ids instead of the
-    package's closure pattern."""
-    mesh, spec = disc.mesh, disc.scheme.spec
-    ne, n_u, n_p = mesh.n_elements, disc.n_velocity_locations, disc.n_pressure_dofs
-    A = np.zeros((schemes._OWNERS, ne, 4, 2, 2))
-    B = np.zeros((schemes._OWNERS, ne, 3, 2))
+def package_blocks(disc: GridDiscretization, viscosity):
+    """The package's element blocks A [owner, e, trial, comp, comp], B [owner,
+    e, hat, comp] and C [box, e, trial, comp]: the scheme's reference tensors
+    mapped by every element, as `assemble` takes them."""
+    K, L = schemes._SCHEME_TENSORS[disc.scheme]
+    return (schemes._map_momentum(disc.elements, K, viscosity),
+            schemes._map_vectors(disc.elements, L[:, None]), schemes._mass_blocks(disc))
+
+
+def local_owners(disc: GridDiscretization, elements, cvs):
+    """The local owner (vertex 0-2, bubble 3) of the control volumes `cvs` in `elements`."""
+    mesh = disc.mesh
+    owners = np.column_stack((mesh.triangles, mesh.n_vertices + np.arange(mesh.n_elements)))
+    local = np.argmax(owners[elements] == cvs[:, None], axis=1)
+    assert np.array_equal(owners[elements, local], cvs)
+    return local
+
+
+def galerkin_blocks(disc: GridDiscretization, viscosity, tests):
+    """Galerkin element blocks of the local `tests`, A [test, e, trial, comp,
+    comp] and B [test, e, hat, comp], contracted at every point of the
+    degree-6 rule."""
+    el = disc.elements
+    rule = triangle_rule(schemes.SOURCE_QUAD_DEGREE)
+    ev = eval_reference(rule.points)
+    lam = barycentric(rule.points)
+    G = np.einsum("qbi,eia->eqba", ev.gradients, el.inv_jacobians)
+    wdet = rule.weights[None, :] * (2.0 * el.areas)[:, None]
+    Gt = G[:, :, list(tests), :]
+    dot = np.einsum("eq,eqbi,eqti->etb", wdet, G, Gt)
+    term2 = np.einsum("eq,eqba,eqtk->etabk", wdet, G, Gt)
+    A = viscosity * (dot[:, :, None, :, None] * np.eye(2)[None, None, :, None, :] + term2)   # [e, t, a, b, k]
+    B = -np.einsum("eq,qj,eqta->etaj", wdet, lam, Gt)
+    return A.transpose(1, 0, 3, 2, 4), B.transpose(1, 0, 3, 2)
+
+
+def flux_momentum_blocks(disc: GridDiscretization, viscosity, A, B):
+    """Add the momentum flux balances of the velocity control volumes,
+    contracted at the Gauss points of every face, to A and B: a face's flux
+    enters its inside owner and leaves its outside owner, if it has one."""
+    faces = pieces(disc.velocity, "face")
+    e = faces.element
+    points, w = gauss_rule(faces)
+    _, grads, hats = basis_at(disc.elements, e[:, None], points)
+    n = faces.normal
+    gn = np.einsum("fqba,fa->fqb", grads, n)
+    term1 = np.einsum("fq,fqb->fb", w, gn)
+    term2 = np.einsum("fq,fqba,fk->fabk", w, grads, n)
+    Apair = -viscosity * (term1[:, None, :, None] * np.eye(2)[None, :, None, :] + term2)   # [f, a, b, k]
+    Apair = np.swapaxes(Apair, 1, 2)
+    Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
+    for cvs, sign in ((faces.inside, 1.0), (faces.outside, -1.0)):
+        owned = cvs >= 0
+        local = local_owners(disc, e[owned], cvs[owned])
+        np.add.at(A, (local, e[owned]), sign * Apair[owned])
+        np.add.at(B, (local, e[owned]), sign * Bpair[owned])
+
+
+def mass_blocks(disc: GridDiscretization):
+    """C [box, e, trial, comp] of the box balances, contracted at the Gauss
+    points of every face and boundary segment."""
+    C = np.zeros((3, disc.mesh.n_elements, 4, 2))
+    for kind, side, sign in (("face", "inside", 1.0), ("face", "outside", -1.0), ("seg", "inside", 1.0)):
+        piece = pieces(disc.pressure, kind)
+        e, n = piece.element, piece.normal
+        points, w = gauss_rule(piece)
+        vals, _, _ = basis_at(disc.elements, e[:, None], points)
+        pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
+        np.add.at(C, (local_owners(disc, e, getattr(piece, side)), e), sign * pair)
+    return C
+
+
+def quadrature_blocks(disc: GridDiscretization, viscosity):
+    """A, B and C element blocks as `package_blocks` lays them out, from the
+    basis at quadrature points: the Galerkin rows of the scheme by
+    `galerkin_blocks`, its flux rows by `flux_momentum_blocks`, the box
+    balances by `mass_blocks`."""
+    ne, spec = disc.mesh.n_elements, disc.scheme.spec
+    A, B = np.zeros((4, ne, 4, 2, 2)), np.zeros((4, ne, 3, 2))
     if spec.flux_momentum:
-        schemes._flux_momentum_blocks(disc, problem.viscosity, A, B)
-    if spec.galerkin_tests:
-        schemes._galerkin_momentum(disc, problem, problem.viscosity, spec.galerkin_tests, A, B, np.zeros((n_u, 2)))
+        flux_momentum_blocks(disc, viscosity, A, B)
+    tests = list(spec.galerkin_tests)
+    if tests:
+        A[tests], B[tests] = galerkin_blocks(disc, viscosity, tests)
+    return A, B, mass_blocks(disc)
+
+
+def coo_blocks(disc: GridDiscretization, blocks, pin_pressure=None):
+    """The CSR blocks A, B and C of the element `blocks` of `package_blocks`
+    or `quadrature_blocks`, each put through `coo_to_csr` with its row and
+    column ids instead of the package's closure pattern, with Dirichlet and
+    pinned rows as `assemble` makes them."""
+    mesh = disc.mesh
+    n_u, n_p = disc.n_velocity_locations, disc.n_pressure_dofs
+    A, B, C = blocks
     ddofs = (2 * mesh.dirichlet_vertices()[:, None] + np.arange(2)).ravel()
     pinned = [] if pin_pressure is None else [pin_pressure]
     dofs = 2 * disc.element_velocity_dofs()[..., None] + np.arange(2)     # [e, local, comp]
     rows = np.swapaxes(dofs, 0, 1)                                        # [owner, e, comp]
     tri = mesh.triangles
-    return (coo_to_csr(A[:4], rows[:, :, None, :, None], dofs[None, :, :, None, :], (2 * n_u, 2 * n_u), ddofs, ddofs),
-            coo_to_csr(B[:4], rows[:, :, None, :], tri[None, :, :, None], (2 * n_u, n_p), ddofs),
-            coo_to_csr(schemes._mass_blocks(disc), tri.T[:, :, None, None], dofs[None], (n_p, 2 * n_u), pinned))
+    return (coo_to_csr(A, rows[:, :, None, :, None], dofs[None, :, :, None, :], (2 * n_u, 2 * n_u), ddofs, ddofs),
+            coo_to_csr(B, rows[:, :, None, :], tri[None, :, :, None], (2 * n_u, n_p), ddofs),
+            coo_to_csr(C, tri.T[:, :, None, None], dofs[None], (n_p, 2 * n_u), pinned))

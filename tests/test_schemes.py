@@ -15,22 +15,22 @@ from oracles import (
     coo_blocks,
     cv_integrals,
     eval_physical,
-    eval_reference,
     face_fluxes,
-    gauss_rule,
+    galerkin_blocks,
+    package_blocks,
     piece_fluxes,
     pieces,
+    quadrature_blocks,
     sub_volumes,
 )
 from cvstokes import schemes
-from cvstokes.basis import barycentric, segment_rule, triangle_rule
-from cvstokes.geometry import SEGMENT_OWNERS, build
+from cvstokes.basis import segment_rule, triangle_rule
+from cvstokes.geometry import REFERENCE_FACES, SEGMENT_OWNERS, SchemeKind, build
 from cvstokes.mesh import BCKind, distort, generate_structured, validate
 from cvstokes.schemes import (
     SOURCE_QUAD_DEGREE,
     ConfigurationError,
     StokesProblem,
-    _galerkin_momentum,
     assemble,
     split_solution,
 )
@@ -52,14 +52,21 @@ def interpolate(disc, field):
 
 def kernel_fluxes(disc, cvset, kind, viscosity, velocity, pressure):
     """Mass (P,) and momentum (P, 2) fluxes through the faces ("face") or
-    boundary segments ("seg") of a CV set, contracted from the package's flux
-    coefficients: the kernel the assembly and the audit share."""
+    boundary segments ("seg") of a CV set: each slot's reference tensors
+    mapped by its pieces' elements and contracted with the solution, the
+    kernel that the assembly and the audit share."""
     piece = pieces(cvset, kind)
-    e, slots = piece.element, piece.slot
-    u = velocity[disc.element_velocity_dofs()[e]]
-    a, b = schemes._momentum_coefficients(disc.elements, e, slots, viscosity)
-    return (np.einsum("pbk,pbk->p", schemes._mass_coefficients(disc.elements, e, slots), u),
-            np.einsum("pcbk,pbk->pc", a, u) + np.einsum("pcj,pj->pc", b, pressure[disc.mesh.triangles[e]]))
+    el = disc.elements
+    mass, momentum = np.empty(piece.slot.size), np.empty((piece.slot.size, 2))
+    for slot in np.unique(piece.slot):
+        at = piece.slot == slot
+        e = piece.element[at]
+        u, p = velocity[disc.element_velocity_dofs()[e]], pressure[disc.mesh.triangles[e]]
+        mass[at] = np.einsum("pbk,pbk->p", schemes._map_vectors(el, schemes._SLOT_VOLUME[slot], e), u)
+        a = schemes._map_momentum(el, schemes._SLOT_MOMENTUM[[slot]], viscosity, e)[0]
+        b = schemes._map_vectors(el, schemes._SLOT_PRESSURE[slot], e)
+        momentum[at] = np.einsum("pbak,pbk->pa", a, u) + np.einsum("pja,pj->pa", b, p)
+    return mass, momentum
 
 
 def test_basis_at_matches_eval_physical():
@@ -298,93 +305,81 @@ def test_hybrid_bubble_rows_match_fem():
     assert np.allclose(hybrid.rhs_momentum[rows], fem.rhs_momentum[rows], atol=1e-14)
 
 
-def _galerkin_oracle(disc, mu, tests):
-    """Galerkin element matrices contracted at every quadrature point."""
-    el = disc.elements
-    rule = triangle_rule(SOURCE_QUAD_DEGREE)
-    ev = eval_reference(rule.points)
-    lam = barycentric(rule.points)
-    G = np.einsum("qbi,eia->eqba", ev.gradients, el.inv_jacobians)
-    wdet = rule.weights[None, :] * (2.0 * el.areas)[:, None]
-    Gt = G[:, :, list(tests), :]
-    dot = np.einsum("eq,eqbi,eqti->etb", wdet, G, Gt)
-    term2 = np.einsum("eq,eqba,eqtk->etabk", wdet, G, Gt)
-    Apair = mu * (dot[:, :, None, :, None] * np.eye(2)[None, None, :, None, :] + term2)
-    Bpair = -np.einsum("eq,qj,eqta->etaj", wdet, lam, Gt)
-    return Apair, Bpair
-
-
-@pytest.mark.parametrize("tests", [(3,), (0, 1, 2, 3)], ids=["bubble", "all"])
-def test_galerkin_reference_tensors_match_quadrature_oracle(tests):
+@pytest.mark.parametrize("scheme", ["hybrid", "fem"], ids=["bubble", "all"])
+def test_galerkin_reference_tensors_match_quadrature_oracle(scheme):
     mesh = distort(generate_structured(6, 5), 0.2, seed=12).with_bc(MIXED)
-    disc = build(mesh, "fem")
+    disc = build(mesh, scheme)
     mu = 1.7
-    A = np.zeros((schemes._OWNERS, mesh.n_elements, 4, 2, 2))
-    B = np.zeros((schemes._OWNERS, mesh.n_elements, 3, 2))
-    problem = StokesProblem(viscosity=mu)
-    _galerkin_momentum(disc, problem, mu, tests, A, B, np.zeros((disc.n_velocity_locations, 2)))
-    Apair, Bpair = _galerkin_oracle(disc, mu, tests)
-    # The blocks are laid out [test, element, trial, comp, ...]; the other owners stay zero.
-    for got, want in ((A, Apair.transpose(1, 0, 3, 2, 4)), (B, Bpair.transpose(1, 0, 3, 2))):
-        assert np.max(np.abs(got[list(tests)] - want)) <= 1e-13 * np.max(np.abs(want))
-        assert not np.any(np.delete(got, tests, axis=0))
-
-
-def _local_owners(disc, elements, cvs):
-    """Owner slot of the control volumes `cvs` in `elements`: vertex 0-2, bubble 3, none 4 (id -1)."""
-    ne = disc.mesh.n_elements
-    owners = np.column_stack((disc.mesh.triangles, disc.mesh.n_vertices + np.arange(ne), np.full(ne, -1)))
-    local = np.argmax(owners[elements] == cvs[:, None], axis=1)
-    assert np.array_equal(owners[elements, local], cvs)
-    return local
-
-
-def _flux_momentum_blocks_oracle(disc, mu, A, B):
-    """Momentum flux-balance entries contracted at every face quadrature point."""
-    faces = pieces(disc.velocity, "face")
-    e = faces.element
-    points, w = gauss_rule(faces)
-    _, grads, hats = basis_at(disc.elements, e[:, None], points)
-    n = faces.normal
-    gn = np.einsum("fqba,fa->fqb", grads, n)
-    term1 = np.einsum("fq,fqb->fb", w, gn)
-    term2 = np.einsum("fq,fqba,fk->fabk", w, grads, n)
-    Apair = -mu * (term1[:, None, :, None] * np.eye(2)[None, :, None, :] + term2)   # [f, a, b, k]
-    Apair = np.swapaxes(Apair, 1, 2)
-    Bpair = np.einsum("fq,fqj,fa->fja", w, hats, n)
-    for cvs, sign in ((faces.inside, 1.0), (faces.outside, -1.0)):
-        local = _local_owners(disc, e, cvs)
-        np.add.at(A, (local, e), sign * Apair)
-        np.add.at(B, (local, e), sign * Bpair)
-
-
-def _mass_blocks_oracle(disc):
-    """Mass flux-balance entries contracted at every face and segment quadrature point."""
-    C = np.zeros((3, disc.mesh.n_elements, 4, 2))
-    for kind, side, sign in (("face", "inside", 1.0), ("face", "outside", -1.0), ("seg", "inside", 1.0)):
-        piece = pieces(disc.pressure, kind)
-        e, n = piece.element, piece.normal
-        points, w = gauss_rule(piece)
-        vals, _, _ = basis_at(disc.elements, e[:, None], points)
-        pair = np.einsum("fq,fqb,fk->fbk", w, vals, n)
-        np.add.at(C, (_local_owners(disc, e, getattr(piece, side)), e), sign * pair)
-    return C
+    tests = list(disc.scheme.spec.galerkin_tests)
+    K, L = schemes._SCHEME_TENSORS[disc.scheme]
+    A = schemes._map_momentum(disc.elements, K[tests], mu)
+    B = schemes._map_vectors(disc.elements, L[tests][:, None])
+    # The blocks are laid out [test, element, trial, comp, ...].
+    for got, want in zip((A, B), galerkin_blocks(disc, mu, tests)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_flux_entries_match_quadrature_point_oracle(scheme, monkeypatch):
-    # The reference-piece averages agree with mapping every face quadrature
-    # point back to its element, up to the rounding of that mapping.
+def test_flux_entries_match_quadrature_point_oracle(scheme):
+    # The scheme's reference tensors mapped by each element agree with the
+    # basis contracted at every quadrature point of the elements, faces and
+    # segments, up to the rounding of that mapping.
     mesh = distort(generate_structured(20, 20), 0.2, seed=19).with_bc(MIXED)
     disc = build(mesh, scheme)
     problem = StokesProblem(viscosity=1.7)
     got = assemble(disc, problem)
-    monkeypatch.setattr(schemes, "_flux_momentum_blocks", _flux_momentum_blocks_oracle)
-    monkeypatch.setattr(schemes, "_mass_blocks", _mass_blocks_oracle)
-    want = assemble(disc, problem)
-    for name in "ABC":
-        G, W = getattr(got, name), getattr(want, name)
+    for name, W in zip("ABC", coo_blocks(disc, quadrature_blocks(disc, problem.viscosity))):
+        G = getattr(got, name)
         assert abs(G - W).max() <= 1e-13 * abs(W).max(), name
+
+
+def _flux_rows(spec):
+    """The momentum rows of a scheme that are flux balances."""
+    return [t for t in range(4) if t not in spec.galerkin_tests]
+
+
+def _owner_sum_defect(family, tensor, rows):
+    """How far the flux rows of a family's owner tensor are from their sum,
+    relative to its largest entry: every face enters one owner and leaves
+    another, so the rows sum to nothing where the volumes tile the domain
+    and to the medial (bubble) row where the medial triangles overlap the
+    boxes and their faces leave no owner."""
+    total = tensor[rows].sum(axis=0) - (tensor[3] if family == "overlapping" else 0.0)
+    return np.max(np.abs(total)) / np.max(np.abs(tensor))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_reference_tensors_keep_their_invariants(scheme):
+    kind = SchemeKind.parse(scheme)
+    K, L = schemes._SCHEME_TENSORS[kind]
+    # A constant velocity has no momentum flux and no Galerkin residual: the
+    # trial functions sum to one, so every row sums to zero over its trials,
+    # and so does every mapped element block.
+    assert np.max(np.abs(K.sum(axis=1))) <= 1e-15 * np.max(np.abs(K))
+    A = schemes._map_momentum(build(random_distorted_mesh(27, n=3), scheme).elements, K, 0.8)
+    assert np.max(np.abs(A.sum(axis=2))) <= 1e-14 * np.max(np.abs(A))
+    rows = _flux_rows(kind.spec)
+    for tensor in (K, L) if rows else ():
+        assert _owner_sum_defect(kind.spec.velocity_cvs, tensor, rows) <= 1e-15
+    assert _owner_sum_defect("boxes", schemes._BOX_VOLUME, [0, 1, 2]) <= 1e-15
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "non-overlapping", "hybrid"])
+def test_tensor_invariants_see_a_flipped_face_row(scheme):
+    # The same check fails once the first face row of the family enters its
+    # outside owner with the wrong sign.
+    kind = SchemeKind.parse(scheme)
+    family = kind.spec.velocity_cvs
+    slot, _, outside = REFERENCE_FACES[family][0]
+    tensors = zip(schemes._SCHEME_TENSORS[kind], (schemes._SLOT_MOMENTUM, schemes._SLOT_PRESSURE))
+    for tensor, per_slot in tensors:
+        flipped = tensor.copy()
+        flipped[outside] += 2.0 * per_slot[slot]
+        assert _owner_sum_defect(family, flipped, _flux_rows(kind.spec)) > 0.1
+    flipped = schemes._BOX_VOLUME.copy()
+    slot, _, outside = REFERENCE_FACES["boxes"][0]
+    flipped[outside] += 2.0 * schemes._SLOT_VOLUME[slot]
+    assert _owner_sum_defect("boxes", flipped, [0, 1, 2]) > 0.1
 
 
 @pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
@@ -426,7 +421,7 @@ def test_closure_pattern_csr_equals_the_coo_conversion(scheme, pinned):
     problem = donea_huerta_case(viscosity=0.7).problem()
     pin = 5 if pinned else None
     got = assemble(disc, problem, pin_pressure=pin)
-    for name, want in zip("ABC", coo_blocks(disc, problem, pin)):
+    for name, want in zip("ABC", coo_blocks(disc, package_blocks(disc, problem.viscosity), pin)):
         G = getattr(got, name)
         assert G.shape == want.shape, name
         assert abs(G - want).max() <= 1e-15 * abs(want).max(), name
