@@ -16,38 +16,36 @@ pressure boxes, integral of v . n over the box boundary equals the mass
 source integral (zero when the problem has no mass source).  Dirichlet
 conditions replace the momentum rows of boundary vertices with identity
 rows (columns are kept, which preserves the exact mass balance of
-boundary boxes).  Traction data enters the right-hand side through one
-array per scheme, integrated over the boundary half-segments against the
-test of each vertex row of the segment's element: the indicator of the
-segment's vertex for flux balances, the vertex hat for Galerkin rows.
+boundary boxes).
 
-A scheme is its reference tensors (`_SCHEME_TENSORS`), computed once at
-import from `geometry.SCHEME_SPECS`: per local test a momentum tensor
-(trial, 2, 2) and a pressure tensor (hat, 2), and the boxes' volume-flux
-tensor (box, trial, 2) that every scheme shares.  A Galerkin row holds the
-degree-6 integrals of its test's gradient against the trials' gradients
-and the hats.  A flux row sums the flux through its face rows
+A scheme is its reference tensors (`_SCHEME_TENSORS`) and its load rule
+(`_SCHEME_LOADS`), computed once at import from `geometry.SCHEME_SPECS`:
+per local test a momentum tensor (trial, 2, 2), a pressure tensor (hat, 2)
+and body-force weights, and one box volume-flux tensor (box, trial, 2).
+A Galerkin row holds the degree-6 integrals of its test's gradient against
+the trials' gradients and the hats, and its test times the degree-6 element
+rule.  A flux row sums the flux through its face rows
 (`geometry.REFERENCE_FACES`), plus as their inside owner and minus as their
-outside one.  The flux through one of the twelve reference pieces
-(`geometry.REFERENCE_PIECES`) is a reference tensor as well: the basis
-averaged over the piece (two Gauss points, exact for the cubic basis)
-times r = rot(b - a), since by the cofactor identity a physical piece's
-n |piece| = rot(J (b - a)) is 2|e| J^-T r.  `_map_momentum` and
-`_map_vectors` map any tensor by each element's inverse Jacobian and 2|e|,
-A_e = A0 : G_e (Kirby & Logg, ACM TOMS 32(3), 2006), into owner-major
-element blocks [owner, e, trial, comp, comp].  Every block goes straight
-into CSR on one pattern per assembly, the closure of the elements'
-vertices and bubbles built from the mesh's edges (`_closure`), where a
-sparse sum adds each element entry into its slot (`_closure_csr`).  The
-audit maps each face row's own tensors with the same two functions and
-contracts them with a solution, one slot over all elements at a time
+outside one, and takes its sub-volume's row of the 28-point degree-6 rule of
+every control-volume source (`_SOURCE_RULES`, derived from the degree-6 rule
+on the fan triangles of `geometry.REFERENCE_CELLS`).  The flux through one of
+the twelve reference pieces (`geometry.REFERENCE_PIECES`) is a reference
+tensor too: the basis averaged over the piece (two Gauss points, exact for
+the cubic basis) times r = rot(b - a), since by the cofactor identity a
+physical piece's n |piece| = rot(J (b - a)) is 2|e| J^-T r.  `_map_momentum`
+(by `_momentum_metric`) and `_map_vectors` map any tensor by each element's
+inverse Jacobian and 2|e|, A_e = A0 : G_e (Kirby & Logg, ACM TOMS 32(3),
+2006), into owner-major element blocks [owner, e, trial, comp, comp], which
+go straight into CSR on one pattern per assembly (`_closure`,
+`_closure_csr`).  The audit builds the metric once and contracts each face
+row's mapped tensors with a solution, one slot over all elements at a time
 (`_mass_flux_slots`, `_momentum_flux_slots`).  Volume integrals map a
-fixed reference rule by each element's X0 + J xi and evaluate it `_BLOCK`
-elements at a time: every control-volume source, in assembly and in the
-audit alike, with one 28-point degree-6 rule that all families share
-(`_SOURCE_RULES`), derived from the degree-6 rule on the fan triangles of
-`geometry.REFERENCE_CELLS`; the Galerkin load with the degree-6 rule on
-the whole element.
+reference rule by each element's X0 + J xi, `_BLOCK` elements at a time: the
+load in one pass per assembly, a control-volume source by its family's rows.
+Traction data enters through one (S, 3, 2) array over the boundary
+half-segments (`segment_tractions`), tested as the load rule says: with the
+indicator of the segment's vertex end for flux rows, the vertex hats for
+Galerkin rows.
 """
 
 from __future__ import annotations
@@ -148,6 +146,54 @@ def _owner_tensors(family, slot_tensors):
     return np.tensordot(signs[:4], slot_tensors, axes=1)
 
 
+def _volume_rule(cells):
+    """The degree-6 rule on the fan triangles (from the first vertex) of a
+    family's reference sub-volumes: points (nq, 2), weights (rows, nq)."""
+    rule = triangle_rule(SOURCE_QUAD_DEGREE)
+    fans = [(row, poly[[0, k, k + 1]]) for row, poly in enumerate(cells) for k in range(1, len(poly) - 1)]
+    points, weights = [], np.zeros((len(cells), len(fans), rule.weights.size))
+    for i, (row, (p0, p1, p2)) in enumerate(fans):
+        d = np.column_stack((p1 - p0, p2 - p0))
+        points.append(p0 + rule.points @ d.T)
+        weights[row, i] = rule.weights * np.linalg.det(d)
+    return np.concatenate(points), weights.reshape(len(cells), -1)
+
+
+def _vandermonde(points):
+    """The products P_a(2x - 1) P_b(2y - 1) of Legendre polynomials of total
+    degree a + b <= 6 at points (n, 2): (n, 28)."""
+    d = SOURCE_QUAD_DEGREE
+    V = np.polynomial.legendre.legvander2d(2.0 * points[:, 0] - 1.0, 2.0 * points[:, 1] - 1.0, [d, d])
+    return V[:, (np.arange(d + 1)[:, None] + np.arange(d + 1)).ravel() <= d]
+
+
+def _compressed_rules(rules):
+    """One 28-point degree-6 rule that every family shares, from the fan rules.
+
+    The points are approximate Fekete points of the union of the fan points:
+    QR with column pivoting of the transposed Vandermonde matrix picks 28 of
+    them (Bos, De Marchi, Sommariva & Vianello, SIAM J. Numer. Anal. 48,
+    2010).  Each sub-volume row's weights then reproduce that row's fan-rule
+    moments of the degree-6 basis (Sommariva & Vianello, Numer. Funct. Anal.
+    Optim., 2015), so the rule is exact to degree 6 like the fan rule.
+    """
+    fan = np.concatenate([points for points, _ in rules.values()])
+    V = _vandermonde(fan)
+    pivots = qr(V.T, pivoting=True, mode="r")[1][: V.shape[1]]
+    points = fan[pivots]
+    V = _vandermonde(points).T
+    return {family: (points, np.linalg.solve(V, _vandermonde(p).T @ w.T).T) for family, (p, w) in rules.items()}
+
+
+# The 28-point rule of every control-volume source, from the fan rules
+# (16 points per fan triangle: 96, 64 and 112 per element).
+_SOURCE_RULES = _compressed_rules({family: _volume_rule(cells) for family, cells in REFERENCE_CELLS.items()})
+
+
+# The Gauss rule of the traction on a boundary segment.
+_TRACTION_RULE = segment_rule(NEUMANN_QUAD_DEGREE)
+
+
 def _galerkin_tensors():
     """The Galerkin momentum and pressure tensors of the four local tests,
     integrated with the degree-6 rule:
@@ -177,9 +223,27 @@ def _scheme_tensors(spec):
     return K, L
 
 
-# Every scheme is its reference tensors, and the pressure boxes' volume-flux
-# tensor (box, trial, 2) is the same in all of them.
+def _scheme_load(spec):
+    """A scheme's load rule: body-force points (nq, 2) and weights (test, nq),
+    and the traction tests of its vertex rows at the traction rule's points
+    on each slot, (12, nq, 3).  A flux row takes its sub-volume's row of the
+    source rule and the indicator of the slot's vertex end, a Galerkin row the
+    degree-6 element rule times its basis function and the vertex hats; a
+    scheme with rows of both kinds holds the two point sets side by side."""
+    rule, galerkin = triangle_rule(SOURCE_QUAD_DEGREE), np.isin(np.arange(4), spec.galerkin_tests)[:, None]
+    points, weights = _SOURCE_RULES[spec.velocity_cvs]
+    flux = np.where(galerkin, 0.0, np.pad(weights, ((0, 4 - len(weights)), (0, 0))))
+    element = np.where(galerkin, _eval_unchecked(rule.points).values.T * rule.weights, 0.0)
+    sets = [(p, w) for p, w in ((points, flux), (rule.points, element)) if w.any()]
+    indicators = (SEGMENT_OWNERS[:, None, None] == np.arange(3)).astype(float)
+    return (np.concatenate([p for p, _ in sets]), np.concatenate([w for _, w in sets], axis=1),
+            np.where(galerkin[:3, 0], barycentric(_piece_points(NEUMANN_QUAD_DEGREE)), indicators))
+
+
+# Every scheme is its reference tensors and its load rule, and the pressure
+# boxes' volume-flux tensor (box, trial, 2) is the same in all of them.
 _SCHEME_TENSORS = {kind: _scheme_tensors(spec) for kind, spec in SCHEME_SPECS.items()}
+_SCHEME_LOADS = {kind: _scheme_load(spec) for kind, spec in SCHEME_SPECS.items()}
 _BOX_VOLUME = _owner_tensors("boxes", _SLOT_VOLUME)[:3]
 
 
@@ -251,22 +315,24 @@ def _xy(ids):
     return 2 * ids[..., None] + np.arange(2)
 
 
-def _map_momentum(eldata, K, mu, elements=slice(None)):
-    """Momentum blocks [t, e, trial, comp, comp] of reference tensors K
-    (T, trial, 2, 2) in `elements`, by each element's inverse Jacobian and
-    2|e|.  The entry [t, e, b, a, k] multiplies trial (b, k) in the row of
-    test or owner t, component a:
-
-        mu 2|e| sum_ij K[t, b, i, j] (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
-    """
+def _momentum_metric(eldata, mu, elements=slice(None)):
+    """The metric [e, ak, ij] = mu 2|e| (inv[i, c] inv[j, c] delta_ak + inv[i, a] inv[j, k])
+    of the elements in `elements`, by which `_map_momentum` maps momentum tensors."""
     inv = eldata.inv_jacobians[elements]
-    n, T = inv.shape[0], K.shape[0]
     Q = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # [e, i, j, a, k]
     metric = Q[..., 0, 0] + Q[..., 1, 1]                              # [e, i, j]
     Q[..., 0, 0] += metric
     Q[..., 1, 1] += metric
     Q *= (mu * 2.0 * eldata.areas[elements])[:, None, None, None, None]
-    A = Q.reshape(n, 4, 4).swapaxes(1, 2) @ K.reshape(4 * T, 4).T    # [e, ak, tb]
+    return Q.reshape(-1, 4, 4).swapaxes(1, 2)
+
+
+def _map_momentum(metric, K):
+    """Momentum blocks [t, e, b, a, k] = sum_ij K[t, b, i, j] metric[e, ak, ij] of reference
+    tensors K (T, trial, 2, 2): the entry multiplies trial (b, k) in the row of test or owner
+    t, component a."""
+    n, T = metric.shape[0], K.shape[0]
+    A = metric @ K.reshape(4 * T, 4).T                                # [e, ak, tb]
     return A.reshape(n, 2, 2, T, 4).transpose(3, 0, 4, 1, 2)
 
 
@@ -303,11 +369,11 @@ def _mass_flux_slots(disc, velocity):
 def _momentum_flux_slots(disc, mu, velocity, pressure):
     """Momentum flux of (-2 mu D(v_h) + p_h I) through the faces of the velocity
     control volumes, one (ne, 2) row per row of `REFERENCE_FACES`."""
-    el = disc.elements
+    el, metric = disc.elements, _momentum_metric(disc.elements, mu)
     u, p = velocity[disc.element_velocity_dofs()], pressure[disc.mesh.triangles]
-    return [np.einsum("ebak,ebk->ea", _map_momentum(el, _SLOT_MOMENTUM[[slot]], mu)[0], u)
+    return [np.einsum("ebak,ebk->ea", _map_momentum(metric, _SLOT_MOMENTUM[[slot]])[0], u)
             + np.einsum("eja,ej->ea", _map_vectors(el, _SLOT_PRESSURE[slot]), p)
-            for slot, _, _ in REFERENCE_FACES[disc.scheme.spec.velocity_cvs]]
+            for slot, _, _ in REFERENCE_FACES[disc.velocity.family]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,50 +470,6 @@ def _closure_csr(closure, blocks, shape, dropped=(), diagonal=()) -> sp.csr_matr
     return M
 
 
-def _volume_rule(cells):
-    """The degree-6 rule on the fan triangles (from the first vertex) of a
-    family's reference sub-volumes: points (nq, 2), weights (rows, nq)."""
-    rule = triangle_rule(SOURCE_QUAD_DEGREE)
-    fans = [(row, poly[[0, k, k + 1]]) for row, poly in enumerate(cells) for k in range(1, len(poly) - 1)]
-    points, weights = [], np.zeros((len(cells), len(fans), rule.weights.size))
-    for i, (row, (p0, p1, p2)) in enumerate(fans):
-        d = np.column_stack((p1 - p0, p2 - p0))
-        points.append(p0 + rule.points @ d.T)
-        weights[row, i] = rule.weights * np.linalg.det(d)
-    return np.concatenate(points), weights.reshape(len(cells), -1)
-
-
-def _vandermonde(points):
-    """The products P_a(2x - 1) P_b(2y - 1) of Legendre polynomials of total
-    degree a + b <= 6 at points (n, 2): (n, 28)."""
-    d = SOURCE_QUAD_DEGREE
-    V = np.polynomial.legendre.legvander2d(2.0 * points[:, 0] - 1.0, 2.0 * points[:, 1] - 1.0, [d, d])
-    return V[:, (np.arange(d + 1)[:, None] + np.arange(d + 1)).ravel() <= d]
-
-
-def _compressed_rules(rules):
-    """One 28-point degree-6 rule that every family shares, from the fan rules.
-
-    The points are approximate Fekete points of the union of the fan points:
-    QR with column pivoting of the transposed Vandermonde matrix picks 28 of
-    them (Bos, De Marchi, Sommariva & Vianello, SIAM J. Numer. Anal. 48,
-    2010).  Each sub-volume row's weights then reproduce that row's fan-rule
-    moments of the degree-6 basis (Sommariva & Vianello, Numer. Funct. Anal.
-    Optim., 2015), so the rule is exact to degree 6 like the fan rule.
-    """
-    fan = np.concatenate([points for points, _ in rules.values()])
-    V = _vandermonde(fan)
-    pivots = qr(V.T, pivoting=True, mode="r")[1][: V.shape[1]]
-    points = fan[pivots]
-    V = _vandermonde(points).T
-    return {family: (points, np.linalg.solve(V, _vandermonde(p).T @ w.T).T) for family, (p, w) in rules.items()}
-
-
-# The 28-point rule of every control-volume source, from the fan rules
-# (16 points per fan triangle: 96, 64 and 112 per element).
-_SOURCE_RULES = _compressed_rules({family: _volume_rule(cells) for family, cells in REFERENCE_CELLS.items()})
-
-
 def _evaluate(func, name, points, shape):
     """`func` at the points (..., 2), checked to return finite values of `shape` per point."""
     n = points.size // 2
@@ -493,14 +515,6 @@ def _integrate_over_cvs(disc, cvset, problem, source):
     return out
 
 
-# The test of each vertex row against the traction on a boundary slot, at the
-# traction rule's points, (12, nq, 3): the indicator of the slot's vertex end
-# for flux balances, the vertex hats for Galerkin rows.
-_TRACTION_HATS = barycentric(_piece_points(NEUMANN_QUAD_DEGREE))
-_TRACTION_TESTS = (np.broadcast_to(SEGMENT_OWNERS[:, None, None] == np.arange(3), _TRACTION_HATS.shape).astype(float),
-                   _TRACTION_HATS)
-
-
 def segment_tractions(disc, problem):
     """Traction integrals over the boundary half-segments, (S, 3, 2), zero on Dirichlet ones.
 
@@ -511,33 +525,20 @@ def segment_tractions(disc, problem):
     """
     segs = disc.pressure
     out = np.zeros((segs.n_segments, 3, 2))
-    kinds = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in disc.mesh.marker_names])
-    neu = kinds[segs.seg_marker]
+    neu = np.array([disc.mesh.markers[name] is BCKind.NEUMANN for name in disc.mesh.marker_names])[segs.seg_marker]
     if np.any(neu):
         slots = segs.seg_slot[neu]
         ends = to_physical(disc.elements, segs.seg_element[neu, None], REFERENCE_PIECES[slots])
         a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
         length = np.linalg.norm(d, axis=-1)
         normal = np.stack((d[:, 1], -d[:, 0]), axis=-1) / length[:, None]
-        rule = segment_rule(NEUMANN_QUAD_DEGREE)
-        pts = a[:, None, :] + rule.points[None, :, None] * d[:, None, :]
-        w = rule.weights[None, :] * length[:, None]
+        pts = a[:, None, :] + _TRACTION_RULE.points[None, :, None] * d[:, None, :]
+        w = _TRACTION_RULE.weights[None, :] * length[:, None]
         nn = np.broadcast_to(normal[:, None, :], pts.shape).reshape(-1, 2)
         tn = _evaluate(lambda x: problem.neumann(x, nn), "neumann", pts, (2,))
-        tests = _TRACTION_TESTS[0 in disc.scheme.spec.galerkin_tests][slots]
+        tests = _SCHEME_LOADS[disc.scheme][2][slots]
         out[neu] = np.einsum("sq,sqj,sqk->sjk", w, tests, tn)
     return out
-
-
-def _galerkin_load(disc, problem, tests, load):
-    """Add the body force tested with the local basis functions `tests` (0..3),
-    by the degree-6 rule, to `load`, one (x, y) pair per velocity location."""
-    rule = triangle_rule(SOURCE_QUAD_DEGREE)
-    tests = list(tests)
-    weights = (_eval_unchecked(rule.points).values[:, tests] * rule.weights[:, None]).T
-    force = _integrate_elements(disc.elements, rule.points, weights,   # (T, ne, 2)
-                                lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,))
-    np.add.at(load, disc.element_velocity_dofs()[:, tests].T, force)
 
 
 def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int | None = None) -> SaddleSystem:
@@ -550,8 +551,7 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     """
     mesh = disc.mesh
     mu = _checked_viscosity(problem.viscosity)
-    n_u = disc.n_velocity_locations
-    n_p = disc.n_pressure_dofs
+    n_u, n_p = disc.n_velocity_locations, disc.n_pressure_dofs
 
     has_neumann = any(kind is BCKind.NEUMANN for kind in mesh.markers.values())
     if not has_neumann and pin_pressure is None:
@@ -568,11 +568,10 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
 
     rhs_u = np.zeros(2 * n_u)
     load = rhs_u.reshape(n_u, 2)
-    spec = disc.scheme.spec
-    if spec.flux_momentum:
-        load[: disc.velocity.n_cvs] += _integrate_over_cvs(disc, disc.velocity, problem, "body_force")
-    if spec.galerkin_tests:
-        _galerkin_load(disc, problem, spec.galerkin_tests, load)
+    points, weights, _ = _SCHEME_LOADS[disc.scheme]
+    force = _integrate_elements(disc.elements, points, weights,     # (test, ne, 2)
+                                lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,))
+    np.add.at(load, disc.element_velocity_dofs().T, force)
     np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], segment_tractions(disc, problem))
     rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 
@@ -591,7 +590,7 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     # tensors mapped by every element.
     closure = _closure(mesh)
     K, L = _SCHEME_TENSORS[disc.scheme]
-    A = _closure_csr(closure, _map_momentum(disc.elements, K, mu), (2 * n_u, 2 * n_u), ddofs, ddofs)
+    A = _closure_csr(closure, _map_momentum(_momentum_metric(disc.elements, mu), K), (2 * n_u, 2 * n_u), ddofs, ddofs)
     B = _closure_csr(closure, _map_vectors(disc.elements, L[:, None])[..., None], (2 * n_u, n_p), ddofs)
     C = _closure_csr(closure, _mass_blocks(disc)[:, :, :, None], (n_p, 2 * n_u), pinned)
 

@@ -79,6 +79,10 @@ from .geometry import GridDiscretization
 from .schemes import SaddleSystem, _checked_viscosity, _closure, _closure_csr
 
 MASS_QUAD_DEGREE = 2
+# The hats' products integrated over the reference triangle by the degree-2 rule.
+_MASS_RULE = triangle_rule(MASS_QUAD_DEGREE)
+_MASS_HATS = barycentric(_MASS_RULE.points)                  # (nq, 3)
+_REFERENCE_MASS = np.einsum("q,qi,qj->ij", _MASS_RULE.weights, _MASS_HATS, _MASS_HATS)
 
 
 def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr_matrix:
@@ -89,10 +93,7 @@ def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr
     finite and positive.
     """
     viscosity = _checked_viscosity(viscosity)
-    rule = triangle_rule(MASS_QUAD_DEGREE)
-    lam = barycentric(rule.points)              # (nq, 3)
-    ref_block = np.einsum("q,qi,qj->ij", rule.weights, lam, lam)
-    blocks = ref_block[:, None, :, None, None] * (disc.elements.areas / viscosity)[:, None, None, None]
+    blocks = _REFERENCE_MASS[:, None, :, None, None] * (disc.elements.areas / viscosity)[:, None, None, None]
     n_p = disc.n_pressure_dofs
     return _closure_csr(_closure(disc.mesh), blocks, (n_p, n_p))
 

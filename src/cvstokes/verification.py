@@ -65,8 +65,12 @@ from .solver import (
 
 log = logging.getLogger(__name__)
 
-ERROR_QUAD_DEGREE = 8
 RATE_ERROR_FLOOR = 1e-13
+ERROR_QUAD_DEGREE = 8
+# The error rule, with the basis and the hats at its points.
+_ERROR_RULE = triangle_rule(ERROR_QUAD_DEGREE)
+_ERROR_BASIS = _eval_unchecked(_ERROR_RULE.points)
+_ERROR_HATS = barycentric(_ERROR_RULE.points)
 
 MIXED_BC_LAYOUT = {
     "left": BCKind.DIRICHLET,
@@ -225,10 +229,6 @@ class ErrorNorms:
 
 def error_norms(disc: GridDiscretization, solution: np.ndarray, case: ManufacturedCase) -> ErrorNorms:
     """L2 pressure, L2 velocity, and full H1 velocity errors (degree-8 rule)."""
-    rule = triangle_rule(ERROR_QUAD_DEGREE)
-    ev = _eval_unchecked(rule.points)
-    grads = ev.gradients.reshape(-1, 8)                              # [q, (b, i)]
-    lam = barycentric(rule.points)
     el = disc.elements
     vel, pres = split_solution(disc, solution)
     coeff = vel[disc.element_velocity_dofs()]                        # (ne, 4, 2)
@@ -237,15 +237,15 @@ def error_norms(disc: GridDiscretization, solution: np.ndarray, case: Manufactur
         c = coeff[sl]
         # grad v_h = sum over (b, i) of grads[q, (b, i)] c[e, b, k] inv[e, i, a], as [q, e, k, a]
         M = c[:, :, None, :, None] * el.inv_jacobians[sl, None, :, None, :]
-        vh = (ev.values @ c.swapaxes(0, 1).reshape(4, -1)).reshape(x.shape)
-        gh = (grads @ M.transpose(1, 2, 0, 3, 4).reshape(8, -1)).reshape(x.shape + (2,))
-        ph = lam @ pres[disc.mesh.triangles[sl]].T
+        vh = (_ERROR_BASIS.values @ c.swapaxes(0, 1).reshape(4, -1)).reshape(x.shape)
+        gh = (_ERROR_BASIS.gradients.reshape(-1, 8) @ M.transpose(1, 2, 0, 3, 4).reshape(8, -1)).reshape(x.shape + (2,))
+        ph = _ERROR_HATS @ pres[disc.mesh.triangles[sl]].T
         ve = _evaluate(case.velocity, "velocity", x, (2,))
         ge = _evaluate(case.velocity_gradient, "velocity_gradient", x, (2, 2))
         pe = _evaluate(case.pressure, "pressure", x, ())
         return np.stack((np.sum((vh - ve) ** 2, axis=-1), np.sum((gh - ge) ** 2, axis=(-2, -1)), (ph - pe) ** 2), axis=-1)
 
-    l2v2, semi2, l2p2 = _integrate_elements(el, rule.points, rule.weights[None], squared_errors, (3,))[0].sum(axis=0)
+    l2v2, semi2, l2p2 = _integrate_elements(el, _ERROR_RULE.points, _ERROR_RULE.weights[None], squared_errors, (3,))[0].sum(axis=0)
     return ErrorNorms(np.sqrt(l2p2), np.sqrt(l2v2), np.sqrt(l2v2 + semi2))
 
 

@@ -18,7 +18,9 @@ in physical coordinates, one face, segment or sub-volume at a time and
 element by element, from each triangle's own vertices, edge midpoints and
 centroid: the geometric oracle of closure, tiling, normals, segments and
 polygons.  `cv_integrals` adds the package's own sub-volume integrals one
-sub-volume at a time, so that it checks only the owner map.  `coo_blocks`
+sub-volume at a time, so that it checks only the owner map, and
+`two_pass_rhs_momentum` integrates the body force once per kind of row, to
+check each scheme's one-pass load rule.  `coo_blocks`
 turns element blocks into CSR by one COO conversion each, with explicit
 row and column ids, to check the closure-pattern builder.
 """
@@ -283,6 +285,30 @@ def cv_integrals(disc: GridDiscretization, cvset: ControlVolumeSet, problem, sou
     return out
 
 
+def two_pass_rhs_momentum(disc: GridDiscretization, problem) -> np.ndarray:
+    """The momentum right-hand side with the body force integrated in two
+    passes, one per kind of row: the flux rows over their control volumes by
+    `schemes._integrate_over_cvs`, the Galerkin rows by the degree-6 element
+    rule times their basis function; then the tractions and the Dirichlet
+    values as `assemble` takes them.  Every scheme held its load so before it
+    became one reference rule per scheme."""
+    mesh, spec = disc.mesh, disc.scheme.spec
+    load = np.zeros((disc.n_velocity_locations, 2))
+    if spec.flux_momentum:
+        load[: disc.velocity.n_cvs] += schemes._integrate_over_cvs(disc, disc.velocity, problem, "body_force")
+    tests = list(spec.galerkin_tests)
+    if tests:
+        rule = triangle_rule(schemes.SOURCE_QUAD_DEGREE)
+        weights = (_eval_unchecked(rule.points).values[:, tests] * rule.weights[:, None]).T
+        force = schemes._integrate_elements(disc.elements, rule.points, weights,
+                                            lambda sl, x: schemes._evaluate(problem.body_force, "body_force", x, (2,)), (2,))
+        np.add.at(load, disc.element_velocity_dofs()[:, tests].T, force)
+    np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], schemes.segment_tractions(disc, problem))
+    dverts = mesh.dirichlet_vertices()
+    load[dverts] = problem.dirichlet(mesh.vertices[dverts])
+    return load.ravel()
+
+
 def coo_to_csr(blocks, row_ids, col_ids, shape, dropped, diagonal=np.empty(0, dtype=np.int64)):
     """One COO -> CSR conversion of element blocks, whose row and column ids
     broadcast to them.  The `dropped` rows are zeroed, then each `diagonal`
@@ -299,7 +325,7 @@ def package_blocks(disc: GridDiscretization, viscosity):
     e, hat, comp] and C [box, e, trial, comp]: the scheme's reference tensors
     mapped by every element, as `assemble` takes them."""
     K, L = schemes._SCHEME_TENSORS[disc.scheme]
-    return (schemes._map_momentum(disc.elements, K, viscosity),
+    return (schemes._map_momentum(schemes._momentum_metric(disc.elements, viscosity), K),
             schemes._map_vectors(disc.elements, L[:, None]), schemes._mass_blocks(disc))
 
 

@@ -17,14 +17,16 @@ from oracles import (
     eval_physical,
     face_fluxes,
     galerkin_blocks,
+    monomial_integral_triangle,
     package_blocks,
     piece_fluxes,
     pieces,
     quadrature_blocks,
     sub_volumes,
+    two_pass_rhs_momentum,
 )
 from cvstokes import schemes
-from cvstokes.basis import segment_rule, triangle_rule
+from cvstokes.basis import barycentric, segment_rule, triangle_rule
 from cvstokes.geometry import REFERENCE_FACES, SEGMENT_OWNERS, SchemeKind, build
 from cvstokes.mesh import BCKind, distort, generate_structured, validate
 from cvstokes.schemes import (
@@ -63,7 +65,7 @@ def kernel_fluxes(disc, cvset, kind, viscosity, velocity, pressure):
         e = piece.element[at]
         u, p = velocity[disc.element_velocity_dofs()[e]], pressure[disc.mesh.triangles[e]]
         mass[at] = np.einsum("pbk,pbk->p", schemes._map_vectors(el, schemes._SLOT_VOLUME[slot], e), u)
-        a = schemes._map_momentum(el, schemes._SLOT_MOMENTUM[[slot]], viscosity, e)[0]
+        a = schemes._map_momentum(schemes._momentum_metric(el, viscosity, e), schemes._SLOT_MOMENTUM[[slot]])[0]
         b = schemes._map_vectors(el, schemes._SLOT_PRESSURE[slot], e)
         momentum[at] = np.einsum("pbak,pbk->pa", a, u) + np.einsum("pja,pj->pa", b, p)
     return mass, momentum
@@ -312,7 +314,7 @@ def test_galerkin_reference_tensors_match_quadrature_oracle(scheme):
     mu = 1.7
     tests = list(disc.scheme.spec.galerkin_tests)
     K, L = schemes._SCHEME_TENSORS[disc.scheme]
-    A = schemes._map_momentum(disc.elements, K[tests], mu)
+    A = schemes._map_momentum(schemes._momentum_metric(disc.elements, mu), K[tests])
     B = schemes._map_vectors(disc.elements, L[tests][:, None])
     # The blocks are laid out [test, element, trial, comp, ...].
     for got, want in zip((A, B), galerkin_blocks(disc, mu, tests)):
@@ -356,7 +358,7 @@ def test_reference_tensors_keep_their_invariants(scheme):
     # trial functions sum to one, so every row sums to zero over its trials,
     # and so does every mapped element block.
     assert np.max(np.abs(K.sum(axis=1))) <= 1e-15 * np.max(np.abs(K))
-    A = schemes._map_momentum(build(random_distorted_mesh(27, n=3), scheme).elements, K, 0.8)
+    A = schemes._map_momentum(schemes._momentum_metric(build(random_distorted_mesh(27, n=3), scheme).elements, 0.8), K)
     assert np.max(np.abs(A.sum(axis=2))) <= 1e-14 * np.max(np.abs(A))
     rows = _flux_rows(kind.spec)
     for tensor in (K, L) if rows else ():
@@ -723,6 +725,90 @@ def test_source_rule_reproduces_the_fan_moments(family):
     assert weights.shape == (fan_weights.shape[0], 28)
     want = fan_weights @ _monomials(fan_points)
     assert np.max(np.abs(weights @ _monomials(points) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# The vertex hats lambda_i and the bubble phi_b = 27 x y (1 - x - y) as
+# {(a, b): c} of c x^a y^b; the basis is lambda_i - phi_b / 3, then phi_b.
+BUBBLE = {(1, 1): 27.0, (2, 1): -27.0, (1, 2): -27.0}
+HATS = ({(0, 0): 1.0, (1, 0): -1.0, (0, 1): -1.0}, {(1, 0): 1.0}, {(0, 1): 1.0})
+BASIS = [{k: hat.get(k, 0.0) - BUBBLE.get(k, 0.0) / 3.0 for k in hat.keys() | BUBBLE.keys()} for hat in HATS] + [BUBBLE]
+
+
+def _moment_defect(points, weights, polynomial, degree):
+    """How far a rule's integrals of `polynomial` times each monomial of total
+    degree <= `degree` are from their exact values, relative to the largest."""
+    ab = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    want = np.array([sum(c * monomial_integral_triangle(a + p, b + q) for (p, q), c in polynomial.items())
+                     for a, b in ab])
+    got = np.array([weights @ (points[:, 0] ** a * points[:, 1] ** b) for a, b in ab])
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_load_rule_rows_hold_the_tests_of_their_rows(scheme):
+    # One body-force row per local test.  A flux row integrates every
+    # polynomial of degree <= 6 over its sub-volume as the fan rule does.  A
+    # Galerkin row is its test times the degree-6 rule: exact for the cubic
+    # basis times degree 3, and a hat (vertex row plus a third of the bubble
+    # row) times degree 5.
+    kind = SchemeKind.parse(scheme)
+    spec = kind.spec
+    points, weights, tractions = schemes._SCHEME_LOADS[kind]
+    assert weights.shape == (4, len(points))
+    fan_points, fan_weights = FAN_RULES[spec.velocity_cvs]
+    for t in range(4):
+        if t in spec.galerkin_tests:
+            assert _moment_defect(points, weights[t], BASIS[t], 3) <= 1e-14, t
+            if t < 3:
+                assert _moment_defect(points, weights[t] + weights[3] / 3.0, HATS[t], 5) <= 1e-14, t
+        else:
+            want = fan_weights[t] @ _monomials(fan_points)
+            assert np.max(np.abs(weights[t] @ _monomials(points) - want)) <= 1e-14 * np.max(np.abs(want)), t
+    # The traction on a boundary slot is tested with the vertex hats in a
+    # Galerkin vertex row and with the indicator of the slot's vertex end in
+    # a flux row.
+    hats = barycentric(schemes._piece_points(schemes.NEUMANN_QUAD_DEGREE))
+    indicators = np.broadcast_to(SEGMENT_OWNERS[:, None, None] == np.arange(3), hats.shape)
+    for t in range(3):
+        assert np.array_equal(tractions[..., t], (hats if t in spec.galerkin_tests else indicators)[..., t]), t
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_assemble_integrates_the_body_force_in_one_pass(scheme, monkeypatch):
+    # Without a mass source, one volume integral per assembly: every row's
+    # body force, flux and Galerkin rows alike, on the scheme's load rule,
+    # whose points are the 28 of the source rule, the 16 of the element rule,
+    # or both side by side.
+    calls = []
+
+    def counting(*args, _original=schemes._integrate_elements):
+        calls.append(args[1].shape[0])
+        return _original(*args)
+
+    monkeypatch.setattr(schemes, "_integrate_elements", counting)
+    case = donea_huerta_case()
+    assemble(build(case.apply_bc(distort(generate_structured(6, 6), 0.2, seed=29)), scheme), case.problem())
+    assert calls == [{"hybrid": 44, "fem": 16}.get(scheme, 28)]
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_pass_load_matches_the_two_pass_oracle(scheme, pinned):
+    # The load rule moves no row off its rule: against the body force
+    # integrated once per kind of row, fem's right-hand side keeps its bits
+    # and the others move by rounding, for a force no rule integrates exactly.
+    mesh = distort(generate_structured(20, 20), 0.2, seed=30)     # all Dirichlet
+    if not pinned:
+        mesh = mesh.with_bc(MIXED)
+    problem = dataclasses.replace(donea_huerta_case().problem(),
+                                  body_force=lambda p: np.stack((np.sin(9.0 * p[..., 0]), np.exp(3.0 * p[..., 1])), axis=-1))
+    disc = build(mesh, scheme)
+    got = assemble(disc, problem, pin_pressure=0 if pinned else None).rhs_momentum
+    want = two_pass_rhs_momentum(disc, problem)
+    if scheme == "fem":
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # (coefficient, a, b) of c x^a y^b: a polynomial of total degree 6.
