@@ -230,8 +230,11 @@ def generate_structured(
     Cells are split along the diagonal from the lower-left to the upper-right
     corner.  Boundary markers are "left", "right", "bottom", "top"; all
     default to Dirichlet unless `markers` overrides them through `Mesh.with_bc`.
-    Raises ValueError unless nx, ny >= 1 and lower < upper, both finite.
+    Raises ValueError unless nx, ny are integers >= 1 and lower < upper, both finite.
     """
+    for name, n in (("nx", nx), ("ny", ny)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be positive")
     if not (np.all(np.isfinite((lower, upper))) and np.all(np.less(lower, upper))):

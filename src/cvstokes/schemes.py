@@ -40,8 +40,10 @@ go straight into CSR on one pattern per assembly (`_closure`,
 `_closure_csr`).  The audit builds the metric once and contracts each face
 row's mapped tensors with a solution, one slot over all elements at a time
 (`_mass_flux_slots`, `_momentum_flux_slots`).  Volume integrals map a
-reference rule by each element's X0 + J xi, `_BLOCK` elements at a time: the
-load in one pass per assembly, a control-volume source by its family's rows.
+reference rule by each element's X0 + J xi, in blocks of about `_BLOCK_POINTS`
+quadrature points (512 elements of a 16-point rule, 186 of the 44 points of
+hybrid's load): the load in one pass per assembly, a control-volume source by
+its family's rows.
 Traction data enters through one (S, 3, 2) array over the boundary
 half-segments (`segment_tractions`), tested as the load rule says: with the
 indicator of the segment's vertex end for flux rows, the vertex hats for
@@ -72,8 +74,10 @@ from .mesh import BCKind
 
 SOURCE_QUAD_DEGREE = 6
 NEUMANN_QUAD_DEGREE = 5
-# Elements per block of the volume kernels (`_integrate_elements`).
-_BLOCK = 512
+# Quadrature points per block of the volume kernels (`_integrate_elements`):
+# 512 elements of a 16-point rule, fewer of a longer one, so that a block's
+# per-point temporaries take about the same memory whatever the rule.
+_BLOCK_POINTS = 8192
 
 
 class ConfigurationError(ValueError):
@@ -486,14 +490,16 @@ def _evaluate(func, name, points, shape):
 def _integrate_elements(eldata: ElementData, points, weights, integrand, shape) -> np.ndarray:
     """Element integrals det J_e sum_q weights[r, q] f(X0_e + J_e points[q]), (rows, ne, *shape).
 
-    Elements go in blocks of `_BLOCK`, so that every per-point temporary
-    stays in cache: `integrand(elements, x)` takes a block's element slice
-    and its points x (nq, B, 2) and returns f (nq, B, *shape).
+    Elements go in blocks of B = max(1, `_BLOCK_POINTS` // nq), so that a
+    block's per-point temporaries take about the same memory whatever the rule:
+    `integrand(elements, x)` takes a block's element slice and its points
+    x (nq, B, 2) and returns f (nq, B, *shape).
     """
     nq = points.shape[0]
     scale = 2.0 * eldata.areas
     out = np.empty((weights.shape[0],) + scale.shape + shape)
-    for sl in (slice(start, start + _BLOCK) for start in range(0, scale.shape[0], _BLOCK)):
+    block = max(1, _BLOCK_POINTS // nq)
+    for sl in (slice(start, start + block) for start in range(0, scale.shape[0], block)):
         x = (points @ eldata.jacobians[sl].transpose(2, 0, 1).reshape(2, -1)).reshape(nq, -1, 2) + eldata.coords[sl, 0]
         local = (weights @ integrand(sl, x).reshape(nq, -1)).reshape(out[:, sl].shape)
         out[:, sl] = local * scale[sl].reshape((-1,) + (1,) * len(shape))

@@ -240,10 +240,16 @@ def error_norms(disc: GridDiscretization, solution: np.ndarray, case: Manufactur
         vh = (_ERROR_BASIS.values @ c.swapaxes(0, 1).reshape(4, -1)).reshape(x.shape)
         gh = (_ERROR_BASIS.gradients.reshape(-1, 8) @ M.transpose(1, 2, 0, 3, 4).reshape(8, -1)).reshape(x.shape + (2,))
         ph = _ERROR_HATS @ pres[disc.mesh.triangles[sl]].T
-        ve = _evaluate(case.velocity, "velocity", x, (2,))
-        ge = _evaluate(case.velocity_gradient, "velocity_gradient", x, (2, 2))
-        pe = _evaluate(case.pressure, "pressure", x, ())
-        return np.stack((np.sum((vh - ve) ** 2, axis=-1), np.sum((gh - ge) ** 2, axis=(-2, -1)), (ph - pe) ** 2), axis=-1)
+        # The errors and their squares overwrite the discrete fields, and
+        # their sums go into one output.
+        vh -= _evaluate(case.velocity, "velocity", x, (2,))
+        gh -= _evaluate(case.velocity_gradient, "velocity_gradient", x, (2, 2))
+        ph -= _evaluate(case.pressure, "pressure", x, ())
+        out = np.empty(ph.shape + (3,))
+        np.sum(np.square(vh, out=vh), axis=-1, out=out[..., 0])
+        np.sum(np.square(gh, out=gh), axis=(-2, -1), out=out[..., 1])
+        np.square(ph, out=out[..., 2])
+        return out
 
     l2v2, semi2, l2p2 = _integrate_elements(el, _ERROR_RULE.points, _ERROR_RULE.weights[None], squared_errors, (3,))[0].sum(axis=0)
     return ErrorNorms(np.sqrt(l2p2), np.sqrt(l2v2), np.sqrt(l2v2 + semi2))
@@ -418,15 +424,24 @@ class ConservationAudit:
     max_momentum_flux: float
 
 
+def _add_at(out, ids, values):
+    """out[ids] += values for out (n,) or (n, k), each id as often as it
+    occurs, like np.add.at but summed by one np.bincount per column."""
+    ids = ids.ravel()
+    columns = out.reshape(len(out), -1)
+    for k, column in enumerate(values.reshape(ids.size, columns.shape[1]).T):
+        columns[:, k] += np.bincount(ids, column, minlength=len(out))
+
+
 def _scatter_faces(out, cvset, fluxes):
     """Add each face row's fluxes (ne, ...) to its inside owner's balance and
     subtract them from its outside owner's; the owner "none", id -1 in
     `owners`, receives nothing."""
     for (_, inside, outside), flux in zip(REFERENCE_FACES[cvset.family], fluxes):
-        np.add.at(out, cvset.owners[:, inside], flux)
+        _add_at(out, cvset.owners[:, inside], flux)
         ids = cvset.owners[:, outside]
         owned = ids >= 0
-        np.subtract.at(out, ids[owned], flux[owned])
+        _add_at(out, ids[owned], -flux[owned])
 
 
 def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: StokesProblem) -> ConservationAudit:
@@ -439,7 +454,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     massf, segf = _mass_flux_slots(disc, vel)
     res_m = np.zeros(pset.n_cvs)
     _scatter_faces(res_m, pset, massf)
-    np.add.at(res_m, pset.seg_cv, segf)
+    _add_at(res_m, pset.seg_cv, segf)
     res_m -= _integrate_over_cvs(disc, pset, problem, "mass_source")
     max_mass = float(max(np.abs(massf).max(initial=0.0), np.abs(segf).max(initial=0.0)))
 
@@ -452,7 +467,7 @@ def conservation_audit(disc: GridDiscretization, solution: np.ndarray, problem: 
     if flux_momentum:
         momf = _momentum_flux_slots(disc, mu, vel, pres)
         _scatter_faces(res_u, vset, momf)
-        np.add.at(res_u, disc.mesh.triangles[vset.seg_element], segment_tractions(disc, problem))
+        _add_at(res_u, disc.mesh.triangles[vset.seg_element], segment_tractions(disc, problem))
         res_u -= _integrate_over_cvs(disc, vset, problem, "body_force")
         audited[disc.mesh.dirichlet_vertices()] = False
         max_mom = float(np.abs(momf).max(initial=0.0))

@@ -108,6 +108,16 @@ def test_structured_rejects_an_empty_or_infinite_box(lower, upper):
     )
 
 
+@pytest.mark.parametrize("nx, ny, name", [(2.0, 2, "nx"), (True, 2, "nx"), (2, 1.5, "ny"), (3, np.True_, "ny")])
+def test_structured_rejects_sizes_that_are_not_integers(nx, ny, name):
+    # A float size used to fail inside np.linspace with a TypeError, and
+    # True built a one-cell-wide mesh.
+    value = nx if name == "nx" else ny
+    with pytest.raises(ValueError) as info:
+        generate_structured(nx, ny)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(nx=1, ny=1),
     dict(nx=1, ny=4),

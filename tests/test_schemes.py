@@ -465,6 +465,29 @@ def test_assembly_peak_memory_is_bounded_by_its_blocks(scheme):
     assert peak <= 4 * size
 
 
+def test_volume_kernels_keep_their_working_set():
+    # Volume integrals take blocks of a fixed number of quadrature points,
+    # and the error integrand squares its errors in place.  On this 16^2
+    # mesh (512 elements) one error_norms call (25 points) peaked at
+    # 1.25 MB and hybrid's assemble (a 44-point load) at 1.16 MB; with
+    # 512-element blocks for every rule and fresh error arrays they took
+    # 2.44 and 1.31 MB.
+    case = donea_huerta_case()
+    disc = build(case.apply_bc(distort(generate_structured(16, 16), 0.2, seed=27)), "hybrid")
+    problem = case.problem()
+    x = np.random.default_rng(27).standard_normal(disc.n_dofs)
+    for name, bound, call in (("error_norms", 1.5e6, lambda: error_norms(disc, x, case)),
+                              ("assemble", 1.25e6, lambda: assemble(disc, problem))):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (name, peak)
+
+
 def _neumann_galerkin_rhs_oracle(disc, problem, rhs_u):
     """Traction tested with the vertex hat traces, integrated over whole facets."""
     mesh = disc.mesh
@@ -865,7 +888,11 @@ def test_audit_source_integrals_match_the_fan_triangle_oracle(scheme):
 def test_block_edges_do_not_change_volume_and_face_kernels(monkeypatch):
     case = donea_huerta_case()
     mesh = case.apply_bc(random_distorted_mesh(23, n=5))
-    assert mesh.n_elements % 7 != 0
+    # A budget of 400 points takes 3 to 16 elements per block of the error
+    # rule (25 points), the source rule (28) and the fan rules (64, 96, 112),
+    # and leaves each of them a remainder.
+    budget = 400
+    assert all(mesh.n_elements % (budget // nq) for nq in (25, 28, 64, 96, 112))
     discs = {name: build(mesh, name) for name in ("overlapping", "non-overlapping")}
     x = np.random.default_rng(4).standard_normal(discs["overlapping"].n_dofs)
 
@@ -880,9 +907,9 @@ def test_block_edges_do_not_change_volume_and_face_kernels(monkeypatch):
             out.append(np.array(dataclasses.astuple(error_norms(disc, x, case))))
         return out
 
-    monkeypatch.setattr(schemes, "_BLOCK", 10 * mesh.n_elements)   # one block of every kind
+    monkeypatch.setattr(schemes, "_BLOCK_POINTS", 112 * mesh.n_elements)   # one block of every kind
     single = kernels()
-    monkeypatch.setattr(schemes, "_BLOCK", 7)
+    monkeypatch.setattr(schemes, "_BLOCK_POINTS", budget)
     for got, want in zip(kernels(), single):   # BLAS may round a narrower product differently
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 

@@ -510,6 +510,22 @@ def test_audit_is_the_flux_row_residual(scheme):
     assert np.max(np.abs(audit.momentum_residuals[rows] + momentum), initial=0.0) <= 1e-12 * audit.max_momentum_flux
 
 
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["scalar", "vector"])
+def test_audit_scatter_matches_add_at(shape):
+    # The audit sums its fluxes by np.bincount; np.add.at is the reference,
+    # equal up to the order of summation.  No ids leave the balances alone.
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, 7, size=(40, 3))
+    values = rng.standard_normal(ids.shape + shape)
+    got = rng.standard_normal((7,) + shape)
+    want = got.copy()
+    np.add.at(want, ids, values)
+    verification._add_at(got, ids, values)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    verification._add_at(got, ids[:0], values[:0])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 def test_region_mass_balance_unions():
     disc, x, problem = _solved("overlapping", n=10, seed=33)
     audit = conservation_audit(disc, x, problem)
