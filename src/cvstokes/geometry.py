@@ -53,6 +53,16 @@ import numpy as np
 from .basis import barycentric
 from .mesh import Mesh, facet_edges
 
+def _add_at(out, ids, values):
+    """out[ids] += values for out (n,) or (n, k), each id as often as it
+    occurs, like np.add.at but summed by one np.bincount per column: in the
+    order of `ids`, so a zero `out` gets the same bits as from np.add.at."""
+    ids = ids.ravel()
+    columns = out.reshape(len(out), -1)
+    for k, column in enumerate(values.reshape(ids.size, columns.shape[1]).T):
+        columns[:, k] += np.bincount(ids, column, minlength=len(out))
+
+
 # The twelve slots, as (a, b) pairs of local point ids.
 _SLOTS = np.array([
     (3, 6), (4, 6), (5, 6),                          # 0-2   box faces        M_k -> C
@@ -231,7 +241,7 @@ class ControlVolumeSet:
         area times 2|e|, added element by element through `owners`."""
         areas = _CELL_AREAS[self.family]
         vol = np.zeros(self.n_cvs)
-        np.add.at(vol, self.owners[:, : areas.size], (2.0 * self.elements.areas)[:, None] * areas)
+        _add_at(vol, self.owners[:, : areas.size], (2.0 * self.elements.areas)[:, None] * areas)
         return vol
 
 

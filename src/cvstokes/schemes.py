@@ -37,7 +37,11 @@ physical piece's n |piece| = rot(J (b - a)) is 2|e| J^-T r.  `_map_momentum`
 inverse Jacobian and 2|e|, A_e = A0 : G_e (Kirby & Logg, ACM TOMS 32(3),
 2006), into owner-major element blocks [owner, e, trial, comp, comp], which
 go straight into CSR on one pattern per assembly (`_closure`,
-`_closure_csr`).  The audit builds the metric once and contracts each face
+`_closure_csr`).  Their sums on the vertex pairs, less each element's bubble
+correction, make the condensed system J_c, written into CSC on the vertex
+pattern (`_vertex_closure`, `_condense`, `_condensed_csc`); each element
+keeps only its bubble rows and columns for that.  The audit builds the
+metric once and contracts each face
 row's mapped tensors with a solution, one slot over all elements at a time
 (`_mass_flux_slots`, `_momentum_flux_slots`).  Volume integrals map a
 reference rule by each element's X0 + J xi, in blocks of about `_BLOCK_POINTS`
@@ -68,6 +72,7 @@ from .geometry import (
     SEGMENT_OWNERS,
     ElementData,
     GridDiscretization,
+    _add_at,
     to_physical,
 )
 from .mesh import BCKind
@@ -263,6 +268,21 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
+@dataclass(frozen=True, eq=False)
+class Condensation:
+    """The bubbles of a saddle system condensed out element by element.
+
+    `matrix` is J_c, the system on the kept unknowns (vertex velocities,
+    then pressures) in CSC, and `inverses` (ne, 2, 2) inverts each
+    element's bubble block of A.  `blocks` are the (A, B, C, D) they were
+    built from: a system whose blocks are others has no condensation.
+    """
+
+    matrix: sp.csc_matrix
+    inverses: np.ndarray
+    blocks: tuple = field(repr=False)
+
+
 @dataclass(eq=False)
 class SaddleSystem:
     """Assembled saddle-point system [[A, B], [C, D]] with right-hand side.
@@ -274,9 +294,10 @@ class SaddleSystem:
     holds the identity entry of a pinned pressure, whose mass row of C is
     empty, or no entries at all.  `bubble_dofs` is the contiguous range of
     bubble velocity dofs, the last ones, which the solvers eliminate
-    element by element; `_elimination` keeps that elimination once a
-    solver has built it from the blocks.  `matrix()` forms the full matrix
-    for the tests and the benchmark's tracer; no solver calls it.
+    element by element through `condensation`, made by `assemble` with the
+    blocks; `_elimination` keeps the solvers' view of it once built.
+    `matrix()` forms the full matrix for the tests and the benchmark's
+    tracer; no solver calls it.
     """
 
     A: sp.csr_matrix
@@ -287,6 +308,7 @@ class SaddleSystem:
     rhs_mass: np.ndarray
     dirichlet_dofs: np.ndarray
     bubble_dofs: range = range(0)
+    condensation: Condensation | None = field(default=None, repr=False)
     _elimination: object = field(default=None, init=False, repr=False)
 
     @property
@@ -382,13 +404,12 @@ def _momentum_flux_slots(disc, mu, velocity, pressure):
 
 @dataclass(frozen=True, eq=False)
 class _Closure:
-    """The sparsity pattern of element closures over the velocity locations:
-    the vertices, then one bubble per element.  Location r couples to
-    location c when both belong to one element.  `indptr` and `cols` are its
-    CSR structure, sorted within each row, so that the first vertex rows
-    restricted to vertex columns are the pattern of the vertices alone.
-    `slots[a, e, b]`, owner-major like the element blocks, is the entry of
-    an element's local locations a and b (vertices 0-2, bubble 3), and
+    """The sparsity pattern of element closures over some of an element's
+    local locations: the vertices, or the vertices and then one bubble per
+    element.  Location r couples to location c when both belong to one
+    element.  `indptr` and `cols` are its CSR structure, sorted within each
+    row, `slots[a, e, b]`, owner-major like the element blocks, is the entry
+    of an element's local locations a and b (vertices 0-2, bubble 3), and
     `diagonal[r]` the entry of (r, r)."""
 
     indptr: np.ndarray
@@ -397,52 +418,68 @@ class _Closure:
     diagonal: np.ndarray
 
 
-def _closure(mesh) -> _Closure:
-    """The closure pattern of the mesh's vertices and bubbles.
-
-    A vertex row holds its lower edge neighbours, itself, its upper edge
-    neighbours and the bubbles of its elements in element order: each edge
-    of the sorted edge table is one entry in the row of its lower end and
-    one in the row of its upper end.  A bubble row holds its element's
-    vertices, sorted, then itself.
-    """
+def _vertex_closure(mesh) -> _Closure:
+    """The closure pattern of the mesh's vertices: a row holds its lower edge
+    neighbours, itself and its upper edge neighbours, since each edge of the
+    sorted edge table is one entry in the row of its lower end and one in the
+    row of its upper end.  It is structurally symmetric."""
     tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
     nxt = np.roll(tri, -1, axis=1)                  # local edge k runs from vertex k to k + 1
     edges, edge = np.unique(np.minimum(tri, nxt) * nv + np.maximum(tri, nxt), return_inverse=True)
     edge = edge.reshape(ne, 3)
     lo, hi = np.divmod(edges, nv)
     above, below = np.bincount(lo, minlength=nv), np.bincount(hi, minlength=nv)
-    incident = np.bincount(tri.ravel(), minlength=nv)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate((below + 1 + above + incident, np.full(ne, 4))))))
-    diagonal = indptr[:-1] + np.concatenate((below, np.full(ne, 3)))
+    indptr = np.concatenate(([0], np.cumsum(below + 1 + above)))
+    diagonal = indptr[:-1] + below
     ids = np.arange(edges.size)
     upper = diagonal[lo] + 1 + ids - np.concatenate(([0], np.cumsum(above)))[lo]
     by_hi = np.argsort(hi, kind="stable")
     lower = np.empty(edges.size, dtype=np.intp)
     lower[by_hi] = indptr[hi[by_hi]] + ids - np.concatenate(([0], np.cumsum(below)))[hi[by_hi]]
     cols = np.empty(indptr[-1], dtype=np.int32)
-    cols[diagonal], cols[upper], cols[lower] = np.arange(nv + ne), hi, lo
+    cols[diagonal], cols[upper], cols[lower] = np.arange(nv), hi, lo
 
-    slots = np.empty((ne, 4, 4), dtype=np.intp)
+    slots = np.empty((3, ne, 3), dtype=np.intp)
     k, k1 = np.arange(3), (np.arange(3) + 1) % 3
-    ascending = tri < nxt
-    slots[:, k, k] = diagonal[tri]
-    slots[:, k, k1] = np.where(ascending, upper[edge], lower[edge])
-    slots[:, k1, k] = np.where(ascending, lower[edge], upper[edge])
+    ascending = (tri < nxt).T
+    slots[k, :, k] = diagonal[tri].T
+    slots[k, :, k1] = np.where(ascending, upper[edge.T], lower[edge.T])
+    slots[k1, :, k] = np.where(ascending, lower[edge.T], upper[edge.T])
+    return _Closure(indptr, cols, slots, diagonal)
+
+
+def _closure(mesh, vertices: _Closure) -> _Closure:
+    """The closure pattern of the mesh's vertices and bubbles, from that of
+    its vertices: a vertex row holds its vertex entries, then the bubbles of
+    its elements in element order; a bubble row holds its element's
+    vertices, sorted, then itself."""
+    tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
+    incident = np.bincount(tri.ravel(), minlength=nv)
+    shift = np.concatenate(([0], np.cumsum(incident)))      # bubble entries in the rows above
+    degree = np.diff(vertices.indptr)
+    indptr = np.concatenate((vertices.indptr + shift, vertices.indptr[-1] + shift[-1] + 4 * np.arange(1, ne + 1)))
+    diagonal = np.concatenate((vertices.diagonal + shift[:-1], indptr[nv:-1] + 3))
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    cols[np.arange(vertices.cols.size) + np.repeat(shift[:-1], degree)] = vertices.cols
+
+    slots = np.empty((4, ne, 4), dtype=np.int32)
+    slots[:3, :, :3] = vertices.slots + shift[tri.T][:, :, None]
     by_vertex = np.argsort(tri, axis=None, kind="stable")   # element order within each vertex
     rank = np.empty(by_vertex.size, dtype=np.intp)
     rank[by_vertex] = np.arange(by_vertex.size)
-    slots[:, :3, 3] = (indptr[1 : nv + 1] - np.cumsum(incident))[tri] + rank.reshape(ne, 3)
-    cols[slots[:, :3, 3]] = nv + np.arange(ne)[:, None]
-    within = (tri > nxt).astype(np.intp) + (tri > np.roll(tri, 1, axis=1))   # rank in the element
-    slots[:, 3, :3] = indptr[nv:-1, None] + within
-    cols[slots[:, 3, :3]] = tri
-    slots[:, 3, 3] = diagonal[nv:]
-    return _Closure(indptr, cols, np.ascontiguousarray(np.swapaxes(slots, 0, 1)), diagonal)
+    slots[:3, :, 3] = (indptr[1 : nv + 1] - shift[1:])[tri.T] + rank.reshape(ne, 3).T
+    cols[slots[:3, :, 3]] = nv + np.arange(ne)
+    within = (tri > np.roll(tri, -1, axis=1)).astype(np.intp) + (tri > np.roll(tri, 1, axis=1))   # rank in the element
+    slots[3, :, :3] = indptr[nv:-1, None] + within
+    cols[slots[3, :, :3]] = tri
+    slots[3, :, 3] = diagonal[nv:]
+    cols[diagonal[nv:]] = nv + np.arange(ne)
+    return _Closure(indptr, cols, slots, diagonal)
 
 
-def _closure_csr(closure, blocks, shape, dropped=(), diagonal=()) -> sp.csr_matrix:
-    """CSR of element blocks [owner, e, trial, comp, comp] on a closure pattern.
+def _closure_csr(closure, blocks, shape, pairs, dropped=(), diagonal=()):
+    """CSR of element blocks [owner, e, trial, comp, comp] on a closure
+    pattern, and the blocks summed into the pattern entries `pairs`.
 
     The owners and trials are each element's first local locations, and
     each (owner, trial) pair holds a small block of row components by
@@ -452,7 +489,8 @@ def _closure_csr(closure, blocks, shape, dropped=(), diagonal=()) -> sp.csr_matr
     block entry sums the small blocks into the pattern's slots, and they
     expand to CSR.  The `dropped` rows are then zeroed, each `diagonal` id
     takes a one in its slot, and entries that cancel exactly are not
-    stored.  Indices are int32.
+    stored.  Indices are int32.  The sums at `pairs` (entries, comp, comp)
+    are taken before any row is dropped.
     """
     owners, ne, trials, cr, cc = blocks.shape
     nr, nc = shape[0] // cr, shape[1] // cc
@@ -463,6 +501,7 @@ def _closure_csr(closure, blocks, shape, dropped=(), diagonal=()) -> sp.csr_matr
     summation = sp.csc_matrix((np.ones(slots.size), slots, np.arange(slots.size + 1, dtype=np.int32)),
                               shape=(indptr[-1], slots.size))
     data = (summation @ blocks.reshape(slots.size, cr * cc)).reshape(-1, cr, cc)
+    del summation, slots
     M = sp.bsr_matrix((data, closure.cols[kept][: indptr[-1]], indptr), shape=shape).tocsr()
     dropped_rows = np.zeros(shape[0], dtype=bool)
     dropped_rows[np.asarray(dropped, dtype=np.intp)] = True
@@ -471,7 +510,68 @@ def _closure_csr(closure, blocks, shape, dropped=(), diagonal=()) -> sp.csr_matr
     r, c = np.divmod(np.asarray(diagonal, dtype=np.intp), cr)
     M.data[M.indptr[cr * r + c] + cc * (rank[closure.diagonal[r]] - indptr[r]) + c] = 1.0
     M.eliminate_zeros()
-    return M
+    return M, data[rank[pairs]]
+
+
+def _condensed_csc(vertices, Y) -> sp.csc_matrix:
+    """J_c in CSC from the 3 x 3 blocks Y[k, a, q] of its transpose on the
+    vertex pattern.
+
+    The kept unknowns are the vertex velocities, x and y interleaved, then
+    the vertex pressures.  Entry q = (c, r) of the (symmetric) pattern holds
+    the entries of J_c in rows (r, a) and columns (c, k), a, k in (x, y, p),
+    so column (c, k) lists row c's entries of Y[k]: the velocity rows of its
+    neighbours r, x and y interleaved, then their pressure rows.  Every
+    vertex pair stores its nine entries, zeros too.
+    """
+    nv, N = vertices.indptr.size - 1, Y.shape[-1]
+    degree = np.diff(vertices.indptr)
+    start, d = np.repeat(vertices.indptr[:-1], degree), np.repeat(degree, degree)
+    t = np.arange(N) - start                                # rank of q in row c
+    data, indices = np.empty(9 * N), np.empty(9 * N, dtype=np.int32)
+    for k in range(3):
+        column = 6 * N + 3 * start if k == 2 else 6 * start + 3 * k * d
+        for a in range(3):
+            at = column + (2 * d + t if a == 2 else 2 * t + a)
+            data[at] = Y[k, a]
+            indices[at] = 2 * nv + vertices.cols if a == 2 else 2 * vertices.cols + a
+    velocity = 6 * vertices.indptr[:-1, None] + 3 * degree[:, None] * np.arange(2)
+    indptr = np.concatenate((velocity.ravel(), 6 * N + 3 * vertices.indptr)).astype(np.int32)
+    return sp.csc_matrix((data, indices, indptr), shape=(3 * nv, 3 * nv))
+
+
+def _condense(vertices, Y, kb, bk, bb, dropped, pinned):
+    """Condense the bubbles out of Y element by element; returns the
+    inverses (ne, 2, 2) of the bubble blocks.
+
+    Y (k, a, pairs) holds the blocks of A, B, C and D on the kept unknowns,
+    summed on the vertex pattern and transposed as `_condensed_csc` reads
+    them.  Each element keeps the rows of its bubble columns, kb [a, b,
+    vertex, e], the columns of its bubble rows, bk [b, k, vertex, e], and
+    its bubble block bb [b, b', e], for a, k in (x, y, p) and b, b' its two
+    bubble components.  Its correction kb bb^-1 bk is subtracted from its
+    vertex pairs one component (a, k) at a time, so no (ne, 9, 9) array is
+    made.  The `dropped` velocity dofs and the `pinned` pressures then
+    become identity rows, as in A and D.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = np.array([[bb[1, 1], -bb[0, 1]], [-bb[1, 0], bb[0, 0]]])
+        inverse /= bb[0, 0] * bb[1, 1] - bb[0, 1] * bb[1, 0]
+    W = -(inverse[:, 0, None, None] * bk[0] + inverse[:, 1, None, None] * bk[1])    # [b, k, vertex, e]
+    ids = vertices.slots.transpose(2, 0, 1).ravel()         # the transposed entry of (row i, column j)
+    for a in range(3):
+        for k in range(3):
+            correction = kb[a, 0, :, None] * W[0, k]
+            correction += kb[a, 1, :, None] * W[1, k]
+            Y[k, a] += np.bincount(ids, correction.ravel(), minlength=Y.shape[-1])
+    nv = vertices.indptr.size - 1
+    identity = np.zeros((nv, 3), dtype=bool)
+    identity[np.divmod(np.asarray(dropped, dtype=np.intp), 2)] = True
+    identity[pinned, 2] = True
+    for a in range(3):
+        Y[:, a, identity[vertices.cols, a]] = 0.0
+        Y[a, a, vertices.diagonal[identity[:, a]]] = 1.0
+    return np.ascontiguousarray(inverse.transpose(2, 0, 1))
 
 
 def _evaluate(func, name, points, shape):
@@ -517,7 +617,7 @@ def _integrate_over_cvs(disc, cvset, problem, source):
         points, weights = _SOURCE_RULES[cvset.family]
         local = _integrate_elements(disc.elements, points, weights,
                                     lambda sl, x: _evaluate(func, source, x, shape), shape)
-        np.add.at(out, cvset.owners[:, : local.shape[0]], np.swapaxes(local, 0, 1))
+        _add_at(out, cvset.owners[:, : local.shape[0]], np.swapaxes(local, 0, 1))
     return out
 
 
@@ -577,8 +677,10 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     points, weights, _ = _SCHEME_LOADS[disc.scheme]
     force = _integrate_elements(disc.elements, points, weights,     # (test, ne, 2)
                                 lambda sl, x: _evaluate(problem.body_force, "body_force", x, (2,)), (2,))
-    np.add.at(load, disc.element_velocity_dofs().T, force)
-    np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], segment_tractions(disc, problem))
+    # The load, then minus the tractions, summed in this order as by np.add.at.
+    _add_at(load, np.concatenate((disc.element_velocity_dofs().T.ravel(), mesh.triangles[disc.pressure.seg_element].ravel())),
+            np.concatenate((force.reshape(-1, 2), -segment_tractions(disc, problem).reshape(-1, 2))))
+    del force
     rhs_p = _integrate_over_cvs(disc, disc.pressure, problem, "mass_source")
 
     # Dirichlet rows become identity rows on both components of marked
@@ -593,20 +695,51 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     # One closure pattern over the velocity locations serves every block: the
     # momentum rows are its owners, the mass rows and the pressure columns its
     # vertices, which come first.  The blocks are the scheme's reference
-    # tensors mapped by every element.
-    closure = _closure(mesh)
+    # tensors mapped by every element.  Each block's sums on the vertex pairs
+    # go into Y, J_c's blocks before the condensation, and each element keeps
+    # only its bubble rows and columns for it (kb, bk and bb of `_condense`).
+    # Every array is dropped once used: the heap keeps assemble's high-water
+    # mark resident, under the direct LU that follows.
+    vertices = _vertex_closure(mesh)
+    closure = _closure(mesh, vertices)
+    nv, ne = mesh.n_vertices, mesh.n_elements
+    transpose = np.empty(vertices.cols.size, dtype=np.intp)     # the entry (c, r) of the entry (r, c)
+    transpose[vertices.slots] = vertices.slots.swapaxes(0, 2)
+    pairs = (np.arange(transpose.size) + np.repeat(closure.indptr[:nv] - vertices.indptr[:-1], np.diff(vertices.indptr)))[transpose]
+    del transpose
     K, L = _SCHEME_TENSORS[disc.scheme]
-    A = _closure_csr(closure, _map_momentum(_momentum_metric(disc.elements, mu), K), (2 * n_u, 2 * n_u), ddofs, ddofs)
-    B = _closure_csr(closure, _map_vectors(disc.elements, L[:, None])[..., None], (2 * n_u, n_p), ddofs)
-    C = _closure_csr(closure, _mass_blocks(disc)[:, :, :, None], (n_p, 2 * n_u), pinned)
+    blocks = _map_momentum(_momentum_metric(disc.elements, mu), K)
+    A, A_pairs = _closure_csr(closure, blocks, (2 * n_u, 2 * n_u), pairs, ddofs, ddofs)
+    kb, bk = np.empty((3, 2, 3, ne)), np.empty((2, 3, 3, ne))
+    kb[:2] = blocks[:3, :, 3].transpose(2, 3, 0, 1)
+    bk[:, :2] = blocks[3, :, :3].transpose(2, 3, 1, 0)
+    bb = blocks[3, :, 3].transpose(1, 2, 0).copy()
+    del blocks
+    blocks = _map_vectors(disc.elements, L[:, None])[..., None]
+    B, B_pairs = _closure_csr(closure, blocks, (2 * n_u, n_p), pairs, ddofs)
+    bk[:, 2] = blocks[3, ..., 0].transpose(2, 1, 0)
+    del blocks
+    blocks = _mass_blocks(disc)[:, :, :, None]
+    C, C_pairs = _closure_csr(closure, blocks, (n_p, 2 * n_u), pairs, pinned)
+    kb[2] = blocks[:, :, 3, 0].transpose(2, 0, 1)
+    del blocks, closure, pairs
+    Y = np.zeros((3, 3, vertices.cols.size))
+    Y[:2, :2], Y[2, :2], Y[:2, 2] = A_pairs.transpose(2, 1, 0), B_pairs[..., 0].T, C_pairs[:, 0].T
+    del A_pairs, B_pairs, C_pairs
+    inverses = _condense(vertices, Y, kb, bk, bb, ddofs, pinned)
+    del kb, bk, bb
+    J_c = _condensed_csc(vertices, Y)
+    del Y
+    D = sp.csr_matrix((np.ones(len(pinned)), (pinned, pinned)), shape=(n_p, n_p))
 
     return SaddleSystem(
         A=A,
         B=B,
         C=C,
-        D=sp.csr_matrix((np.ones(len(pinned)), (pinned, pinned)), shape=(n_p, n_p)),
+        D=D,
         rhs_momentum=rhs_u,
         rhs_mass=rhs_p,
         dirichlet_dofs=ddofs,
-        bubble_dofs=range(2 * mesh.n_vertices, 2 * n_u),
+        bubble_dofs=range(2 * nv, 2 * n_u),
+        condensation=Condensation(J_c, inverses, (A, B, C, D)),
     )

@@ -3,20 +3,24 @@
 Both solvers work on the saddle system with its bubble unknowns eliminated
 (Arnold, Brezzi & Fortin 1984).  Every bubble row touches only its own
 element, so the bubble-bubble block of the system matrix J is block
-diagonal with one 2x2 block per element.  Ordering an operator M as kept
-(k) and bubble (b) unknowns,
+diagonal with one 2x2 block per element.  Ordering J as kept (k) and
+bubble (b) unknowns,
 
-    [[M_kk, M_kb], [M_bk, M_bb]],
+    [[J_kk, J_kb], [J_bk, J_bb]],
 
-the bubbles drop out through the condensed operator
-M_kk - M_kb M_bb^{-1} M_bk, whose solve is followed by the local recovery
-y_b = M_bb^{-1} (r_b - M_bk y_k).  The kept unknowns are the vertex
-velocities and the pressures, three per vertex instead of two per vertex
-and element plus one per vertex.  The bubbles are the last velocity
-unknowns, so the four parts of J are stacked from contiguous slices of
-the blocks A, B and C and the whole of D; J itself is never formed.  The
-elimination is built once per system and shared by both solvers and the
-preconditioner.
+the bubbles drop out through the condensed system
+J_c = J_kk - J_kb J_bb^{-1} J_bk, whose solve is followed by the local
+recovery y_b = J_bb^{-1} (r_b - J_bk y_k).  The kept unknowns are the
+vertex velocities and the pressures, three per vertex instead of two per
+vertex and element plus one per vertex.  `assemble` condenses element by
+element: each element's 9x9 vertex block loses kb bb^{-1} bk, its 2x2
+bubble block bb against its bubble rows and columns, and J_c is written
+straight into CSC on the mesh's vertex pattern, nine entries per vertex
+pair, zeros kept, so its pattern and its factor's fill depend on the mesh
+alone.  The system keeps J_c and the (ne, 2, 2) inverses of bb
+(`SaddleSystem.condensation`); the solvers condense right-hand sides and
+recover bubbles through products with the blocks A, B and C themselves,
+with the bubbles the last velocity unknowns, and J itself is never formed.
 
 The saddle system is [[A, B], [C, D]], where D is the pressure-pressure
 block: the identity entry of a pinned pressure, or empty.  The condensed
@@ -76,7 +80,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import barycentric, triangle_rule
 from .geometry import GridDiscretization
-from .schemes import SaddleSystem, _checked_viscosity, _closure, _closure_csr
+from .schemes import SaddleSystem, _checked_viscosity, _vertex_closure
 
 MASS_QUAD_DEGREE = 2
 # The hats' products integrated over the reference triangle by the degree-2 rule.
@@ -89,13 +93,16 @@ def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr
     """Vertex-pressure mass matrix scaled by 1 / (2 mu).
 
     Uses a degree-2 volume rule, which integrates the products of hat
-    functions exactly.  Raises ConfigurationError unless the viscosity is
-    finite and positive.
+    functions exactly.  The element blocks are summed on the mesh's vertex
+    pattern, the pattern of J_c's pressure block, in slot order.  Raises
+    ConfigurationError unless the viscosity is finite and positive.
     """
     viscosity = _checked_viscosity(viscosity)
-    blocks = _REFERENCE_MASS[:, None, :, None, None] * (disc.elements.areas / viscosity)[:, None, None, None]
+    blocks = _REFERENCE_MASS[:, None, :] * (disc.elements.areas / viscosity)[:, None]
+    vertices = _vertex_closure(disc.mesh)
+    data = np.bincount(vertices.slots.ravel(), blocks.ravel(), minlength=vertices.cols.size)
     n_p = disc.n_pressure_dofs
-    return _closure_csr(_closure(disc.mesh), blocks, (n_p, n_p))
+    return sp.csr_matrix((data, vertices.cols, vertices.indptr.astype(np.int32)), shape=(n_p, n_p))
 
 
 def random_initial_guess(disc: GridDiscretization, seed: int) -> np.ndarray:
@@ -133,45 +140,50 @@ class DirectSolveError(ArithmeticError):
 
 @dataclass(eq=False)
 class BubbleElimination:
-    """Local elimination of the bubble unknowns from a square operator M.
+    """Local elimination of the bubble unknowns from a saddle system.
 
     `bubbles` is the contiguous range of bubble unknowns, two per element
-    (x and y); all other unknowns are kept.  `condensed` is the Schur
-    complement M_kk - M_kb M_bb^{-1} M_bk on the kept unknowns.  An empty
-    range keeps every unknown, and `condensed` is M_kk.
+    (x and y), the last velocity unknowns; all other unknowns are kept.
+    `condensed` is J_c on the kept unknowns and `inverses` (ne, 2, 2)
+    inverts each element's bubble block.  The bubble columns and rows are
+    read through products with the system's own blocks A, B and C, so no
+    part of them is copied.  An empty range keeps every unknown.
     """
 
     bubbles: range
     condensed: sp.csc_matrix
-    M_kb: sp.csr_matrix
-    M_bk: sp.csr_matrix
-    M_bb_inv: sp.csr_matrix
-
-    @classmethod
-    def build(cls, bubbles: range, M_kk, M_kb, M_bk, M_bb) -> "BubbleElimination":
-        """The elimination from the kept (k) and bubble (b) parts of M, all CSR."""
-        M_bb_inv = _invert_bubble_blocks(M_bb)
-        condensed = M_kk - M_kb @ (M_bb_inv @ M_bk)
-        return cls(bubbles, condensed.tocsc(), M_kb, M_bk, M_bb_inv)
+    inverses: np.ndarray
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
 
     def kept(self, v: np.ndarray) -> np.ndarray:
         """The entries of `v` on the kept unknowns."""
         lo, hi = self.bubbles.start, self.bubbles.stop
         return np.concatenate((v[:lo], v[hi:]))
 
+    def _invert(self, r_b: np.ndarray) -> np.ndarray:
+        return (self.inverses @ r_b.reshape(-1, 2, 1)).reshape(-1)
+
     def condense(self, r: np.ndarray) -> np.ndarray:
-        """Right-hand side r_k - M_kb M_bb^{-1} r_b of the condensed operator."""
-        r_b = r[self.bubbles.start : self.bubbles.stop]
-        return self.kept(r) - self.M_kb @ (self.M_bb_inv @ r_b)
+        """Right-hand side r_k - J_kb J_bb^{-1} r_b of the condensed system:
+        J_kb w is A w on the vertex rows and C w, for w zero off the bubbles."""
+        lo, hi = self.bubbles.start, self.bubbles.stop
+        w = np.zeros(hi)
+        w[lo:] = self._invert(r[lo:hi])
+        return self.kept(r) - np.concatenate(((self.A @ w)[:lo], self.C @ w))
 
     def recover(self, r: np.ndarray, y_k: np.ndarray) -> np.ndarray:
-        """Full solution of M y = r from its kept part y_k: y_b = M_bb^{-1} (r_b - M_bk y_k)."""
+        """Full solution from its kept part y_k: y_b = J_bb^{-1} (r_b - J_bk y_k),
+        where J_bk y_k is A u + B p on the bubble rows, for u zero on the bubbles."""
         lo, hi = self.bubbles.start, self.bubbles.stop
-        y_b = self.M_bb_inv @ (r[lo:hi] - self.M_bk @ y_k)
+        u = np.zeros(hi)
+        u[:lo] = y_k[:lo]
+        y_b = self._invert(r[lo:hi] - (self.A @ u + self.B @ y_k[lo:])[lo:])
         return np.concatenate((y_k[:lo], y_b, y_k[lo:]))
 
     def solve(self, solve_condensed, r: np.ndarray) -> np.ndarray:
-        """Solve M y = r, given a solver of the condensed operator."""
+        """Solve J y = r, given a solver of the condensed system."""
         return self.recover(r, solve_condensed(self.condense(r)))
 
 
@@ -179,31 +191,38 @@ def bubble_elimination(system: SaddleSystem) -> BubbleElimination:
     """The bubble elimination of the saddle system, built once per system.
 
     The bubbles are the last velocity unknowns, so with v the vertex
-    velocities and b the bubbles, J_kk = [[A_vv, B_v], [C_v, D]],
-    J_kb = [[A_vb], [C_b]], J_bk = [A_bv, B_b] and J_bb = A_bb.
+    velocities and b the bubbles, J_kb = [[A_vb], [C_b]], J_bk = [A_bv, B_b]
+    and J_bb = A_bb.  J_c and the inverses of A_bb's blocks are the
+    system's `condensation`, which `assemble` builds element by element
+    with the blocks; a system without bubbles is its own J_c.  Raises
+    BubbleStructureError unless the bubbles are the last velocity unknowns,
+    A_bb is made of invertible per-element 2x2 blocks and the condensation
+    was built from the system's own blocks A, B, C and D.
     """
     if system._elimination is None:
-        A, B, C = system.A, system.B, system.C
+        A, B, C, D = system.A.tocsr(), system.B.tocsr(), system.C.tocsr(), system.D
         n = system.n_velocity
         lo = system.bubble_dofs.start if system.bubble_dofs else n
         if system.bubble_dofs and system.bubble_dofs.stop != n:
             raise BubbleStructureError(f"bubble unknowns {system.bubble_dofs} are not the last of {n} velocity unknowns")
-        system._elimination = BubbleElimination.build(
-            range(lo, n),
-            sp.bmat([[A[:lo, :lo], B[:lo]], [C[:, :lo], system.D]], format="csr"),
-            sp.vstack((A[:lo, lo:], C[:, lo:]), format="csr"),
-            sp.hstack((A[lo:, :lo], B[lo:]), format="csr"),
-            A[lo:, lo:],
-        )
+        if lo < n:
+            _check_bubble_blocks(A[lo:, lo:])
+            condensation = system.condensation
+            if condensation is None or any(x is not y for x, y in zip(condensation.blocks, (system.A, system.B, system.C, D))):
+                raise BubbleStructureError(
+                    "the system carries no bubble condensation of its blocks A, B, C and D; assemble builds it with them"
+                )
+            condensed, inverses = condensation.matrix, condensation.inverses
+        else:
+            condensed, inverses = sp.bmat([[A, B], [C, D]], format="csc"), np.empty((0, 2, 2))
+        system._elimination = BubbleElimination(range(lo, n), condensed, inverses, A, B, C)
     return system._elimination
 
 
-def _invert_bubble_blocks(M_bb: sp.csr_matrix) -> sp.csr_matrix:
-    """Inverse of a block-diagonal matrix of 2x2 blocks, as a sparse matrix.
-
-    Raises BubbleStructureError if a nonzero entry couples two different
-    blocks or if a block is numerically singular.
-    """
+def _check_bubble_blocks(M_bb: sp.csr_matrix) -> None:
+    """Raises BubbleStructureError unless the bubble block M_bb is
+    block diagonal with invertible 2x2 blocks: if a nonzero entry couples
+    two different blocks or if a block is numerically singular."""
     n = M_bb.shape[0]
     if n % 2:
         raise BubbleStructureError(f"odd number of bubble unknowns ({n})")
@@ -224,9 +243,6 @@ def _invert_bubble_blocks(M_bb: sp.csr_matrix) -> sp.csr_matrix:
             f"{int(singular.sum())} singular 2x2 bubble blocks, "
             f"first at element {int(np.flatnonzero(singular)[0])}"
         )
-    inv = np.stack((d, -b, -c, a), axis=-1) / det[:, None]
-    cols = (np.arange(0, n, 2)[:, None] + np.array([0, 1, 0, 1])).ravel()
-    return sp.csr_matrix((inv.ravel(), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
 
 
 @dataclass(eq=False)

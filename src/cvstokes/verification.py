@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _eval_unchecked, barycentric, triangle_rule
-from .geometry import REFERENCE_FACES, GridDiscretization, SchemeKind, build
+from .geometry import REFERENCE_FACES, GridDiscretization, SchemeKind, _add_at, build
 from .mesh import (
     BCKind,
     DistortionError,
@@ -422,15 +422,6 @@ class ConservationAudit:
     momentum_audited: np.ndarray
     momentum_interior: np.ndarray
     max_momentum_flux: float
-
-
-def _add_at(out, ids, values):
-    """out[ids] += values for out (n,) or (n, k), each id as often as it
-    occurs, like np.add.at but summed by one np.bincount per column."""
-    ids = ids.ravel()
-    columns = out.reshape(len(out), -1)
-    for k, column in enumerate(values.reshape(ids.size, columns.shape[1]).T):
-        columns[:, k] += np.bincount(ids, column, minlength=len(out))
 
 
 def _scatter_faces(out, cvset, fluxes):

@@ -25,7 +25,7 @@ from oracles import (
     sub_volumes,
     two_pass_rhs_momentum,
 )
-from cvstokes import schemes
+from cvstokes import geometry, schemes
 from cvstokes.basis import barycentric, segment_rule, triangle_rule
 from cvstokes.geometry import REFERENCE_FACES, SEGMENT_OWNERS, SchemeKind, build
 from cvstokes.mesh import BCKind, distort, generate_structured, validate
@@ -965,3 +965,34 @@ def test_non_finite_field_values_are_rejected(field, value):
     for scheme in SCHEMES:
         with pytest.raises(ConfigurationError, match=f"{field} is not finite at 1 of"):
             assemble(build(mesh, scheme), dataclasses.replace(problem, **{field: poisoned}))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bincount_scatters_match_add_at_bitwise(scheme):
+    # The load, traction, control-volume source and volume scatters sum by
+    # np.bincount in the order np.add.at adds, so their bits do not move.
+    mesh = distort(generate_structured(12, 12), 0.2, seed=32).with_bc(MIXED)
+    problem = dataclasses.replace(donea_huerta_case().problem(),
+                                  body_force=lambda p: np.stack((np.sin(9.0 * p[..., 0]), np.exp(3.0 * p[..., 1])), axis=-1),
+                                  mass_source=lambda p: np.cos(5.0 * p[..., 0]) * p[..., 1])
+    disc = build(mesh, scheme)
+    points, weights, _ = schemes._SCHEME_LOADS[disc.scheme]
+    force = schemes._integrate_elements(disc.elements, points, weights, lambda sl, x: problem.body_force(x), (2,))
+    load = np.zeros((disc.n_velocity_locations, 2))
+    np.add.at(load, disc.element_velocity_dofs().T, force)
+    np.subtract.at(load, mesh.triangles[disc.pressure.seg_element], schemes.segment_tractions(disc, problem))
+    dverts = mesh.dirichlet_vertices()
+    load[dverts] = problem.dirichlet(mesh.vertices[dverts])
+    assert np.array_equal(assemble(disc, problem).rhs_momentum, load.ravel())
+    for cvset in (disc.pressure, disc.velocity):
+        for source, shape in (("body_force", (2,)), ("mass_source", ())):
+            rule_points, rule_weights = schemes._SOURCE_RULES[cvset.family]
+            local = schemes._integrate_elements(disc.elements, rule_points, rule_weights,
+                                                lambda sl, x, f=getattr(problem, source): f(x), shape)
+            want = np.zeros((cvset.n_cvs,) + shape)
+            np.add.at(want, cvset.owners[:, : local.shape[0]], np.swapaxes(local, 0, 1))
+            assert np.array_equal(schemes._integrate_over_cvs(disc, cvset, problem, source), want)
+        areas = geometry._CELL_AREAS[cvset.family]
+        want = np.zeros(cvset.n_cvs)
+        np.add.at(want, cvset.owners[:, : areas.size], (2.0 * disc.elements.areas)[:, None] * areas)
+        assert np.array_equal(cvset.cv_volumes(), want)

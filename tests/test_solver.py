@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import cvstokes.schemes as schemes
 import cvstokes.solver as solver
 from conftest import random_distorted_mesh, single_triangle_mesh, write_msh22
 from cvstokes.geometry import build
@@ -15,7 +16,6 @@ from cvstokes.mesh import BCKind, distort, generate_structured, read_msh
 from cvstokes.schemes import ConfigurationError, SaddleSystem, StokesProblem, assemble
 from cvstokes.solver import (
     BlockPreconditioner,
-    BubbleElimination,
     BubbleStructureError,
     DirectSolveError,
     GMRESBreakdownError,
@@ -94,7 +94,11 @@ def _condense_full_matrix(M, bubbles):
     lo, hi = bubbles.start, bubbles.stop
     keep = np.r_[0:lo, hi : M.shape[0]]
     rows_k, rows_b = M[keep], M[lo:hi]
-    M_bb_inv = solver._invert_bubble_blocks(rows_b[:, lo:hi])
+    M_bb = rows_b[:, lo:hi]
+    a, d, b, c = M_bb.diagonal()[0::2], M_bb.diagonal()[1::2], M_bb.diagonal(1)[0::2], M_bb.diagonal(-1)[0::2]
+    inv = np.stack((d, -b, -c, a), axis=-1) / (a * d - b * c)[:, None]
+    cols = (np.arange(0, hi - lo, 2)[:, None] + np.array([0, 1, 0, 1])).ravel()
+    M_bb_inv = sp.csr_matrix((inv.ravel(), cols, np.arange(0, 2 * (hi - lo) + 1, 2)), shape=M_bb.shape)
     return (rows_k[:, keep] - rows_k[:, lo:hi] @ (M_bb_inv @ rows_b[:, keep])).tocsc()
 
 
@@ -192,21 +196,34 @@ def test_block_preconditioner_identities():
 
 
 def test_one_bubble_elimination_per_system(monkeypatch):
+    # assemble condenses the bubbles once; the solvers share that
+    # condensation and never condense again.
+    condensations = []
+    condense = schemes._condense
+
+    def counting(*args):
+        condensations.append(args[0])
+        return condense(*args)
+
+    monkeypatch.setattr(schemes, "_condense", counting)
     disc, system = _small_system(n=5)
-    builds = []
-    build_elimination = BubbleElimination.build.__func__
-
-    def counting(cls, bubbles, *parts):
-        builds.append(bubbles)
-        return build_elimination(cls, bubbles, *parts)
-
-    monkeypatch.setattr(BubbleElimination, "build", classmethod(counting))
     precond = BlockPreconditioner.build(system, assemble_pressure_mass(disc, 1.0))
     gmres_solve(system, precond)
     direct_solve(system)
-    assert builds == [system.bubble_dofs]
-    replaced = dataclasses.replace(system)
-    assert replaced._elimination is None
+    assert len(condensations) == 1
+    assert solver.bubble_elimination(system).condensed is system.condensation.matrix
+    # A system with the same blocks shares the condensation; one with other
+    # blocks never reuses it.
+    same = dataclasses.replace(system, rhs_momentum=2.0 * system.rhs_momentum)
+    assert same._elimination is None
+    assert solver.bubble_elimination(same).condensed is system.condensation.matrix
+    for name in "ABCD":
+        replaced = dataclasses.replace(system, **{name: getattr(system, name).copy()})
+        with pytest.raises(BubbleStructureError, match="no bubble condensation of its blocks"):
+            direct_solve(replaced)
+        with pytest.raises(BubbleStructureError, match="no bubble condensation of its blocks"):
+            BlockPreconditioner.build(replaced, assemble_pressure_mass(disc, 1.0))
+    assert len(condensations) == 1
 
 
 def test_gmres_identity_system():
@@ -351,13 +368,16 @@ def test_bubble_block_is_per_element_2x2(scheme, pinned):
     dets = np.linalg.det(blocks)
     scale = np.abs(blocks).max(axis=(1, 2))
     assert np.all(np.abs(dets) > 1e-8 * scale**2)
-    # The elimination accepts the block and solves with A exactly.
-    A, lo = system.A, b.start
-    elim = BubbleElimination.build(b, A[:lo, :lo], A[:lo, lo:], A[lo:, :lo], A[lo:, lo:])
-    assert elim.condensed.shape == (system.n_velocity - len(b),) * 2
-    rhs = np.random.default_rng(4).standard_normal(system.n_velocity)
+    # The condensation inverts exactly these blocks, and the elimination
+    # solves with the full system.
+    inverses = system.condensation.inverses
+    assert inverses.shape == (len(b) // 2, 2, 2)
+    assert np.allclose(inverses @ blocks, np.eye(2), atol=1e-12)
+    elim = solver.bubble_elimination(system)
+    assert elim.condensed.shape == (system.n_dofs - len(b),) * 2
+    rhs = np.random.default_rng(4).standard_normal(system.n_dofs)
     y = elim.solve(spla.splu(elim.condensed).solve, rhs)
-    assert np.allclose(system.A @ y, rhs, atol=1e-10)
+    assert np.allclose(system.matrix() @ y, rhs, atol=1e-10 * np.max(np.abs(rhs)))
 
 
 def test_bubble_elimination_rejects_bad_blocks():
@@ -675,13 +695,20 @@ def test_no_solver_forms_the_full_matrix(scheme, pinned, monkeypatch):
 @pytest.mark.parametrize("pinned", [False, True], ids=["mixed", "pinned"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_condensed_system_from_blocks_equals_full_matrix_oracle(scheme, pinned):
-    # J_c from slices of A, B and C holds the same entries, in the same
-    # order, as the condensation of the full matrix split by fancy indexing.
+    # J_c condensed element by element on the vertex pattern holds every
+    # entry of the condensation of the full matrix, split by fancy indexing,
+    # to a few ulps of its largest entry; the entries it stores beyond the
+    # oracle's (exact cancellations and Dirichlet rows) are round-off.
     disc, system = _pinned_system(scheme, n=20) if pinned else _dh_system(scheme, 20)
     want = _condense_full_matrix(system.matrix(), system.bubble_dofs)
     got = solver.bubble_elimination(system).condensed
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.format == "csc" and got.has_canonical_format
+    assert got.shape == want.shape
+    G, W = got.toarray(), want.toarray()
+    assert np.max(np.abs(G - W)) <= 4 * np.finfo(float).eps * np.max(np.abs(W))
+    stored = np.zeros(G.shape, dtype=bool)
+    stored[got.tocoo().coords] = True
+    assert stored[W != 0].all()
     # The residual summed by blocks agrees with the full matrix to round-off.
     x = np.random.default_rng(5).standard_normal(system.n_dofs)
     full = system.rhs() - system.matrix() @ x
@@ -705,3 +732,62 @@ def test_array_holding_results_compare_and_hash_by_identity():
         assert first == first and first != second
         assert len({first, second, first}) == 2
 
+
+
+def test_condensed_pattern_and_direct_fill_depend_on_the_mesh_alone(monkeypatch):
+    # J_c stores nine entries per vertex pair of the mesh, cancelled ones and
+    # Dirichlet rows too, so its nnz and the minimum-degree fill of its
+    # float32 factor are the same for every scheme, boundary and viscosity.
+    mesh = distort(generate_structured(20, 20), 0.2, seed=33)
+    pairs = schemes._vertex_closure(mesh).cols.size
+    factors = _capture_factors(monkeypatch)
+    nnz, fills = set(), set()
+    for scheme in SCHEMES:
+        for pinned in (False, True):
+            for viscosity in (1.0, 1e-4):
+                case = donea_huerta_case(viscosity)
+                disc = build(mesh if pinned else case.apply_bc(mesh), scheme)
+                system = assemble(disc, case.problem(), pin_pressure=0 if pinned else None)
+                del factors[:]
+                direct_solve(system)
+                nnz.add(system.condensation.matrix.nnz)
+                fills.add(factors[0].nnz)
+    assert nnz == {9 * pairs}
+    assert len(fills) == 1
+
+
+@pytest.mark.parametrize("scheme", ["overlapping", "fem"])
+def test_system_keeps_only_the_condensed_system_and_bubble_inverses(scheme):
+    # The condensation is J_c and 32 bytes of bubble inverses per element;
+    # the solvers read the bubble rows and columns through A, B and C, and
+    # keep no copy of them.  M_kb and M_bk of the sparse elimination held
+    # about 18 entries per element each; building the elimination now only
+    # checks the bubble blocks (A_bb, 4 entries per element).
+    disc, system = _dh_system(scheme, 24)
+    ne = disc.mesh.n_elements
+    condensation = system.condensation
+    assert condensation.inverses.shape == (ne, 2, 2) and condensation.inverses.nbytes == 32 * ne
+    M_kb = sp.vstack((system.A[: system.bubble_dofs.start, system.bubble_dofs.start :], system.C[:, system.bubble_dofs.start :]))
+    M_kb_bytes = M_kb.data.nbytes + M_kb.indices.nbytes
+    tracemalloc.start()
+    try:
+        elim = solver.bubble_elimination(system)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2048 and peak < M_kb_bytes, (kept, peak, M_kb_bytes)
+    assert elim.condensed is condensation.matrix and elim.inverses is condensation.inverses
+    assert (elim.A, elim.B, elim.C) == (system.A, system.B, system.C)
+
+
+def test_pressure_mass_sums_on_the_vertex_pattern_as_the_closure_builder_does():
+    # Filled by np.bincount on the vertex pattern, in the closure builder's
+    # slot order, M_p keeps the bits of the CSR builder of A, B and C.
+    disc = build(random_distorted_mesh(34, n=9), "overlapping")
+    mesh = disc.mesh
+    blocks = solver._REFERENCE_MASS[:, None, :, None, None] * (disc.elements.areas / 0.7)[:, None, None, None]
+    closure = schemes._closure(mesh, schemes._vertex_closure(mesh))
+    want, _ = schemes._closure_csr(closure, blocks, (mesh.n_vertices, mesh.n_vertices), np.arange(0))
+    got = assemble_pressure_mass(disc, 0.7)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
