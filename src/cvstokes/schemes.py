@@ -35,15 +35,18 @@ the cubic basis) times r = rot(b - a), since by the cofactor identity a
 physical piece's n |piece| = rot(J (b - a)) is 2|e| J^-T r.  `_map_momentum`
 (by `_momentum_metric`) and `_map_vectors` map any tensor by each element's
 inverse Jacobian and 2|e|, A_e = A0 : G_e (Kirby & Logg, ACM TOMS 32(3),
-2006), into owner-major element blocks [owner, e, trial, comp, comp], which
-go straight into CSR on one pattern per assembly (`_closure`,
-`_closure_csr`).  Their sums on the vertex pairs, less each element's bubble
-correction, make the condensed system J_c, written into CSC on the vertex
-pattern (`_vertex_closure`, `_condense`, `_condensed_csc`); each element
-keeps only its bubble rows and columns for that.  The audit builds the
-metric once and contracts each face
-row's mapped tensors with a solution, one slot over all elements at a time
-(`_mass_flux_slots`, `_momentum_flux_slots`).  Volume integrals map a
+2006), into owner-major element blocks [owner, e, trial, comp, comp].  The
+system is stored as four parts (`Condensation`), with the kept unknowns
+(vertex velocities, then pressures) apart from the bubbles: J_kk, the
+blocks' sums on the vertex pairs, taken by np.bincount into CSC on the
+mesh's vertex pattern (`_vertex_closure`, built once per mesh); J_kb and
+J_bk, each element's 9 x 2 and 2 x 9 bubble numbers, on one shared int32
+array of its nine kept unknowns; and J_bb, its (ne, 2, 2) bubble blocks.
+J_kk less each element's bubble correction is the condensed system J_c,
+which shares J_kk's indices (`_condense`).  A, B, C and D are formed from
+the parts only on request.  The audit builds the metric once and contracts
+each face row's mapped tensors with a solution, one slot over all elements
+at a time (`_mass_flux_slots`, `_momentum_flux_slots`).  Volume integrals map a
 reference rule by each element's X0 + J xi, in blocks of about `_BLOCK_POINTS`
 quadrature points (512 elements of a 16-point rule, 186 of the 44 points of
 hybrid's load): the load in one pass per assembly, a control-volume source by
@@ -57,6 +60,7 @@ Galerkin rows.
 from __future__ import annotations
 
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,22 +272,99 @@ def split_solution(disc: GridDiscretization, x: np.ndarray):
     return vel, x[2 * n_u :]
 
 
+class BubbleStructureError(ValueError):
+    """An element's 2x2 bubble block is singular, so its bubbles cannot be condensed out."""
+
+
 @dataclass(frozen=True, eq=False)
 class Condensation:
-    """The bubbles of a saddle system condensed out element by element.
+    """A saddle system J as its kept and bubble parts, and its bubbles condensed out.
 
-    `matrix` is J_c, the system on the kept unknowns (vertex velocities,
-    then pressures) in CSC, and `inverses` (ne, 2, 2) inverts each
-    element's bubble block of A.  `blocks` are the (A, B, C, D) they were
-    built from: a system whose blocks are others has no condensation.
+    The kept unknowns (k) are the vertex velocities, x and y interleaved,
+    then the pressures; the bubbles (b), two per element, are the unknowns
+    `bubble_dofs` of J, between the two.  In that split
+
+        J = [[J_kk, J_kb], [J_bk, J_bb]],
+
+    `kk` is J_kk in CSC, `kb` is J_kb in CSC and `bk` is J_bk in CSR, `bb`
+    (ne, 2, 2) holds J_bb's per-element blocks and `inverses` their
+    inverses, and `matrix` is J_c = J_kk - J_kb J_bb^{-1} J_bk in CSC.  An
+    assembled system stores J_kk on J_c's own indices and indptr, and J_kb
+    and J_bk as each element's 9 x 2 and 2 x 9 bubble numbers on one
+    shared element-major array of its nine kept unknowns, sorted; their
+    Dirichlet and pinned rows are zero.  A system without bubbles is its
+    own J_c.
     """
 
     matrix: sp.csc_matrix
+    kk: sp.csc_matrix
+    kb: sp.csc_matrix
+    bk: sp.csr_matrix
+    bb: np.ndarray
     inverses: np.ndarray
-    blocks: tuple = field(repr=False)
+    bubble_dofs: range
+
+    def split(self, v: np.ndarray):
+        """(v_k, v_b): the entries of `v` on the kept unknowns and on the bubbles."""
+        lo, hi = self.bubble_dofs.start, self.bubble_dofs.stop
+        return np.concatenate((v[:lo], v[hi:])), v[lo:hi]
+
+    def join(self, v_k: np.ndarray, v_b: np.ndarray) -> np.ndarray:
+        """The vector whose kept and bubble entries are v_k and v_b."""
+        lo = self.bubble_dofs.start
+        return np.concatenate((v_k[:lo], v_b, v_k[lo:]))
+
+    def _invert(self, r_b: np.ndarray) -> np.ndarray:
+        return _per_element(self.inverses, r_b)
+
+    def condense(self, r: np.ndarray) -> np.ndarray:
+        """Right-hand side r_k - J_kb J_bb^{-1} r_b of the condensed system."""
+        r_k, r_b = self.split(r)
+        return r_k - self.kb @ self._invert(r_b)
+
+    def recover(self, r: np.ndarray, y_k: np.ndarray) -> np.ndarray:
+        """Full solution from its kept part y_k: y_b = J_bb^{-1} (r_b - J_bk y_k)."""
+        return self.join(y_k, self._invert(self.split(r)[1] - self.bk @ y_k))
+
+    def solve(self, solve_condensed, r: np.ndarray) -> np.ndarray:
+        """Solve J y = r, given a solver of the condensed system."""
+        return self.recover(r, solve_condensed(self.condense(r)))
+
+    def product(self, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """J x summed part by part, or |J| x with `absolute`."""
+        kk, kb, bk, bb = self.kk, self.kb, self.bk, self.bb
+        if absolute:
+            kk, kb, bk = (type(M)((np.abs(M.data), M.indices, M.indptr), shape=M.shape) for M in (kk, kb, bk))
+            bb = np.abs(bb)
+        x_k, x_b = self.split(x)
+        return self.join(kk @ x_k + kb @ x_b, bk @ x_k + _per_element(bb, x_b))
 
 
-@dataclass(eq=False)
+def _per_element(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each element's 2x2 block of `blocks` (ne, 2, 2) times its two entries of `v`."""
+    return np.einsum("eij,ej->ei", blocks, v.reshape(-1, 2)).reshape(-1)
+
+
+def _full_matrix(condensation: Condensation, rows=slice(None), cols=slice(None)) -> sp.csr_matrix:
+    """The block [rows, cols] of J as CSR, from its four parts; zeros are not stored."""
+    c = condensation
+    lo, n_b = c.bubble_dofs.start, len(c.bubble_dofs)
+    n = c.kk.shape[0] + n_b
+
+    def place(ids):                                         # kept unknown -> unknown of J
+        return ids + n_b * (ids >= lo)
+
+    kk, kb, bk = c.kk.tocoo(), c.kb.tocoo(), c.bk.tocoo()
+    b = lo + np.arange(n_b).reshape(-1, 2)                  # each element's bubbles
+    i = np.concatenate((place(kk.row), place(kb.row), lo + bk.row, np.repeat(b, 2, axis=1).ravel()))
+    j = np.concatenate((place(kk.col), lo + kb.col, place(bk.col), np.tile(b, 2).ravel()))
+    data = np.concatenate((kk.data, kb.data, bk.data, c.bb.ravel()))
+    (r0, r1, _), (c0, c1, _) = rows.indices(n), cols.indices(n)
+    keep = (data != 0.0) & (i >= r0) & (i < r1) & (j >= c0) & (j < c1)
+    return sp.csr_matrix((data[keep], (i[keep] - r0, j[keep] - c0)), shape=(r1 - r0, c1 - c0))
+
+
+@dataclass(frozen=True, eq=False)
 class SaddleSystem:
     """Assembled saddle-point system [[A, B], [C, D]] with right-hand side.
 
@@ -292,48 +373,71 @@ class SaddleSystem:
     the pressure-pressure block.  Dirichlet rows of A are identity rows;
     `dirichlet_dofs` lists the scalar velocity dofs so constrained.  D
     holds the identity entry of a pinned pressure, whose mass row of C is
-    empty, or no entries at all.  `bubble_dofs` is the contiguous range of
-    bubble velocity dofs, the last ones, which the solvers eliminate
-    element by element through `condensation`, made by `assemble` with the
-    blocks; `_elimination` keeps the solvers' view of it once built.
-    `matrix()` forms the full matrix for the tests and the benchmark's
-    tracer; no solver calls it.
+    empty, or no entries at all.  The system is stored as its
+    `condensation` alone: the bubble velocity dofs `bubble_dofs`, the last
+    ones, are eliminated element by element by `assemble`, and the solvers
+    condense, recover and evaluate the residual through its parts.  A, B,
+    C, D and `matrix()` are formed from them on request, for the tests and
+    the benchmark's tracer, and not kept; no solver reads them.
+    `from_blocks` makes a system without bubbles from its four blocks.
     """
 
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
-    D: sp.csr_matrix
+    condensation: Condensation = field(repr=False)
     rhs_momentum: np.ndarray
     rhs_mass: np.ndarray
     dirichlet_dofs: np.ndarray
-    bubble_dofs: range = range(0)
-    condensation: Condensation | None = field(default=None, repr=False)
-    _elimination: object = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_blocks(cls, A, B, C, D, rhs_momentum, rhs_mass, dirichlet_dofs) -> "SaddleSystem":
+        """The system [[A, B], [C, D]] without bubbles, which is its own J_c."""
+        J = sp.bmat([[A, B], [C, D]], format="csc")
+        n, n_u = J.shape[0], A.shape[0]
+        condensation = Condensation(J, J, sp.csc_matrix((n, 0)), sp.csr_matrix((0, n)),
+                                    np.empty((0, 2, 2)), np.empty((0, 2, 2)), range(n_u, n_u))
+        return cls(condensation, np.asarray(rhs_momentum, dtype=float), np.asarray(rhs_mass, dtype=float),
+                   np.asarray(dirichlet_dofs))
+
+    @property
+    def bubble_dofs(self) -> range:
+        return self.condensation.bubble_dofs
 
     @property
     def n_velocity(self) -> int:
-        return self.A.shape[0]
+        return self.rhs_momentum.shape[0]
 
     @property
     def n_pressure(self) -> int:
-        return self.C.shape[0]
+        return self.rhs_mass.shape[0]
 
     @property
     def n_dofs(self) -> int:
         return self.n_velocity + self.n_pressure
 
+    @property
+    def A(self) -> sp.csr_matrix:
+        return _full_matrix(self.condensation, slice(None, self.n_velocity), slice(None, self.n_velocity))
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        return _full_matrix(self.condensation, slice(None, self.n_velocity), slice(self.n_velocity, None))
+
+    @property
+    def C(self) -> sp.csr_matrix:
+        return _full_matrix(self.condensation, slice(self.n_velocity, None), slice(None, self.n_velocity))
+
+    @property
+    def D(self) -> sp.csr_matrix:
+        return _full_matrix(self.condensation, slice(self.n_velocity, None), slice(self.n_velocity, None))
+
     def matrix(self) -> sp.csr_matrix:
-        return sp.bmat([[self.A, self.B], [self.C, self.D]], format="csr")
+        return _full_matrix(self.condensation)
 
     def rhs(self) -> np.ndarray:
         return np.concatenate((self.rhs_momentum, self.rhs_mass))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """rhs - J x, summed block by block: rhs - (A u + B p, C u + D p)."""
-        u, p = x[: self.n_velocity], x[self.n_velocity :]
-        r_u = self.rhs_momentum - (self.A @ u + self.B @ p)
-        return np.concatenate((r_u, self.rhs_mass - (self.C @ u + self.D @ p)))
+        """rhs - J x, with J x summed part by part (`Condensation.product`)."""
+        return self.rhs() - self.condensation.product(x)
 
 
 def _xy(ids):
@@ -404,13 +508,12 @@ def _momentum_flux_slots(disc, mu, velocity, pressure):
 
 @dataclass(frozen=True, eq=False)
 class _Closure:
-    """The sparsity pattern of element closures over some of an element's
-    local locations: the vertices, or the vertices and then one bubble per
-    element.  Location r couples to location c when both belong to one
-    element.  `indptr` and `cols` are its CSR structure, sorted within each
-    row, `slots[a, e, b]`, owner-major like the element blocks, is the entry
-    of an element's local locations a and b (vertices 0-2, bubble 3), and
-    `diagonal[r]` the entry of (r, r)."""
+    """The sparsity pattern of element closures over the mesh's vertices:
+    vertex r couples to vertex c when both belong to one element.  `indptr`
+    and `cols` are its CSR structure, sorted within each row,
+    `slots[a, e, b]`, owner-major like the element blocks, is the entry of
+    an element's local vertices a and b, and `diagonal[r]` the entry of
+    (r, r)."""
 
     indptr: np.ndarray
     cols: np.ndarray
@@ -418,11 +521,26 @@ class _Closure:
     diagonal: np.ndarray
 
 
+# The vertex pattern of each live mesh, built once: `assemble` and
+# `solver.assemble_pressure_mass` both sum on it.
+_PATTERNS = weakref.WeakKeyDictionary()
+
+
 def _vertex_closure(mesh) -> _Closure:
-    """The closure pattern of the mesh's vertices: a row holds its lower edge
-    neighbours, itself and its upper edge neighbours, since each edge of the
-    sorted edge table is one entry in the row of its lower end and one in the
-    row of its upper end.  It is structurally symmetric."""
+    """The closure pattern of the mesh's vertices, kept while the mesh lives.
+
+    A row holds its lower edge neighbours, itself and its upper edge
+    neighbours, since each edge of the sorted edge table is one entry in the
+    row of its lower end and one in the row of its upper end.  It is
+    structurally symmetric.
+    """
+    pattern = _PATTERNS.get(mesh)
+    if pattern is None:
+        pattern = _PATTERNS[mesh] = _build_vertex_closure(mesh)
+    return pattern
+
+
+def _build_vertex_closure(mesh) -> _Closure:
     tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
     nxt = np.roll(tri, -1, axis=1)                  # local edge k runs from vertex k to k + 1
     edges, edge = np.unique(np.minimum(tri, nxt) * nv + np.maximum(tri, nxt), return_inverse=True)
@@ -439,7 +557,7 @@ def _vertex_closure(mesh) -> _Closure:
     cols = np.empty(indptr[-1], dtype=np.int32)
     cols[diagonal], cols[upper], cols[lower] = np.arange(nv), hi, lo
 
-    slots = np.empty((3, ne, 3), dtype=np.intp)
+    slots = np.empty((3, ne, 3), dtype=np.int32)
     k, k1 = np.arange(3), (np.arange(3) + 1) % 3
     ascending = (tri < nxt).T
     slots[k, :, k] = diagonal[tri].T
@@ -448,130 +566,98 @@ def _vertex_closure(mesh) -> _Closure:
     return _Closure(indptr, cols, slots, diagonal)
 
 
-def _closure(mesh, vertices: _Closure) -> _Closure:
-    """The closure pattern of the mesh's vertices and bubbles, from that of
-    its vertices: a vertex row holds its vertex entries, then the bubbles of
-    its elements in element order; a bubble row holds its element's
-    vertices, sorted, then itself."""
-    tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
-    incident = np.bincount(tri.ravel(), minlength=nv)
-    shift = np.concatenate(([0], np.cumsum(incident)))      # bubble entries in the rows above
-    degree = np.diff(vertices.indptr)
-    indptr = np.concatenate((vertices.indptr + shift, vertices.indptr[-1] + shift[-1] + 4 * np.arange(1, ne + 1)))
-    diagonal = np.concatenate((vertices.diagonal + shift[:-1], indptr[nv:-1] + 3))
-    cols = np.empty(indptr[-1], dtype=np.int32)
-    cols[np.arange(vertices.cols.size) + np.repeat(shift[:-1], degree)] = vertices.cols
-
-    slots = np.empty((4, ne, 4), dtype=np.int32)
-    slots[:3, :, :3] = vertices.slots + shift[tri.T][:, :, None]
-    by_vertex = np.argsort(tri, axis=None, kind="stable")   # element order within each vertex
-    rank = np.empty(by_vertex.size, dtype=np.intp)
-    rank[by_vertex] = np.arange(by_vertex.size)
-    slots[:3, :, 3] = (indptr[1 : nv + 1] - shift[1:])[tri.T] + rank.reshape(ne, 3).T
-    cols[slots[:3, :, 3]] = nv + np.arange(ne)
-    within = (tri > np.roll(tri, -1, axis=1)).astype(np.intp) + (tri > np.roll(tri, 1, axis=1))   # rank in the element
-    slots[3, :, :3] = indptr[nv:-1, None] + within
-    cols[slots[3, :, :3]] = tri
-    slots[3, :, 3] = diagonal[nv:]
-    cols[diagonal[nv:]] = nv + np.arange(ne)
-    return _Closure(indptr, cols, slots, diagonal)
-
-
-def _closure_csr(closure, blocks, shape, pairs, dropped=(), diagonal=()):
-    """CSR of element blocks [owner, e, trial, comp, comp] on a closure
-    pattern, and the blocks summed into the pattern entries `pairs`.
-
-    The owners and trials are each element's first local locations, and
-    each (owner, trial) pair holds a small block of row components by
-    column components (1 or 2 each).  The rows and columns are the
-    pattern's first locations, as many as `shape` holds, so a location row
-    keeps its columns below that count.  A sparse product with one unit per
-    block entry sums the small blocks into the pattern's slots, and they
-    expand to CSR.  The `dropped` rows are then zeroed, each `diagonal` id
-    takes a one in its slot, and entries that cancel exactly are not
-    stored.  Indices are int32.  The sums at `pairs` (entries, comp, comp)
-    are taken before any row is dropped.
-    """
-    owners, ne, trials, cr, cc = blocks.shape
-    nr, nc = shape[0] // cr, shape[1] // cc
-    kept = closure.cols < nc
-    rank = np.concatenate(([0], np.cumsum(kept, dtype=np.int32)))   # pattern entry -> index among the kept ones
-    indptr = rank[closure.indptr[: nr + 1]]
-    slots = rank[closure.slots[:owners, :, :trials]].ravel()
-    summation = sp.csc_matrix((np.ones(slots.size), slots, np.arange(slots.size + 1, dtype=np.int32)),
-                              shape=(indptr[-1], slots.size))
-    data = (summation @ blocks.reshape(slots.size, cr * cc)).reshape(-1, cr, cc)
-    del summation, slots
-    M = sp.bsr_matrix((data, closure.cols[kept][: indptr[-1]], indptr), shape=shape).tocsr()
-    dropped_rows = np.zeros(shape[0], dtype=bool)
-    dropped_rows[np.asarray(dropped, dtype=np.intp)] = True
-    M.data[np.repeat(dropped_rows, np.diff(M.indptr))] = 0.0
-    # Scalar row (r, c) lists kept entry q of location row r at cc (q - indptr[r]) + k.
-    r, c = np.divmod(np.asarray(diagonal, dtype=np.intp), cr)
-    M.data[M.indptr[cr * r + c] + cc * (rank[closure.diagonal[r]] - indptr[r]) + c] = 1.0
-    M.eliminate_zeros()
-    return M, data[rank[pairs]]
-
-
-def _condensed_csc(vertices, Y) -> sp.csc_matrix:
-    """J_c in CSC from the 3 x 3 blocks Y[k, a, q] of its transpose on the
-    vertex pattern.
+def _csc_positions(vertices):
+    """Where J_c's CSC data on the vertex pattern stores its entries: a
+    function of (k, a), a, k in (x, y, p), whose value at entry q = (c, r)
+    of the (symmetric) pattern is the position of J_c's entry in row (r, a)
+    and column (c, k).
 
     The kept unknowns are the vertex velocities, x and y interleaved, then
-    the vertex pressures.  Entry q = (c, r) of the (symmetric) pattern holds
-    the entries of J_c in rows (r, a) and columns (c, k), a, k in (x, y, p),
-    so column (c, k) lists row c's entries of Y[k]: the velocity rows of its
-    neighbours r, x and y interleaved, then their pressure rows.  Every
-    vertex pair stores its nine entries, zeros too.
+    the vertex pressures.  Column (c, k) lists the entries of pattern row
+    c: the velocity rows of its neighbours r, x and y interleaved, then
+    their pressure rows.  Every vertex pair stores its nine entries, zeros
+    too.
     """
-    nv, N = vertices.indptr.size - 1, Y.shape[-1]
+    N = vertices.cols.size
     degree = np.diff(vertices.indptr)
     start, d = np.repeat(vertices.indptr[:-1], degree), np.repeat(degree, degree)
     t = np.arange(N) - start                                # rank of q in row c
-    data, indices = np.empty(9 * N), np.empty(9 * N, dtype=np.int32)
-    for k in range(3):
+
+    def at(k, a):
         column = 6 * N + 3 * start if k == 2 else 6 * start + 3 * k * d
+        return column + (2 * d + t if a == 2 else 2 * t + a)
+
+    return at
+
+
+def _vertex_csc(vertices, at, data) -> sp.csc_matrix:
+    """The CSC matrix on the kept unknowns whose entries at the positions
+    `at` of `_csc_positions` are `data`."""
+    nv, N = vertices.indptr.size - 1, vertices.cols.size
+    indices = np.empty(9 * N, dtype=np.int32)
+    for k in range(3):
         for a in range(3):
-            at = column + (2 * d + t if a == 2 else 2 * t + a)
-            data[at] = Y[k, a]
-            indices[at] = 2 * nv + vertices.cols if a == 2 else 2 * vertices.cols + a
-    velocity = 6 * vertices.indptr[:-1, None] + 3 * degree[:, None] * np.arange(2)
+            indices[at(k, a)] = 2 * nv + vertices.cols if a == 2 else 2 * vertices.cols + a
+    velocity = 6 * vertices.indptr[:-1, None] + 3 * np.diff(vertices.indptr)[:, None] * np.arange(2)
     indptr = np.concatenate((velocity.ravel(), 6 * N + 3 * vertices.indptr)).astype(np.int32)
     return sp.csc_matrix((data, indices, indptr), shape=(3 * nv, 3 * nv))
 
 
-def _condense(vertices, Y, kb, bk, bb, dropped, pinned):
-    """Condense the bubbles out of Y element by element; returns the
-    inverses (ne, 2, 2) of the bubble blocks.
+def _condense(vertices, at, data, kb, bk, bb):
+    """Condense the bubbles out of J_kk element by element, in place of its
+    CSC `data` (positions `at`); returns the inverses (ne, 2, 2) of the
+    bubble blocks bb (ne, 2, 2).
 
-    Y (k, a, pairs) holds the blocks of A, B, C and D on the kept unknowns,
-    summed on the vertex pattern and transposed as `_condensed_csc` reads
-    them.  Each element keeps the rows of its bubble columns, kb [a, b,
-    vertex, e], the columns of its bubble rows, bk [b, k, vertex, e], and
-    its bubble block bb [b, b', e], for a, k in (x, y, p) and b, b' its two
-    bubble components.  Its correction kb bb^-1 bk is subtracted from its
-    vertex pairs one component (a, k) at a time, so no (ne, 9, 9) array is
-    made.  The `dropped` velocity dofs and the `pinned` pressures then
-    become identity rows, as in A and D.
+    Each element's rows of its bubble columns are kb [a, b, vertex, e], and
+    the columns of its bubble rows bk [b, k, vertex, e], for a, k in (x, y,
+    p) and b its two bubble components.  Its correction kb bb^-1 bk is
+    subtracted from its vertex pairs one component (a, k) at a time, so no
+    (ne, 9, 9) array is made.  Raises BubbleStructureError, naming the
+    first, if a bubble block is singular: |det| <= eps max|bb|^2.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverse = np.array([[bb[1, 1], -bb[0, 1]], [-bb[1, 0], bb[0, 0]]])
-        inverse /= bb[0, 0] * bb[1, 1] - bb[0, 1] * bb[1, 0]
-    W = -(inverse[:, 0, None, None] * bk[0] + inverse[:, 1, None, None] * bk[1])    # [b, k, vertex, e]
-    ids = vertices.slots.transpose(2, 0, 1).ravel()         # the transposed entry of (row i, column j)
-    for a in range(3):
-        for k in range(3):
-            correction = kb[a, 0, :, None] * W[0, k]
-            correction += kb[a, 1, :, None] * W[1, k]
-            Y[k, a] += np.bincount(ids, correction.ravel(), minlength=Y.shape[-1])
-    nv = vertices.indptr.size - 1
-    identity = np.zeros((nv, 3), dtype=bool)
-    identity[np.divmod(np.asarray(dropped, dtype=np.intp), 2)] = True
-    identity[pinned, 2] = True
-    for a in range(3):
-        Y[:, a, identity[vertices.cols, a]] = 0.0
-        Y[a, a, vertices.diagonal[identity[:, a]]] = 1.0
+    det = bb[:, 0, 0] * bb[:, 1, 1] - bb[:, 0, 1] * bb[:, 1, 0]
+    singular = ~(np.abs(det) > np.finfo(float).eps * np.max(np.abs(bb), axis=(1, 2), initial=0.0) ** 2)
+    if np.any(singular):
+        raise BubbleStructureError(
+            f"{int(singular.sum())} singular 2x2 bubble blocks, first at element {int(np.flatnonzero(singular)[0])}"
+        )
+    inverse = np.array([[bb[:, 1, 1], -bb[:, 0, 1]], [-bb[:, 1, 0], bb[:, 0, 0]]])
+    inverse /= det
+    ids = vertices.slots.transpose(2, 0, 1).astype(np.intp).ravel()   # the transposed entry of (row i, column j)
+    for k in range(3):
+        W = -(inverse[:, 0, None] * bk[0, k] + inverse[:, 1, None] * bk[1, k])      # [b, vertex, e]
+        for a in range(3):
+            correction = kb[a, 0, :, None] * W[0]
+            correction += kb[a, 1, :, None] * W[1]
+            data[at(k, a)] += np.bincount(ids, correction.ravel(), minlength=vertices.cols.size)
     return np.ascontiguousarray(inverse.transpose(2, 0, 1))
+
+
+def _element_ids(mesh):
+    """The local order (ne, 3) that sorts each element's vertices, and the
+    CSC or CSR indices and indptr of a matrix whose two columns or rows per
+    element list its nine kept unknowns, sorted: one int32 array for J_kb
+    and J_bk."""
+    nv, ne = mesh.n_vertices, mesh.n_elements
+    order = np.argsort(mesh.triangles, axis=1)
+    v = np.take_along_axis(mesh.triangles, order, axis=1).astype(np.int32)
+    ids = np.empty((ne, 9), dtype=np.int32)
+    ids[:, :6] = (2 * v[:, :, None] + np.arange(2, dtype=np.int32)).reshape(ne, 6)
+    ids[:, 6:] = 2 * nv + v
+    indices = np.repeat(ids, 2, axis=0).ravel()
+    return order, indices, np.arange(0, indices.size + 1, 9, dtype=np.int32)
+
+
+def _element_major(parts, order):
+    """kb [a, b, vertex, e] (or bk with its first two axes swapped) as
+    [e, b, kept unknown], the kept unknowns in `_element_ids`' order."""
+    ne = order.shape[0]
+    out, e = np.empty((ne, 2, 9)), np.arange(ne)
+    for r in range(3):
+        lowest = parts[:, :, order[:, r], e]                # [a, b, e] at each element's r-th lowest vertex
+        out[:, :, 2 * r : 2 * r + 2] = lowest[:2].transpose(2, 1, 0)
+        out[:, :, 6 + r] = lowest[2].T
+    return out.ravel()
 
 
 def _evaluate(func, name, points, shape):
@@ -692,54 +778,65 @@ def assemble(disc: GridDiscretization, problem: StokesProblem, pin_pressure: int
     if dverts.size:
         load[dverts] = _evaluate(problem.dirichlet, "dirichlet", mesh.vertices[dverts], (2,))
 
-    # One closure pattern over the velocity locations serves every block: the
-    # momentum rows are its owners, the mass rows and the pressure columns its
-    # vertices, which come first.  The blocks are the scheme's reference
-    # tensors mapped by every element.  Each block's sums on the vertex pairs
-    # go into Y, J_c's blocks before the condensation, and each element keeps
-    # only its bubble rows and columns for it (kb, bk and bb of `_condense`).
-    # Every array is dropped once used: the heap keeps assemble's high-water
-    # mark resident, under the direct LU that follows.
+    # Every block is the scheme's reference tensors mapped by every element.
+    # Its vertex entries are summed on the vertex pattern by np.bincount, in
+    # (owner, element, trial) order, into `data`, J_kk's CSC values at the
+    # positions `at`.  Every bubble row and column belongs to one element,
+    # which keeps them (kb, bk and bb of `_condense`).  Every array is
+    # dropped once used: the heap keeps assemble's high-water mark resident,
+    # under the direct LU that follows.
     vertices = _vertex_closure(mesh)
-    closure = _closure(mesh, vertices)
-    nv, ne = mesh.n_vertices, mesh.n_elements
-    transpose = np.empty(vertices.cols.size, dtype=np.intp)     # the entry (c, r) of the entry (r, c)
-    transpose[vertices.slots] = vertices.slots.swapaxes(0, 2)
-    pairs = (np.arange(transpose.size) + np.repeat(closure.indptr[:nv] - vertices.indptr[:-1], np.diff(vertices.indptr)))[transpose]
-    del transpose
+    nv, ne, N = mesh.n_vertices, mesh.n_elements, vertices.cols.size
+    at = _csc_positions(vertices)
+    data = np.zeros(9 * N)
+    ids = vertices.slots.transpose(2, 1, 0).astype(np.intp).ravel()   # (owner i, e, trial j) -> the entry (j, i)
     K, L = _SCHEME_TENSORS[disc.scheme]
-    blocks = _map_momentum(_momentum_metric(disc.elements, mu), K)
-    A, A_pairs = _closure_csr(closure, blocks, (2 * n_u, 2 * n_u), pairs, ddofs, ddofs)
+    blocks = _map_momentum(_momentum_metric(disc.elements, mu), K)      # [owner, e, trial, a, k]
+    for a in range(2):
+        for k in range(2):
+            data[at(k, a)] = np.bincount(ids, blocks[:3, :, :3, a, k].ravel(), minlength=N)
     kb, bk = np.empty((3, 2, 3, ne)), np.empty((2, 3, 3, ne))
     kb[:2] = blocks[:3, :, 3].transpose(2, 3, 0, 1)
     bk[:, :2] = blocks[3, :, :3].transpose(2, 3, 1, 0)
-    bb = blocks[3, :, 3].transpose(1, 2, 0).copy()
+    bb = blocks[3, :, 3].copy()
     del blocks
-    blocks = _map_vectors(disc.elements, L[:, None])[..., None]
-    B, B_pairs = _closure_csr(closure, blocks, (2 * n_u, n_p), pairs, ddofs)
-    bk[:, 2] = blocks[3, ..., 0].transpose(2, 1, 0)
+    blocks = _map_vectors(disc.elements, L[:, None])                    # [owner, e, hat, a]
+    for a in range(2):
+        data[at(2, a)] = np.bincount(ids, blocks[:3, ..., a].ravel(), minlength=N)
+    bk[:, 2] = blocks[3].transpose(2, 1, 0)
     del blocks
-    blocks = _mass_blocks(disc)[:, :, :, None]
-    C, C_pairs = _closure_csr(closure, blocks, (n_p, 2 * n_u), pairs, pinned)
-    kb[2] = blocks[:, :, 3, 0].transpose(2, 0, 1)
-    del blocks, closure, pairs
-    Y = np.zeros((3, 3, vertices.cols.size))
-    Y[:2, :2], Y[2, :2], Y[:2, 2] = A_pairs.transpose(2, 1, 0), B_pairs[..., 0].T, C_pairs[:, 0].T
-    del A_pairs, B_pairs, C_pairs
-    inverses = _condense(vertices, Y, kb, bk, bb, ddofs, pinned)
-    del kb, bk, bb
-    J_c = _condensed_csc(vertices, Y)
-    del Y
-    D = sp.csr_matrix((np.ones(len(pinned)), (pinned, pinned)), shape=(n_p, n_p))
+    blocks = _mass_blocks(disc)                                         # [box, e, trial, k]
+    for k in range(2):
+        data[at(k, 2)] = np.bincount(ids, blocks[:, :, :3, k].ravel(), minlength=N)
+    kb[2] = blocks[:, :, 3].transpose(2, 0, 1)
+    del blocks, ids
+
+    # The Dirichlet velocity dofs and the pinned pressure become identity
+    # rows of J_kk, and their rows of J_kb are zero, so the condensation
+    # leaves them as they are.
+    identity = np.zeros((nv, 3), dtype=bool)
+    identity[np.divmod(ddofs, 2)] = True
+    identity[pinned, 2] = True
+    for a in range(3):
+        rows = identity[vertices.cols, a]
+        for k in range(3):
+            data[at(k, a)[rows]] = 0.0
+        data[at(a, a)[vertices.diagonal[identity[:, a]]]] = 1.0
+    np.copyto(kb, 0.0, where=identity[mesh.triangles].transpose(2, 1, 0)[:, None])
+    kk = _vertex_csc(vertices, at, data)
+    J_c = sp.csc_matrix((data.copy(), kk.indices, kk.indptr), shape=kk.shape)
+    del data
+    inverses = _condense(vertices, at, J_c.data, kb, bk, bb)
+    del at
+    order, indices, indptr = _element_ids(mesh)
+    J_kb = sp.csc_matrix((_element_major(kb, order), indices, indptr), shape=(3 * nv, 2 * ne))
+    del kb
+    J_bk = sp.csr_matrix((_element_major(bk.swapaxes(0, 1), order), indices, indptr), shape=(2 * ne, 3 * nv))
+    del bk
 
     return SaddleSystem(
-        A=A,
-        B=B,
-        C=C,
-        D=D,
+        Condensation(J_c, kk, J_kb, J_bk, bb, inverses, range(2 * nv, 2 * n_u)),
         rhs_momentum=rhs_u,
         rhs_mass=rhs_p,
         dirichlet_dofs=ddofs,
-        bubble_dofs=range(2 * nv, 2 * n_u),
-        condensation=Condensation(J_c, inverses, (A, B, C, D)),
     )

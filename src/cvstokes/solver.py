@@ -17,10 +17,13 @@ element: each element's 9x9 vertex block loses kb bb^{-1} bk, its 2x2
 bubble block bb against its bubble rows and columns, and J_c is written
 straight into CSC on the mesh's vertex pattern, nine entries per vertex
 pair, zeros kept, so its pattern and its factor's fill depend on the mesh
-alone.  The system keeps J_c and the (ne, 2, 2) inverses of bb
-(`SaddleSystem.condensation`); the solvers condense right-hand sides and
-recover bubbles through products with the blocks A, B and C themselves,
-with the bubbles the last velocity unknowns, and J itself is never formed.
+alone.  The system is stored as these parts and nothing else
+(`SaddleSystem.condensation`): J_kk on J_c's indices, J_kb and J_bk on one
+shared array of each element's nine kept unknowns, the (ne, 2, 2) blocks
+of J_bb and their inverses, and J_c.  The solvers condense right-hand
+sides, recover bubbles, evaluate the full residual and scale its backward
+error |J| |x| by products with these parts; J itself and its blocks A, B
+and C are never formed.
 
 The saddle system is [[A, B], [C, D]], where D is the pressure-pressure
 block: the identity entry of a pinned pressure, or empty.  The condensed
@@ -43,7 +46,7 @@ The direct solver factors a single-precision copy of J_c, which holds
 about half the memory of a double-precision factor, and refines the
 solution in double (mixed-precision iterative refinement; Buttari et al.,
 ACM TOMS 34(4), 2008; LAPACK DSGESV).  Each refinement step evaluates the
-residual of the full, uncondensed system block by block, so the flux
+residual of the full, uncondensed system part by part, so the flux
 balances of the recovered solution hold to the round-off of that
 evaluation; a row-wise backward-error test accepts the result or sends the
 solve to a double-precision factor.  The preconditioner's factors stay in
@@ -80,7 +83,8 @@ from scipy.sparse.linalg import splu
 
 from .basis import barycentric, triangle_rule
 from .geometry import GridDiscretization
-from .schemes import SaddleSystem, _checked_viscosity, _vertex_closure
+# `assemble` raises BubbleStructureError; it stays importable from here.
+from .schemes import BubbleStructureError, SaddleSystem, _checked_viscosity, _vertex_closure  # noqa: F401
 
 MASS_QUAD_DEGREE = 2
 # The hats' products integrated over the reference triangle by the degree-2 rule.
@@ -94,15 +98,16 @@ def assemble_pressure_mass(disc: GridDiscretization, viscosity: float) -> sp.csr
 
     Uses a degree-2 volume rule, which integrates the products of hat
     functions exactly.  The element blocks are summed on the mesh's vertex
-    pattern, the pattern of J_c's pressure block, in slot order.  Raises
-    ConfigurationError unless the viscosity is finite and positive.
+    pattern, the pattern of J_c's pressure block, in slot order; the
+    pattern is built once per mesh, and `assemble` sums on it too.
+    Raises ConfigurationError unless the viscosity is finite and positive.
     """
     viscosity = _checked_viscosity(viscosity)
     blocks = _REFERENCE_MASS[:, None, :] * (disc.elements.areas / viscosity)[:, None]
     vertices = _vertex_closure(disc.mesh)
     data = np.bincount(vertices.slots.ravel(), blocks.ravel(), minlength=vertices.cols.size)
     n_p = disc.n_pressure_dofs
-    return sp.csr_matrix((data, vertices.cols, vertices.indptr.astype(np.int32)), shape=(n_p, n_p))
+    return sp.csr_matrix((data, vertices.cols.copy(), vertices.indptr.astype(np.int32)), shape=(n_p, n_p))
 
 
 def random_initial_guess(disc: GridDiscretization, seed: int) -> np.ndarray:
@@ -126,123 +131,12 @@ def _factor(M: sp.csc_matrix):
     )
 
 
-class BubbleStructureError(ValueError):
-    """The bubble-bubble block is not made of invertible per-element 2x2 blocks."""
-
-
 class GMRESBreakdownError(ArithmeticError):
     """The Krylov space became invariant while the Hessenberg matrix is singular."""
 
 
 class DirectSolveError(ArithmeticError):
     """The direct solve's double-precision result misses its backward-error test."""
-
-
-@dataclass(eq=False)
-class BubbleElimination:
-    """Local elimination of the bubble unknowns from a saddle system.
-
-    `bubbles` is the contiguous range of bubble unknowns, two per element
-    (x and y), the last velocity unknowns; all other unknowns are kept.
-    `condensed` is J_c on the kept unknowns and `inverses` (ne, 2, 2)
-    inverts each element's bubble block.  The bubble columns and rows are
-    read through products with the system's own blocks A, B and C, so no
-    part of them is copied.  An empty range keeps every unknown.
-    """
-
-    bubbles: range
-    condensed: sp.csc_matrix
-    inverses: np.ndarray
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
-
-    def kept(self, v: np.ndarray) -> np.ndarray:
-        """The entries of `v` on the kept unknowns."""
-        lo, hi = self.bubbles.start, self.bubbles.stop
-        return np.concatenate((v[:lo], v[hi:]))
-
-    def _invert(self, r_b: np.ndarray) -> np.ndarray:
-        return (self.inverses @ r_b.reshape(-1, 2, 1)).reshape(-1)
-
-    def condense(self, r: np.ndarray) -> np.ndarray:
-        """Right-hand side r_k - J_kb J_bb^{-1} r_b of the condensed system:
-        J_kb w is A w on the vertex rows and C w, for w zero off the bubbles."""
-        lo, hi = self.bubbles.start, self.bubbles.stop
-        w = np.zeros(hi)
-        w[lo:] = self._invert(r[lo:hi])
-        return self.kept(r) - np.concatenate(((self.A @ w)[:lo], self.C @ w))
-
-    def recover(self, r: np.ndarray, y_k: np.ndarray) -> np.ndarray:
-        """Full solution from its kept part y_k: y_b = J_bb^{-1} (r_b - J_bk y_k),
-        where J_bk y_k is A u + B p on the bubble rows, for u zero on the bubbles."""
-        lo, hi = self.bubbles.start, self.bubbles.stop
-        u = np.zeros(hi)
-        u[:lo] = y_k[:lo]
-        y_b = self._invert(r[lo:hi] - (self.A @ u + self.B @ y_k[lo:])[lo:])
-        return np.concatenate((y_k[:lo], y_b, y_k[lo:]))
-
-    def solve(self, solve_condensed, r: np.ndarray) -> np.ndarray:
-        """Solve J y = r, given a solver of the condensed system."""
-        return self.recover(r, solve_condensed(self.condense(r)))
-
-
-def bubble_elimination(system: SaddleSystem) -> BubbleElimination:
-    """The bubble elimination of the saddle system, built once per system.
-
-    The bubbles are the last velocity unknowns, so with v the vertex
-    velocities and b the bubbles, J_kb = [[A_vb], [C_b]], J_bk = [A_bv, B_b]
-    and J_bb = A_bb.  J_c and the inverses of A_bb's blocks are the
-    system's `condensation`, which `assemble` builds element by element
-    with the blocks; a system without bubbles is its own J_c.  Raises
-    BubbleStructureError unless the bubbles are the last velocity unknowns,
-    A_bb is made of invertible per-element 2x2 blocks and the condensation
-    was built from the system's own blocks A, B, C and D.
-    """
-    if system._elimination is None:
-        A, B, C, D = system.A.tocsr(), system.B.tocsr(), system.C.tocsr(), system.D
-        n = system.n_velocity
-        lo = system.bubble_dofs.start if system.bubble_dofs else n
-        if system.bubble_dofs and system.bubble_dofs.stop != n:
-            raise BubbleStructureError(f"bubble unknowns {system.bubble_dofs} are not the last of {n} velocity unknowns")
-        if lo < n:
-            _check_bubble_blocks(A[lo:, lo:])
-            condensation = system.condensation
-            if condensation is None or any(x is not y for x, y in zip(condensation.blocks, (system.A, system.B, system.C, D))):
-                raise BubbleStructureError(
-                    "the system carries no bubble condensation of its blocks A, B, C and D; assemble builds it with them"
-                )
-            condensed, inverses = condensation.matrix, condensation.inverses
-        else:
-            condensed, inverses = sp.bmat([[A, B], [C, D]], format="csc"), np.empty((0, 2, 2))
-        system._elimination = BubbleElimination(range(lo, n), condensed, inverses, A, B, C)
-    return system._elimination
-
-
-def _check_bubble_blocks(M_bb: sp.csr_matrix) -> None:
-    """Raises BubbleStructureError unless the bubble block M_bb is
-    block diagonal with invertible 2x2 blocks: if a nonzero entry couples
-    two different blocks or if a block is numerically singular."""
-    n = M_bb.shape[0]
-    if n % 2:
-        raise BubbleStructureError(f"odd number of bubble unknowns ({n})")
-    M_bb.sum_duplicates()
-    diag = M_bb.diagonal()
-    a, d = diag[0::2], diag[1::2]
-    b, c = M_bb.diagonal(1)[0::2], M_bb.diagonal(-1)[0::2]
-    outside = np.count_nonzero(M_bb.data) - sum(np.count_nonzero(v) for v in (diag, b, c))
-    if outside:
-        raise BubbleStructureError(
-            f"bubble block has {outside} nonzero entries outside its per-element 2x2 blocks"
-        )
-    det = a * d - b * c
-    scale = np.max(np.abs((a, b, c, d)), axis=0, initial=0.0)
-    singular = ~(np.abs(det) > np.finfo(float).eps * scale**2)
-    if np.any(singular):
-        raise BubbleStructureError(
-            f"{int(singular.sum())} singular 2x2 bubble blocks, "
-            f"first at element {int(np.flatnonzero(singular)[0])}"
-        )
 
 
 @dataclass(eq=False)
@@ -262,10 +156,12 @@ class BlockPreconditioner:
     @classmethod
     def build(cls, system: SaddleSystem, schur_approx: sp.spmatrix) -> "BlockPreconditioner":
         """`schur_approx` is the pressure mass matrix scaled by 1 / (2 mu)."""
-        J_c = bubble_elimination(system).condensed
-        n_u = system.n_velocity - len(system.bubble_dofs)
-        D_c = J_c[n_u:, n_u:] - system.D
-        lu_A = _factor(J_c[:n_u, :n_u])
+        condensation = system.condensation
+        J_c, n_u = condensation.matrix, condensation.bubble_dofs.start
+        D_c = J_c[n_u:, n_u:] - condensation.kk[n_u:, n_u:]     # J_kk's pressure block is D
+        A_c = J_c[:n_u, :n_u]
+        A_c.eliminate_zeros()           # cancelled entries and Dirichlet rows' zeros on the vertex pattern
+        lu_A = _factor(A_c)
         lu_S = _factor(sp.csc_matrix(schur_approx) - D_c)
         return cls(lu_A=lu_A, lu_S=lu_S, C=J_c[n_u:, :n_u], n_velocity=n_u)
 
@@ -301,7 +197,7 @@ def gmres_solve(
 ) -> SolveReport:
     """Non-restarted left-preconditioned GMRes on the condensed saddle system.
 
-    Iterates on the kept unknowns of `bubble_elimination(system)` from the
+    Iterates on the kept unknowns of `system.condensation`, from the
     kept entries of `x0` (zero if omitted), and returns the full solution
     with the bubbles recovered element by element.  Stops once the
     preconditioned residual norm has been reduced by `reduction` relative
@@ -324,9 +220,9 @@ def gmres_solve(
         raise ValueError(f"x0 has shape {x0.shape}, but the system has {n} unknowns")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 has {np.count_nonzero(~np.isfinite(x0))} entries that are nan or inf")
-    bubbles = bubble_elimination(system)
-    J = bubbles.condensed
-    x0 = bubbles.kept(x0)
+    bubbles = system.condensation
+    J = bubbles.matrix
+    x0 = bubbles.split(x0)[0]
 
     def precondition(r):
         return preconditioner.apply(r) if preconditioner is not None else r
@@ -409,16 +305,16 @@ def direct_solve(system: SaddleSystem) -> np.ndarray:
     condensed system is factored in double and refined the same way.
     Raises DirectSolveError if even that result misses the test.
     """
-    bubbles = bubble_elimination(system)
+    J_c = system.condensation.matrix
     b = system.rhs()
     tol = np.sqrt(b.size) * np.finfo(np.float64).eps
-    solve = _single_precision_solver(bubbles.condensed)
+    solve = _single_precision_solver(J_c)
     if solve is not None:
-        x, r = _refine(system, bubbles, b, solve)
+        x, r = _refine(system, b, solve)
         del solve                   # frees the factor before the fallback
         if _backward_error(system, x, r) <= tol:
             return x
-    x, r = _refine(system, bubbles, b, _factor(bubbles.condensed).solve)
+    x, r = _refine(system, b, _factor(J_c).solve)
     error = _backward_error(system, x, r)
     if not error <= tol:
         raise DirectSolveError(
@@ -453,11 +349,12 @@ def _single_precision_solver(J_c: sp.csc_matrix):
     return solve
 
 
-def _refine(system: SaddleSystem, bubbles: BubbleElimination, b: np.ndarray, solve):
+def _refine(system: SaddleSystem, b: np.ndarray, solve):
     """(x, b - J x): the solution through `solve` of the condensed system,
     refined against the full residual until it is zero, a step no longer
     halves its 2-norm (keeping the better iterate) or `_MAX_REFINEMENTS`
     steps were taken."""
+    bubbles = system.condensation
     with np.errstate(over="ignore", invalid="ignore"):
         x = bubbles.solve(solve, b)
         r = system.residual(x)
@@ -479,11 +376,7 @@ def _refine(system: SaddleSystem, bubbles: BubbleElimination, b: np.ndarray, sol
 def _backward_error(system: SaddleSystem, x: np.ndarray, r: np.ndarray) -> float:
     """Row-wise backward error max_i |r_i| / (|J| |x| + |b|)_i of x, where
     r = b - J x; a row with r_i = 0 counts 0, and a non-finite x gives nan."""
-    n = system.n_velocity
-    u, p = np.abs(x[:n]), np.abs(x[n:])
-    scale = np.abs(system.rhs()) + np.concatenate(
-        (abs(system.A) @ u + abs(system.B) @ p, abs(system.C) @ u + abs(system.D) @ p)
-    )
+    scale = np.abs(system.rhs()) + system.condensation.product(np.abs(x), absolute=True)
     r = np.abs(r)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.max(np.where(r == 0.0, 0.0, r / scale), initial=0.0))

@@ -22,7 +22,11 @@ sub-volume at a time, so that it checks only the owner map, and
 `two_pass_rhs_momentum` integrates the body force once per kind of row, to
 check each scheme's one-pass load rule.  `coo_blocks`
 turns element blocks into CSR by one COO conversion each, with explicit
-row and column ids, to check the closure-pattern builder.
+row and column ids, to check the blocks formed on request.
+`closure_system` is the system as the package once stored it: A, B and C
+summed into CSR on the closure pattern of the vertices and bubbles
+(`closure`, `closure_csr`), and J_c condensed from their sums at the vertex
+pairs; the tests check the four stored parts bitwise against it.
 """
 
 from __future__ import annotations
@@ -423,3 +427,116 @@ def coo_blocks(disc: GridDiscretization, blocks, pin_pressure=None):
     return (coo_to_csr(A, rows[:, :, None, :, None], dofs[None, :, :, None, :], (2 * n_u, 2 * n_u), ddofs, ddofs),
             coo_to_csr(B, rows[:, :, None, :], tri[None, :, :, None], (2 * n_u, n_p), ddofs),
             coo_to_csr(C, tri.T[:, :, None, None], dofs[None], (n_p, 2 * n_u), pinned))
+
+
+def closure(mesh, vertices):
+    """The closure pattern of the mesh's vertices and bubbles, from that of
+    its vertices: a vertex row holds its vertex entries, then the bubbles of
+    its elements in element order; a bubble row holds its element's
+    vertices, sorted, then itself."""
+    tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
+    incident = np.bincount(tri.ravel(), minlength=nv)
+    shift = np.concatenate(([0], np.cumsum(incident)))      # bubble entries in the rows above
+    degree = np.diff(vertices.indptr)
+    indptr = np.concatenate((vertices.indptr + shift, vertices.indptr[-1] + shift[-1] + 4 * np.arange(1, ne + 1)))
+    diagonal = np.concatenate((vertices.diagonal + shift[:-1], indptr[nv:-1] + 3))
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    cols[np.arange(vertices.cols.size) + np.repeat(shift[:-1], degree)] = vertices.cols
+
+    slots = np.empty((4, ne, 4), dtype=np.int32)
+    slots[:3, :, :3] = vertices.slots + shift[tri.T][:, :, None]
+    by_vertex = np.argsort(tri, axis=None, kind="stable")   # element order within each vertex
+    rank = np.empty(by_vertex.size, dtype=np.intp)
+    rank[by_vertex] = np.arange(by_vertex.size)
+    slots[:3, :, 3] = (indptr[1 : nv + 1] - shift[1:])[tri.T] + rank.reshape(ne, 3).T
+    cols[slots[:3, :, 3]] = nv + np.arange(ne)
+    within = (tri > np.roll(tri, -1, axis=1)).astype(np.intp) + (tri > np.roll(tri, 1, axis=1))   # rank in the element
+    slots[3, :, :3] = indptr[nv:-1, None] + within
+    cols[slots[3, :, :3]] = tri
+    slots[3, :, 3] = diagonal[nv:]
+    cols[diagonal[nv:]] = nv + np.arange(ne)
+    return schemes._Closure(indptr, cols, slots, diagonal)
+
+
+def closure_csr(closure, blocks, shape, pairs, dropped=(), diagonal=()):
+    """CSR of element blocks [owner, e, trial, comp, comp] on a closure
+    pattern, and the blocks summed into the pattern entries `pairs`.
+
+    The owners and trials are each element's first local locations, and
+    each (owner, trial) pair holds a small block of row components by
+    column components (1 or 2 each).  The rows and columns are the
+    pattern's first locations, as many as `shape` holds, so a location row
+    keeps its columns below that count.  A sparse product with one unit per
+    block entry sums the small blocks into the pattern's slots, and they
+    expand to CSR.  The `dropped` rows are then zeroed, each `diagonal` id
+    takes a one in its slot, and entries that cancel exactly are not
+    stored.  Indices are int32.  The sums at `pairs` (entries, comp, comp)
+    are taken before any row is dropped.
+    """
+    owners, ne, trials, cr, cc = blocks.shape
+    nr, nc = shape[0] // cr, shape[1] // cc
+    kept = closure.cols < nc
+    rank = np.concatenate(([0], np.cumsum(kept, dtype=np.int32)))   # pattern entry -> index among the kept ones
+    indptr = rank[closure.indptr[: nr + 1]]
+    slots = rank[closure.slots[:owners, :, :trials]].ravel()
+    summation = sp.csc_matrix((np.ones(slots.size), slots, np.arange(slots.size + 1, dtype=np.int32)),
+                              shape=(indptr[-1], slots.size))
+    data = (summation @ blocks.reshape(slots.size, cr * cc)).reshape(-1, cr, cc)
+    M = sp.bsr_matrix((data, closure.cols[kept][: indptr[-1]], indptr), shape=shape).tocsr()
+    dropped_rows = np.zeros(shape[0], dtype=bool)
+    dropped_rows[np.asarray(dropped, dtype=np.intp)] = True
+    M.data[np.repeat(dropped_rows, np.diff(M.indptr))] = 0.0
+    # Scalar row (r, c) lists kept entry q of location row r at cc (q - indptr[r]) + k.
+    r, c = np.divmod(np.asarray(diagonal, dtype=np.intp), cr)
+    M.data[M.indptr[cr * r + c] + cc * (rank[closure.diagonal[r]] - indptr[r]) + c] = 1.0
+    M.eliminate_zeros()
+    return M, data[rank[pairs]]
+
+
+def closure_system(disc: GridDiscretization, problem, pin_pressure=None):
+    """A, B, C and D of `assemble`'s system as CSR on the closure pattern of
+    the vertices and bubbles, and J_c and the bubble inverses (ne, 2, 2)
+    condensed from the blocks' sums at the vertex pairs: each element's
+    correction subtracted first, then the Dirichlet and pinned rows made
+    identity rows."""
+    mesh = disc.mesh
+    tri, nv, ne = mesh.triangles, mesh.n_vertices, mesh.n_elements
+    n_u, n_p = disc.n_velocity_locations, disc.n_pressure_dofs
+    ddofs = (2 * mesh.dirichlet_vertices()[:, None] + np.arange(2)).ravel()
+    pinned = [] if pin_pressure is None else [pin_pressure]
+    vertices = schemes._build_vertex_closure(mesh)
+    pattern = closure(mesh, vertices)
+    transpose = np.empty(vertices.cols.size, dtype=np.intp)     # the entry (c, r) of the entry (r, c)
+    transpose[vertices.slots] = vertices.slots.swapaxes(0, 2)
+    pairs = (np.arange(transpose.size) + np.repeat(pattern.indptr[:nv] - vertices.indptr[:-1], np.diff(vertices.indptr)))[transpose]
+    A_blocks, B_blocks, C_blocks = package_blocks(disc, problem.viscosity)
+    A, A_pairs = closure_csr(pattern, A_blocks, (2 * n_u, 2 * n_u), pairs, ddofs, ddofs)
+    B, B_pairs = closure_csr(pattern, B_blocks[..., None], (2 * n_u, n_p), pairs, ddofs)
+    C, C_pairs = closure_csr(pattern, C_blocks[:, :, :, None], (n_p, 2 * n_u), pairs, pinned)
+    D = sp.csr_matrix((np.ones(len(pinned)), (pinned, pinned)), shape=(n_p, n_p))
+
+    Y = np.zeros((3, 3, vertices.cols.size))
+    Y[:2, :2], Y[2, :2], Y[:2, 2] = A_pairs.transpose(2, 1, 0), B_pairs[..., 0].T, C_pairs[:, 0].T
+    kb, bk = np.empty((3, 2, 3, ne)), np.empty((2, 3, 3, ne))
+    kb[:2], kb[2] = A_blocks[:3, :, 3].transpose(2, 3, 0, 1), C_blocks[:, :, 3].transpose(2, 0, 1)
+    bk[:, :2], bk[:, 2] = A_blocks[3, :, :3].transpose(2, 3, 1, 0), B_blocks[3].transpose(2, 1, 0)
+    bb = A_blocks[3, :, 3].transpose(1, 2, 0)
+    inverse = np.array([[bb[1, 1], -bb[0, 1]], [-bb[1, 0], bb[0, 0]]])
+    inverse /= bb[0, 0] * bb[1, 1] - bb[0, 1] * bb[1, 0]
+    W = -(inverse[:, 0, None, None] * bk[0] + inverse[:, 1, None, None] * bk[1])    # [b, k, vertex, e]
+    ids = vertices.slots.transpose(2, 0, 1).ravel()         # the transposed entry of (row i, column j)
+    for a in range(3):
+        for k in range(3):
+            correction = kb[a, 0, :, None] * W[0, k] + kb[a, 1, :, None] * W[1, k]
+            Y[k, a] += np.bincount(ids, correction.ravel(), minlength=Y.shape[-1])
+    identity = np.zeros((nv, 3), dtype=bool)
+    identity[np.divmod(ddofs, 2)] = True
+    identity[pinned, 2] = True
+    for a in range(3):
+        Y[:, a, identity[vertices.cols, a]] = 0.0
+        Y[a, a, vertices.diagonal[identity[:, a]]] = 1.0
+    at, data = schemes._csc_positions(vertices), np.empty(Y.size)
+    for k in range(3):
+        for a in range(3):
+            data[at(k, a)] = Y[k, a]
+    return A, B, C, D, schemes._vertex_csc(vertices, at, data), np.ascontiguousarray(inverse.transpose(2, 0, 1))
